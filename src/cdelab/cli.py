@@ -132,9 +132,8 @@ def cmd_integrate(args):
     if args.format == "json":
         doc = {"schema": geometry.SCHEMA,
                "drift": integrators.energy_drift(tr),
-               "samples": [[float(tr.times[i])] + [float(x) for x in tr.states[i]]
-                           + [float(tr.energy_series[i])]
-                           for i in range(len(tr))]}
+               "samples": np.column_stack(
+                   [tr.times, tr.states, tr.energy_series]).tolist()}
         _emit(serialize.dumps(doc), args.out)
     else:
         _emit(serialize.trajectory_to_csv(tr), args.out)

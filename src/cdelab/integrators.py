@@ -4,13 +4,14 @@ Two steppers are provided: the implicit midpoint rule (symplectic for this
 canonical Hamiltonian system, the conservative default for long-time runs)
 and classical RK4 for cross-validation and high-accuracy short-horizon
 tracking.  Steps are uniform; the phase space is low-dimensional and smooth,
-so no adaptive control is attempted.
+so no adaptive control is attempted.  Both run as scalar kernels on the four
+state components, the midpoint Newton step with a closed-form 4x4 solve.
 """
 
 import numpy as np
 from dataclasses import dataclass, field
 
-from . import dynamics, linear
+from . import dynamics
 from .errors import NewtonDivergence, NonFiniteState, EmptyTrajectory
 
 #: a trajectory component beyond this magnitude signals escape along the
@@ -56,13 +57,61 @@ class Trajectory:
         return len(self.times)
 
 
-def rk4_step(s, dt, f=dynamics.vector_field):
+def _rk4(u, v, a, b, dt):
+    """RK4 on four floats or (m,) rows, in the array form's operation order."""
+    f, h = dynamics._field, 0.5 * dt
+    k1u, k1v, k1a, k1b = f(u, v, a, b)
+    k2u, k2v, k2a, k2b = f(u + h * k1u, v + h * k1v, a + h * k1a, b + h * k1b)
+    k3u, k3v, k3a, k3b = f(u + h * k2u, v + h * k2v, a + h * k2a, b + h * k2b)
+    k4 = f(u + dt * k3u, v + dt * k3v, a + dt * k3a, b + dt * k3b)
+    return (u + dt / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4[0]),
+            v + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4[1]),
+            a + dt / 6.0 * (k1a + 2.0 * k2a + 2.0 * k3a + k4[2]),
+            b + dt / 6.0 * (k1b + 2.0 * k2b + 2.0 * k3b + k4[3]))
+
+
+def _newton_correction(u, a, b, r0, r1, r2, r3, h):
+    """Solve (I - h Df) d = r at (u, ., a, b): row 0 gives d0 = r0 + h d1; rows
+    1..3 in d1..d3, [1 + h hg, p, q], [-h q, 1 + h, -w], [h p, w, 1 - h], are
+    reduced onto their (a, b) block, of det 1 - h² + w² > 0 for |h| < 1."""
+    hu, hg = h * u, h * (a * a + b * b - 0.25)
+    p, q, w = 2.0 * hu * a, 2.0 * hu * b, hu * u
+    c2, c3 = r2 + q * r0, r3 - p * r0
+    det_ab = 1.0 - h * h + w * w
+    e2, e3 = (1.0 - h) * c2 + w * c3, (1.0 + h) * c3 - w * c2
+    g2, g3 = h * (w * p - (1.0 - h) * q), h * ((1.0 + h) * p + w * q)
+    det = (1.0 + h * hg) * det_ab - p * g2 - q * g3
+    if det == 0.0 or det_ab == 0.0:
+        raise NewtonDivergence("singular implicit midpoint Newton matrix")
+    d1 = ((r1 - hg * r0) * det_ab - p * e2 - q * e3) / det
+    return r0 + h * d1, d1, (e2 - g2 * d1) / det_ab, (e3 - g3 * d1) / det_ab
+
+
+def _midpoint(u, v, a, b, dt, newton_tol, max_iters):
+    f, h = dynamics._field, 0.5 * dt
+    fu, fv, fa, fb = f(u, v, a, b)
+    xu, xv, xa, xb = u + dt * fu, v + dt * fv, a + dt * fa, b + dt * fb
+    for it in range(max_iters + 1):
+        mu, ma, mb = 0.5 * (u + xu), 0.5 * (a + xa), 0.5 * (b + xb)
+        fu, fv, fa, fb = f(mu, 0.5 * (v + xv), ma, mb)
+        r0, r1 = xu - u - dt * fu, xv - v - dt * fv
+        r2, r3 = xa - a - dt * fa, xb - b - dt * fb
+        rr = r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3
+        # ‖res‖ <= newton_tol * max(1, ‖x‖∞), compared squared (cheaper)
+        scale = max(1.0, abs(xu), abs(xv), abs(xa), abs(xb))
+        if rr <= (newton_tol * scale) ** 2:
+            return xu, xv, xa, xb
+        if it < max_iters:
+            d0, d1, d2, d3 = _newton_correction(mu, ma, mb, r0, r1, r2, r3, h)
+            xu, xv, xa, xb = xu - d0, xv - d1, xa - d2, xb - d3
+    raise NewtonDivergence(
+        f"implicit midpoint Newton stalled at residual {rr ** 0.5:.3e}")
+
+
+def rk4_step(s, dt):
     """One classical Runge-Kutta step; works on (4,) states or (4, m) batches."""
-    k1 = f(s)
-    k2 = f(s + 0.5 * dt * k1)
-    k3 = f(s + 0.5 * dt * k2)
-    k4 = f(s + dt * k3)
-    return s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    s = np.asarray(s, dtype=float)
+    return np.array(_rk4(*(s.tolist() if s.ndim == 1 else s), dt))
 
 
 def implicit_midpoint_step(s, dt, newton_tol=1e-12, max_iters=25):
@@ -70,27 +119,11 @@ def implicit_midpoint_step(s, dt, newton_tol=1e-12, max_iters=25):
 
     The iterate x is accepted once the residual of x = s + dt f((s + x)/2)
     satisfies ``‖res‖ <= newton_tol * max(1, ‖x‖∞)``, i.e. the tolerance is
-    absolute for unit-size states and relative beyond.
+    absolute for unit-size states and relative beyond (NewtonDivergence
+    if not met, or if the Newton matrix is singular).
     """
-    s = np.asarray(s, dtype=float)
-    x = s + dt * dynamics.vector_field(s)          # explicit Euler predictor
-    eye = np.eye(4)
-    for it in range(max_iters + 1):
-        mid = 0.5 * (s + x)
-        res = x - s - dt * dynamics.vector_field(mid)
-        # ‖res‖ <= newton_tol * max(1, ‖x‖∞), compared squared (cheaper)
-        if res @ res <= (newton_tol * max(1.0, abs(x).max())) ** 2:
-            return x
-        if it == max_iters:
-            break
-        jac = eye - 0.5 * dt * jacobian_matrix(mid)
-        x = x - np.linalg.solve(jac, res)
-    raise NewtonDivergence(
-        f"implicit midpoint Newton stalled at residual {np.linalg.norm(res):.3e}")
-
-
-def jacobian_matrix(s):
-    return linear.jacobian_at(s, chart="original").entries
+    s = np.asarray(s, dtype=float).tolist()
+    return np.array(_midpoint(*s, dt, newton_tol, max_iters))
 
 
 def step(s, cfg):
@@ -106,37 +139,35 @@ def integrate(s0, t_final, cfg):
     Negative t_final integrates backwards; the returned trajectory is then
     reported on the increasing grid [t_final, 0].  The step count is
     round(|t_final| / dt), so dt is adjusted slightly when it does not divide
-    t_final evenly.  Raises NonFiniteState when a component exceeds 1e12, and
-    re-raises an implicit-midpoint NewtonDivergence naming the step, its start
-    time and ‖s‖∞.
+    t_final evenly.  Raises NonFiniteState when a component is NaN or exceeds
+    1e12, and re-raises an implicit-midpoint NewtonDivergence naming the step,
+    its start time and ‖s‖∞.
     """
     if t_final == 0:
         raise ValueError("t_final must be nonzero")
     s0 = np.asarray(s0, dtype=float)
-    span = abs(t_final)
-    n_steps = max(1, int(round(span / cfg.dt)))
-    dt = span / n_steps
-    sign = 1.0 if t_final > 0 else -1.0
+    n_steps = max(1, int(round(abs(t_final) / cfg.dt)))
+    dt = t_final / n_steps              # signed
+    kernel, extra = ((_rk4, ()) if cfg.method == "rk4" else
+                     (_midpoint, (cfg.newton_tol, cfg.max_newton_iters)))
 
     states = np.empty((n_steps + 1, 4))
     states[0] = s0
-    s = s0
+    s = s0.tolist()
+    lim = OVERFLOW_LIMIT
     for i in range(n_steps):
-        if cfg.method == "rk4":
-            s = rk4_step(s, sign * dt)
-        else:
-            try:
-                s = implicit_midpoint_step(s, sign * dt, cfg.newton_tol,
-                                           cfg.max_newton_iters)
-            except NewtonDivergence as exc:
-                raise NewtonDivergence(
-                    f"{exc} in step {i + 1} from t = {sign * dt * i:.6g}, "
-                    f"|s|_inf = {np.max(np.abs(s)):.3e}") from exc
-        if not np.all(np.isfinite(s)) or np.max(np.abs(s)) > OVERFLOW_LIMIT:
+        try:
+            u, v, a, b = kernel(*s, dt, *extra)
+        except NewtonDivergence as exc:
+            raise NewtonDivergence(
+                f"{exc} in step {i + 1} from t = {dt * i:.6g}, "
+                f"|s|_inf = {max(map(abs, s)):.3e}") from exc
+        if not (abs(u) <= lim and abs(v) <= lim and abs(a) <= lim
+                and abs(b) <= lim):
             raise NonFiniteState(f"state overflow after step {i + 1}")
-        states[i + 1] = s
-    times = sign * dt * np.arange(n_steps + 1)
-    if sign < 0:
+        s = states[i + 1] = u, v, a, b
+    times = dt * np.arange(n_steps + 1)
+    if dt < 0:
         times = times[::-1].copy()
         states = states[::-1].copy()
     return Trajectory(times=times, states=states)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cdelab import dynamics, integrators, orbits
+from cdelab import dynamics, integrators, linear, orbits
 from cdelab.errors import NewtonDivergence, NonFiniteState, EmptyTrajectory
 
 
@@ -22,6 +22,51 @@ def test_rk4_step_taylor_oracle():
     taylor = s + dt * f + 0.5 * dt ** 2 * jf
     out = integrators.rk4_step(s, dt)
     assert np.max(np.abs(out - taylor)) <= 1e-7
+
+
+def _rk4_array_reference(s, dt):
+    # the former array form of rk4_step and the vector field, as an oracle
+    def f(s):
+        u, v, a, b = s
+        return np.stack([v, -(a * a + b * b - 0.25) * u,
+                         -a + u * u * b, b - u * u * a])
+    k1 = f(s)
+    k2 = f(s + 0.5 * dt * k1)
+    k3 = f(s + 0.5 * dt * k2)
+    k4 = f(s + dt * k3)
+    return s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@pytest.mark.parametrize("dt", [1e-3, -2e-2])
+def test_rk4_step_bitwise_equals_array_reference(dt):
+    batch = np.random.default_rng(3).standard_normal((4, 7))
+    out = integrators.rk4_step(batch, dt)
+    assert np.array_equal(out, _rk4_array_reference(batch, dt))
+    for j in range(batch.shape[1]):
+        ref = _rk4_array_reference(batch[:, j], dt)
+        assert np.array_equal(integrators.rk4_step(batch[:, j], dt), ref)
+        assert np.array_equal(out[:, j], ref)
+    cfg = integrators.StepperConfig(method="rk4", dt=abs(dt))
+    tr = integrators.integrate(batch[:, 0], 20 * dt, cfg)
+    states = tr.states if dt > 0 else tr.states[::-1]
+    for prev, nxt in zip(states[:-1], states[1:]):
+        assert np.array_equal(nxt, _rk4_array_reference(prev, dt))
+
+
+@pytest.mark.parametrize("dt", [1e-3, 1e-2])
+def test_newton_correction_matches_dense_solve(dt):
+    rng = np.random.default_rng(29)
+    mids = rng.standard_normal((60, 4))
+    # half of them with |b| in [1e4, 2e5], as deep in the escape
+    mids[30:, :3] *= 0.1
+    mids[30:, 3] = rng.uniform(1e4, 2e5, 30) * rng.choice([-1.0, 1.0], 30)
+    h = 0.5 * dt
+    for mid in mids:
+        res = rng.standard_normal(4) * 10.0 ** rng.uniform(-14, 0)
+        ref = np.linalg.solve(np.eye(4) - h * linear.jacobian_at(mid).entries,
+                              res)
+        d = integrators._newton_correction(mid[0], mid[2], mid[3], *res, h)
+        assert np.linalg.norm(np.array(d) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_integrate_constant_from_equilibrium():
@@ -96,6 +141,23 @@ def test_nonfinite_state_detected():
     cfg = integrators.StepperConfig(method="rk4", dt=0.1)
     with pytest.raises(NonFiniteState):
         integrators.integrate(np.array([1e9, 1e9, 0.0, 1e3]), 60.0, cfg)
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_nan_in_any_component_detected(k):
+    s0 = np.array([1.0, 0.5, 0.3, 0.2])
+    s0[k] = np.nan
+    with pytest.raises(NonFiniteState):
+        integrators.integrate(s0, 0.5, integrators.StepperConfig(method="rk4",
+                                                                 dt=0.1))
+    with pytest.raises(NewtonDivergence):
+        integrators.integrate(s0, 0.5, integrators.StepperConfig(dt=0.1))
+
+
+def test_singular_newton_matrix_raises_newton_divergence():
+    # dt = 2 zeroes row 3 of I - (dt/2) Df at u = 0
+    with pytest.raises(NewtonDivergence, match="singular"):
+        integrators.implicit_midpoint_step([0.0, 0.0, 0.3, 0.2], 2.0)
 
 
 def test_newton_divergence_raised():

@@ -108,6 +108,32 @@ def test_cli_integrate_csv(capsys):
     assert len(rows) == 22
 
 
+def test_cli_integrate_json_text_pinned(capsys):
+    code, out, _ = run_cli(["integrate", "--state", "1,0,0.3,0.35",
+                            "--t-final", "0.02", "--dt", "0.01",
+                            "--method", "rk4", "--format", "json"], capsys)
+    assert code == 0
+    rows = [[0.0, 1.0, 0.0, 0.3, 0.35, -0.12375000000000001],
+            [0.01, 1.0000018641630808, 0.0003717485636603332,
+             0.30050000434036966, 0.35049999624126504, -0.12374999999999942],
+            [0.02, 1.0000074132757932, 0.0007369884786286891,
+             0.30100003444739726, 0.35099996986230086, -0.12374999999999886]]
+    samples = ",\n".join(
+        "    [\n" + ",\n".join(f"      {x!r}" for x in row) + "\n    ]"
+        for row in rows)
+    assert out == ('{\n  "schema": "cde-lab/1",\n'
+                   '  "drift": 1.1518563880486e-15,\n'
+                   '  "samples": [\n' + samples + "\n  ]\n}\n")
+
+
+def test_cli_integrate_singular_newton_matrix_is_solver_failure(capsys):
+    # dt = 2 zeroes row 3 of I - (dt/2) Df at u = 0
+    code, _, err = run_cli(["integrate", "--state", "0,0,0.3,0.2",
+                            "--t-final", "2", "--dt", "2"], capsys)
+    assert code == 1
+    assert "solver failure" in err and "singular" in err
+
+
 def test_cli_integrate_bad_state(capsys):
     code, _, err = run_cli(["integrate", "--state", "1,0,0.3",
                             "--t-final", "1.0"], capsys)
