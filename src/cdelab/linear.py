@@ -1,9 +1,8 @@
 """Jacobians of both charts, 4x4 eigenvalues, Lyapunov period prediction.
 
-Eigenvalues are computed from the explicit quartic characteristic polynomial
-(Faddeev-LeVerrier coefficients), rooted with a companion-matrix solver and
-polished with one Newton step per simple root.  A fixed-size eigensolver is
-all this phase space needs; the residual check guards conditioning.
+Eigenvalues come from LAPACK (``np.linalg.eigvals``), are made closed under
+complex conjugation, and each carries an SVD eigenvector whose residual
+certifies it; the residual check guards conditioning.
 """
 
 import numpy as np
@@ -15,12 +14,6 @@ from . import dynamics
 #: relative threshold below which the real/imaginary part of an eigenvalue
 #: is treated as zero when classifying pairs
 CLASSIFY_TOL = 1e-9
-
-#: roots closer than this (relative to the eigenvalue scale) are treated as
-#: a multiple eigenvalue and collapsed to their cluster centroid; a companion
-#: solver smears an m-fold root over a radius ~eps^(1/m), so this must sit
-#: above eps^(1/4)
-CLUSTER_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -74,38 +67,8 @@ def matrix_c():
     return jacobian_at(dynamics.P_PLUS_ROTATED, chart="rotated").entries
 
 
-def characteristic_coefficients(m):
-    """Coefficients [1, c1, c2, c3, c4] of det(lambda I - M), Faddeev-LeVerrier."""
-    m = np.asarray(m, dtype=float)
-    n = m.shape[0]
-    coeffs = [1.0]
-    mk = np.zeros_like(m)
-    for k in range(1, n + 1):
-        mk = m @ (mk + coeffs[-1] * np.eye(n)) if k > 1 else m.copy()
-        coeffs.append(-np.trace(mk) / k)
-    return np.array(coeffs)
-
-
-def _cluster_roots(roots):
-    """Collapse root clusters to their centroid (multiple-eigenvalue rescue)."""
-    scale = max(1.0, np.abs(roots).max())
-    out = roots.copy()
-    used = np.zeros(len(roots), dtype=bool)
-    for i in range(len(roots)):
-        if used[i]:
-            continue
-        group = [j for j in range(len(roots))
-                 if not used[j] and abs(roots[j] - roots[i]) <= CLUSTER_TOL * scale]
-        if len(group) > 1:
-            centroid = np.mean([roots[j] for j in group])
-            for j in group:
-                out[j] = centroid
-                used[j] = True
-    return out
-
-
 def eigenvalues_4x4(m):
-    """Eigenvalues of a real 4x4 matrix via the quartic characteristic polynomial.
+    """Eigenvalues of a real 4x4 matrix with a residual certificate.
 
     Each returned eigenvalue carries a unit eigenvector (smallest singular
     vector of M - lambda I) whose residual must satisfy
@@ -115,25 +78,7 @@ def eigenvalues_4x4(m):
     m = np.asarray(m, dtype=float)
     if m.shape != (4, 4):
         raise ValueError("expected a 4x4 matrix")
-    coeffs = characteristic_coefficients(m)
-    roots = np.roots(coeffs)
-
-    # one Newton polish per root (skipped inside clusters, where p' ~ 0)
-    dcoeffs = np.polyder(coeffs)
-    scale = max(1.0, np.abs(roots).max())
-    polished = []
-    for r in roots:
-        others = [q for q in roots if abs(q - r) > 1e-12]
-        simple = all(abs(q - r) > CLUSTER_TOL * scale for q in others)
-        if simple:
-            p, dp = np.polyval(coeffs, r), np.polyval(dcoeffs, r)
-            if dp != 0:
-                r = r - p / dp
-        polished.append(r)
-    roots = _cluster_roots(np.array(polished))
-
-    # enforce closure under conjugation
-    roots = _conjugate_symmetrize(roots)
+    roots = _conjugate_symmetrize(np.linalg.eigvals(m))
 
     mnorm = np.linalg.norm(m, 2)
     vecs = np.zeros((4, 4), dtype=complex)

@@ -67,8 +67,84 @@ def _steps_for(period, dt):
     return max(400, int(np.ceil(period / dt)))
 
 
-def shoot_periodic(T, guess, phase_condition="v0", tol=1e-9, dt=2e-3,
-                   max_iters=25):
+def _closure_system(dt, h, u0=None, period=None):
+    """The closure map s0 -> s(P) - s0 on the section v(0) = 0.
+
+    With the period P fixed the unknowns are x = (u0, a0, b0); with u0
+    pinned they are x = (a0, b0, P).  Returns ``(closure, unpack)``:
+    ``closure(x)`` gives the residual and its Jacobian, by forward
+    differences with step h in the state unknowns (one batched flow) and,
+    for a free period, the column f(s(P)); a non-positive P gives an
+    infinite residual.  ``unpack(x)`` gives (s0, P).
+    """
+    free = [0, 2, 3] if u0 is None else [2, 3]
+
+    def unpack(x):
+        if u0 is None:
+            return np.array([x[0], 0.0, x[1], x[2]]), period
+        return np.array([u0, 0.0, x[0], x[1]]), x[2]
+
+    def closure(x):
+        s0, p = unpack(x)
+        if p <= 0:
+            return np.full(4, np.inf), None
+        # first column is the base point, the rest FD perturbations
+        batch = np.column_stack([s0] + [s0 + h * e for e in np.eye(4)[free]])
+        end = _flow(batch, p, _steps_for(p, dt))
+        res = end - batch
+        jac = (res[:, 1:] - res[:, [0]]) / h
+        if u0 is not None:
+            jac = np.column_stack([jac, dynamics.vector_field(end[:, 0])])
+        return res[:, 0], jac
+
+    return closure, unpack
+
+
+def _gauss_newton(closure, x, tol, max_iters, label):
+    """Damped Gauss-Newton on ``closure(x) -> (residual, jacobian)``.
+
+    Each step is the least-squares solution of J dx = -r, halved up to 20
+    times until the residual norm decreases; an accepted trial's residual
+    and Jacobian serve the next iteration.  Returns (x, ||residual||);
+    raises NewtonDivergence when the line search stalls or max_iters steps
+    do not reach tol.
+    """
+    r, jac = closure(x)
+    rn = np.linalg.norm(r)
+    for _ in range(max_iters):
+        if rn <= tol:
+            return x, rn
+        dx, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+        step = 1.0
+        for _ in range(20):
+            x_try = x + step * dx
+            r_try, jac_try = closure(x_try)
+            rn_try = np.linalg.norm(r_try)
+            if rn_try < rn:
+                x, r, jac, rn = x_try, r_try, jac_try, rn_try
+                break
+            step *= 0.5
+        else:
+            raise NewtonDivergence(
+                f"{label} stalled at closure residual {rn:.3e}")
+    raise NewtonDivergence(
+        f"{label} did not reach tolerance {tol}: closure residual {rn:.3e}")
+
+
+def _shoot(x, dt, tol, max_iters, label, h, u0=None, period=None):
+    """Solve one closure system and integrate the orbit it converges to."""
+    closure, unpack = _closure_system(dt, h, u0=u0, period=period)
+    x, rn = _gauss_newton(closure, x, tol, max_iters, label)
+    s0, p = unpack(x)
+    if _distance_to_equilibria(s0) <= EQUILIBRIUM_TOL:
+        raise ConvergedToEquilibrium(f"{label} collapsed onto an equilibrium")
+    tr = integrators.integrate(s0, p, integrators.StepperConfig(method="rk4", dt=dt))
+    return PeriodicOrbit(half_period=float(p / 2.0), initial_state=s0,
+                         trajectory=tr, energy=float(dynamics.hamiltonian(s0)),
+                         residual=float(rn))
+
+
+def shoot_periodic(T, guess, tol=1e-9, dt=2e-3, max_iters=25):
     """Find a 2T-periodic orbit through the section v(0) = 0 at fixed T.
 
     Gauss-Newton on the closure map s(2T) - s(0) over (u0, a0, b0); the
@@ -79,63 +155,11 @@ def shoot_periodic(T, guess, phase_condition="v0", tol=1e-9, dt=2e-3,
     """
     if T <= 0:
         raise ValueError("T must be positive")
-    if phase_condition != "v0":
-        raise ValueError("only the v(0) = 0 phase condition is implemented")
     guess = np.asarray(guess, dtype=float)
     if _distance_to_equilibria(guess) <= EQUILIBRIUM_TOL:
         raise ConvergedToEquilibrium("shooting guess is an equilibrium point")
-
-    period = 2.0 * T
-    n_steps = _steps_for(period, dt)
-    x = np.array([guess[0], guess[2], guess[3]])   # (u0, a0, b0), v0 = 0
-
-    def closure(xv):
-        # batched: first column is the base point, the rest FD perturbations
-        base = np.array([xv[0], 0.0, xv[1], xv[2]])
-        h = 1e-6
-        cols = [base]
-        for j in range(3):
-            d = np.zeros(3)
-            d[j] = h
-            pert = xv + d
-            cols.append(np.array([pert[0], 0.0, pert[1], pert[2]]))
-        batch = np.stack(cols, axis=1)
-        end = _flow(batch, period, n_steps)
-        res = end - batch
-        jac = (res[:, 1:] - res[:, [0]]) / h
-        return res[:, 0], jac
-
-    for _ in range(max_iters):
-        r, jac = closure(x)
-        rn = np.linalg.norm(r)
-        if rn <= tol:
-            break
-        dx, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        step = 1.0
-        for _ in range(20):
-            r_try, _ = closure(x + step * dx)
-            if np.linalg.norm(r_try) < rn:
-                x = x + step * dx
-                break
-            step *= 0.5
-        else:
-            raise NewtonDivergence(
-                f"shooting stalled at closure residual {rn:.3e}")
-    else:
-        raise NewtonDivergence(f"shooting did not reach tolerance {tol}")
-
-    s0 = np.array([x[0], 0.0, x[1], x[2]])
-    if _distance_to_equilibria(s0) <= EQUILIBRIUM_TOL:
-        raise ConvergedToEquilibrium("shooting collapsed onto an equilibrium")
-    return _finalize_orbit(s0, T, dt, float(np.linalg.norm(closure(x)[0])))
-
-
-def _finalize_orbit(s0, T, dt, residual):
-    cfg = integrators.StepperConfig(method="rk4", dt=dt)
-    tr = integrators.integrate(s0, 2.0 * T, cfg)
-    return PeriodicOrbit(half_period=float(T), initial_state=s0,
-                         trajectory=tr, energy=float(dynamics.hamiltonian(s0)),
-                         residual=residual)
+    return _shoot(guess[[0, 2, 3]], dt, tol, max_iters, "shooting", h=1e-6,
+                  period=2.0 * T)
 
 
 def lyapunov_family(amplitudes, tol=1e-9, dt=None):
@@ -158,59 +182,10 @@ def lyapunov_family(amplitudes, tol=1e-9, dt=None):
         # elliptic-plane direction in the rotated chart: (1, 0, omega^2, 0)
         rot = dynamics.P_PLUS_ROTATED + h * np.array([1.0, 0.0, omega ** 2, 0.0])
         guess = dynamics.from_rotated(rot)
-        orbits.append(_shoot_pinned_amplitude(guess, t0, tol=tol,
-                                              dt=dt or min(2e-3, t0 / 4000)))
+        orbits.append(_shoot(np.array([guess[2], guess[3], t0]),
+                             dt or min(2e-3, t0 / 4000), tol, 30,
+                             "family shooting", h=1e-7, u0=guess[0]))
     return orbits
-
-
-def _shoot_pinned_amplitude(guess, period_guess, tol=1e-9, dt=2e-3,
-                            max_iters=30):
-    """Gauss-Newton over (a0, b0, period) with u(0) pinned to the guess."""
-    u0 = guess[0]
-    x = np.array([guess[2], guess[3], period_guess])
-
-    def closure(xv):
-        period = xv[2]
-        n_steps = _steps_for(period, dt)
-        base = np.array([u0, 0.0, xv[0], xv[1]])
-        h = 1e-7
-        cols = [base,
-                np.array([u0, 0.0, xv[0] + h, xv[1]]),
-                np.array([u0, 0.0, xv[0], xv[1] + h])]
-        batch = np.stack(cols, axis=1)
-        end = _flow(batch, period, n_steps)
-        res = end - batch
-        jac = np.empty((4, 3))
-        jac[:, :2] = (res[:, 1:] - res[:, [0]]) / h
-        jac[:, 2] = dynamics.vector_field(end[:, 0])
-        return res[:, 0], jac
-
-    for _ in range(max_iters):
-        r, jac = closure(x)
-        rn = np.linalg.norm(r)
-        if rn <= tol:
-            break
-        dx, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        step = 1.0
-        for _ in range(20):
-            if x[2] + step * dx[2] <= 0:
-                step *= 0.5
-                continue
-            r_try, _ = closure(x + step * dx)
-            if np.linalg.norm(r_try) < rn:
-                x = x + step * dx
-                break
-            step *= 0.5
-        else:
-            raise NewtonDivergence(
-                f"family shooting stalled at residual {rn:.3e}")
-    else:
-        raise NewtonDivergence("family shooting did not converge")
-
-    s0 = np.array([u0, 0.0, x[0], x[1]])
-    if _distance_to_equilibria(s0) <= EQUILIBRIUM_TOL:
-        raise ConvergedToEquilibrium("family shooting collapsed to equilibrium")
-    return _finalize_orbit(s0, x[2] / 2.0, dt, float(np.linalg.norm(closure(x)[0])))
 
 
 def field_to_orbit(field):

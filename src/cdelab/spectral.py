@@ -617,7 +617,8 @@ def ground_state(eps, K=None, init=None, grad_tol=1e-8, nehari_rel_tol=1e-6,
     conjugate-gradient reduction onto the minus space), then polish with a
     full-space Newton iteration using the exact Jacobian (minimum-norm steps
     absorb the time-translation null direction).  The phase is fixed by
-    centering the u^2 mass at t = 0.
+    centering the u^2 mass at t = 0.  The diagnostics count the steps each
+    phase took (``pg_iterations``, ``newton_iterations``).
 
     Returns a :class:`GroundStateResult`; raises NonConvergence with the best
     iterate attached when the tolerances cannot be met.
@@ -649,7 +650,7 @@ def ground_state(eps, K=None, init=None, grad_tol=1e-8, nehari_rel_tol=1e-6,
     z_p = field.z_plus.copy()
     pg_iters = 0
     switch_tol = max(grad_tol, 1e-4)
-    for pg_iters in range(max_pg_iters):
+    for _ in range(max_pg_iters):
         try:
             _, _, f = nehari_scale(u_hat, z_p, sp)
         except NonConvergence:
@@ -682,6 +683,7 @@ def ground_state(eps, K=None, init=None, grad_tol=1e-8, nehari_rel_tol=1e-6,
             eta *= 0.5
         if not accepted:
             break
+        pg_iters += 1
     field = PeriodicField(epsilon=eps, num_modes=K, u_coeffs=u_hat, z_plus=z_p,
                           z_minus=reduce_g(u_hat, z_p, sp), spectrum=sp)
 
@@ -689,7 +691,7 @@ def ground_state(eps, K=None, init=None, grad_tol=1e-8, nehari_rel_tol=1e-6,
     x = _pack(field.u_coeffs, field.z_ab_coeffs(), K)
     newton_iters = 0
     target = min(grad_tol, 1e-10)
-    for newton_iters in range(max_newton_iters):
+    for _ in range(max_newton_iters):
         uh, z_ab = _unpack(x, K)
         gu, gz, _, _ = _residual_coeffs(uh, z_ab, sp, eps, N, mult_u)
         gn = float(np.sqrt((2.0 / eps) * (np.sum(np.abs(gu) ** 2)
@@ -714,6 +716,7 @@ def ground_state(eps, K=None, init=None, grad_tol=1e-8, nehari_rel_tol=1e-6,
         if not improved:
             break
         x = x + lam * dx
+        newton_iters += 1
 
     uh, z_ab = _unpack(x, K)
     p, m = split_spinor(z_ab, sp)
@@ -729,7 +732,7 @@ def ground_state(eps, K=None, init=None, grad_tol=1e-8, nehari_rel_tol=1e-6,
         "epsilon": eps, "modes": K, "grid": N,
         "gradient_history": grad_history,
         "energy_history": energy_history,
-        "pg_iterations": pg_iters + 1,
+        "pg_iterations": pg_iters,
         "newton_iterations": newton_iters,
         "final_gradient_norm": gn,
         "nehari": res,

@@ -51,7 +51,6 @@ def suite_linear(seed=0, tol=1e-10):
 def suite_integrator(seed=0, tol=1e-8):
     # a converged periodic orbit; generic perturbations of the saddle-center
     # escape, and even this orbit can only be shadowed to t ~ 20
-    from . import orbits
     orb = orbits.lyapunov_family([1e-2])[0]
     cfg = integrators.StepperConfig(method="implicit_midpoint", dt=1e-3)
     tr = integrators.integrate(orb.initial_state, 15.0, cfg)

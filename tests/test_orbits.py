@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from cdelab import dynamics, integrators, linear, orbits
-from cdelab.errors import ConvergedToEquilibrium, NonConvergence
+from cdelab.errors import (ConvergedToEquilibrium, NewtonDivergence,
+                           NonConvergence)
+
+from conftest import recording_flows
 
 T0 = 2.0 ** 0.75 * np.pi
 
@@ -57,14 +60,38 @@ def test_limit_energy_quadrature_oracle():
 # ----------------------------------------------------------------------
 # shooting
 
-def test_shoot_periodic_fixed_period():
+@pytest.fixture(scope="module")
+def fixed_period_shot():
     # half-period slightly above T0/2 admits a small nonconstant orbit
-    orb = orbits.shoot_periodic(5.3 / 2.0, small_orbit_guess(0.031))
+    with recording_flows() as bases:
+        orb = orbits.shoot_periodic(5.3 / 2.0, small_orbit_guess(0.031))
+    return orb, bases
+
+
+def test_shoot_periodic_fixed_period(fixed_period_shot):
+    orb, _ = fixed_period_shot
     assert orb.residual <= 1e-9
     assert np.linalg.norm(orb.initial_state - dynamics.P_PLUS) > 1e-6
     drift = np.max(np.abs(orb.trajectory.energy_series
                           - orb.trajectory.energy_series[0]))
     assert drift <= 1e-8
+
+
+def test_shooting_flows_each_base_state_once(fixed_period_shot,
+                                             lyapunov_run):
+    # an accepted trial point's residual and Jacobian serve the next
+    # iteration and the final residual, so no state is flowed again
+    for bases in (fixed_period_shot[1], lyapunov_run[1]):
+        assert len(bases) > 0
+        assert len(set(bases)) == len(bases)
+
+
+def test_shooting_budget_exhausted_reports_residual():
+    with pytest.raises(NewtonDivergence, match="closure residual") as info:
+        orbits.shoot_periodic(5.3 / 2.0, small_orbit_guess(0.031),
+                              max_iters=1)
+    residual = float(str(info.value).rsplit(" ", 1)[-1])
+    assert 1e-9 < residual < np.inf
 
 
 def test_shoot_rejects_equilibrium_guess():

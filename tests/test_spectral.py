@@ -3,7 +3,7 @@ import pytest
 from dataclasses import replace
 
 from cdelab import spectral, orbits
-from cdelab.errors import TruncationMismatch
+from cdelab.errors import NonConvergence, TruncationMismatch
 
 SQ2 = np.sqrt(2.0)
 
@@ -343,11 +343,21 @@ def test_ground_state_reduction_optimality(ground_states):
 
 
 def test_ground_state_nonconvergence_attaches_best_iterate():
-    from cdelab.errors import NonConvergence
     with pytest.raises(NonConvergence) as info:
         spectral.ground_state(0.2, K=32, max_pg_iters=1, max_newton_iters=0)
     assert info.value.best is not None
     assert info.value.best.field.epsilon == 0.2
+
+
+def test_ground_state_counts_steps_taken():
+    res = spectral.ground_state(0.25, max_pg_iters=0)
+    assert res.diagnostics["pg_iterations"] == 0
+    assert res.diagnostics["newton_iterations"] > 0
+    # an exhausted Newton budget reports every step it took
+    with pytest.raises(NonConvergence) as info:
+        spectral.ground_state(0.25, max_pg_iters=0, max_newton_iters=2)
+    assert info.value.diagnostics["pg_iterations"] == 0
+    assert info.value.diagnostics["newton_iterations"] == 2
 
 
 def test_ground_state_rejects_mismatched_init():
