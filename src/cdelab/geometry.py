@@ -16,8 +16,6 @@ depend on the representation only through |Psi| and the radial pair
 import numpy as np
 from dataclasses import dataclass
 
-from scipy.interpolate import CubicSpline
-
 from .errors import GridCoverage, DegenerateProfile
 
 # i * Pauli matrices: skew-adjoint, anti-commuting, squaring to -1
@@ -149,6 +147,7 @@ def cylinder_to_euclidean(profile, r_grid):
     if _grids_match(t_needed, t):
         u_t, a_t, b_t = sample[_match_order(t_needed, t)].T
     else:
+        from scipy.interpolate import CubicSpline
         spline = CubicSpline(t, sample, axis=0)
         u_t, a_t, b_t = spline(t_needed).T
 
@@ -175,6 +174,7 @@ def euclidean_to_cylinder(profile, t_grid=None):
         pad = 1e-12 * max(1.0, abs(lo), abs(hi))
         if t.min() < lo - pad or t.max() > hi + pad:
             raise GridCoverage("requested t-grid not covered by the radii")
+        from scipy.interpolate import CubicSpline
         order = np.argsort(t_native)
         spline = CubicSpline(t_native[order],
                              np.column_stack([profile.u, profile.f1,

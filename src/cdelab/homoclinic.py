@@ -18,8 +18,6 @@ comparison without asserting a value.
 import numpy as np
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 #: alternative amplitude pair in circulation, kept for residual comparison
 QUOTED_AMPLITUDES = (2.0 ** -0.25, 3.0 / (2.0 * np.sqrt(2.0)))
 
@@ -154,6 +152,7 @@ def limit_energy_quadrature(rtol=1e-12):
     Computed by adaptive quadrature along the derived homoclinic; the
     closed-form value is (9/8) * (1/2) * int cosh^-3 = 9*pi/32.
     """
+    from scipy.integrate import quad
     prof = derived_profile()
 
     def integrand(t):

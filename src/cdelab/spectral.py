@@ -60,7 +60,7 @@ def coeffs_to_values(c, N):
     k = np.arange(-K, K + 1)
     spread = np.zeros((N,) + cc.shape[1:], dtype=complex)
     phase = np.where(k % 2 == 0, 1.0, -1.0)       # e^{-i pi k} shift to t=-1
-    np.add.at(spread, k % N, cc * phase[:, None])
+    spread[k % N] = cc * phase[:, None]             # distinct: N >= M
     vals = N * np.fft.ifft(spread, axis=0)
     return vals[:, 0] if single else vals
 
@@ -474,6 +474,13 @@ def cutoff_test_pair(eps, K=None):
 # ----------------------------------------------------------------------
 # ground-state solver
 
+#: GMRES in the Newton polish: relative residual of each solve (1e-12 stalls
+#: on the near-null translation direction), basis size, cap on restart cycles
+KRYLOV_FORCING = 1e-8
+KRYLOV_RESTART = 50
+KRYLOV_MAX_RESTARTS = 20
+
+
 @dataclass
 class GroundStateResult:
     field: PeriodicField
@@ -483,72 +490,77 @@ class GroundStateResult:
 
 
 def _pack(u_hat, z_ab, K):
-    def one(c):
-        return np.concatenate([[c[K].real], c[K + 1:].real, c[K + 1:].imag])
-    return np.concatenate([one(u_hat), one(z_ab[:, 0]), one(z_ab[:, 1])])
+    """Real unknowns of a real field: per component c_0, Re c_k, Im c_k (k > 0)."""
+    c = np.column_stack([u_hat, z_ab])[K:]
+    return np.concatenate([c[:1].real, c[1:].real, c[1:].imag]).T.ravel()
 
 
 def _unpack(x, K):
-    M = 2 * K + 1
-
-    def one(seg):
-        c = np.zeros(M, dtype=complex)
-        c[K] = seg[0]
-        c[K + 1:] = seg[1:K + 1] + 1j * seg[K + 1:]
-        c[:K] = np.conj(c[K + 1:][::-1])
-        return c
-
-    u = one(x[:M])
-    z_ab = np.stack([one(x[M:2 * M]), one(x[2 * M:])], axis=1)
-    return u, z_ab
+    seg = x.reshape(3, 2 * K + 1)
+    pos = seg[:, 1:K + 1] + 1j * seg[:, K + 1:]
+    c = np.concatenate([np.conj(pos[:, ::-1]), seg[:, :1], pos], axis=1)
+    return c[0], c[1:].T
 
 
-def _residual_coeffs(u_hat, z_ab, sp, eps, N, mult_u):
+def _residual_coeffs(x, sp, N):
+    """Packed Euler-Lagrange residual at the packed point x, its eps-weighted
+    L^2 norm, and the grid values (u, z) of the point."""
     K = sp.num_modes
+    u_hat, z_ab = _unpack(x, K)
     u = coeffs_to_values(u_hat, N).real
     zv = coeffs_to_values(z_ab, N).real
     z2 = zv[:, 0] ** 2 + zv[:, 1] ** 2
-    gu = mult_u * u_hat - values_to_coeffs(u * z2, K)
+    gu = (sp.omega ** 2 + 0.25) * u_hat - values_to_coeffs(u * z2, K)
     gz = apply_A_ab(z_ab, sp) - values_to_coeffs(u[:, None] ** 2 * zv, K)
-    return gu, gz, u, zv
+    gn = float(np.sqrt((2.0 / sp.epsilon) * (np.sum(np.abs(gu) ** 2)
+                                             + np.sum(np.abs(gz) ** 2))))
+    return _pack(gu, gz, K), gn, u, zv
 
 
-def _jacobian(u_hat, z_ab, sp, eps, N, mult_u):
-    """Exact dense Jacobian of the Euler-Lagrange residual, batched assembly."""
+def _linearization(u, zv, sp, N):
+    """Jacobian-vector product of the Euler-Lagrange residual at the point
+    with grid values (u, z): packed direction -> packed derivative."""
     K = sp.num_modes
-    M = 2 * K + 1
-    n = 3 * M
-    u = coeffs_to_values(u_hat, N).real
-    zv = coeffs_to_values(z_ab, N).real
-    z2 = zv[:, 0] ** 2 + zv[:, 1] ** 2
+    a, b = zv[:, 0], zv[:, 1]
+    z2 = a * a + b * b
 
-    eye = np.eye(n)
-    HU = np.zeros((M, n), dtype=complex)
-    HA = np.zeros((M, n), dtype=complex)
-    HB = np.zeros((M, n), dtype=complex)
-    for i in range(n):
-        hu, hz = _unpack(eye[i], K)
-        HU[:, i] = hu
-        HA[:, i] = hz[:, 0]
-        HB[:, i] = hz[:, 1]
-    hu_v = coeffs_to_values(HU, N).real
-    ha_v = coeffs_to_values(HA, N).real
-    hb_v = coeffs_to_values(HB, N).real
+    def jvp(x):
+        hu, hz = _unpack(x, K)
+        hu_v, ha_v, hb_v = coeffs_to_values(np.column_stack([hu, hz]), N).real.T
+        prod = values_to_coeffs(np.column_stack([
+            hu_v * z2 + 2.0 * u * (a * ha_v + b * hb_v),
+            u * u * ha_v + 2.0 * u * a * hu_v,
+            u * u * hb_v + 2.0 * u * b * hu_v]), K)
+        return _pack((sp.omega ** 2 + 0.25) * hu - prod[:, 0],
+                     apply_A_ab(hz, sp) - prod[:, 1:], K)
+    return jvp
 
-    a, b = zv[:, 0][:, None], zv[:, 1][:, None]
-    uu = u[:, None]
-    dGu = mult_u[:, None] * HU - values_to_coeffs(
-        hu_v * z2[:, None] + 2.0 * uu * (a * ha_v + b * hb_v), K)
-    om = sp.omega[:, None]
-    dGa = (1.0 - 1j * om) * HB - values_to_coeffs(
-        uu ** 2 * ha_v + 2.0 * uu * a * hu_v, K)
-    dGb = (1.0 + 1j * om) * HA - values_to_coeffs(
-        uu ** 2 * hb_v + 2.0 * uu * b * hu_v, K)
 
-    cols = np.empty((n, n))
-    for i in range(n):
-        cols[:, i] = _pack(dGu[:, i], np.stack([dGa[:, i], dGb[:, i]], axis=1), K)
-    return cols
+def _inverse_linear_part(x, sp):
+    """Exact inverse of the residual's linear part, mode by mode: divide the
+    scalar by omega_k^2 + 1/4, apply A_k^{-1} = A_k / (1 + omega_k^2) to z."""
+    hu, hz = _unpack(x, sp.num_modes)
+    return _pack(hu / (sp.omega ** 2 + 0.25),
+                 apply_A_ab(hz, sp) / (1.0 + sp.omega ** 2)[:, None], sp.num_modes)
+
+
+def _newton_step(r, jvp, sp):
+    """GMRES solve of J dx = -r to the relative residual KRYLOV_FORCING,
+    left-preconditioned by the inverse linear part.  Returns the iterate, also
+    when GMRES stops short, and the number of Jacobian-vector products."""
+    from scipy.sparse.linalg import LinearOperator, gmres
+    n = r.size
+    count = [0]
+
+    def counted(v):
+        count[0] += 1
+        return jvp(v)
+
+    dx, _ = gmres(LinearOperator((n, n), matvec=counted), -r,
+                  rtol=KRYLOV_FORCING, restart=KRYLOV_RESTART,
+                  maxiter=KRYLOV_MAX_RESTARTS, M=LinearOperator(
+                      (n, n), matvec=lambda v: _inverse_linear_part(v, sp)))
+    return dx, count[0]
 
 
 def nehari_scale(u_hat, z_plus, sp, tol=1e-11, max_iter=40):
@@ -614,11 +626,12 @@ def ground_state(eps, K=None, init=None, grad_tol=1e-8, nehari_rel_tol=1e-6,
 
     Strategy: minimize the reduced functional over the Nehari constraint by
     a preconditioned projected gradient (inner Newton for the (t, s) scaling,
-    conjugate-gradient reduction onto the minus space), then polish with a
-    full-space Newton iteration using the exact Jacobian (minimum-norm steps
-    absorb the time-translation null direction).  The phase is fixed by
-    centering the u^2 mass at t = 0.  The diagnostics count the steps each
-    phase took (``pg_iterations``, ``newton_iterations``).
+    conjugate-gradient reduction onto the minus space), then polish with
+    full-space inexact Newton steps that GMRES solves matrix-free.  The phase
+    is fixed by centering the u^2 mass at t = 0.  The diagnostics count the
+    steps each phase took (``pg_iterations``, ``newton_iterations``) and the
+    Jacobian-vector products of each Newton solve (``krylov_iterations``, one
+    entry more than steps when the line search rejects the last step).
 
     Returns a :class:`GroundStateResult`; raises NonConvergence with the best
     iterate attached when the tolerances cannot be met.
@@ -684,45 +697,36 @@ def ground_state(eps, K=None, init=None, grad_tol=1e-8, nehari_rel_tol=1e-6,
         if not accepted:
             break
         pg_iters += 1
-    field = PeriodicField(epsilon=eps, num_modes=K, u_coeffs=u_hat, z_plus=z_p,
-                          z_minus=reduce_g(u_hat, z_p, sp), spectrum=sp)
+    z_ab = merge_spinor(z_p, reduce_g(u_hat, z_p, sp), sp)
 
-    # ---- phase 2: full-space Newton polish ------------------------------
-    x = _pack(field.u_coeffs, field.z_ab_coeffs(), K)
+    # ---- phase 2: full-space inexact Newton polish ----------------------
+    x = _pack(u_hat, z_ab, K)
     newton_iters = 0
+    krylov_iters = []
     target = min(grad_tol, 1e-10)
+    r, gn, u, zv = _residual_coeffs(x, sp, N)
     for _ in range(max_newton_iters):
-        uh, z_ab = _unpack(x, K)
-        gu, gz, _, _ = _residual_coeffs(uh, z_ab, sp, eps, N, mult_u)
-        gn = float(np.sqrt((2.0 / eps) * (np.sum(np.abs(gu) ** 2)
-                                          + np.sum(np.abs(gz) ** 2))))
         grad_history.append(gn)
         if gn <= target:
             break
-        jac = _jacobian(uh, z_ab, sp, eps, N, mult_u)
-        r = _pack(gu, gz, K)
-        dx, *_ = np.linalg.lstsq(jac, -r, rcond=1e-12)
+        dx, jvps = _newton_step(r, _linearization(u, zv, sp, N), sp)
+        krylov_iters.append(jvps)
         lam = 1.0
-        improved = False
         for _ in range(30):
-            uh2, z2 = _unpack(x + lam * dx, K)
-            gu2, gz2, _, _ = _residual_coeffs(uh2, z2, sp, eps, N, mult_u)
-            gn2 = float(np.sqrt((2.0 / eps) * (np.sum(np.abs(gu2) ** 2)
-                                               + np.sum(np.abs(gz2) ** 2))))
-            if gn2 < gn:
-                improved = True
+            trial = _residual_coeffs(x + lam * dx, sp, N)
+            if trial[1] < gn:
                 break
             lam *= 0.5
-        if not improved:
+        else:
             break
         x = x + lam * dx
+        r, gn, u, zv = trial
         newton_iters += 1
 
     uh, z_ab = _unpack(x, K)
     p, m = split_spinor(z_ab, sp)
-    field = PeriodicField(epsilon=eps, num_modes=K, u_coeffs=uh,
-                          z_plus=p, z_minus=m, spectrum=sp)
-    field = center_phase(field)
+    field = center_phase(PeriodicField(epsilon=eps, num_modes=K, u_coeffs=uh,
+                                       z_plus=p, z_minus=m, spectrum=sp))
 
     eb = energy(field)
     energy_history.append(eb.total)
@@ -734,6 +738,7 @@ def ground_state(eps, K=None, init=None, grad_tol=1e-8, nehari_rel_tol=1e-6,
         "energy_history": energy_history,
         "pg_iterations": pg_iters,
         "newton_iterations": newton_iters,
+        "krylov_iterations": krylov_iters,
         "final_gradient_norm": gn,
         "nehari": res,
         "condition_a": {

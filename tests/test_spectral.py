@@ -26,6 +26,24 @@ def random_field(eps, K, seed, scale=0.5):
 
 
 # ----------------------------------------------------------------------
+# transforms
+
+@pytest.mark.parametrize("extra", [0, 1, 7])
+def test_coeffs_to_values_matches_direct_sum(extra):
+    # N = M is the coarsest grid: modes -K and K+1 wrap onto neighbouring slots
+    K = 6
+    M = 2 * K + 1
+    N = M + extra
+    rng = np.random.default_rng(extra)
+    c = rng.standard_normal((M, 3)) + 1j * rng.standard_normal((M, 3))
+    basis = np.exp(1j * np.pi * np.outer(spectral.grid(N), np.arange(-K, K + 1)))
+    np.testing.assert_allclose(spectral.coeffs_to_values(c, N), basis @ c,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(spectral.coeffs_to_values(c[:, 0], N),
+                               basis @ c[:, 0], rtol=0, atol=1e-12)
+
+
+# ----------------------------------------------------------------------
 # spectrum of the operator
 
 def test_constant_mode_eigenpairs():
@@ -340,6 +358,45 @@ def test_ground_state_reduction_optimality(ground_states):
         d = d + np.conj(d[::-1])
         trial = replace(f, z_minus=f.z_minus + d, spectrum=f.spectrum)
         assert spectral.energy(trial).total < e0 + 1e-12
+
+
+def test_ground_state_gap_law(ground_states):
+    # delta_0 - delta_eps ~ 3 e^{-1/eps}; the ratio is 2.9937 at eps = 0.2,
+    # where the correction beyond the leading exponential is still visible
+    for eps in (0.1, 0.05):
+        ratio = (orbits.DELTA0 - ground_states[eps].delta_eps) * np.exp(1.0 / eps)
+        assert 2.995 <= ratio <= 3.005, (eps, ratio)
+
+
+def test_ground_state_reports_krylov_iterations(ground_states):
+    diag = ground_states[0.05].diagnostics
+    assert diag["newton_iterations"] > 0
+    assert len(diag["krylov_iterations"]) == diag["newton_iterations"]
+    assert all(n > 0 for n in diag["krylov_iterations"])
+
+
+def test_linearization_matches_finite_differences():
+    f = spectral.cutoff_test_pair(0.1)
+    sp = f.spectrum
+    N = spectral.grid_size(f.num_modes)
+    x = spectral._pack(f.u_coeffs, f.z_ab_coeffs(), f.num_modes)
+    v = np.random.default_rng(40).standard_normal(x.shape)
+    jvp = spectral._linearization(f.u_values(N), f.z_values(N), sp, N)
+    h = 1e-5
+    fd = (spectral._residual_coeffs(x + h * v, sp, N)[0]
+          - spectral._residual_coeffs(x - h * v, sp, N)[0]) / (2.0 * h)
+    assert np.linalg.norm(jvp(v) - fd) <= 1e-6 * np.linalg.norm(fd)
+
+
+def test_inverse_linear_part_inverts_linear_part():
+    eps, K = 0.1, 64
+    sp = spectral.build_spectrum(1.0 / eps, K)
+    N = spectral.grid_size(K)
+    # at the zero field the linearization is the linear part alone
+    linear = spectral._linearization(np.zeros(N), np.zeros((N, 2)), sp, N)
+    v = np.random.default_rng(41).standard_normal(3 * (2 * K + 1))
+    back = spectral._inverse_linear_part(linear(v), sp)
+    assert np.max(np.abs(back - v)) <= 1e-13 * np.max(np.abs(v))
 
 
 def test_ground_state_nonconvergence_attaches_best_iterate():
