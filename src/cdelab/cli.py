@@ -6,6 +6,7 @@ failure, 2 on invalid input.
 """
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -47,7 +48,9 @@ def _parse_floats(text):
         raise ValueError(f"could not parse number list {text!r}") from exc
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="cdelab",
         description="Numerical laboratory for the cylinder Hamiltonian system "
@@ -180,7 +183,9 @@ def cmd_ground_state(args):
         "gradient_norm": result.diagnostics["final_gradient_norm"]},
         epsilon=args.epsilon)
     rec["delta_eps"] = result.delta_eps
-    rec["field"] = serialize.field_to_json(result.field)
+    rec["field"] = serialize.field_to_json(
+        result.field, energy=result.diagnostics["energy"],
+        residuals=result.diagnostics["nehari"])
     _emit(serialize.dumps(rec), args.out)
     return 0
 

@@ -2,12 +2,19 @@
 
 All documents carry the schema tag "cde-lab/1".  CSV files have a header row
 and fixed column order; numbers are written in full double precision with
-locale-independent formatting (repr).
+locale-independent formatting (repr).  A CSV table is written a table at a
+time, not a value at a time: one ``repr`` pass over a chunk of rows fills one
+row template per row, which gives the bytes ``csv.writer`` would (a float's
+repr never needs quoting).  ``dumps`` returns exactly the text of
+``json.dumps(doc, indent=2)`` for any acyclic document, without json's
+pure-Python indenting encoder; float lists and tables take the same
+template path.
 """
 
 import csv
 import io
-import json
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -21,11 +28,19 @@ PROFILE_COLUMNS = {
 }
 
 
+#: table rows rendered per %-template, in CSV and JSON: bounds the repr
+#: strings alive at once
+_CHUNK_ROWS = 1024
+
+
 def _write_rows(stream, header, rows):
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(float(x)) for x in row])
+    """Write a header and an (n, m) float table as CSV."""
+    csv.writer(stream, lineterminator="\n").writerow(header)
+    row = ",".join(["%s"] * rows.shape[1]) + "\n"
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        chunk = rows[start:start + _CHUNK_ROWS]
+        values = tuple(map(repr, chunk.ravel().tolist()))
+        stream.write(row * len(chunk) % values)
 
 
 def trajectory_to_csv(tr, stream=None):
@@ -48,7 +63,7 @@ def field_grid_to_csv(field, stream=None):
 
 
 def _complex_list(c):
-    return [[float(x.real), float(x.imag)] for x in c]
+    return np.column_stack([c.real, c.imag]).tolist()
 
 
 def _complex_array(pairs):
@@ -93,8 +108,7 @@ def orbit_record(orbit, provenance, epsilon=None, max_samples=400):
     """JSON document for a periodic orbit or converted field."""
     tr = orbit.trajectory
     stride = max(1, len(tr) // max_samples)
-    samples = [[float(tr.times[i])] + [float(x) for x in tr.states[i]]
-               for i in range(0, len(tr), stride)]
+    samples = np.column_stack([tr.times, tr.states])[::stride].tolist()
     return {
         "schema": SCHEMA,
         "T": orbit.half_period,
@@ -145,5 +159,86 @@ def diagram_to_csv(diagram, stream=None):
     return None if stream else out.getvalue()
 
 
+#: json's spelling of the floats whose repr is not JSON
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float(x):
+    text = float.__repr__(x)
+    return _NONFINITE.get(text, text)
+
+
+def _key(k):
+    if isinstance(k, str):
+        return encode_basestring_ascii(k)
+    if isinstance(k, (int, float)) or k is None:     # bool is an int
+        return '"' + _encode(k, 0) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {k.__class__.__name__}")
+
+
+def _float_block(items, level):
+    """A list of floats, or of equal-length rows of floats, rendered through
+    one %-template per chunk of rows; None for any other list."""
+    kinds = set(map(type, items))
+    if kinds <= {list, tuple}:
+        widths = set(map(len, items))
+        if len(widths) != 1 or 0 in widths:
+            return None
+        (width,) = widths
+        values = list(chain.from_iterable(items))
+        kinds = set(map(type, values))
+        cell = _bracket(["%s"] * width, level + 1)
+    else:
+        width, values, cell = 1, items, "%s"
+    if not all(issubclass(k, float) for k in kinds):
+        return None
+    step = _CHUNK_ROWS * width
+    sep = ",\n" + "  " * (level + 1)
+    parts = []
+    for start in range(0, len(values), step):
+        reprs = tuple(map(float.__repr__, values[start:start + step]))
+        template = sep.join([cell] * (len(reprs) // width))
+        text = template % reprs
+        if "n" in text:             # nan or inf: no finite repr has an "n"
+            text = template % tuple(_NONFINITE.get(r, r) for r in reprs)
+        parts.append(text)
+    return _bracket(parts, level)
+
+
+def _bracket(parts, level, ends="[]"):
+    inner = "\n" + "  " * (level + 1)
+    return (ends[0] + inner + ("," + inner).join(parts) + "\n" + "  " * level
+            + ends[1])
+
+
+def _encode(o, level):
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float(o)
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        return (_float_block(o, level)
+                or _bracket([_encode(x, level + 1) for x in o], level))
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        return _bracket([_key(k) + ": " + _encode(v, level + 1)
+                         for k, v in o.items()], level, "{}")
+    raise TypeError(f"Object of type {o.__class__.__name__} "
+                    f"is not JSON serializable")
+
+
 def dumps(doc):
-    return json.dumps(doc, indent=2)
+    """Exactly ``json.dumps(doc, indent=2)``, for an acyclic document."""
+    return _encode(doc, 0)

@@ -740,6 +740,7 @@ def ground_state(eps, K=None, init=None, grad_tol=1e-8, nehari_rel_tol=1e-6,
         "newton_iterations": newton_iters,
         "krylov_iterations": krylov_iters,
         "final_gradient_norm": gn,
+        "energy": eb,
         "nehari": res,
         "condition_a": {
             "energy_lower": float(np.min(energy_history)),

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdelab import cli, dynamics, geometry, integrators, orbits, serialize, spectral
 
@@ -70,6 +71,77 @@ def test_orbit_record_schema(lyapunov_orbits):
     assert len(rec["samples"][0]) == 5       # t,u,v,a,b
 
 
+# every float json spells specially or that sits at a repr edge
+SPECIAL_FLOATS = (float("nan"), float("inf"), -float("inf"), -0.0, 5e-324,
+                  1e16, np.float64(0.1), np.float64("nan"))
+floats = (st.floats() | st.sampled_from(SPECIAL_FLOATS)
+          | st.floats().map(np.float64))
+float_tables = st.integers(1, 4).flatmap(lambda m: st.lists(
+    st.lists(floats, min_size=m, max_size=m)
+    | st.tuples(*[floats] * m), max_size=5))
+leaves = (st.none() | st.booleans() | st.integers() | floats | st.text()
+          | st.sampled_from(["", "caf\u00e9", "tab\t\"q\"\\", "\U0001f600"])
+          | st.lists(floats, max_size=6) | float_tables)
+keys = st.text() | st.integers() | floats | st.booleans() | st.none()
+documents = st.recursive(
+    leaves,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(keys, children, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(documents)
+def test_dumps_equals_json_indent_2(doc):
+    assert serialize.dumps(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("n", [1023, 1024, 1025, 2600])
+def test_dumps_long_float_tables(n):
+    rng = np.random.default_rng(n)
+    table = rng.standard_normal((n, 3))
+    table[-1, 1] = np.nan
+    table[n // 2, 0] = -np.inf
+    doc = {"rows": table.tolist(), "flat": table[:, 2].tolist()}
+    assert serialize.dumps(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("doc", [
+    {"x": np.int64(3)}, [1.0, np.int64(3)], [[1.0], [np.int64(3)]],
+    {"s": {1.0}}, np.float32(1.0), {(1, 2): 1.0}, {"k": object()},
+])
+def test_dumps_rejects_what_json_rejects(doc):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(doc, indent=2)
+    with pytest.raises(TypeError) as got:
+        serialize.dumps(doc)
+    assert str(got.value) == str(expected.value)
+
+
+def csv_oracle(header, rows):
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(float(x)) for x in row])
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("n", [1, 7, 1023, 1024, 1025, 2600])
+def test_write_rows_equals_csv_writer(n):
+    rng = np.random.default_rng(n)
+    m = int(rng.integers(1, 7))
+    exponents = rng.integers(-320, 300, (n, m))
+    rows = rng.standard_normal((n, m)) * 10.0 ** exponents
+    specials = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16]
+    rows.flat[rng.integers(0, rows.size, len(specials))] = specials
+    header = tuple("c%d" % j for j in range(m))
+    out = io.StringIO()
+    serialize._write_rows(out, header, rows)
+    assert out.getvalue() == csv_oracle(header, rows)
+
+
 def test_diagram_csv():
     diagram = {"delta0": orbits.DELTA0,
                "rows": [{"epsilon": 0.2, "T": 5.0, "delta_eps": 0.86,
@@ -89,12 +161,66 @@ def run_cli(args, capsys):
 
 
 def test_importing_the_cli_loads_no_scipy():
+    # the import itself writes nothing: stdout holds only the print below
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, cdelab.cli; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    code = "import sys, cdelab, cdelab.cli; print('scipy' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert (run.stdout, run.stderr) == ("False\n", "")
+
+
+def test_cli_main_repeated_calls_match_fresh_parsers(capsys):
+    argvs = [["equilibria"], ["homoclinic"], ["equilibria", "--format", "csv"],
+             ["integrate", "--state", "1,0,0.3,0.35", "--t-final", "0.05",
+              "--dt", "0.01", "--method", "rk4", "--format", "json"]]
+    fresh = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        fresh.append(run_cli(argv, capsys))
+    repeated = [run_cli(argv, capsys) for argv in argvs]
+    assert repeated == fresh
+    assert cli.build_parser.cache_info().misses == 1
+    code, _, err = run_cli(["integrate", "--t-final", "1"], capsys)
+    assert code == 2 and "--state" in err
+    assert run_cli(argvs[0], capsys) == fresh[0]
+
+
+INTEGRATE_JSON = ["integrate", "--state", "1,0,0.3,0.35", "--dt", "0.01",
+                  "--format", "json", "--t-final"]
+JSON_COMMANDS = [
+    ["equilibria"],
+    INTEGRATE_JSON + ["0.3", "--method", "rk4"],
+    INTEGRATE_JSON + ["-0.3", "--method", "rk4"],
+    INTEGRATE_JSON + ["0.3"],
+    INTEGRATE_JSON + ["-0.3"],
+    ["ground-state", "--epsilon", "0.2"],
+    ["continuation", "--eps-grid", "0.2", "--format", "json"],
+    ["homoclinic"],
+    ["homoclinic", "--paper-constants"],
+    ["lyapunov", "--amplitudes", "1e-2"],
+]
+
+
+@pytest.mark.parametrize("argv", JSON_COMMANDS, ids=" ".join)
+def test_cli_json_output_is_canonical(argv, capsys):
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
+
+def test_cli_ground_state_record_matches_recomputed_record(capsys):
+    code, out, _ = run_cli(["ground-state", "--epsilon", "0.05"], capsys)
+    assert code == 0
+    result = spectral.ground_state(0.05)
+    tr = orbits.field_to_orbit(result.field).trajectory
+    rec = json.loads(out)
+    stride = max(1, len(tr) // 400)
+    samples = [[float(tr.times[i])] + [float(x) for x in tr.states[i]]
+               for i in range(0, len(tr), stride)]
+    assert rec["samples"] == samples
+    rec["field"] = serialize.field_to_json(result.field)
+    assert json.dumps(rec, indent=2) + "\n" == out
 
 
 def test_cli_equilibria(capsys):
