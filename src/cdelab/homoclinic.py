@@ -15,6 +15,8 @@ system in this convention; the derivation report records their residual for
 comparison without asserting a value.
 """
 
+import functools
+
 import numpy as np
 from dataclasses import dataclass
 
@@ -61,6 +63,7 @@ def _ansatz_residual(t, alpha, beta, orientation):
     ])
 
 
+@functools.cache
 def derive_constants():
     """Coefficient-matching derivation of the homoclinic amplitudes.
 
@@ -69,7 +72,8 @@ def derive_constants():
     agree.  The scalar equation then determines beta^2 from the cosh^(-5/2)
     coefficient.  Returns a :class:`DerivationReport` with the derived
     constants, the residual of the derived profile, and the residual of the
-    quoted amplitude pair evaluated with its own orientation.
+    quoted amplitude pair evaluated with its own orientation.  The frozen
+    report is derived on the first call and shared by every later one.
     """
     # a' = -a + u^2 b with a ~ e^{t/2} cosh^{-3/2}: dividing by a and using
     # u^2 b / a = alpha^2 (1 - tanh t),

@@ -420,9 +420,13 @@ class NehariResiduals:
         return max(self.relative())
 
 
-def nehari_residuals(field):
-    eb = energy(field)
-    g = gradient(field)
+def nehari_residuals(field, energy=None, gradient=None):
+    """The three residuals of ``field``.  ``energy`` and ``gradient``, when
+    given, are the field's :func:`energy` breakdown and :func:`gradient`,
+    which are then not computed again."""
+    # the arguments shadow the module functions of the same names
+    eb = energy if energy is not None else globals()["energy"](field)
+    g = gradient if gradient is not None else globals()["gradient"](field)
     r3 = float(np.sqrt((2.0 / field.epsilon) * np.sum(np.abs(g.z_minus) ** 2)))
     trivial = (np.max(np.abs(field.u_coeffs), initial=0.0) < 1e-14
                and np.max(np.abs(field.z_plus), initial=0.0) < 1e-14
@@ -474,8 +478,11 @@ def cutoff_test_pair(eps, K=None):
 # ----------------------------------------------------------------------
 # ground-state solver
 
-#: GMRES in the Newton polish: relative residual of each solve (1e-12 stalls
-#: on the near-null translation direction), basis size, cap on restart cycles
+#: GMRES in the Newton polish: relative residual of each solve, basis size,
+#: cap on restart cycles.  The time-reversal-even subspace has no translation
+#: null mode, so a tighter forcing converges too; 1e-8 is kept because it is
+#: cheaper (12 solves at eps in [0.025, 0.06] on a 2-vCPU VM: 96 ms, and
+#: 129 ms at 1e-12)
 KRYLOV_FORCING = 1e-8
 KRYLOV_RESTART = 50
 KRYLOV_MAX_RESTARTS = 20
@@ -544,22 +551,34 @@ def _inverse_linear_part(x, sp):
                  apply_A_ab(hz, sp) / (1.0 + sp.omega ** 2)[:, None], sp.num_modes)
 
 
+def _symmetric(x, K):
+    """Projection (x + Rx)/2 of a packed field onto the time-reversal-even
+    fields, R(u, v, a, b) = (u, -v, b, a): Im u_k = 0 and a_k = conj(b_k)."""
+    u, a, b = x.reshape(3, 2 * K + 1)
+    re = 0.5 * (a[:K + 1] + b[:K + 1])
+    im = 0.5 * (a[K + 1:] - b[K + 1:])
+    return np.concatenate([u[:K + 1], np.zeros(K), re, im, re, -im])
+
+
 def _newton_step(r, jvp, sp):
-    """GMRES solve of J dx = -r to the relative residual KRYLOV_FORCING,
-    left-preconditioned by the inverse linear part.  Returns the iterate, also
-    when GMRES stops short, and the number of Jacobian-vector products."""
+    """GMRES solve of J dx = -r on the time-reversal-even fields to the
+    relative residual KRYLOV_FORCING, left-preconditioned by the inverse
+    linear part.  Returns the iterate, also when GMRES stops short, and the
+    number of Jacobian-vector products."""
     from scipy.sparse.linalg import LinearOperator, gmres
     n = r.size
+    K = sp.num_modes
     count = [0]
 
     def counted(v):
         count[0] += 1
-        return jvp(v)
+        return _symmetric(jvp(v), K)
 
-    dx, _ = gmres(LinearOperator((n, n), matvec=counted), -r,
+    dx, _ = gmres(LinearOperator((n, n), matvec=counted), -_symmetric(r, K),
                   rtol=KRYLOV_FORCING, restart=KRYLOV_RESTART,
                   maxiter=KRYLOV_MAX_RESTARTS, M=LinearOperator(
-                      (n, n), matvec=lambda v: _inverse_linear_part(v, sp)))
+                      (n, n), matvec=lambda v: _symmetric(
+                          _inverse_linear_part(v, sp), K)))
     return dx, count[0]
 
 
@@ -620,50 +639,20 @@ def center_phase(field):
     return field.shifted(tau)
 
 
-def ground_state(eps, K=None, init=None, grad_tol=1e-8, nehari_rel_tol=1e-6,
-                 max_pg_iters=80, max_newton_iters=40):
-    """Ground state of the rescaled problem at the given epsilon.
-
-    Strategy: minimize the reduced functional over the Nehari constraint by
-    a preconditioned projected gradient (inner Newton for the (t, s) scaling,
-    conjugate-gradient reduction onto the minus space), then polish with
-    full-space inexact Newton steps that GMRES solves matrix-free.  The phase
-    is fixed by centering the u^2 mass at t = 0.  The diagnostics count the
-    steps each phase took (``pg_iterations``, ``newton_iterations``) and the
-    Jacobian-vector products of each Newton solve (``krylov_iterations``, one
-    entry more than steps when the line search rejects the last step).
-
-    Returns a :class:`GroundStateResult`; raises NonConvergence with the best
-    iterate attached when the tolerances cannot be met.
-    """
-    K = K or default_modes(eps)
-    N = grid_size(K)
-    sp = build_spectrum(1.0 / eps, K)
+def _projected_gradient(field, sp, switch_tol, max_iters):
+    """Phase 1 of :func:`ground_state`: preconditioned projected gradient on
+    the Nehari constraint (inner Newton for the (t, s) scaling,
+    conjugate-gradient reduction onto the minus space) until the gradient
+    norm reaches ``switch_tol``.  Returns the last iterate centered by its
+    u^2 mass, the steps taken, and the gradient-norm and energy histories."""
+    eps, K = field.epsilon, field.num_modes
     mult_u = sp.omega ** 2 + 0.25
-
-    if init is None:
-        if eps <= 0.25:
-            field = cutoff_test_pair(eps, K)
-        else:
-            field = equilibrium_field(eps, K)
-            field.u_coeffs[K + 1] += 0.05
-            field.u_coeffs[K - 1] += 0.05
-            field.z_plus[K + 1] += 0.05
-            field.z_plus[K - 1] += 0.05
-    else:
-        field = init
-        if field.num_modes != K or abs(field.epsilon - eps) > 1e-12:
-            raise TruncationMismatch("init field does not match eps/K")
-
     grad_history = []
     energy_history = []
-
-    # ---- phase 1: projected gradient on the Nehari constraint ----------
     u_hat = field.u_coeffs.copy()
     z_p = field.z_plus.copy()
     pg_iters = 0
-    switch_tol = max(grad_tol, 1e-4)
-    for _ in range(max_pg_iters):
+    for _ in range(max_iters):
         try:
             _, _, f = nehari_scale(u_hat, z_p, sp)
         except NonConvergence:
@@ -697,10 +686,54 @@ def ground_state(eps, K=None, init=None, grad_tol=1e-8, nehari_rel_tol=1e-6,
         if not accepted:
             break
         pg_iters += 1
-    z_ab = merge_spinor(z_p, reduce_g(u_hat, z_p, sp), sp)
+    field = center_phase(PeriodicField(
+        epsilon=eps, num_modes=K, u_coeffs=u_hat, z_plus=z_p,
+        z_minus=reduce_g(u_hat, z_p, sp), spectrum=sp))
+    return field, pg_iters, grad_history, energy_history
 
-    # ---- phase 2: full-space inexact Newton polish ----------------------
-    x = _pack(u_hat, z_ab, K)
+
+def ground_state(eps, K=None, init=None, grad_tol=1e-8, nehari_rel_tol=1e-6,
+                 max_pg_iters=80, max_newton_iters=40):
+    """Ground state of the rescaled problem at the given epsilon.
+
+    Strategy: inexact Newton steps that GMRES solves matrix-free on the
+    time-reversal-even fields (u_k real, a_k = conj(b_k)), where the
+    translation null mode is absent and the phase stays pinned at t = 0.
+    For eps <= 1/4 with no ``init``, Newton starts straight from
+    :func:`cutoff_test_pair`.  Any other start (the perturbed constant
+    solution for eps > 1/4, or a given ``init``) first runs phase 1, the
+    projected gradient of :func:`_projected_gradient`, and Newton starts
+    from its centered result.  The diagnostics count the steps each phase
+    took (``pg_iterations``, ``newton_iterations``) and the Jacobian-vector
+    products of each Newton solve (``krylov_iterations``, one entry more
+    than steps when the line search rejects the last step).
+
+    Returns a :class:`GroundStateResult`; raises NonConvergence with the best
+    iterate attached when the tolerances cannot be met.
+    """
+    K = K or default_modes(eps)
+    N = grid_size(K)
+    sp = build_spectrum(1.0 / eps, K)
+
+    if init is None and eps <= 0.25:
+        field = cutoff_test_pair(eps, K)
+        pg_iters, grad_history, energy_history = 0, [], []
+    else:
+        if init is None:
+            field = equilibrium_field(eps, K)
+            field.u_coeffs[K + 1] += 0.05
+            field.u_coeffs[K - 1] += 0.05
+            field.z_plus[K + 1] += 0.05
+            field.z_plus[K - 1] += 0.05
+        else:
+            field = init
+            if field.num_modes != K or abs(field.epsilon - eps) > 1e-12:
+                raise TruncationMismatch("init field does not match eps/K")
+        field, pg_iters, grad_history, energy_history = _projected_gradient(
+            field, sp, max(grad_tol, 1e-4), max_pg_iters)
+
+    # ---- phase 2: inexact Newton on the time-reversal-even fields -------
+    x = _pack(field.u_coeffs, field.z_ab_coeffs(), K)
     newton_iters = 0
     krylov_iters = []
     target = min(grad_tol, 1e-10)
@@ -725,13 +758,14 @@ def ground_state(eps, K=None, init=None, grad_tol=1e-8, nehari_rel_tol=1e-6,
 
     uh, z_ab = _unpack(x, K)
     p, m = split_spinor(z_ab, sp)
-    field = center_phase(PeriodicField(epsilon=eps, num_modes=K, u_coeffs=uh,
-                                       z_plus=p, z_minus=m, spectrum=sp))
+    field = PeriodicField(epsilon=eps, num_modes=K, u_coeffs=uh,
+                          z_plus=p, z_minus=m, spectrum=sp)
 
     eb = energy(field)
     energy_history.append(eb.total)
-    gn = gradient_norm(field)
-    res = nehari_residuals(field)
+    g = gradient(field)
+    gn = gradient_norm(g, is_gradient=True)
+    res = nehari_residuals(field, energy=eb, gradient=g)
     diagnostics = {
         "epsilon": eps, "modes": K, "grid": N,
         "gradient_history": grad_history,

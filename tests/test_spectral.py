@@ -423,6 +423,77 @@ def test_ground_state_rejects_mismatched_init():
         spectral.ground_state(0.1, K=64, init=init)
 
 
+def _packed(field):
+    return spectral._pack(field.u_coeffs, field.z_ab_coeffs(), field.num_modes)
+
+
+def test_ground_state_is_time_reversal_symmetric(ground_states):
+    # R(u, v, a, b) = (u, -v, b, a): u_k real and a_k = conj(b_k); the
+    # solutions sit on that subspace to ~4e-17
+    fields = [spectral.ground_state(0.025).field,
+              ground_states[0.05].field, ground_states[0.2].field]
+    for f in fields:
+        x = _packed(f)
+        assert np.max(np.abs(x - spectral._symmetric(x, f.num_modes))) <= 1e-13
+
+
+def test_symmetric_projection_fixes_reflected_fields():
+    f = random_field(0.1, 12, seed=42)
+    x = _packed(f)
+    sym = spectral._symmetric(x, f.num_modes)
+    np.testing.assert_array_equal(spectral._symmetric(sym, f.num_modes), sym)
+    # the reflection t -> -t with a and b swapped maps the projection to itself
+    u_hat, z_ab = spectral._unpack(sym, f.num_modes)
+    reflected = spectral._pack(u_hat[::-1], z_ab[::-1, ::-1], f.num_modes)
+    assert np.max(np.abs(reflected - sym)) <= 1e-16 * np.max(np.abs(sym))
+
+
+def test_jvp_annihilates_translation_mode(ground_states):
+    # d/dt of a solution is in the kernel of the full-space Jacobian
+    # (measured 1.4e-12 to 5.4e-12 relative)
+    for eps in (0.2, 0.1, 0.05):
+        f = ground_states[eps].field
+        N = spectral.grid_size(f.num_modes)
+        d = spectral._pack(spectral.derivative_coeffs(f.u_coeffs),
+                           spectral.derivative_coeffs(f.z_ab_coeffs()),
+                           f.num_modes)
+        jvp = spectral._linearization(f.u_values(N), f.z_values(N),
+                                      f.spectrum, N)
+        assert np.linalg.norm(jvp(d)) <= 1e-10 * np.linalg.norm(d)
+
+
+def test_small_eps_ground_state_skips_projected_gradient(monkeypatch):
+    calls = {"nehari_scale": 0, "reduce_g": 0}
+    for name in calls:
+        original = getattr(spectral, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, name, counted)
+    res = spectral.ground_state(0.05)
+    assert calls == {"nehari_scale": 0, "reduce_g": 0}
+    assert res.diagnostics["pg_iterations"] == 0
+
+
+@pytest.mark.parametrize("eps, delta", [
+    (0.025, 0.8835729338221298),
+    (0.04, 0.883572933780466),
+    (0.06, 0.8835727604896779),
+    # eps > 1/4: projected gradient, centering, then the symmetric Newton
+    (0.3, 0.7762872683721382),
+])
+def test_ground_state_energy_pinned(eps, delta):
+    assert abs(spectral.ground_state(eps).delta_eps - delta) <= 1e-14
+
+
+def test_ground_state_certificate_matches_fresh_residuals(ground_states):
+    res = ground_states[0.1]
+    assert res.diagnostics["nehari"] == spectral.nehari_residuals(res.field)
+    assert res.diagnostics["energy"] == spectral.energy(res.field)
+
+
 def test_ground_state_phase_centered(ground_states):
     f = ground_states[0.1].field
     N = spectral.grid_size(f.num_modes)
