@@ -574,11 +574,12 @@ def _newton_step(r, jvp, sp):
         count[0] += 1
         return _symmetric(jvp(v), K)
 
-    dx, _ = gmres(LinearOperator((n, n), matvec=counted), -_symmetric(r, K),
-                  rtol=KRYLOV_FORCING, restart=KRYLOV_RESTART,
-                  maxiter=KRYLOV_MAX_RESTARTS, M=LinearOperator(
-                      (n, n), matvec=lambda v: _symmetric(
-                          _inverse_linear_part(v, sp), K)))
+    # an explicit dtype spares the zero-vector matvec scipy would probe with
+    dx, _ = gmres(LinearOperator((n, n), matvec=counted, dtype=float),
+                  -_symmetric(r, K), rtol=KRYLOV_FORCING,
+                  restart=KRYLOV_RESTART, maxiter=KRYLOV_MAX_RESTARTS,
+                  M=LinearOperator((n, n), dtype=float, matvec=lambda v:
+                                   _symmetric(_inverse_linear_part(v, sp), K)))
     return dx, count[0]
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdelab import dynamics, integrators, linear, orbits
 from cdelab.errors import NewtonDivergence, NonFiniteState, EmptyTrajectory
@@ -51,6 +52,30 @@ def test_rk4_step_bitwise_equals_array_reference(dt):
     states = tr.states if dt > 0 else tr.states[::-1]
     for prev, nxt in zip(states[:-1], states[1:]):
         assert np.array_equal(nxt, _rk4_array_reference(prev, dt))
+
+
+# components up to 3 in size, so the midpoint acceptance test also runs its
+# max(1, |x|_inf) branch
+box_states = st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4)
+step_specs = st.tuples(st.floats(1e-4, 5e-2), st.sampled_from([1.0, -1.0]),
+                       st.integers(1, 50))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(box_states, step_specs, st.sampled_from(["rk4", "implicit_midpoint"]))
+def test_integrate_bitwise_equals_iterated_steps(s0, step_spec, method):
+    size, sign, n = step_spec
+    t_final = sign * size * n
+    dt = t_final / n                    # the step integrate takes
+    cfg = integrators.StepperConfig(method=method, dt=size)
+    tr = integrators.integrate(s0, t_final, cfg)
+    states = tr.states if dt > 0 else tr.states[::-1]
+    assert states.shape == (n + 1, 4)
+    assert np.array_equal(states[0], s0)
+    for prev, nxt in zip(states[:-1], states[1:]):
+        ref = (integrators.rk4_step(prev, dt) if method == "rk4" else
+               integrators.implicit_midpoint_step(prev, dt))
+        assert np.array_equal(nxt, ref)
 
 
 @pytest.mark.parametrize("dt", [1e-3, 1e-2])
@@ -173,6 +198,19 @@ def test_newton_divergence_names_step_time_and_size():
     with pytest.raises(NewtonDivergence,
                        match=r"in step 1 from t = 0, \|s\|_inf = 1\.000e\+00"):
         integrators.integrate(np.array([1.0, 0.5, 0.3, 0.2]), 3.0, cfg)
+
+
+def test_singular_newton_matrix_names_step_in_integrate():
+    with pytest.raises(NewtonDivergence,
+                       match=r"singular .* in step 1 from t = 0"):
+        integrators.integrate([0.0, 0.0, 0.3, 0.2], 4.0,
+                              integrators.StepperConfig(dt=2.0))
+
+
+def test_nan_start_overflows_after_first_step():
+    cfg = integrators.StepperConfig(method="rk4", dt=0.1)
+    with pytest.raises(NonFiniteState, match="after step 1$"):
+        integrators.integrate([np.nan, 0.5, 0.3, 0.2], 0.5, cfg)
 
 
 def test_newton_converges_at_large_state():

@@ -399,6 +399,31 @@ def test_inverse_linear_part_inverts_linear_part():
     assert np.max(np.abs(back - v)) <= 1e-13 * np.max(np.abs(v))
 
 
+def test_newton_step_applies_no_operator_outside_gmres(monkeypatch):
+    # without an explicit dtype, scipy's LinearOperator probes each matvec
+    # once on a zero vector; every counted JVP must be a Krylov iteration
+    import scipy.sparse.linalg
+    calls = {"jvp": 0, "preconditioner": 0}
+
+    def jvp(v):
+        calls["jvp"] += 1
+        return v
+
+    def preconditioner(v, sp):
+        calls["preconditioner"] += 1
+        return v
+
+    monkeypatch.setattr(scipy.sparse.linalg, "gmres",
+                        lambda A, b, **kwargs: (np.zeros(b.size), 0))
+    monkeypatch.setattr(spectral, "_inverse_linear_part", preconditioner)
+    K = 6
+    sp = spectral.build_spectrum(10.0, K)
+    r = np.random.default_rng(43).standard_normal(3 * (2 * K + 1))
+    dx, jvps = spectral._newton_step(r, jvp, sp)
+    assert jvps == 0 and calls == {"jvp": 0, "preconditioner": 0}
+    assert np.array_equal(dx, np.zeros(r.size))
+
+
 def test_ground_state_nonconvergence_attaches_best_iterate():
     with pytest.raises(NonConvergence) as info:
         spectral.ground_state(0.2, K=32, max_pg_iters=1, max_newton_iters=0)
