@@ -265,16 +265,15 @@ class EnergyBreakdown:
     total: float
 
 
-def _scalar_multiplier(field):
-    k = np.arange(-field.num_modes, field.num_modes + 1)
-    om = field.epsilon * np.pi * k
-    return om * om + 0.25
+def _scalar_multiplier(sp):
+    """Per-mode multiplier omega_k^2 + 1/4 of the scalar's linear part."""
+    return sp.omega ** 2 + 0.25
 
 
 def norms(field):
     """Rescaled norms; ``h1`` and ``half`` are the squared norms."""
     eps = field.epsilon
-    mult = _scalar_multiplier(field)
+    mult = _scalar_multiplier(field.spectrum)
     h1 = (2.0 / eps) * float(np.sum(mult * np.abs(field.u_coeffs) ** 2))
     lam = field.spectrum.lam
     half = (2.0 / eps) * float(np.sum(lam * (np.abs(field.z_plus) ** 2
@@ -291,7 +290,7 @@ def norms(field):
 def energy(field):
     """Rescaled energy with its quadratic/coupling breakdown."""
     eps = field.epsilon
-    mult = _scalar_multiplier(field)
+    mult = _scalar_multiplier(field.spectrum)
     scal = (2.0 / eps) * float(np.sum(mult * np.abs(field.u_coeffs) ** 2))
     lam = field.spectrum.lam
     spin = (2.0 / eps) * float(np.sum(lam * (np.abs(field.z_plus) ** 2
@@ -317,7 +316,8 @@ def gradient(field):
     u = field.u_values(N)
     z = field.z_values(N)
     z2 = z[:, 0] ** 2 + z[:, 1] ** 2
-    gu = _scalar_multiplier(field) * field.u_coeffs - values_to_coeffs(u * z2, K)
+    gu = (_scalar_multiplier(field.spectrum) * field.u_coeffs
+          - values_to_coeffs(u * z2, K))
     gz_ab = apply_A_ab(field.z_ab_coeffs(), field.spectrum) \
         - values_to_coeffs(u[:, None] ** 2 * z, K)
     gp, gm = split_spinor(gz_ab, field.spectrum)
@@ -478,11 +478,12 @@ def cutoff_test_pair(eps, K=None):
 # ----------------------------------------------------------------------
 # ground-state solver
 
-#: GMRES in the Newton polish: relative residual of each solve, basis size,
-#: cap on restart cycles.  The time-reversal-even subspace has no translation
-#: null mode, so a tighter forcing converges too; 1e-8 is kept because it is
-#: cheaper (12 solves at eps in [0.025, 0.06] on a 2-vCPU VM: 96 ms, and
-#: 129 ms at 1e-12)
+#: GMRES in the Newton polish: bound on each solve's preconditioned residual
+#: relative to the preconditioned right-hand side, basis size, cap on restart
+#: cycles.  The time-reversal-even subspace has no translation null mode, so
+#: a tighter forcing converges too; 1e-8 is kept because it is cheaper (12
+#: ground states at eps in [0.025, 0.06] on a 2-vCPU VM: 47 ms and 89 JVPs,
+#: and 65 ms and 141 JVPs at 1e-12)
 KRYLOV_FORCING = 1e-8
 KRYLOV_RESTART = 50
 KRYLOV_MAX_RESTARTS = 20
@@ -517,7 +518,7 @@ def _residual_coeffs(x, sp, N):
     u = coeffs_to_values(u_hat, N).real
     zv = coeffs_to_values(z_ab, N).real
     z2 = zv[:, 0] ** 2 + zv[:, 1] ** 2
-    gu = (sp.omega ** 2 + 0.25) * u_hat - values_to_coeffs(u * z2, K)
+    gu = _scalar_multiplier(sp) * u_hat - values_to_coeffs(u * z2, K)
     gz = apply_A_ab(z_ab, sp) - values_to_coeffs(u[:, None] ** 2 * zv, K)
     gn = float(np.sqrt((2.0 / sp.epsilon) * (np.sum(np.abs(gu) ** 2)
                                              + np.sum(np.abs(gz) ** 2))))
@@ -538,7 +539,7 @@ def _linearization(u, zv, sp, N):
             hu_v * z2 + 2.0 * u * (a * ha_v + b * hb_v),
             u * u * ha_v + 2.0 * u * a * hu_v,
             u * u * hb_v + 2.0 * u * b * hu_v]), K)
-        return _pack((sp.omega ** 2 + 0.25) * hu - prod[:, 0],
+        return _pack(_scalar_multiplier(sp) * hu - prod[:, 0],
                      apply_A_ab(hz, sp) - prod[:, 1:], K)
     return jvp
 
@@ -547,7 +548,7 @@ def _inverse_linear_part(x, sp):
     """Exact inverse of the residual's linear part, mode by mode: divide the
     scalar by omega_k^2 + 1/4, apply A_k^{-1} = A_k / (1 + omega_k^2) to z."""
     hu, hz = _unpack(x, sp.num_modes)
-    return _pack(hu / (sp.omega ** 2 + 0.25),
+    return _pack(hu / _scalar_multiplier(sp),
                  apply_A_ab(hz, sp) / (1.0 + sp.omega ** 2)[:, None], sp.num_modes)
 
 
@@ -561,26 +562,65 @@ def _symmetric(x, K):
 
 
 def _newton_step(r, jvp, sp):
-    """GMRES solve of J dx = -r on the time-reversal-even fields to the
-    relative residual KRYLOV_FORCING, left-preconditioned by the inverse
-    linear part.  Returns the iterate, also when GMRES stops short, and the
-    number of Jacobian-vector products."""
-    from scipy.sparse.linalg import LinearOperator, gmres
-    n = r.size
+    """Restarted GMRES (Saad & Schultz 1986) for J dx = -r on the
+    time-reversal-even fields, left-preconditioned by the inverse linear
+    part M: Arnoldi with modified Gram-Schmidt on B = S M S J, S the
+    projection onto those fields, and Givens rotations.  A cycle stops when
+    the Arnoldi estimate of the preconditioned residual reaches
+    KRYLOV_FORCING times |S M S r|, or on a happy breakdown; a cycle of
+    KRYLOV_RESTART steps that stops short restarts from the true
+    preconditioned residual.  Returns the iterate, also when the last cycle
+    stops short, and the number of Jacobian-vector products."""
     K = sp.num_modes
-    count = [0]
+    jvps = 0
 
-    def counted(v):
-        count[0] += 1
-        return _symmetric(jvp(v), K)
+    def operator(v):
+        nonlocal jvps
+        jvps += 1
+        return _symmetric(_inverse_linear_part(_symmetric(jvp(v), K), sp), K)
 
-    # an explicit dtype spares the zero-vector matvec scipy would probe with
-    dx, _ = gmres(LinearOperator((n, n), matvec=counted, dtype=float),
-                  -_symmetric(r, K), rtol=KRYLOV_FORCING,
-                  restart=KRYLOV_RESTART, maxiter=KRYLOV_MAX_RESTARTS,
-                  M=LinearOperator((n, n), dtype=float, matvec=lambda v:
-                                   _symmetric(_inverse_linear_part(v, sp), K)))
-    return dx, count[0]
+    c = _symmetric(_inverse_linear_part(_symmetric(-r, K), sp), K)
+    tol = KRYLOV_FORCING * np.linalg.norm(c)
+    m = KRYLOV_RESTART
+    x = np.zeros(r.size)
+    for cycle in range(KRYLOV_MAX_RESTARTS):
+        res = c - operator(x) if cycle else c
+        beta = np.linalg.norm(res)
+        if beta <= tol:
+            break
+        V = np.empty((m + 1, r.size))
+        H = np.zeros((m + 1, m))
+        rot = np.zeros((m, 2))
+        g = np.zeros(m + 1)
+        V[0] = res / beta
+        g[0] = beta
+        for j in range(m):
+            w = operator(V[j])
+            w_norm = np.linalg.norm(w)
+            for i in range(j + 1):
+                H[i, j] = V[i] @ w
+                w -= H[i, j] * V[i]
+            h = np.linalg.norm(w)
+            done = h <= np.finfo(float).eps * w_norm     # happy breakdown
+            if done:
+                h = 0.0
+            else:
+                V[j + 1] = w / h
+            for i, (cs, sn) in enumerate(rot[:j]):
+                H[i, j], H[i + 1, j] = (cs * H[i, j] + sn * H[i + 1, j],
+                                        cs * H[i + 1, j] - sn * H[i, j])
+            rho = np.hypot(H[j, j], h)
+            rot[j] = H[j, j] / rho, h / rho
+            H[j, j] = rho
+            g[j], g[j + 1] = rot[j, 0] * g[j], -rot[j, 1] * g[j]
+            done = done or abs(g[j + 1]) <= tol
+            if done:
+                break
+        y = np.linalg.solve(np.triu(H[:j + 1, :j + 1]), g[:j + 1])
+        x = x + y @ V[:j + 1]
+        if done:
+            break
+    return x, jvps
 
 
 def nehari_scale(u_hat, z_plus, sp, tol=1e-11, max_iter=40):
@@ -647,7 +687,7 @@ def _projected_gradient(field, sp, switch_tol, max_iters):
     norm reaches ``switch_tol``.  Returns the last iterate centered by its
     u^2 mass, the steps taken, and the gradient-norm and energy histories."""
     eps, K = field.epsilon, field.num_modes
-    mult_u = sp.omega ** 2 + 0.25
+    mult_u = _scalar_multiplier(sp)
     grad_history = []
     energy_history = []
     u_hat = field.u_coeffs.copy()
@@ -706,8 +746,9 @@ def ground_state(eps, K=None, init=None, grad_tol=1e-8, nehari_rel_tol=1e-6,
     projected gradient of :func:`_projected_gradient`, and Newton starts
     from its centered result.  The diagnostics count the steps each phase
     took (``pg_iterations``, ``newton_iterations``) and the Jacobian-vector
-    products of each Newton solve (``krylov_iterations``, one entry more
-    than steps when the line search rejects the last step).
+    products of each Newton solve (``krylov_iterations``: the Krylov steps
+    and the true residual of each restart; one entry more than steps when
+    the line search rejects the last step).
 
     Returns a :class:`GroundStateResult`; raises NonConvergence with the best
     iterate attached when the tolerances cannot be met.

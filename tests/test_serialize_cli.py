@@ -170,6 +170,21 @@ def test_importing_the_cli_loads_no_scipy():
     assert (run.stdout, run.stderr) == ("False\n", "")
 
 
+def test_a_ground_state_solve_loads_no_scipy():
+    # the spectral Newton step runs the package's own GMRES
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import contextlib, io, sys\n"
+            "from cdelab import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['ground-state', '--epsilon', '0.05'])\n"
+            "print(code, sorted(m for m in sys.modules\n"
+            "                   if m.split('.')[0] == 'scipy'))")
+    run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert (run.stdout, run.stderr) == ("0 []\n", "")
+
+
 def test_cli_main_repeated_calls_match_fresh_parsers(capsys):
     argvs = [["equilibria"], ["homoclinic"], ["equilibria", "--format", "csv"],
              ["integrate", "--state", "1,0,0.3,0.35", "--t-final", "0.05",

@@ -399,29 +399,56 @@ def test_inverse_linear_part_inverts_linear_part():
     assert np.max(np.abs(back - v)) <= 1e-13 * np.max(np.abs(v))
 
 
-def test_newton_step_applies_no_operator_outside_gmres(monkeypatch):
-    # without an explicit dtype, scipy's LinearOperator probes each matvec
-    # once on a zero vector; every counted JVP must be a Krylov iteration
-    import scipy.sparse.linalg
-    calls = {"jvp": 0, "preconditioner": 0}
+def test_newton_step_applies_every_jvp_inside_the_krylov_solve():
+    # at the zero field the Jacobian is the linear part, which the
+    # preconditioner inverts exactly: one Krylov step solves the system, and
+    # no operator is applied outside the Krylov iteration
+    eps, K = 0.1, 64
+    sp = spectral.build_spectrum(1.0 / eps, K)
+    N = spectral.grid_size(K)
+    linear = spectral._linearization(np.zeros(N), np.zeros((N, 2)), sp, N)
+    calls = [0]
 
     def jvp(v):
-        calls["jvp"] += 1
-        return v
+        calls[0] += 1
+        return linear(v)
 
-    def preconditioner(v, sp):
-        calls["preconditioner"] += 1
-        return v
-
-    monkeypatch.setattr(scipy.sparse.linalg, "gmres",
-                        lambda A, b, **kwargs: (np.zeros(b.size), 0))
-    monkeypatch.setattr(spectral, "_inverse_linear_part", preconditioner)
-    K = 6
-    sp = spectral.build_spectrum(10.0, K)
     r = np.random.default_rng(43).standard_normal(3 * (2 * K + 1))
     dx, jvps = spectral._newton_step(r, jvp, sp)
-    assert jvps == 0 and calls == {"jvp": 0, "preconditioner": 0}
-    assert np.array_equal(dx, np.zeros(r.size))
+    assert calls[0] == 1 and jvps == 1
+    even_r = spectral._symmetric(r, K)
+    defect = spectral._symmetric(linear(dx), K) + even_r
+    assert np.linalg.norm(defect) <= 1e-13 * np.linalg.norm(even_r)
+
+
+@pytest.mark.parametrize("restart", [spectral.KRYLOV_RESTART, 3])
+def test_newton_step_matches_a_dense_solve_on_the_even_fields(monkeypatch,
+                                                               restart):
+    # restart = 3 cycles through the restart branch; the dense reference
+    # solves Q^T J Q y = -Q^T r, Q an orthonormal basis of the even fields
+    monkeypatch.setattr(spectral, "KRYLOV_RESTART", restart)
+    f = spectral.cutoff_test_pair(0.1, K=16)
+    sp, K = f.spectrum, f.num_modes
+    N = spectral.grid_size(K)
+    x = spectral._pack(f.u_coeffs, f.z_ab_coeffs(), K)
+    r, _, u, zv = spectral._residual_coeffs(x, sp, N)
+    linearization = spectral._linearization(u, zv, sp, N)
+    calls = [0]
+
+    def jvp(v):
+        calls[0] += 1
+        return linearization(v)
+
+    S = np.column_stack([spectral._symmetric(e, K) for e in np.eye(r.size)])
+    basis, sv, _ = np.linalg.svd(S)
+    Q = basis[:, sv > 0.5]
+    J = np.column_stack([linearization(q) for q in Q.T])
+    dense = Q @ np.linalg.solve(Q.T @ J, -Q.T @ r)
+    dx, jvps = spectral._newton_step(r, jvp, sp)
+    assert jvps == calls[0]
+    assert np.linalg.norm(dx - dense) <= 1e-6 * np.linalg.norm(dense)
+    if restart == 3:
+        assert jvps > 3      # more than one cycle ran
 
 
 def test_ground_state_nonconvergence_attaches_best_iterate():
