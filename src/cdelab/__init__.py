@@ -7,8 +7,9 @@ The reduced system on the cylinder,
 is conserved by H = v^2/2 + u^2/2 (a^2 + b^2 - 1/4) - a b.  The package
 provides: exact dynamics and linearization, symplectic time integration,
 a Fourier-spectral realization of the periodic variational problem with a
-Nehari-constrained ground-state solver, periodic-orbit shooting with
-continuation toward the explicit homoclinic orbit, and conformal transforms
+Nehari-constrained ground-state solver whose Newton-Krylov core also finds
+periodic orbits at fixed period or pinned amplitude, continuation toward
+the explicit homoclinic orbit, and conformal transforms
 producing singular-solution profiles on punctured euclidean space and the
 sphere minus two antipodal points.
 """

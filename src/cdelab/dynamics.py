@@ -44,14 +44,11 @@ def hamiltonian_grouped(s):
     return 0.5 * v * v + 0.5 * (u * u - 1.0) * q + 0.5 * ((a - b) ** 2 - 0.25)
 
 
-def _field(u, v, a, b):
-    """Component-wise right-hand side on floats or equally shaped arrays."""
-    return v, -(a * a + b * b - 0.25) * u, -a + u * u * b, b - u * u * a
-
-
 def vector_field(s):
     """Right-hand side (u', v', a', b') of the cylinder system."""
-    return np.stack(_field(*np.asarray(s, dtype=float)))
+    u, v, a, b = np.asarray(s, dtype=float)
+    return np.stack([v, -(a * a + b * b - 0.25) * u,
+                     -a + u * u * b, b - u * u * a])
 
 
 def time_reversal_swap(s):

@@ -6,7 +6,9 @@ class CdelabError(Exception):
 
 
 class NewtonDivergence(CdelabError):
-    """An implicit or shooting Newton iteration failed to converge."""
+    """A Newton iteration failed: an implicit midpoint step did not converge,
+    or a periodic-orbit solve left an RK4 closure residual above its
+    tolerance (the message ends with that residual)."""
 
 
 class NonFiniteState(CdelabError):

@@ -48,11 +48,9 @@ def _ansatz_residual(t, alpha, beta, orientation):
     returned rows are the v', a', b' defects.
     """
     t = np.asarray(t, dtype=float)
+    u, _, a, b = _ansatz_states(t, alpha, beta, orientation)
     th = np.tanh(t)
     lc = _log_cosh(t)
-    u = alpha * np.exp(-0.5 * lc)
-    a = beta * np.exp(orientation * 0.5 * t - 1.5 * lc)
-    b = beta * np.exp(-orientation * 0.5 * t - 1.5 * lc)
     upp = alpha * (0.25 * np.exp(-0.5 * lc) - 0.75 * np.exp(-2.5 * lc))
     ap = a * (orientation * 0.5 - 1.5 * th)
     bp = b * (-orientation * 0.5 - 1.5 * th)

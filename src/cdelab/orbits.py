@@ -1,18 +1,18 @@
-"""Periodic orbits: shooting, the small-oscillation family, and convergence
-diagnostics against the homoclinic profile.
+"""Periodic orbits: the spectral orbit solver, the small-oscillation family,
+and convergence diagnostics against the homoclinic profile.
 
-Shooting works on the section v(0) = 0 (both the homoclinic and the small
-orbits cross it, by the time-reversal/swap symmetry).  Because periodic
-orbits of an autonomous Hamiltonian system come in one-parameter families,
-the closure system is solved in least-squares (Gauss-Newton) form: fixed
-period with free (u0, a0, b0), or pinned amplitude with free (a0, b0, period)
-for the family continuation.
+A 2T-periodic orbit is a zero of the spectral Euler-Lagrange residual at
+eps = 1/T, found by the Newton-Krylov core of the ground-state solver on the
+fields even under R(u, v, a, b) = (u, -v, b, a), so it crosses v(0) = 0 at
+t = 0 with a(0) = b(0).  The family continuation pins the amplitude u(0)
+and solves for eps too.  The reported residual is the closure defect
+||s(2T) - s(0)|| of the RK4 run over one period from the t = 0 state.
 """
 
 import numpy as np
 from dataclasses import dataclass
 
-from . import dynamics, integrators, linear, spectral, homoclinic
+from . import dynamics, integrators, linear, spectral
 from .errors import NewtonDivergence, ConvergedToEquilibrium, NonConvergence
 
 # re-exported closed-form machinery
@@ -30,13 +30,18 @@ __all__ = [
 #: result within this distance of an equilibrium is rejected as constant
 EQUILIBRIUM_TOL = 1e-8
 
+#: merit at which the orbit Newton solves stop; the quadratically converging
+#: step that crosses it mostly lands near the rounding floor (~3e-16), and
+#: the RK4 closure defects measured 1e-14 to 5e-11 (tol defaults to 1e-9)
+NEWTON_TOL = 1e-12
+
 
 @dataclass
 class PeriodicOrbit:
     """A converged periodic solution with half-period T.
 
-    ``residual`` is the closure defect ||s(2T) - s(0)|| of the accepted
-    initial state; ``energy`` is H at the initial state.
+    ``residual`` is the closure defect ||s(2T) - s(0)|| of ``trajectory``,
+    the run from the initial state; ``energy`` is H at the initial state.
     """
     half_period: float
     initial_state: np.ndarray
@@ -49,142 +54,92 @@ class PeriodicOrbit:
         return 2.0 * self.half_period
 
 
-def _flow(s0_batch, t_span, n_steps):
-    """RK4 flow map for a (4, m) batch of initial states."""
-    dt = t_span / n_steps
-    s = np.array(s0_batch, dtype=float)
-    for _ in range(n_steps):
-        s = integrators.rk4_step(s, dt)
-    return s
-
-
 def _distance_to_equilibria(s):
     return min(np.linalg.norm(s - p)
                for p in (dynamics.P0, dynamics.P_PLUS, dynamics.P_MINUS))
 
 
-def _steps_for(period, dt):
-    return max(400, int(np.ceil(period / dt)))
+def _sample(s0, T, K):
+    """Packed time-reversal-even part of the RK4 run from s0 over one period
+    2T, one step per collocation node (s0 lands on the node t = 0)."""
+    N = spectral.grid_size(K)
+    tr = integrators.integrate(s0, 2.0 * T, integrators.StepperConfig(
+        method="rk4", dt=2.0 * T / N))
+    states = np.roll(tr.states[:-1], N // 2, axis=0)
+    x = spectral._pack(spectral.values_to_coeffs(states[:, 0], K),
+                       spectral.values_to_coeffs(states[:, 2:], K), K)
+    return spectral._symmetric(x, K)
 
 
-def _closure_system(dt, h, u0=None, period=None):
-    """The closure map s0 -> s(P) - s0 on the section v(0) = 0.
-
-    With the period P fixed the unknowns are x = (u0, a0, b0); with u0
-    pinned they are x = (a0, b0, P).  Returns ``(closure, unpack)``:
-    ``closure(x)`` gives the residual and its Jacobian, by forward
-    differences with step h in the state unknowns (one batched flow) and,
-    for a free period, the column f(s(P)); a non-positive P gives an
-    infinite residual.  ``unpack(x)`` gives (s0, P).
-    """
-    free = [0, 2, 3] if u0 is None else [2, 3]
-
-    def unpack(x):
-        if u0 is None:
-            return np.array([x[0], 0.0, x[1], x[2]]), period
-        return np.array([u0, 0.0, x[0], x[1]]), x[2]
-
-    def closure(x):
-        s0, p = unpack(x)
-        if p <= 0:
-            return np.full(4, np.inf), None
-        # first column is the base point, the rest FD perturbations
-        batch = np.column_stack([s0] + [s0 + h * e for e in np.eye(4)[free]])
-        end = _flow(batch, p, _steps_for(p, dt))
-        res = end - batch
-        jac = (res[:, 1:] - res[:, [0]]) / h
-        if u0 is not None:
-            jac = np.column_stack([jac, dynamics.vector_field(end[:, 0])])
-        return res[:, 0], jac
-
-    return closure, unpack
-
-
-def _gauss_newton(closure, x, tol, max_iters, label):
-    """Damped Gauss-Newton on ``closure(x) -> (residual, jacobian)``.
-
-    Each step is the least-squares solution of J dx = -r, halved up to 20
-    times until the residual norm decreases; an accepted trial's residual
-    and Jacobian serve the next iteration.  Returns (x, ||residual||);
-    raises NewtonDivergence when the line search stalls or max_iters steps
-    do not reach tol.
-    """
-    r, jac = closure(x)
-    rn = np.linalg.norm(r)
-    for _ in range(max_iters):
-        if rn <= tol:
-            return x, rn
-        dx, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        step = 1.0
-        for _ in range(20):
-            x_try = x + step * dx
-            r_try, jac_try = closure(x_try)
-            rn_try = np.linalg.norm(r_try)
-            if rn_try < rn:
-                x, r, jac, rn = x_try, r_try, jac_try, rn_try
-                break
-            step *= 0.5
-        else:
-            raise NewtonDivergence(
-                f"{label} stalled at closure residual {rn:.3e}")
-    raise NewtonDivergence(
-        f"{label} did not reach tolerance {tol}: closure residual {rn:.3e}")
-
-
-def _shoot(x, dt, tol, max_iters, label, h, u0=None, period=None):
-    """Solve one closure system and integrate the orbit it converges to."""
-    closure, unpack = _closure_system(dt, h, u0=u0, period=period)
-    x, rn = _gauss_newton(closure, x, tol, max_iters, label)
-    s0, p = unpack(x)
+def _orbit(x, K, T, dt, tol, label):
+    """The orbit through the t = 0 state (u(0), 0, a(0), b(0)) of the packed
+    field x, integrated with RK4 over one period 2T; raises when that state
+    is an equilibrium or the run's closure defect exceeds tol."""
+    u_hat, z_ab = spectral._unpack(x, K)
+    s0 = np.array([u_hat.sum().real, 0.0, *z_ab.sum(axis=0).real])
     if _distance_to_equilibria(s0) <= EQUILIBRIUM_TOL:
         raise ConvergedToEquilibrium(f"{label} collapsed onto an equilibrium")
-    tr = integrators.integrate(s0, p, integrators.StepperConfig(method="rk4", dt=dt))
-    return PeriodicOrbit(half_period=float(p / 2.0), initial_state=s0,
+    tr = integrators.integrate(s0, 2.0 * T, integrators.StepperConfig(
+        method="rk4", dt=dt))
+    rn = float(np.linalg.norm(tr.states[-1] - s0))
+    if not rn <= tol:
+        raise NewtonDivergence(
+            f"{label} did not reach tolerance {tol}: closure residual {rn:.3e}")
+    return PeriodicOrbit(half_period=float(T), initial_state=s0,
                          trajectory=tr, energy=float(dynamics.hamiltonian(s0)),
-                         residual=float(rn))
+                         residual=rn)
 
 
 def shoot_periodic(T, guess, tol=1e-9, dt=2e-3, max_iters=25):
     """Find a 2T-periodic orbit through the section v(0) = 0 at fixed T.
 
-    Gauss-Newton on the closure map s(2T) - s(0) over (u0, a0, b0); the
-    phase condition v(0) = 0 removes the drift along the orbit.  Raises
-    ConvergedToEquilibrium when the guess or result is an equilibrium
-    (constant solutions are rejected), NewtonDivergence when the iteration
-    stalls above tolerance.
+    The RK4 run from ``guess`` over 2T, sampled on the collocation nodes,
+    starts at most ``max_iters`` spectral Newton steps at eps = 1/T with K =
+    default_modes(eps).  ``tol`` bounds the closure residual (RK4, step dt).
+    Raises ConvergedToEquilibrium when the guess or result is an equilibrium,
+    NewtonDivergence when the closure residual is above tol.
     """
     if T <= 0:
         raise ValueError("T must be positive")
     guess = np.asarray(guess, dtype=float)
     if _distance_to_equilibria(guess) <= EQUILIBRIUM_TOL:
-        raise ConvergedToEquilibrium("shooting guess is an equilibrium point")
-    return _shoot(guess[[0, 2, 3]], dt, tol, max_iters, "shooting", h=1e-6,
-                  period=2.0 * T)
+        raise ConvergedToEquilibrium("orbit guess is an equilibrium point")
+    eps = 1.0 / T
+    K = spectral.default_modes(eps)
+    x, *_ = spectral._newton(_sample(guess, T, K), eps, K, NEWTON_TOL,
+                             max_iters)
+    return _orbit(x, K, T, dt, tol, "periodic orbit")
 
 
 def lyapunov_family(amplitudes, tol=1e-9, dt=None):
     """Continuation of small orbits around the center equilibrium.
 
-    For each amplitude h the initial guess displaces the equilibrium along
-    the real part of the elliptic eigenvector of the linearization, the
-    section value u(0) = 1 + h is pinned, and Gauss-Newton solves for
-    (a0, b0, period).  Periods approach 2*pi/2^(1/4) ... = 2^(3/4)*pi as the
-    amplitude shrinks.
+    The first amplitude h starts from the equilibrium displaced along the
+    real part of the elliptic eigenvector of the linearization, sampled over
+    the linear period t0; each later one starts from the previous solution.
+    The spectral Newton solve pins u(0) = 1 + h and finds the field and
+    eps = 1/T.  ``tol`` bounds each orbit's RK4 closure residual (step dt,
+    by default min(2e-3, t0/4000)).  Periods approach
+    2*pi/2^(1/4) ... = 2^(3/4)*pi as the amplitude shrinks.
     """
     report = linear.eigenvalues_4x4(linear.matrix_c())
     omega = report.elliptic_omega
     t0 = linear.lyapunov_period(report)
+    eps = 2.0 / t0
+    K = spectral.default_modes(eps)
+    x = None
     orbits = []
     for h in amplitudes:
         if h <= 0:
             raise ConvergedToEquilibrium(
                 "amplitude 0 is the equilibrium itself")
-        # elliptic-plane direction in the rotated chart: (1, 0, omega^2, 0)
-        rot = dynamics.P_PLUS_ROTATED + h * np.array([1.0, 0.0, omega ** 2, 0.0])
-        guess = dynamics.from_rotated(rot)
-        orbits.append(_shoot(np.array([guess[2], guess[3], t0]),
-                             dt or min(2e-3, t0 / 4000), tol, 30,
-                             "family shooting", h=1e-7, u0=guess[0]))
+        if x is None:
+            # elliptic-plane direction in the rotated chart: (1, 0, omega^2, 0)
+            rot = dynamics.P_PLUS_ROTATED + h * np.array([1.0, 0.0, omega ** 2, 0.0])
+            x = _sample(dynamics.from_rotated(rot), t0 / 2.0, K)
+        x, eps, *_ = spectral._newton(x, eps, K, NEWTON_TOL, 30, pin=1.0 + h)
+        orbits.append(_orbit(x, K, 1.0 / eps, dt or min(2e-3, t0 / 4000),
+                             tol, "family orbit"))
     return orbits
 
 
@@ -219,7 +174,7 @@ def distance_to_homoclinic(orbit, profile=None, window=10.0):
     The orbit trajectory is restricted to the window |t - t_peak| <= window
     around its u-mass peak, and the shift t0 minimizing
     sup_t || orbit(t) - profile(t - t0) || is located by a coarse scan plus
-    golden-section refinement.  Returns {"shift": t0, "sup_dist": d}.
+    scipy's bounded Brent refinement.  Returns {"shift": t0, "sup_dist": d}.
     """
     if profile is None:
         profile = derived_profile()
@@ -233,31 +188,17 @@ def distance_to_homoclinic(orbit, profile=None, window=10.0):
         ref = profile(times - shift).T
         return float(np.max(np.linalg.norm(states - ref, axis=1)))
 
-    # coarse scan centered on the peak, then golden-section refinement
+    # coarse scan centered on the peak, then bounded Brent refinement
+    from scipy.optimize import minimize_scalar
     coarse = peak + np.linspace(-2.0, 2.0, 161)
     if not np.any(np.isclose(coarse, peak)):
         coarse = np.append(coarse, peak)
     values = [dist(s) for s in coarse]
     i = int(np.argmin(values))
-    lo = coarse[max(0, i - 1)]
-    hi = coarse[min(len(coarse) - 1, i + 1)]
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, d = b - phi * (b - a), a + phi * (b - a)
-    fc, fd = dist(c), dist(d)
-    for _ in range(80):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = dist(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = dist(d)
-        if b - a < 1e-13:
-            break
-    shift = 0.5 * (a + b)
-    best = dist(shift)
+    fit = minimize_scalar(dist, method="bounded", options={"xatol": 1e-13},
+                          bounds=(coarse[max(0, i - 1)],
+                                  coarse[min(len(coarse) - 1, i + 1)]))
+    shift, best = fit.x, float(fit.fun)
     if values[i] < best:
         shift, best = coarse[i], values[i]
     return {"shift": float(shift), "sup_dist": best}

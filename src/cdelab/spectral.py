@@ -303,6 +303,18 @@ def energy(field):
                            coupling=coup, total=0.5 * (scal + spin - coup))
 
 
+def _euler_lagrange(u_hat, z_ab, sp, N):
+    """Euler-Lagrange residual coefficients (gu, gz_ab) of the field with
+    coefficients (u_hat, z_ab), and its grid values (u, z) on N nodes."""
+    K = sp.num_modes
+    u = coeffs_to_values(u_hat, N).real
+    zv = coeffs_to_values(z_ab, N).real
+    z2 = zv[:, 0] ** 2 + zv[:, 1] ** 2
+    gu = _scalar_multiplier(sp) * u_hat - values_to_coeffs(u * z2, K)
+    gz_ab = apply_A_ab(z_ab, sp) - values_to_coeffs(u[:, None] ** 2 * zv, K)
+    return gu, gz_ab, u, zv
+
+
 def gradient(field):
     """Euler-Lagrange residual pair as a field in the same coefficient space.
 
@@ -311,15 +323,9 @@ def gradient(field):
     against this representative in the eps-weighted L^2 product reproduces
     the directional derivative of the energy.
     """
-    K = field.num_modes
-    N = grid_size(K)
-    u = field.u_values(N)
-    z = field.z_values(N)
-    z2 = z[:, 0] ** 2 + z[:, 1] ** 2
-    gu = (_scalar_multiplier(field.spectrum) * field.u_coeffs
-          - values_to_coeffs(u * z2, K))
-    gz_ab = apply_A_ab(field.z_ab_coeffs(), field.spectrum) \
-        - values_to_coeffs(u[:, None] ** 2 * z, K)
+    N = grid_size(field.num_modes)
+    gu, gz_ab, _, _ = _euler_lagrange(field.u_coeffs, field.z_ab_coeffs(),
+                                      field.spectrum, N)
     gp, gm = split_spinor(gz_ab, field.spectrum)
     return replace(field, u_coeffs=gu, z_plus=gp, z_minus=gm,
                    spectrum=field.spectrum)
@@ -514,12 +520,7 @@ def _residual_coeffs(x, sp, N):
     """Packed Euler-Lagrange residual at the packed point x, its eps-weighted
     L^2 norm, and the grid values (u, z) of the point."""
     K = sp.num_modes
-    u_hat, z_ab = _unpack(x, K)
-    u = coeffs_to_values(u_hat, N).real
-    zv = coeffs_to_values(z_ab, N).real
-    z2 = zv[:, 0] ** 2 + zv[:, 1] ** 2
-    gu = _scalar_multiplier(sp) * u_hat - values_to_coeffs(u * z2, K)
-    gz = apply_A_ab(z_ab, sp) - values_to_coeffs(u[:, None] ** 2 * zv, K)
+    gu, gz, u, zv = _euler_lagrange(*_unpack(x, K), sp, N)
     gn = float(np.sqrt((2.0 / sp.epsilon) * (np.sum(np.abs(gu) ** 2)
                                              + np.sum(np.abs(gz) ** 2))))
     return _pack(gu, gz, K), gn, u, zv
@@ -561,34 +562,58 @@ def _symmetric(x, K):
     return np.concatenate([u[:K + 1], np.zeros(K), re, im, re, -im])
 
 
-def _newton_step(r, jvp, sp):
-    """Restarted GMRES (Saad & Schultz 1986) for J dx = -r on the
-    time-reversal-even fields, left-preconditioned by the inverse linear
-    part M: Arnoldi with modified Gram-Schmidt on B = S M S J, S the
-    projection onto those fields, and Givens rotations.  A cycle stops when
-    the Arnoldi estimate of the preconditioned residual reaches
-    KRYLOV_FORCING times |S M S r|, or on a happy breakdown; a cycle of
-    KRYLOV_RESTART steps that stops short restarts from the true
-    preconditioned residual.  Returns the iterate, also when the last cycle
-    stops short, and the number of Jacobian-vector products."""
+def _eps_derivative(x, sp):
+    """Derivative in eps of the packed residual at the packed point x; only
+    the linear part depends on eps, through omega_k = eps k pi."""
+    u_hat, z_ab = _unpack(x, sp.num_modes)
+    kpi = np.pi * sp.k
+    dz = np.column_stack([-1j * kpi * z_ab[:, 1], 1j * kpi * z_ab[:, 0]])
+    return _pack(2.0 * sp.omega * kpi * u_hat, dz, sp.num_modes)
+
+
+def _newton_step(r, jvp, sp, border=None):
+    """GMRES solve of J dx = -r on the time-reversal-even fields,
+    left-preconditioned by the inverse linear part M: the operator is
+    B = S M S J, S the projection onto those fields.  With ``border = (dr,
+    p, e)`` eps is an unknown too, and the bordered system [S M S (J dx + dr
+    deps); p . dx] = -[S M S r; e] is solved for the step (dx, deps).
+    Returns the step and the number of Jacobian-vector products."""
     K = sp.num_modes
     jvps = 0
+
+    def precondition(y):
+        return _symmetric(_inverse_linear_part(_symmetric(y, K), sp), K)
 
     def operator(v):
         nonlocal jvps
         jvps += 1
-        return _symmetric(_inverse_linear_part(_symmetric(jvp(v), K), sp), K)
+        if border is None:
+            return precondition(jvp(v))
+        dr, p, _ = border
+        return np.append(precondition(jvp(v[:-1]) + v[-1] * dr), p @ v[:-1])
 
-    c = _symmetric(_inverse_linear_part(_symmetric(-r, K), sp), K)
+    c = precondition(-r)
+    if border is not None:
+        c = np.append(c, -border[2])
+    return _gmres(operator, c), jvps
+
+
+def _gmres(operator, c):
+    """Restarted GMRES (Saad & Schultz 1986) for operator(x) = c: Arnoldi
+    with modified Gram-Schmidt and Givens rotations.  A cycle stops when the
+    Arnoldi estimate of the residual reaches KRYLOV_FORCING times |c|, or on
+    a happy breakdown; a cycle of KRYLOV_RESTART steps that stops short
+    restarts from the true residual.  Returns the iterate, also when the
+    last of KRYLOV_MAX_RESTARTS cycles stops short."""
     tol = KRYLOV_FORCING * np.linalg.norm(c)
     m = KRYLOV_RESTART
-    x = np.zeros(r.size)
+    x = np.zeros(c.size)
     for cycle in range(KRYLOV_MAX_RESTARTS):
         res = c - operator(x) if cycle else c
         beta = np.linalg.norm(res)
         if beta <= tol:
             break
-        V = np.empty((m + 1, r.size))
+        V = np.empty((m + 1, c.size))
         H = np.zeros((m + 1, m))
         rot = np.zeros((m, 2))
         g = np.zeros(m + 1)
@@ -620,7 +645,53 @@ def _newton_step(r, jvp, sp):
         x = x + y @ V[:j + 1]
         if done:
             break
-    return x, jvps
+    return x
+
+
+def _newton(x, eps, K, tol, max_iters, pin=None):
+    """Inexact Newton on the time-reversal-even fields from the packed point
+    x at eps, each step solved by :func:`_newton_step` and halved up to 30
+    times until the merit decreases; stops once the merit is at most tol.
+    The merit is the residual's eps-weighted L^2 norm.  With ``pin`` eps is
+    an unknown too, fixed by u(0) = sum_k u_k = pin, and the merit is the
+    hypot of that norm and u(0) - pin.  Returns x, eps, the merit of every
+    iterate, the Jacobian-vector products of each solve, and the number of
+    steps taken (one less than solves when the line search rejects the
+    last step)."""
+    N = grid_size(K)
+    sp = build_spectrum(1.0 / eps, K)
+    p = np.zeros(x.size)          # u(0) = u_0 + 2 sum_{k > 0} Re u_k
+    p[:K + 1] = 2.0
+    p[0] = 1.0
+
+    def evaluate(x, eps):
+        s = sp if pin is None else build_spectrum(1.0 / eps, K)
+        r, gn, u, zv = _residual_coeffs(x, s, N)
+        return s, r, (gn if pin is None else np.hypot(gn, p @ x - pin)), u, zv
+
+    _, r, merit, u, zv = evaluate(x, eps)
+    history, krylov_iters, steps = [], [], 0
+    for _ in range(max_iters):
+        history.append(merit)
+        if merit <= tol:
+            break
+        border = None if pin is None else (_eps_derivative(x, sp), p,
+                                           p @ x - pin)
+        step, jvps = _newton_step(r, _linearization(u, zv, sp, N), sp, border)
+        dx, de = (step, 0.0) if pin is None else (step[:-1], step[-1])
+        krylov_iters.append(jvps)
+        lam = 1.0
+        for _ in range(30):
+            trial = evaluate(x + lam * dx, eps + lam * de)
+            if trial[2] < merit:
+                break
+            lam *= 0.5
+        else:
+            break
+        x, eps = x + lam * dx, eps + lam * de
+        sp, r, merit, u, zv = trial
+        steps += 1
+    return x, eps, history, krylov_iters, steps
 
 
 def nehari_scale(u_hat, z_plus, sp, tol=1e-11, max_iter=40):
@@ -775,28 +846,10 @@ def ground_state(eps, K=None, init=None, grad_tol=1e-8, nehari_rel_tol=1e-6,
             field, sp, max(grad_tol, 1e-4), max_pg_iters)
 
     # ---- phase 2: inexact Newton on the time-reversal-even fields -------
-    x = _pack(field.u_coeffs, field.z_ab_coeffs(), K)
-    newton_iters = 0
-    krylov_iters = []
-    target = min(grad_tol, 1e-10)
-    r, gn, u, zv = _residual_coeffs(x, sp, N)
-    for _ in range(max_newton_iters):
-        grad_history.append(gn)
-        if gn <= target:
-            break
-        dx, jvps = _newton_step(r, _linearization(u, zv, sp, N), sp)
-        krylov_iters.append(jvps)
-        lam = 1.0
-        for _ in range(30):
-            trial = _residual_coeffs(x + lam * dx, sp, N)
-            if trial[1] < gn:
-                break
-            lam *= 0.5
-        else:
-            break
-        x = x + lam * dx
-        r, gn, u, zv = trial
-        newton_iters += 1
+    x, _, history, krylov_iters, newton_iters = _newton(
+        _pack(field.u_coeffs, field.z_ab_coeffs(), K), eps, K,
+        min(grad_tol, 1e-10), max_newton_iters)
+    grad_history.extend(history)
 
     uh, z_ab = _unpack(x, K)
     p, m = split_spinor(z_ab, sp)

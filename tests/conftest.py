@@ -1,5 +1,3 @@
-from contextlib import contextmanager
-
 import numpy as np
 import pytest
 
@@ -15,34 +13,10 @@ def ground_states():
     return {eps: spectral.ground_state(eps) for eps in EPS_GRID}
 
 
-@contextmanager
-def recording_flows():
-    """Collect the base column of every batch that orbits._flow integrates."""
-    bases = []
-    flow = orbits._flow
-
-    def recorded(batch, t_span, n_steps):
-        bases.append(tuple(np.asarray(batch)[:, 0]))
-        return flow(batch, t_span, n_steps)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(orbits, "_flow", recorded)
-        yield bases
-
-
 @pytest.fixture(scope="session")
-def lyapunov_run():
-    """Small-oscillation family at the three standard amplitudes, with the
-    base states of the flows that computed it."""
-    with recording_flows() as bases:
-        family = orbits.lyapunov_family(list(AMPLITUDES))
-    return dict(zip(AMPLITUDES, family)), bases
-
-
-@pytest.fixture(scope="session")
-def lyapunov_orbits(lyapunov_run):
+def lyapunov_orbits():
     """Small-oscillation family at the three standard amplitudes."""
-    return lyapunov_run[0]
+    return dict(zip(AMPLITUDES, orbits.lyapunov_family(list(AMPLITUDES))))
 
 
 @pytest.fixture(scope="session")

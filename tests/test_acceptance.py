@@ -220,7 +220,7 @@ def test_criterion_10_energy_conservation(lyapunov_orbits):
     and are integrated forward over [0, 50].  No double-precision run can stay
     on that orbit for 50 units: P+ is a saddle-center (hyperbolic exponent
     mu = 2^(1/4)) and both branches of its unstable manifold run to infinity.
-    The O(dt^2) gap between the RK4-shot orbit and the midpoint map's own
+    The O(dt^2) gap between the spectral orbit and the midpoint map's own
     invariant circle (and, even from an exact start, rounding) grows like
     e^(mu t), and the runs leave the orbit near t ~ 18-19.
 
@@ -232,8 +232,9 @@ def test_criterion_10_energy_conservation(lyapunov_orbits):
     * drift <= 1e-8 on the window for both dt, halving ratio in [3, 5];
     * escape pinned: the times at which |s - P+| reaches 0.2 differ between
       the two dt by ln(4)/mu (a 4x smaller seed gap needs ln(4)/mu longer to
-      grow), within 20%.  Measured: window 17.6 (3.33 periods), drifts
-      5.99e-12 and 1.50e-12, ratio 4.0, shift 1.116.
+      grow), within 20%.  Measured from the spectral family's initial state:
+      window 17.61 (3.33 periods), drifts 5.99e-12 and 1.50e-12, ratio
+      4.0005, shift 1.136 (predicted 1.166).
     """
     orb = lyapunov_orbits[1e-2]
     mu = 2.0 ** 0.25

@@ -5,8 +5,6 @@ from cdelab import dynamics, integrators, linear, orbits
 from cdelab.errors import (ConvergedToEquilibrium, NewtonDivergence,
                            NonConvergence)
 
-from conftest import recording_flows
-
 T0 = 2.0 ** 0.75 * np.pi
 
 
@@ -58,32 +56,28 @@ def test_limit_energy_quadrature_oracle():
 
 
 # ----------------------------------------------------------------------
-# shooting
+# periodic orbits
+
+#: periods of the family at amplitudes 1e-2, 1e-3, 1e-4 from the damped
+#: Gauss-Newton shooting solver the spectral solver replaced (RK4 closure
+#: flows, dt = t0/4000, closure tolerance 1e-9)
+SHOOTING_PERIODS = {1e-2: 5.285211422657067, 1e-3: 5.283524649604041,
+                    1e-4: 5.283508226067543}
+
 
 @pytest.fixture(scope="module")
 def fixed_period_shot():
     # half-period slightly above T0/2 admits a small nonconstant orbit
-    with recording_flows() as bases:
-        orb = orbits.shoot_periodic(5.3 / 2.0, small_orbit_guess(0.031))
-    return orb, bases
+    return orbits.shoot_periodic(5.3 / 2.0, small_orbit_guess(0.031))
 
 
 def test_shoot_periodic_fixed_period(fixed_period_shot):
-    orb, _ = fixed_period_shot
+    orb = fixed_period_shot
     assert orb.residual <= 1e-9
     assert np.linalg.norm(orb.initial_state - dynamics.P_PLUS) > 1e-6
     drift = np.max(np.abs(orb.trajectory.energy_series
                           - orb.trajectory.energy_series[0]))
     assert drift <= 1e-8
-
-
-def test_shooting_flows_each_base_state_once(fixed_period_shot,
-                                             lyapunov_run):
-    # an accepted trial point's residual and Jacobian serve the next
-    # iteration and the final residual, so no state is flowed again
-    for bases in (fixed_period_shot[1], lyapunov_run[1]):
-        assert len(bases) > 0
-        assert len(set(bases)) == len(bases)
 
 
 def test_shooting_budget_exhausted_reports_residual():
@@ -92,6 +86,13 @@ def test_shooting_budget_exhausted_reports_residual():
                               max_iters=1)
     residual = float(str(info.value).rsplit(" ", 1)[-1])
     assert 1e-9 < residual < np.inf
+
+
+def test_shoot_below_the_bifurcation_collapses_onto_the_center():
+    # 2T = 5.0 is below the linear period 2^(3/4) pi, where no small orbit
+    # exists: the Newton iteration converges to P+ itself
+    with pytest.raises(ConvergedToEquilibrium):
+        orbits.shoot_periodic(2.5, small_orbit_guess(0.031))
 
 
 def test_shoot_rejects_equilibrium_guess():
@@ -115,6 +116,21 @@ def test_lyapunov_family_shrinks_to_equilibrium(lyapunov_orbits):
     for orb in lyapunov_orbits.values():
         assert orb.residual <= 1e-9
         assert np.linalg.norm(orb.initial_state - dynamics.P_PLUS) >= 1e-6
+
+
+def test_lyapunov_family_pins_the_section_and_closes(lyapunov_orbits):
+    for h, orb in lyapunov_orbits.items():
+        states = orb.trajectory.states
+        assert orb.initial_state[1] == 0.0
+        assert abs(orb.initial_state[0] - (1.0 + h)) <= 1e-12
+        assert np.array_equal(states[0], orb.initial_state)
+        assert orb.residual == np.linalg.norm(states[-1] - states[0])
+        assert orb.residual <= 1e-11
+
+
+def test_lyapunov_family_matches_the_shooting_periods(lyapunov_orbits):
+    for h, orb in lyapunov_orbits.items():
+        assert abs(orb.period - SHOOTING_PERIODS[h]) <= 1e-7, h
 
 
 def test_lyapunov_amplitude_zero_rejected():

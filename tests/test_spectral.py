@@ -388,6 +388,23 @@ def test_linearization_matches_finite_differences():
     assert np.linalg.norm(jvp(v) - fd) <= 1e-6 * np.linalg.norm(fd)
 
 
+def test_eps_derivative_matches_finite_differences():
+    # the bordered orbit solve's eps column: only omega_k = eps k pi moves
+    f = spectral.cutoff_test_pair(0.1, K=24)
+    K = f.num_modes
+    N = spectral.grid_size(K)
+    x = spectral._pack(f.u_coeffs, f.z_ab_coeffs(), K)
+    h = 1e-6
+
+    def residual(eps):
+        return spectral._residual_coeffs(
+            x, spectral.build_spectrum(1.0 / eps, K), N)[0]
+
+    fd = (residual(0.1 + h) - residual(0.1 - h)) / (2.0 * h)
+    exact = spectral._eps_derivative(x, spectral.build_spectrum(10.0, K))
+    assert np.linalg.norm(exact - fd) <= 1e-7 * np.linalg.norm(fd)
+
+
 def test_inverse_linear_part_inverts_linear_part():
     eps, K = 0.1, 64
     sp = spectral.build_spectrum(1.0 / eps, K)
