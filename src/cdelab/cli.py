@@ -145,7 +145,7 @@ def cmd_integrate(args):
 
 def cmd_lyapunov(args):
     amplitudes = _parse_floats(args.amplitudes)
-    tol = args.tol or 1e-9
+    tol = 1e-9 if args.tol is None else args.tol
     family = orbits.lyapunov_family(amplitudes, tol=tol)
     records = []
     for h, orbit in zip(amplitudes, family):
@@ -170,7 +170,7 @@ def cmd_lyapunov(args):
 
 def cmd_ground_state(args):
     kwargs = {}
-    if args.tol:
+    if args.tol is not None:
         kwargs["grad_tol"] = args.tol
     result = spectral.ground_state(args.epsilon, K=args.modes, **kwargs)
     orbit = orbits.field_to_orbit(result.field)
@@ -273,6 +273,8 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:
+        if args.tol is not None and not args.tol > 0:
+            raise ValueError(f"--tol must be > 0, got {args.tol!r}")
         return COMMANDS[args.command](args)
     except SOLVER_ERRORS as exc:
         sys.stderr.write(f"solver failure: {exc}\n")

@@ -1,14 +1,15 @@
 """CSV and JSON export of trajectories, fields, orbits, and profiles.
 
 All documents carry the schema tag "cde-lab/1".  CSV files have a header row
-and fixed column order; numbers are written in full double precision with
-locale-independent formatting (repr).  A CSV table is written a table at a
-time, not a value at a time: one ``repr`` pass over a chunk of rows fills one
-row template per row, which gives the bytes ``csv.writer`` would (a float's
-repr never needs quoting).  ``dumps`` returns exactly the text of
-``json.dumps(doc, indent=2)`` for any acyclic document, without json's
-pure-Python indenting encoder; float lists and tables take the same
-template path.
+and fixed column order; each float is written as its ``float.__repr__``.  A
+CSV table is written a chunk of rows at a time: one formatting pass fills one
+row template per row, giving ``csv.writer``'s bytes (a float's repr needs no
+quoting).  ``dumps`` returns exactly ``json.dumps(doc, indent=2)`` for any
+acyclic document, without json's pure-Python indenting encoder; float lists
+and tables take the same template path.  Floats are formatted by orjson's Ryu
+printer, which writes repr's shortest round-trip digits far faster but spells
+nan, inf, ``1e-9 <= |x| < 1e-4`` and ``|x| >= 1e16`` otherwise (``null``,
+``0.00001``, ``1e-7``, ``1e16``); ``repr`` redoes exactly those values.
 """
 
 import csv
@@ -17,6 +18,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
+import orjson
 
 from . import spectral
 from .geometry import RadialProfile, SCHEMA
@@ -28,9 +30,20 @@ PROFILE_COLUMNS = {
 }
 
 
-#: table rows rendered per %-template, in CSV and JSON: bounds the repr
+#: table rows rendered per %-template, in CSV and JSON: bounds the float
 #: strings alive at once
 _CHUNK_ROWS = 1024
+
+
+def _reprs(values):
+    """``float.__repr__`` of each of a non-empty sequence of floats."""
+    a = np.ascontiguousarray(values, dtype=float)
+    text = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)
+    out = text[1:-1].decode().split(",")
+    mag = np.abs(a)
+    for i in np.flatnonzero(~(mag < 1e16) | ((mag >= 1e-9) & (mag < 1e-4))):
+        out[i] = float.__repr__(a[i])
+    return out
 
 
 def _write_rows(stream, header, rows):
@@ -39,7 +52,7 @@ def _write_rows(stream, header, rows):
     row = ",".join(["%s"] * rows.shape[1]) + "\n"
     for start in range(0, len(rows), _CHUNK_ROWS):
         chunk = rows[start:start + _CHUNK_ROWS]
-        values = tuple(map(repr, chunk.ravel().tolist()))
+        values = tuple(_reprs(chunk.ravel()))
         stream.write(row * len(chunk) % values)
 
 
@@ -197,7 +210,7 @@ def _float_block(items, level):
     sep = ",\n" + "  " * (level + 1)
     parts = []
     for start in range(0, len(values), step):
-        reprs = tuple(map(float.__repr__, values[start:start + step]))
+        reprs = tuple(_reprs(values[start:start + step]))
         template = sep.join([cell] * (len(reprs) // width))
         text = template % reprs
         if "n" in text:             # nan or inf: no finite repr has an "n"

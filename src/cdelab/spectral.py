@@ -470,7 +470,7 @@ def cutoff_test_pair(eps, K=None):
     """
     if eps > 0.25:
         raise ValueError("cutoff pair requires eps <= 1/4")
-    K = K or default_modes(eps)
+    K = default_modes(eps) if K is None else K
     N = grid_size(K)
     t = grid(N)
     prof = homoclinic.derived_profile()
@@ -824,7 +824,7 @@ def ground_state(eps, K=None, init=None, grad_tol=1e-8, nehari_rel_tol=1e-6,
     Returns a :class:`GroundStateResult`; raises NonConvergence with the best
     iterate attached when the tolerances cannot be met.
     """
-    K = K or default_modes(eps)
+    K = default_modes(eps) if K is None else K
     N = grid_size(K)
     sp = build_spectrum(1.0 / eps, K)
 

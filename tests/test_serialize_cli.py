@@ -71,9 +71,14 @@ def test_orbit_record_schema(lyapunov_orbits):
     assert len(rec["samples"][0]) == 5       # t,u,v,a,b
 
 
+# neighbours of the points where orjson's or repr's notation changes; the bands
+# that serialize._reprs redoes by repr start or end at 1e-9, 1e-4 and 1e16
+REDO_EDGES = [float(y) for x in (1e-10, 1e-9, 1e-5, 1e-4, 1e16)
+              for y in (np.nextafter(x, 0.0), x, np.nextafter(x, np.inf))]
 # every float json spells specially or that sits at a repr edge
 SPECIAL_FLOATS = (float("nan"), float("inf"), -float("inf"), -0.0, 5e-324,
-                  1e16, np.float64(0.1), np.float64("nan"))
+                  2.2250738585072014e-308, *REDO_EDGES, np.float64(0.1),
+                  np.float64("nan"))
 floats = (st.floats() | st.sampled_from(SPECIAL_FLOATS)
           | st.floats().map(np.float64))
 float_tables = st.integers(1, 4).flatmap(lambda m: st.lists(
@@ -134,12 +139,19 @@ def test_write_rows_equals_csv_writer(n):
     m = int(rng.integers(1, 7))
     exponents = rng.integers(-320, 300, (n, m))
     rows = rng.standard_normal((n, m)) * 10.0 ** exponents
-    specials = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16]
+    specials = [np.nan, np.inf, -np.inf, -0.0, 5e-324,
+                2.2250738585072014e-308, *REDO_EDGES]
     rows.flat[rng.integers(0, rows.size, len(specials))] = specials
     header = tuple("c%d" % j for j in range(m))
     out = io.StringIO()
     serialize._write_rows(out, header, rows)
     assert out.getvalue() == csv_oracle(header, rows)
+
+
+def test_reprs_equals_float_repr_on_random_bit_patterns():
+    rng = np.random.default_rng(19)
+    values = rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
+    assert serialize._reprs(values) == list(map(float.__repr__, values))
 
 
 def test_diagram_csv():
@@ -323,6 +335,15 @@ def test_cli_verify_exit_codes(capsys):
     assert "[PASS]" in out
     code, _, err = run_cli(["verify", "nonexistent-suite"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("flags", [["--tol", "0"], ["--tol", "-1"],
+                                   ["--modes", "0"]], ids=" ".join)
+def test_cli_ground_state_rejects_nonpositive_tol_and_modes(flags, capsys):
+    code, _, err = run_cli(["ground-state", "--epsilon", "0.05", *flags],
+                           capsys)
+    assert code == 2
+    assert "invalid input" in err
 
 
 def test_cli_lyapunov_solver_failure(capsys):
