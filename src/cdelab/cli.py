@@ -22,15 +22,21 @@ SOLVER_ERRORS = (NewtonDivergence, NonFiniteState, ConvergenceFailure,
                  ConvergedToEquilibrium)
 
 
-def _common_flags(parser):
-    parser.add_argument("--out", metavar="FILE", default=None,
-                        help="write output to FILE instead of stdout")
-    parser.add_argument("--format", choices=("csv", "json"), default=None,
-                        help="output format (default depends on subcommand)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized checks")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="tolerance override where applicable")
+#: the flags that several subcommands share
+FLAGS = {
+    "--out": dict(metavar="FILE", default=None,
+                  help="write output to FILE instead of stdout"),
+    "--format": dict(choices=("csv", "json"), default=None,
+                     help="output format (default depends on subcommand)"),
+    "--seed": dict(type=int, default=0, help="seed for randomized checks"),
+    "--tol": dict(type=float, default=None, help="tolerance override"),
+}
+
+
+def _flags(parser, *names):
+    """Give ``parser`` --out and the named shared flags, the ones it reads."""
+    for name in ("--out",) + names:
+        parser.add_argument(name, **FLAGS[name])
 
 
 def _emit(text, out_path):
@@ -58,7 +64,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("equilibria", help="list equilibria and energies")
-    _common_flags(p)
+    _flags(p, "--format")
 
     p = sub.add_parser("integrate", help="integrate the cylinder system")
     p.add_argument("--state", required=True,
@@ -67,28 +73,28 @@ def build_parser():
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--method", choices=("implicit_midpoint", "rk4"),
                    default="implicit_midpoint")
-    _common_flags(p)
+    _flags(p, "--format")
 
     p = sub.add_parser("lyapunov", help="small-orbit family continuation")
     p.add_argument("--amplitudes", required=True,
                    help="comma-separated amplitudes, e.g. 1e-2,1e-3")
-    _common_flags(p)
+    _flags(p, "--format", "--tol")
 
     p = sub.add_parser("ground-state", help="spectral ground state at epsilon")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--modes", type=int, default=None)
-    _common_flags(p)
+    _flags(p, "--format", "--tol")
 
     p = sub.add_parser("continuation", help="delta_eps versus period diagram")
     p.add_argument("--eps-grid", required=True,
                    help="comma-separated epsilon values")
-    _common_flags(p)
+    _flags(p, "--format")
 
     p = sub.add_parser("homoclinic", help="derive and verify the homoclinic")
     p.add_argument("--paper-constants", action="store_true",
                    help="also report the profile built from the quoted "
                         "amplitude constants")
-    _common_flags(p)
+    _flags(p)
 
     p = sub.add_parser("transform", help="transport a radial profile")
     p.add_argument("--from", dest="src", required=True,
@@ -96,12 +102,12 @@ def build_parser():
     p.add_argument("--to", dest="dst", required=True,
                    choices=("euclidean", "sphere"))
     p.add_argument("--input", required=True, help="profile CSV path")
-    _common_flags(p)
+    _flags(p, "--format")
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", help="suite name or 'all': "
                                  + ", ".join(sorted(verify.SUITES)))
-    _common_flags(p)
+    _flags(p, "--seed", "--tol")
     return parser
 
 
@@ -273,8 +279,9 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:
-        if args.tol is not None and not args.tol > 0:
-            raise ValueError(f"--tol must be > 0, got {args.tol!r}")
+        tol = getattr(args, "tol", None)
+        if tol is not None and not tol > 0:
+            raise ValueError(f"--tol must be > 0, got {tol!r}")
         return COMMANDS[args.command](args)
     except SOLVER_ERRORS as exc:
         sys.stderr.write(f"solver failure: {exc}\n")

@@ -207,17 +207,22 @@ def distance_to_homoclinic(orbit, profile=None, window=10.0):
 def period_energy_diagram(eps_grid, modes=None, delta0=None, **solver_kwargs):
     """Ground-state energy versus period table.
 
-    Runs the spectral ground-state solve at each epsilon and reports
-    delta_eps together with its gap to the limit energy delta0 (computed by
-    quadrature along the derived homoclinic).  Non-convergent entries are
-    recorded with converged=False and the diagram is still emitted.
+    Runs the spectral ground-state solve at each epsilon in (0, eps*) and
+    reports delta_eps together with its gap to the limit energy delta0
+    (computed by quadrature along the derived homoclinic).  eps* = 2/t0 =
+    2^(1/4)/pi, t0 the linear period at the center, ends the branch.
+    Non-convergent entries are recorded with converged=False and the diagram
+    is still emitted.
     """
+    eps_star = 2.0 / linear.lyapunov_period(
+        linear.eigenvalues_4x4(linear.matrix_c()))
+    if not all(0.0 < eps < eps_star for eps in eps_grid):
+        raise ValueError(
+            f"each epsilon must lie in (0, eps*), eps* = {eps_star:.6f}")
     if delta0 is None:
         delta0 = limit_energy_quadrature()
     rows = []
     for eps in eps_grid:
-        if not (0.0 < eps <= 0.25):
-            raise ValueError("each epsilon must lie in (0, 1/4]")
         K = modes(eps) if callable(modes) else (modes or spectral.default_modes(eps))
         row = {"epsilon": float(eps), "T": 1.0 / eps, "delta_eps": np.nan,
                "gap": np.nan, "converged": False}

@@ -738,118 +738,34 @@ def nehari_scale(u_hat, z_plus, sp, tol=1e-11, max_iter=40):
     raise NonConvergence("Nehari scaling Newton did not converge", best=f)
 
 
-def center_phase(field):
-    """Translate so the circular centroid of the u^2 mass sits at t = 0."""
-    N = grid_size(field.num_modes)
-    u = field.u_values(N)
-    t = grid(N)
-    w = u * u
-    zc = np.sum(w * np.exp(1j * np.pi * t))
-    if abs(zc) < 1e-300:
-        return field
-    tau = np.angle(zc) / np.pi
-    return field.shifted(tau)
-
-
-def _projected_gradient(field, sp, switch_tol, max_iters):
-    """Phase 1 of :func:`ground_state`: preconditioned projected gradient on
-    the Nehari constraint (inner Newton for the (t, s) scaling,
-    conjugate-gradient reduction onto the minus space) until the gradient
-    norm reaches ``switch_tol``.  Returns the last iterate centered by its
-    u^2 mass, the steps taken, and the gradient-norm and energy histories."""
-    eps, K = field.epsilon, field.num_modes
-    mult_u = _scalar_multiplier(sp)
-    grad_history = []
-    energy_history = []
-    u_hat = field.u_coeffs.copy()
-    z_p = field.z_plus.copy()
-    pg_iters = 0
-    for _ in range(max_iters):
-        try:
-            _, _, f = nehari_scale(u_hat, z_p, sp)
-        except NonConvergence:
-            f = PeriodicField(epsilon=eps, num_modes=K, u_coeffs=u_hat,
-                              z_plus=z_p, z_minus=reduce_g(u_hat, z_p, sp),
-                              spectrum=sp)
-        u_hat, z_p = f.u_coeffs, f.z_plus
-        g = gradient(f)
-        gn = gradient_norm(g, is_gradient=True)
-        eb = energy(f)
-        grad_history.append(gn)
-        energy_history.append(eb.total)
-        if gn <= switch_tol:
-            break
-        # preconditioned descent in the reduced variables
-        du = -g.u_coeffs / mult_u
-        dp = -g.z_plus / sp.lam
-        eta = 1.0
-        accepted = False
-        for _ in range(25):
-            try:
-                _, _, f_try = nehari_scale(u_hat + eta * du, z_p + eta * dp, sp)
-            except (NonConvergence, SolverStall):
-                eta *= 0.5
-                continue
-            if energy(f_try).total < eb.total - 1e-14:
-                u_hat, z_p = f_try.u_coeffs, f_try.z_plus
-                accepted = True
-                break
-            eta *= 0.5
-        if not accepted:
-            break
-        pg_iters += 1
-    field = center_phase(PeriodicField(
-        epsilon=eps, num_modes=K, u_coeffs=u_hat, z_plus=z_p,
-        z_minus=reduce_g(u_hat, z_p, sp), spectrum=sp))
-    return field, pg_iters, grad_history, energy_history
-
-
-def ground_state(eps, K=None, init=None, grad_tol=1e-8, nehari_rel_tol=1e-6,
-                 max_pg_iters=80, max_newton_iters=40):
+def ground_state(eps, K=None, grad_tol=1e-8, nehari_rel_tol=1e-6,
+                 max_newton_iters=40):
     """Ground state of the rescaled problem at the given epsilon.
 
     Strategy: inexact Newton steps that GMRES solves matrix-free on the
     time-reversal-even fields (u_k real, a_k = conj(b_k)), where the
     translation null mode is absent and the phase stays pinned at t = 0.
-    For eps <= 1/4 with no ``init``, Newton starts straight from
-    :func:`cutoff_test_pair`.  Any other start (the perturbed constant
-    solution for eps > 1/4, or a given ``init``) first runs phase 1, the
-    projected gradient of :func:`_projected_gradient`, and Newton starts
-    from its centered result.  The diagnostics count the steps each phase
-    took (``pg_iterations``, ``newton_iterations``) and the Jacobian-vector
-    products of each Newton solve (``krylov_iterations``: the Krylov steps
-    and the true residual of each restart; one entry more than steps when
-    the line search rejects the last step).
+    Every solve starts from :func:`cutoff_test_pair` at min(eps, 1/4) with
+    K modes; above 1/4 that pulse is already close enough for Newton to
+    reach the nontrivial branch up to its end at eps* = 2^(1/4)/pi.  The
+    diagnostics hold the merit of every Newton iterate
+    (``gradient_history``), the steps taken (``newton_iterations``) and the
+    Jacobian-vector products of each solve (``krylov_iterations``: the
+    Krylov steps and the true residual of each restart; one entry more than
+    steps when the line search rejects the last step).
 
     Returns a :class:`GroundStateResult`; raises NonConvergence with the best
-    iterate attached when the tolerances cannot be met.
+    iterate attached when the tolerances cannot be met or Newton lands on
+    the constant solution (as it does for eps >= eps*).
     """
     K = default_modes(eps) if K is None else K
     N = grid_size(K)
     sp = build_spectrum(1.0 / eps, K)
+    field = cutoff_test_pair(min(eps, 0.25), K)
 
-    if init is None and eps <= 0.25:
-        field = cutoff_test_pair(eps, K)
-        pg_iters, grad_history, energy_history = 0, [], []
-    else:
-        if init is None:
-            field = equilibrium_field(eps, K)
-            field.u_coeffs[K + 1] += 0.05
-            field.u_coeffs[K - 1] += 0.05
-            field.z_plus[K + 1] += 0.05
-            field.z_plus[K - 1] += 0.05
-        else:
-            field = init
-            if field.num_modes != K or abs(field.epsilon - eps) > 1e-12:
-                raise TruncationMismatch("init field does not match eps/K")
-        field, pg_iters, grad_history, energy_history = _projected_gradient(
-            field, sp, max(grad_tol, 1e-4), max_pg_iters)
-
-    # ---- phase 2: inexact Newton on the time-reversal-even fields -------
-    x, _, history, krylov_iters, newton_iters = _newton(
+    x, _, grad_history, krylov_iters, newton_iters = _newton(
         _pack(field.u_coeffs, field.z_ab_coeffs(), K), eps, K,
         min(grad_tol, 1e-10), max_newton_iters)
-    grad_history.extend(history)
 
     uh, z_ab = _unpack(x, K)
     p, m = split_spinor(z_ab, sp)
@@ -857,25 +773,17 @@ def ground_state(eps, K=None, init=None, grad_tol=1e-8, nehari_rel_tol=1e-6,
                           z_plus=p, z_minus=m, spectrum=sp)
 
     eb = energy(field)
-    energy_history.append(eb.total)
     g = gradient(field)
     gn = gradient_norm(g, is_gradient=True)
     res = nehari_residuals(field, energy=eb, gradient=g)
     diagnostics = {
         "epsilon": eps, "modes": K, "grid": N,
         "gradient_history": grad_history,
-        "energy_history": energy_history,
-        "pg_iterations": pg_iters,
         "newton_iterations": newton_iters,
         "krylov_iterations": krylov_iters,
         "final_gradient_norm": gn,
         "energy": eb,
         "nehari": res,
-        "condition_a": {
-            "energy_lower": float(np.min(energy_history)),
-            "energy_upper": float(np.max(energy_history)),
-            "gradient_final": gn,
-        },
     }
 
     nontrivial = eb.coupling > 1e-8

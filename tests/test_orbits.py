@@ -195,5 +195,11 @@ def test_period_energy_diagram(ground_states):
 
 
 def test_period_energy_diagram_validates_eps():
-    with pytest.raises(ValueError):
-        orbits.period_energy_diagram([0.3])
+    # the branch is (0, eps*), eps* = 2/t0 = 2^(1/4)/pi, where the small
+    # orbits around the center end
+    eps_star = 2.0 / linear.lyapunov_period(
+        linear.eigenvalues_4x4(linear.matrix_c()))
+    assert abs(eps_star - 2.0 ** 0.25 / np.pi) <= 1e-15
+    for bad in (0.0, -0.1, eps_star, 0.39):
+        with pytest.raises(ValueError):
+            orbits.period_energy_diagram([0.2, bad])

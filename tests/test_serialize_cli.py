@@ -346,6 +346,18 @@ def test_cli_ground_state_rejects_nonpositive_tol_and_modes(flags, capsys):
     assert "invalid input" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["integrate", "--state", "1,0,0.3,0.35", "--t-final", "0.05",
+     "--tol", "1e-3"],
+    ["homoclinic", "--seed", "5"],
+    ["verify", "homoclinic", "--format", "json"],
+], ids=" ".join)
+def test_cli_rejects_flags_the_subcommand_does_not_read(argv, capsys):
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert "unrecognized arguments" in err
+
+
 def test_cli_lyapunov_solver_failure(capsys):
     code, _, err = run_cli(["lyapunov", "--amplitudes", "0"], capsys)
     assert code == 1
@@ -393,6 +405,18 @@ def test_cli_continuation(capsys):
     assert rows[0] == "epsilon,T,delta_eps,gap,converged"
     fields = rows[1].split(",")
     assert float(fields[0]) == 0.2 and fields[4] == "1"
+
+
+def test_cli_continuation_spans_the_branch(capsys):
+    # from next to the branch's end at eps* = 2^(1/4)/pi down to small eps
+    code, out, _ = run_cli(["continuation", "--eps-grid", "0.378,0.3,0.025",
+                            "--format", "json"], capsys)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [row["epsilon"] for row in rows] == [0.378, 0.3, 0.025]
+    for row in rows:
+        assert row["converged"]
+        assert row["delta_eps"] < 1.0 / (4.0 * row["epsilon"])
 
 
 def test_cli_out_file(tmp_path, capsys):

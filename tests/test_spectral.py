@@ -292,6 +292,19 @@ def test_nehari_equilibrium_pair():
     assert not res.excluded_trivial
 
 
+@pytest.mark.parametrize("eps", [0.2, 0.1])
+def test_nehari_scale_lands_on_the_constraint(eps, ground_states):
+    # from the cutoff pair: relative r1, r2 measured <= 3.8e-12, r3 <= 2.7e-14
+    f = spectral.cutoff_test_pair(eps)
+    _, _, scaled = spectral.nehari_scale(f.u_coeffs, f.z_plus, f.spectrum)
+    r1, r2, r3 = spectral.nehari_residuals(scaled).relative()
+    assert r1 <= 1e-10 and r2 <= 1e-10 and r3 <= 1e-12
+    # a ground state is already on it
+    g = ground_states[eps].field
+    t, s, _ = spectral.nehari_scale(g.u_coeffs, g.z_plus, g.spectrum)
+    assert t == 1.0 and s == 1.0
+
+
 def test_bump_endpoint_values():
     assert spectral.bump(np.array([0.0]))[0] == 1.0
     assert spectral.bump(np.array([0.5]))[0] == 1.0
@@ -470,26 +483,18 @@ def test_newton_step_matches_a_dense_solve_on_the_even_fields(monkeypatch,
 
 def test_ground_state_nonconvergence_attaches_best_iterate():
     with pytest.raises(NonConvergence) as info:
-        spectral.ground_state(0.2, K=32, max_pg_iters=1, max_newton_iters=0)
+        spectral.ground_state(0.2, K=32, max_newton_iters=0)
     assert info.value.best is not None
     assert info.value.best.field.epsilon == 0.2
 
 
 def test_ground_state_counts_steps_taken():
-    res = spectral.ground_state(0.25, max_pg_iters=0)
-    assert res.diagnostics["pg_iterations"] == 0
+    res = spectral.ground_state(0.25)
     assert res.diagnostics["newton_iterations"] > 0
     # an exhausted Newton budget reports every step it took
     with pytest.raises(NonConvergence) as info:
-        spectral.ground_state(0.25, max_pg_iters=0, max_newton_iters=2)
-    assert info.value.diagnostics["pg_iterations"] == 0
+        spectral.ground_state(0.25, max_newton_iters=2)
     assert info.value.diagnostics["newton_iterations"] == 2
-
-
-def test_ground_state_rejects_mismatched_init():
-    init = spectral.cutoff_test_pair(0.2, K=16)
-    with pytest.raises(TruncationMismatch):
-        spectral.ground_state(0.1, K=64, init=init)
 
 
 def _packed(field):
@@ -531,7 +536,8 @@ def test_jvp_annihilates_translation_mode(ground_states):
         assert np.linalg.norm(jvp(d)) <= 1e-10 * np.linalg.norm(d)
 
 
-def test_small_eps_ground_state_skips_projected_gradient(monkeypatch):
+@pytest.mark.parametrize("eps", [0.05, 0.3])
+def test_ground_state_skips_projected_gradient(monkeypatch, eps):
     calls = {"nehari_scale": 0, "reduce_g": 0}
     for name in calls:
         original = getattr(spectral, name)
@@ -541,20 +547,30 @@ def test_small_eps_ground_state_skips_projected_gradient(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(spectral, name, counted)
-    res = spectral.ground_state(0.05)
+    spectral.ground_state(eps)
     assert calls == {"nehari_scale": 0, "reduce_g": 0}
-    assert res.diagnostics["pg_iterations"] == 0
 
 
 @pytest.mark.parametrize("eps, delta", [
     (0.025, 0.8835729338221298),
     (0.04, 0.883572933780466),
     (0.06, 0.8835727604896779),
-    # eps > 1/4: projected gradient, centering, then the symmetric Newton
+    # eps > 1/4: Newton from the cutoff pair at 1/4, up to the branch's end
     (0.3, 0.7762872683721382),
+    (0.37, 0.6750661791015719),
+    (0.378, 0.6613732738644914),
 ])
 def test_ground_state_energy_pinned(eps, delta):
     assert abs(spectral.ground_state(eps).delta_eps - delta) <= 1e-14
+
+
+def test_ground_state_above_the_branch_end_is_the_constant_solution():
+    # eps* = 2^(1/4)/pi ~ 0.3785: past it Newton lands on the constant
+    # solution, delta_eps = 1/(4 eps) (measured within 3.3e-16), and that
+    # is rejected
+    with pytest.raises(NonConvergence) as info:
+        spectral.ground_state(0.39)
+    assert abs(info.value.best.delta_eps - 1.0 / (4.0 * 0.39)) <= 1e-10
 
 
 def test_ground_state_certificate_matches_fresh_residuals(ground_states):
