@@ -102,7 +102,7 @@ def build_parser():
     p.add_argument("--to", dest="dst", required=True,
                    choices=("euclidean", "sphere"))
     p.add_argument("--input", required=True, help="profile CSV path")
-    _flags(p, "--format")
+    _flags(p)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", help="suite name or 'all': "
@@ -240,8 +240,7 @@ def cmd_transform(args):
         result = euc
     else:
         result, convention = geometry.euclidean_to_sphere(euc)
-        if args.format == "json" or args.out is None:
-            sys.stderr.write(serialize.dumps(convention) + "\n")
+        sys.stderr.write(serialize.dumps(convention) + "\n")
     _emit(serialize.profile_to_csv(result), args.out)
     return 0
 

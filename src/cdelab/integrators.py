@@ -124,10 +124,18 @@ def _midpoint(u, v, a, b, dt, newton_tol, max_iters, n=1, out=None):
             r1 = xv - v - dt * (-(ma * ma + mb * mb - 0.25) * mu)
             r2, r3 = xa - a - dt * (-ma + w * mb), xb - b - dt * (mb - w * ma)
             rr = r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3
-            # ‖res‖ <= newton_tol * max(1, ‖x‖∞), compared squared (cheaper);
-            # the bound is at least tol2, so max(...) is needed only above it
-            if rr <= tol2 or rr <= (newton_tol * max(
-                    1.0, abs(xu), abs(xv), abs(xa), abs(xb))) ** 2:
+            # ‖res‖ <= newton_tol * max(1, ‖x‖∞), compared squared (cheaper).
+            # That squared bound lies in [tol2, tol2 * (1 + ‖x‖₂²)], so max()
+            # is needed only for rr between tol2 and twice the upper end: the
+            # factor 2 exceeds the few roundings of either side (while tol2
+            # does not underflow, newton_tol >= 1e-160), so an rr above it
+            # fails the exact test too.  NaN fails every test; an inf in x
+            # passes the pre-test and leaves the decision to the exact one.
+            if rr <= tol2 or (
+                    rr <= 2.0 * tol2 * (1.0 + xu * xu + xv * xv + xa * xa
+                                        + xb * xb)
+                    and rr <= (newton_tol * max(
+                        1.0, abs(xu), abs(xv), abs(xa), abs(xb))) ** 2):
                 break
             if it == max_iters:
                 raise NewtonDivergence("implicit midpoint Newton stalled at "

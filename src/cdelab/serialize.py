@@ -7,9 +7,12 @@ row template per row, giving ``csv.writer``'s bytes (a float's repr needs no
 quoting).  ``dumps`` returns exactly ``json.dumps(doc, indent=2)`` for any
 acyclic document, without json's pure-Python indenting encoder; float lists
 and tables take the same template path.  Floats are formatted by orjson's Ryu
-printer, which writes repr's shortest round-trip digits far faster but spells
-nan, inf, ``1e-9 <= |x| < 1e-4`` and ``|x| >= 1e16`` otherwise (``null``,
-``0.00001``, ``1e-7``, ``1e16``); ``repr`` redoes exactly those values.
+printer, which writes repr's shortest round-trip digits far faster.  Its
+notation differs from repr's in three bands of finite values, and there its
+text is respelled: orjson's ``1.5e-6``, ``0.0000123`` and ``1e16`` become
+``1.5e-06``, ``1.23e-05`` and ``1e+16`` for ``1e-9 <= |x| < 1e-5``,
+``1e-5 <= |x| < 1e-4`` and ``|x| >= 1e16``.  orjson writes nan and inf as
+``null``; only those values are redone by ``repr``.
 """
 
 import csv
@@ -35,14 +38,27 @@ PROFILE_COLUMNS = {
 _CHUNK_ROWS = 1024
 
 
+def _respell(text):
+    """repr's spelling of orjson's ``text`` of a finite float x with
+    ``1e-9 <= |x| < 1e-4`` or ``|x| >= 1e16``: the same digits."""
+    if "e-" in text:                # |x| < 1e-5: the exponent is one digit
+        return text.replace("e-", "e-0")
+    if "e" in text:                 # |x| >= 1e16
+        return text.replace("e", "e+")
+    sign, _, digits = text.partition("0.0000")     # 1e-5 <= |x| < 1e-4
+    return sign + digits[0] + ("." + digits[1:] if digits[1:] else "") + "e-05"
+
+
 def _reprs(values):
     """``float.__repr__`` of each of a non-empty sequence of floats."""
     a = np.ascontiguousarray(values, dtype=float)
     text = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)
     out = text[1:-1].decode().split(",")
     mag = np.abs(a)
-    for i in np.flatnonzero(~(mag < 1e16) | ((mag >= 1e-9) & (mag < 1e-4))):
-        out[i] = float.__repr__(a[i])
+    redo = ~(mag < 1e16) | ((mag >= 1e-9) & (mag < 1e-4))
+    for i in np.flatnonzero(redo).tolist():
+        t = out[i]
+        out[i] = float.__repr__(a[i]) if t == "null" else _respell(t)
     return out
 
 

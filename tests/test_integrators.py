@@ -226,6 +226,44 @@ def test_newton_converges_at_large_state():
         assert np.all(np.isfinite(out))
 
 
+def midpoint_step_reference(s, dt, newton_tol, max_iters=25):
+    """One implicit midpoint step in the kernel's operation order, accepting
+    by the documented rule alone: ‖res‖ <= newton_tol * max(1, ‖x‖∞)."""
+    u, v, a, b = s
+    w, h = u * u, 0.5 * dt
+    x = [u + dt * v, v + dt * (-(a * a + b * b - 0.25) * u),
+         a + dt * (-a + w * b), b + dt * (b - w * a)]
+    for _ in range(max_iters + 1):
+        mu, ma, mb = 0.5 * (u + x[0]), 0.5 * (a + x[2]), 0.5 * (b + x[3])
+        w = mu * mu
+        r = [x[0] - u - dt * (0.5 * (v + x[1])),
+             x[1] - v - dt * (-(ma * ma + mb * mb - 0.25) * mu),
+             x[2] - a - dt * (-ma + w * mb), x[3] - b - dt * (mb - w * ma)]
+        rr = r[0] * r[0] + r[1] * r[1] + r[2] * r[2] + r[3] * r[3]
+        if rr <= (newton_tol * max(1.0, *map(abs, x))) ** 2:
+            return x
+        d = integrators._newton_correction(mu, ma, mb, *r, h)
+        x = [xi - di for xi, di in zip(x, d)]
+    raise NewtonDivergence("reference Newton stalled")
+
+
+def test_midpoint_acceptance_is_the_documented_rule():
+    # loose tolerances and large states put many residuals near the bound,
+    # where a pre-test that rejected too much would add a Newton step
+    rng = np.random.default_rng(23)
+    for _ in range(2000):
+        s = rng.standard_normal(4) * 10.0 ** rng.uniform(-1, 3, 4)
+        dt = 10.0 ** rng.uniform(-4, -2)
+        tol = 10.0 ** rng.uniform(-12, -4)
+        try:
+            want = midpoint_step_reference(s.tolist(), dt, tol)
+        except NewtonDivergence:
+            with pytest.raises(NewtonDivergence):
+                integrators.implicit_midpoint_step(s, dt, tol)
+            continue
+        assert integrators.implicit_midpoint_step(s, dt, tol).tolist() == want
+
+
 def test_empty_trajectory_guard():
     tr = integrators.Trajectory(times=np.empty(0), states=np.empty((0, 4)))
     with pytest.raises(EmptyTrajectory):

@@ -1,4 +1,5 @@
-"""Every third-party module the package imports is a declared dependency."""
+"""Every third-party module the package, its tests and its demos import is a
+declared dependency."""
 
 import ast
 import re
@@ -7,6 +8,8 @@ import tomllib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+with open(ROOT / "pyproject.toml", "rb") as fh:
+    PROJECT = tomllib.load(fh)["project"]
 
 
 def imported_top_level_modules(package):
@@ -20,11 +23,29 @@ def imported_top_level_modules(package):
     return names
 
 
+def declared(requirements):
+    return {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower()
+            for dep in requirements}
+
+
+def third_party(imported, local=()):
+    return (imported - set(sys.stdlib_module_names) - {PROJECT["name"]}
+            - set(local))
+
+
 def test_third_party_imports_are_declared_dependencies():
-    with open(ROOT / "pyproject.toml", "rb") as fh:
-        project = tomllib.load(fh)["project"]
-    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower()
-                for dep in project["dependencies"]}
-    imported = imported_top_level_modules(ROOT / "src" / project["name"])
-    third_party = imported - set(sys.stdlib_module_names) - {project["name"]}
-    assert third_party and third_party <= declared, third_party - declared
+    imported = third_party(
+        imported_top_level_modules(ROOT / "src" / PROJECT["name"]))
+    assert imported and imported <= declared(PROJECT["dependencies"]), \
+        imported - declared(PROJECT["dependencies"])
+
+
+def test_test_and_demo_imports_are_declared_dependencies():
+    dirs = [ROOT / "tests", ROOT / "demos"]
+    # their own modules, such as conftest, are importable from there
+    local = {path.stem for d in dirs for path in d.glob("*.py")}
+    imported = third_party(set().union(*map(imported_top_level_modules, dirs)),
+                           local)
+    allowed = declared(PROJECT["dependencies"]
+                       + PROJECT["optional-dependencies"]["test"])
+    assert imported and imported <= allowed, imported - allowed

@@ -154,6 +154,23 @@ def test_reprs_equals_float_repr_on_random_bit_patterns():
     assert serialize._reprs(values) == list(map(float.__repr__, values))
 
 
+def test_reprs_respells_every_band():
+    # orjson's notation differs from repr's for 1e-9 <= |x| < 1e-5, for
+    # 1e-5 <= |x| < 1e-4 and for |x| >= 1e16: draw m * 10^k in [10^e, 10^(e+1))
+    # with m of 1 to 17 digits, of both signs, in each band
+    rng = np.random.default_rng(21)
+    values = [10.00001, *REDO_EDGES]
+    for e in [*range(-9, -4), *range(16, 308)]:
+        for digits in range(1, 18):
+            m = int(rng.integers(10 ** (digits - 1), 10 ** digits))
+            values.append(float(f"{m}e{e - digits + 1}"))
+    values += [-x for x in values]
+    mag = np.abs(values)
+    for lo, hi in ((1e-9, 1e-5), (1e-5, 1e-4), (1e16, np.inf)):
+        assert np.count_nonzero((mag >= lo) & (mag < hi)) >= 2 * 17
+    assert serialize._reprs(values) == list(map(float.__repr__, values))
+
+
 def test_diagram_csv():
     diagram = {"delta0": orbits.DELTA0,
                "rows": [{"epsilon": 0.2, "T": 5.0, "delta_eps": 0.86,
@@ -222,6 +239,7 @@ JSON_COMMANDS = [
     INTEGRATE_JSON + ["0.3"],
     INTEGRATE_JSON + ["-0.3"],
     ["ground-state", "--epsilon", "0.2"],
+    ["ground-state", "--epsilon", "0.025"],
     ["continuation", "--eps-grid", "0.2", "--format", "json"],
     ["homoclinic"],
     ["homoclinic", "--paper-constants"],
@@ -272,6 +290,25 @@ def test_cli_integrate_csv(capsys):
     rows = out.splitlines()
     assert rows[0] == "t,u,v,a,b,H"
     assert len(rows) == 22
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_integrate_homoclinic_tail_text(fmt, capsys):
+    # on the homoclinic's tail a stays in 1e-5 <= |a| < 1e-4, where orjson
+    # writes 0.0000123 for repr's 1.23e-05
+    state = [float(x) for x in orbits.derived_profile()(-6.0)]
+    code, out, _ = run_cli(["integrate", "--state", ",".join(map(repr, state)),
+                            "--t-final", "0.5", "--format", fmt], capsys)
+    assert code == 0
+    tr = integrators.integrate(np.array(state), 0.5,
+                               integrators.StepperConfig())
+    rows = np.column_stack([tr.times, tr.states, tr.energy_series])
+    if fmt == "csv":
+        assert out == csv_oracle(("t", "u", "v", "a", "b", "H"), rows)
+    else:
+        doc = {"schema": "cde-lab/1", "drift": integrators.energy_drift(tr),
+               "samples": rows.tolist()}
+        assert out == json.dumps(doc, indent=2) + "\n"
 
 
 def test_cli_integrate_json_text_pinned(capsys):
@@ -351,6 +388,8 @@ def test_cli_ground_state_rejects_nonpositive_tol_and_modes(flags, capsys):
      "--tol", "1e-3"],
     ["homoclinic", "--seed", "5"],
     ["verify", "homoclinic", "--format", "json"],
+    ["transform", "--from", "cylinder", "--to", "euclidean",
+     "--input", "profile.csv", "--format", "json"],
 ], ids=" ".join)
 def test_cli_rejects_flags_the_subcommand_does_not_read(argv, capsys):
     code, _, err = run_cli(argv, capsys)
@@ -382,10 +421,11 @@ def test_cli_transform_roundtrip(tmp_path, capsys):
     assert euc.chart == "euclidean"
 
     sphere_file = tmp_path / "sph.csv"
-    code, _, _ = run_cli(["transform", "--from", "euclidean", "--to", "sphere",
-                          "--input", str(out_file), "--out", str(sphere_file)],
-                         capsys)
-    assert code == 0
+    code, out, err = run_cli(["transform", "--from", "euclidean", "--to",
+                              "sphere", "--input", str(out_file),
+                              "--out", str(sphere_file)], capsys)
+    assert code == 0 and out == ""
+    assert json.loads(err)["conformal_factor"] == "Omega = 2/(1 + r^2)"
     with open(sphere_file) as fh:
         sph = serialize.profile_from_csv(fh)
     assert sph.chart == "sphere"
