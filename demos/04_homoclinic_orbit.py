@@ -8,11 +8,11 @@ reported for comparison only.
 
 import numpy as np
 
-from cdelab import integrators, orbits
+from cdelab import homoclinic, integrators
 
 
 def main():
-    rep = orbits.derive_constants()
+    rep = homoclinic.derive_constants()
     print("coefficient matching:")
     print(f"  alpha^2 = {rep.alpha_sq}  ->  alpha = {rep.alpha:.12f}")
     print(f"  beta^2  = {rep.beta_sq}  ->  beta  = {rep.beta:.12f}")
@@ -20,7 +20,7 @@ def main():
     print(f"  quoted pair {rep.quoted_amplitudes}:"
           f" residual {rep.residual_quoted:.3f} (recorded, not a solution)")
 
-    prof = orbits.derived_profile()
+    prof = homoclinic.derived_profile()
     t = np.linspace(-10, 10, 2001)
     print(f"\nenergy along the profile: max |H| = "
           f"{np.max(np.abs(prof.energy(t))):.2e} (homoclinic to the saddle, H = 0)")
@@ -34,8 +34,8 @@ def main():
     print(f"  sup tracking error: {err:.2e}")
 
     print(f"\nlimit ground-state energy by quadrature: "
-          f"{orbits.limit_energy_quadrature():.12f}")
-    print(f"closed form 9*pi/32:                     {orbits.DELTA0:.12f}")
+          f"{homoclinic.limit_energy_quadrature():.12f}")
+    print(f"closed form 9*pi/32:                     {homoclinic.DELTA0:.12f}")
 
 
 if __name__ == "__main__":

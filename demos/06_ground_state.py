@@ -9,7 +9,7 @@ energy equals half the coupling.
 
 import numpy as np
 
-from cdelab import spectral, orbits
+from cdelab import homoclinic, spectral
 
 
 def main():
@@ -20,8 +20,8 @@ def main():
     print(f"epsilon = {eps}, modes K = {f.num_modes} "
           f"(grid {spectral.grid_size(f.num_modes)})")
     print(f"  delta_eps            = {res.delta_eps:.12f}")
-    print(f"  limit energy         = {orbits.DELTA0:.12f}  "
-          f"(gap {abs(res.delta_eps - orbits.DELTA0):.2e})")
+    print(f"  limit energy         = {homoclinic.DELTA0:.12f}  "
+          f"(gap {abs(res.delta_eps - homoclinic.DELTA0):.2e})")
     print(f"  equilibrium-pair energy 1/(4 eps) = {1 / (4 * eps):.6f} "
           f"(the pulse wins)")
     print(f"  gradient norm        = {res.diagnostics['final_gradient_norm']:.2e}")

@@ -10,11 +10,11 @@ printed fits kappa = 3/8, a pure normalization gap.
 
 import numpy as np
 
-from cdelab import geometry, orbits
+from cdelab import geometry, homoclinic
 
 
 def main():
-    prof = orbits.derived_profile()
+    prof = homoclinic.derived_profile()
     t = np.linspace(-4.0, 4.0, 8001)
     u, _, a, b = prof(t)
     cyl = geometry.RadialProfile(chart="cylinder", grid=t, u=u, f1=a, f2=b)

@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from . import dynamics, integrators, linear, spectral, orbits, geometry
+from . import dynamics, integrators, spectral, orbits, homoclinic, geometry
 from . import serialize, verify
 from .errors import (CdelabError, NewtonDivergence, NonFiniteState,
                      ConvergenceFailure, NoEllipticPair, SolverStall,
@@ -211,7 +211,7 @@ def cmd_continuation(args):
 
 
 def cmd_homoclinic(args):
-    rep = orbits.derive_constants()
+    rep = homoclinic.derive_constants()
     doc = {
         "schema": geometry.SCHEMA,
         "alpha": rep.alpha, "beta": rep.beta,
@@ -220,7 +220,8 @@ def cmd_homoclinic(args):
         "quoted_amplitudes": list(rep.quoted_amplitudes),
         "quoted_amplitudes_residual": rep.residual_quoted,
     }
-    prof = orbits.quoted_profile() if args.paper_constants else orbits.derived_profile()
+    prof = (homoclinic.quoted_profile() if args.paper_constants
+            else homoclinic.derived_profile())
     t = np.linspace(-10.0, 10.0, 81)
     doc["profile"] = {"convention": "quoted" if args.paper_constants else "derived",
                       "samples": [[float(tt)] + [float(x) for x in prof(tt)]
@@ -231,7 +232,10 @@ def cmd_homoclinic(args):
 
 def cmd_transform(args):
     with open(args.input) as fh:
-        profile = serialize.profile_from_csv(fh, chart=args.src)
+        profile = serialize.profile_from_csv(fh)
+    if profile.chart != args.src:
+        raise ValueError(f"--from {args.src}, but the header of {args.input} "
+                         f"names the {profile.chart} chart")
     if args.src == "cylinder":
         euc = geometry.cylinder_to_euclidean(profile, np.exp(-profile.grid))
     else:

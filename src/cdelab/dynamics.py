@@ -140,14 +140,14 @@ def spinor_from_state(s):
     return SpinorPair(psi_plus=complex(a, b), psi_minus=complex(a, -b))
 
 
-def state_from_spinor(u, v, pair, tol=1e-12):
+def state_from_spinor(u, v, pair):
     """Rebuild a state from (u, v) and a conjugate spinor pair.
 
     Raises NonConjugatePair when conj(psi_plus) differs from psi_minus by
-    more than ``tol`` relative to the pair magnitude.
+    more than 1e-12 relative to the pair magnitude.
     """
     scale = max(1.0, abs(pair.psi_plus))
-    if abs(np.conj(pair.psi_plus) - pair.psi_minus) > tol * scale:
+    if abs(np.conj(pair.psi_plus) - pair.psi_minus) > 1e-12 * scale:
         raise NonConjugatePair(
-            f"conj(psi_plus) != psi_minus beyond tolerance {tol}")
+            "conj(psi_plus) != psi_minus beyond tolerance 1e-12")
     return np.array([u, v, pair.psi_plus.real, pair.psi_plus.imag])

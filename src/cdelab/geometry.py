@@ -157,30 +157,15 @@ def cylinder_to_euclidean(profile, r_grid):
                          lam=profile.lam)
 
 
-def euclidean_to_cylinder(profile, t_grid=None):
-    """Inverse transport; on the shared grid t = -ln r the round trip is exact."""
+def euclidean_to_cylinder(profile):
+    """Inverse transport onto the grid t = -ln r, in increasing t; the round
+    trip through :func:`cylinder_to_euclidean` on that grid is exact."""
     if profile.chart != "euclidean":
         raise ValueError("input profile must be on the euclidean chart")
-    r_native = profile.grid
-    t_native = -np.log(r_native)
-    if t_grid is None:
-        order = np.argsort(t_native)
-        t = t_native[order]
-        u_e, f1, f2 = profile.u[order], profile.f1[order], profile.f2[order]
-        r = r_native[order]
-    else:
-        t = np.asarray(t_grid, dtype=float)
-        lo, hi = t_native.min(), t_native.max()
-        pad = 1e-12 * max(1.0, abs(lo), abs(hi))
-        if t.min() < lo - pad or t.max() > hi + pad:
-            raise GridCoverage("requested t-grid not covered by the radii")
-        from scipy.interpolate import CubicSpline
-        order = np.argsort(t_native)
-        spline = CubicSpline(t_native[order],
-                             np.column_stack([profile.u, profile.f1,
-                                              profile.f2])[order], axis=0)
-        u_e, f1, f2 = spline(t).T
-        r = np.exp(-t)
+    t = -np.log(profile.grid)
+    order = np.argsort(t)
+    t, r = t[order], profile.grid[order]
+    u_e, f1, f2 = profile.u[order], profile.f1[order], profile.f2[order]
     return RadialProfile(chart="cylinder", grid=t,
                          u=np.sqrt(r) * u_e, f1=-r * f1, f2=r * f2,
                          lam=profile.lam)

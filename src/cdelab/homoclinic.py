@@ -148,7 +148,7 @@ def quoted_profile():
     return HomoclinicProfile(alpha=qa, beta=qb, orientation=-1.0)
 
 
-def limit_energy_quadrature(rtol=1e-12):
+def limit_energy_quadrature():
     """Ground-state energy of the limit problem, (1/2) * int u^2 |z|^2 dt.
 
     Computed by adaptive quadrature along the derived homoclinic; the
@@ -161,7 +161,8 @@ def limit_energy_quadrature(rtol=1e-12):
         u, _, a, b = prof(t)
         return 0.5 * u * u * (a * a + b * b)
 
-    val, _ = quad(integrand, -60.0, 60.0, epsabs=1e-14, epsrel=rtol, limit=400)
+    val, _ = quad(integrand, -60.0, 60.0, epsabs=1e-14, epsrel=1e-12,
+                  limit=400)
     return float(val)
 
 

@@ -12,28 +12,20 @@ and solves for eps too.  The reported residual is the closure defect
 import numpy as np
 from dataclasses import dataclass
 
-from . import dynamics, integrators, linear, spectral
+from . import dynamics, homoclinic, integrators, linear, spectral
 from .errors import NewtonDivergence, ConvergedToEquilibrium, NonConvergence
-
-# re-exported closed-form machinery
-from .homoclinic import (HomoclinicProfile, DerivationReport, derive_constants,
-                         derived_profile, quoted_profile,
-                         limit_energy_quadrature, DELTA0)
-
-__all__ = [
-    "PeriodicOrbit", "shoot_periodic", "lyapunov_family", "field_to_orbit",
-    "distance_to_homoclinic", "period_energy_diagram",
-    "HomoclinicProfile", "DerivationReport", "derive_constants",
-    "derived_profile", "quoted_profile", "limit_energy_quadrature", "DELTA0",
-]
 
 #: result within this distance of an equilibrium is rejected as constant
 EQUILIBRIUM_TOL = 1e-8
 
 #: merit at which the orbit Newton solves stop; the quadratically converging
 #: step that crosses it mostly lands near the rounding floor (~3e-16), and
-#: the RK4 closure defects measured 1e-14 to 5e-11 (tol defaults to 1e-9)
+#: the RK4 closure defects measured 1e-14 to 5e-11
 NEWTON_TOL = 1e-12
+
+#: bound on the RK4 closure residual of a returned orbit (the family's
+#: default ``tol``)
+CLOSURE_TOL = 1e-9
 
 
 @dataclass
@@ -90,14 +82,14 @@ def _orbit(x, K, T, dt, tol, label):
                          residual=rn)
 
 
-def shoot_periodic(T, guess, tol=1e-9, dt=2e-3, max_iters=25):
+def shoot_periodic(T, guess, max_iters=25):
     """Find a 2T-periodic orbit through the section v(0) = 0 at fixed T.
 
     The RK4 run from ``guess`` over 2T, sampled on the collocation nodes,
     starts at most ``max_iters`` spectral Newton steps at eps = 1/T with K =
-    default_modes(eps).  ``tol`` bounds the closure residual (RK4, step dt).
-    Raises ConvergedToEquilibrium when the guess or result is an equilibrium,
-    NewtonDivergence when the closure residual is above tol.
+    default_modes(eps).  Raises ConvergedToEquilibrium when the guess or
+    result is an equilibrium, NewtonDivergence when the closure residual
+    (RK4, step 2e-3) is above CLOSURE_TOL.
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -108,20 +100,24 @@ def shoot_periodic(T, guess, tol=1e-9, dt=2e-3, max_iters=25):
     K = spectral.default_modes(eps)
     x, *_ = spectral._newton(_sample(guess, T, K), eps, K, NEWTON_TOL,
                              max_iters)
-    return _orbit(x, K, T, dt, tol, "periodic orbit")
+    return _orbit(x, K, T, 2e-3, CLOSURE_TOL, "periodic orbit")
 
 
-def lyapunov_family(amplitudes, tol=1e-9, dt=None):
+def lyapunov_family(amplitudes, tol=CLOSURE_TOL):
     """Continuation of small orbits around the center equilibrium.
 
     The first amplitude h starts from the equilibrium displaced along the
     real part of the elliptic eigenvector of the linearization, sampled over
     the linear period t0; each later one starts from the previous solution.
     The spectral Newton solve pins u(0) = 1 + h and finds the field and
-    eps = 1/T.  ``tol`` bounds each orbit's RK4 closure residual (step dt,
-    by default min(2e-3, t0/4000)).  Periods approach
-    2*pi/2^(1/4) ... = 2^(3/4)*pi as the amplitude shrinks.
+    eps = 1/T.  ``tol`` bounds each orbit's RK4 closure residual (step
+    t0/4000).  Periods approach 2*pi/2^(1/4) ... = 2^(3/4)*pi as the
+    amplitude shrinks.  Raises ValueError for a negative or non-finite h and
+    ConvergedToEquilibrium for h = 0, the equilibrium itself.
     """
+    if not all(0.0 <= h < np.inf for h in amplitudes):
+        raise ValueError(f"each amplitude h must be >= 0 and finite, "
+                         f"got {list(amplitudes)}")
     report = linear.eigenvalues_4x4(linear.matrix_c())
     omega = report.elliptic_omega
     t0 = linear.lyapunov_period(report)
@@ -130,7 +126,7 @@ def lyapunov_family(amplitudes, tol=1e-9, dt=None):
     x = None
     orbits = []
     for h in amplitudes:
-        if h <= 0:
+        if h == 0:
             raise ConvergedToEquilibrium(
                 "amplitude 0 is the equilibrium itself")
         if x is None:
@@ -138,8 +134,7 @@ def lyapunov_family(amplitudes, tol=1e-9, dt=None):
             rot = dynamics.P_PLUS_ROTATED + h * np.array([1.0, 0.0, omega ** 2, 0.0])
             x = _sample(dynamics.from_rotated(rot), t0 / 2.0, K)
         x, eps, *_ = spectral._newton(x, eps, K, NEWTON_TOL, 30, pin=1.0 + h)
-        orbits.append(_orbit(x, K, 1.0 / eps, dt or min(2e-3, t0 / 4000),
-                             tol, "family orbit"))
+        orbits.append(_orbit(x, K, 1.0 / eps, t0 / 4000, tol, "family orbit"))
     return orbits
 
 
@@ -168,19 +163,18 @@ def field_to_orbit(field):
                          residual=residual)
 
 
-def distance_to_homoclinic(orbit, profile=None, window=10.0):
-    """Sup-norm distance to the time-shifted homoclinic profile.
+def distance_to_homoclinic(orbit):
+    """Sup-norm distance to the time-shifted derived homoclinic profile.
 
-    The orbit trajectory is restricted to the window |t - t_peak| <= window
+    The orbit trajectory is restricted to the window |t - t_peak| <= 10
     around its u-mass peak, and the shift t0 minimizing
     sup_t || orbit(t) - profile(t - t0) || is located by a coarse scan plus
     scipy's bounded Brent refinement.  Returns {"shift": t0, "sup_dist": d}.
     """
-    if profile is None:
-        profile = derived_profile()
+    profile = homoclinic.derived_profile()
     tr = orbit.trajectory
     peak = tr.times[int(np.argmax(np.abs(tr.states[:, 0])))]
-    mask = np.abs(tr.times - peak) <= window
+    mask = np.abs(tr.times - peak) <= 10.0
     times = tr.times[mask]
     states = tr.states[mask]
 
@@ -204,7 +198,7 @@ def distance_to_homoclinic(orbit, profile=None, window=10.0):
     return {"shift": float(shift), "sup_dist": best}
 
 
-def period_energy_diagram(eps_grid, modes=None, delta0=None, **solver_kwargs):
+def period_energy_diagram(eps_grid):
     """Ground-state energy versus period table.
 
     Runs the spectral ground-state solve at each epsilon in (0, eps*) and
@@ -219,15 +213,13 @@ def period_energy_diagram(eps_grid, modes=None, delta0=None, **solver_kwargs):
     if not all(0.0 < eps < eps_star for eps in eps_grid):
         raise ValueError(
             f"each epsilon must lie in (0, eps*), eps* = {eps_star:.6f}")
-    if delta0 is None:
-        delta0 = limit_energy_quadrature()
+    delta0 = homoclinic.limit_energy_quadrature()
     rows = []
     for eps in eps_grid:
-        K = modes(eps) if callable(modes) else (modes or spectral.default_modes(eps))
         row = {"epsilon": float(eps), "T": 1.0 / eps, "delta_eps": np.nan,
                "gap": np.nan, "converged": False}
         try:
-            result = spectral.ground_state(eps, K=K, **solver_kwargs)
+            result = spectral.ground_state(eps)
             row["delta_eps"] = result.delta_eps
             row["gap"] = abs(result.delta_eps - delta0)
             row["converged"] = True

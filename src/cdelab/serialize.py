@@ -37,6 +37,10 @@ PROFILE_COLUMNS = {
 #: strings alive at once
 _CHUNK_ROWS = 1024
 
+#: an orbit record keeps every (n // MIN_RECORD_SAMPLES)-th of a trajectory's
+#: n samples: 400 to 799 of them when n >= 400, all of them otherwise
+MIN_RECORD_SAMPLES = 400
+
 
 def _respell(text):
     """repr's spelling of orjson's ``text`` of a finite float x with
@@ -62,33 +66,31 @@ def _reprs(values):
     return out
 
 
-def _write_rows(stream, header, rows):
-    """Write a header and an (n, m) float table as CSV."""
-    csv.writer(stream, lineterminator="\n").writerow(header)
+def _csv_table(header, rows):
+    """A header and an (n, m) float table as CSV text."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(header)
     row = ",".join(["%s"] * rows.shape[1]) + "\n"
     for start in range(0, len(rows), _CHUNK_ROWS):
         chunk = rows[start:start + _CHUNK_ROWS]
         values = tuple(_reprs(chunk.ravel()))
-        stream.write(row * len(chunk) % values)
+        out.write(row * len(chunk) % values)
+    return out.getvalue()
 
 
-def trajectory_to_csv(tr, stream=None):
+def trajectory_to_csv(tr):
     """Columns t,u,v,a,b,H."""
-    out = stream or io.StringIO()
     rows = np.column_stack([tr.times, tr.states, tr.energy_series])
-    _write_rows(out, ("t", "u", "v", "a", "b", "H"), rows)
-    return None if stream else out.getvalue()
+    return _csv_table(("t", "u", "v", "a", "b", "H"), rows)
 
 
-def field_grid_to_csv(field, stream=None):
+def field_grid_to_csv(field):
     """Collocation samples of a spectral field: columns t,u,a,b."""
-    out = stream or io.StringIO()
     N = spectral.grid_size(field.num_modes)
     t = spectral.grid(N)
     z = field.z_values(N)
     rows = np.column_stack([t, field.u_values(N), z[:, 0], z[:, 1]])
-    _write_rows(out, ("t", "u", "a", "b"), rows)
-    return None if stream else out.getvalue()
+    return _csv_table(("t", "u", "a", "b"), rows)
 
 
 def _complex_list(c):
@@ -133,10 +135,10 @@ def field_from_json(doc):
     )
 
 
-def orbit_record(orbit, provenance, epsilon=None, max_samples=400):
+def orbit_record(orbit, provenance, epsilon=None):
     """JSON document for a periodic orbit or converted field."""
     tr = orbit.trajectory
-    stride = max(1, len(tr) // max_samples)
+    stride = max(1, len(tr) // MIN_RECORD_SAMPLES)
     samples = np.column_stack([tr.times, tr.states])[::stride].tolist()
     return {
         "schema": SCHEMA,
@@ -150,42 +152,37 @@ def orbit_record(orbit, provenance, epsilon=None, max_samples=400):
     }
 
 
-def profile_to_csv(profile, stream=None):
-    out = stream or io.StringIO()
-    header = PROFILE_COLUMNS[profile.chart]
+def profile_to_csv(profile):
     rows = np.column_stack([profile.grid, profile.u, profile.f1, profile.f2])
-    _write_rows(out, header, rows)
-    return None if stream else out.getvalue()
+    return _csv_table(PROFILE_COLUMNS[profile.chart], rows)
 
 
-def profile_from_csv(stream_or_text, chart=None):
-    """Read a profile CSV; the chart is inferred from the header if omitted."""
+def profile_from_csv(stream_or_text):
+    """Read a profile CSV on the chart that its header names."""
     if isinstance(stream_or_text, str):
         stream_or_text = io.StringIO(stream_or_text)
     reader = csv.reader(stream_or_text)
-    header = tuple(next(reader))
-    if chart is None:
-        matches = [c for c, cols in PROFILE_COLUMNS.items() if cols == header]
-        if not matches:
-            raise ValueError(f"unrecognized profile header {header!r}")
-        chart = matches[0]
+    header = tuple(next(reader, ()))
+    charts = [c for c, cols in PROFILE_COLUMNS.items() if cols == header]
+    if not charts:
+        raise ValueError(f"unrecognized profile header {header!r}")
     data = np.array([[float(x) for x in row] for row in reader if row])
     if data.shape[0] < 2 or data.shape[1] != 4:
         raise ValueError("profile CSV must have >= 2 rows of 4 columns")
-    return RadialProfile(chart=chart, grid=data[:, 0], u=data[:, 1],
+    return RadialProfile(chart=charts[0], grid=data[:, 0], u=data[:, 1],
                          f1=data[:, 2], f2=data[:, 3])
 
 
-def diagram_to_csv(diagram, stream=None):
+def diagram_to_csv(diagram):
     """Continuation table: columns epsilon,T,delta_eps,gap,converged."""
-    out = stream or io.StringIO()
+    out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(("epsilon", "T", "delta_eps", "gap", "converged"))
     for row in diagram["rows"]:
         writer.writerow([repr(float(row["epsilon"])), repr(float(row["T"])),
                          repr(float(row["delta_eps"])), repr(float(row["gap"])),
                          int(row["converged"])])
-    return None if stream else out.getvalue()
+    return out.getvalue()
 
 
 #: json's spelling of the floats whose repr is not JSON

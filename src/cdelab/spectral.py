@@ -331,9 +331,8 @@ def gradient(field):
                    spectrum=field.spectrum)
 
 
-def gradient_norm(field_or_grad, is_gradient=False):
-    """eps-weighted L^2 norm of the Euler-Lagrange residual."""
-    g = field_or_grad if is_gradient else gradient(field_or_grad)
+def gradient_norm(g):
+    """eps-weighted L^2 norm of a :func:`gradient` field."""
     eps = g.epsilon
     total = (np.sum(np.abs(g.u_coeffs) ** 2) + np.sum(np.abs(g.z_plus) ** 2)
              + np.sum(np.abs(g.z_minus) ** 2))
@@ -738,8 +737,7 @@ def nehari_scale(u_hat, z_plus, sp, tol=1e-11, max_iter=40):
     raise NonConvergence("Nehari scaling Newton did not converge", best=f)
 
 
-def ground_state(eps, K=None, grad_tol=1e-8, nehari_rel_tol=1e-6,
-                 max_newton_iters=40):
+def ground_state(eps, K=None, grad_tol=1e-8, max_newton_iters=40):
     """Ground state of the rescaled problem at the given epsilon.
 
     Strategy: inexact Newton steps that GMRES solves matrix-free on the
@@ -755,9 +753,13 @@ def ground_state(eps, K=None, grad_tol=1e-8, nehari_rel_tol=1e-6,
     steps when the line search rejects the last step).
 
     Returns a :class:`GroundStateResult`; raises NonConvergence with the best
-    iterate attached when the tolerances cannot be met or Newton lands on
-    the constant solution (as it does for eps >= eps*).
+    iterate attached when the gradient norm exceeds ``grad_tol``, a relative
+    Nehari residual exceeds 1e-6, or Newton lands on the constant
+    solution (as it does for eps >= eps*).  Raises ValueError unless eps is
+    positive and finite.
     """
+    if not 0.0 < eps < np.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {eps!r}")
     K = default_modes(eps) if K is None else K
     N = grid_size(K)
     sp = build_spectrum(1.0 / eps, K)
@@ -774,7 +776,7 @@ def ground_state(eps, K=None, grad_tol=1e-8, nehari_rel_tol=1e-6,
 
     eb = energy(field)
     g = gradient(field)
-    gn = gradient_norm(g, is_gradient=True)
+    gn = gradient_norm(g)
     res = nehari_residuals(field, energy=eb, gradient=g)
     diagnostics = {
         "epsilon": eps, "modes": K, "grid": N,
@@ -789,7 +791,7 @@ def ground_state(eps, K=None, grad_tol=1e-8, nehari_rel_tol=1e-6,
     nontrivial = eb.coupling > 1e-8
     equilibrium_like = (abs(eb.total - 1.0 / (4.0 * eps)) < 1e-10
                         and np.max(np.abs(field.u_coeffs[np.arange(2 * K + 1) != K])) < 1e-10)
-    ok = (gn <= grad_tol and res.max_relative() <= nehari_rel_tol
+    ok = (gn <= grad_tol and res.max_relative() <= 1e-6
           and nontrivial and not equilibrium_like)
     result = GroundStateResult(field=field, delta_eps=eb.total,
                                diagnostics=diagnostics, converged=ok)

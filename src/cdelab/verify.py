@@ -7,19 +7,20 @@ test suite.
 
 import numpy as np
 
-from . import dynamics, linear, integrators, spectral, orbits, geometry
+from . import dynamics, linear, integrators, spectral, orbits, homoclinic
+from . import geometry
 
 
 def _check(name, passed, detail=""):
     return (name, bool(passed), detail)
 
 
-def suite_equilibria(seed=0, tol=1e-12):
+def suite_equilibria(seed=0, tol=1e-15):
     cat = dynamics.equilibria()
     out = []
     for name, point, energy in cat.items():
         fnorm = float(np.linalg.norm(dynamics.vector_field(point)))
-        out.append(_check(f"vector field vanishes at {name}", fnorm <= 1e-15,
+        out.append(_check(f"vector field vanishes at {name}", fnorm <= tol,
                           f"|f| = {fnorm:.3e}"))
     out.append(_check("H(P0) = 0", cat.energies[0] == 0.0,
                       f"H = {cat.energies[0]!r}"))
@@ -66,7 +67,7 @@ def suite_integrator(seed=0, tol=1e-8):
 
 
 def suite_homoclinic(seed=0, tol=1e-10):
-    rep = orbits.derive_constants()
+    rep = homoclinic.derive_constants()
     out = [
         _check("alpha^2 = 3/2", rep.alpha_sq == 1.5, f"alpha^2 = {rep.alpha_sq!r}"),
         _check("beta^2 = 3/8", rep.beta_sq == 0.375, f"beta^2 = {rep.beta_sq!r}"),
@@ -77,7 +78,7 @@ def suite_homoclinic(seed=0, tol=1e-10):
                rep.residual_quoted > 1e-3,
                f"residual = {rep.residual_quoted:.3e}"),
     ]
-    prof = orbits.derived_profile()
+    prof = homoclinic.derived_profile()
     t = np.linspace(-10, 10, 2001)
     h = np.max(np.abs(prof.energy(t)))
     out.append(_check("H = 0 along the profile", h <= 1e-12, f"max |H| = {h:.3e}"))
@@ -119,14 +120,14 @@ def suite_clifford(seed=0, tol=1e-12):
         worst_sq = max(worst_sq, float(np.max(np.abs(xxphi + np.dot(x, x) * phi))))
         ip = np.vdot(phi, geometry.clifford_mult(x, phi))
         worst_skew = max(worst_skew, abs(ip.real))
-    return [_check("x.(x.phi) = -|x|^2 phi on 100 samples", worst_sq <= 1e-12,
+    return [_check("x.(x.phi) = -|x|^2 phi on 100 samples", worst_sq <= tol,
                    f"max defect {worst_sq:.3e}"),
-            _check("<phi, x.phi> purely imaginary", worst_skew <= 1e-12,
+            _check("<phi, x.phi> purely imaginary", worst_skew <= tol,
                    f"max real part {worst_skew:.3e}")]
 
 
 def suite_transforms(seed=0, tol=1e-12):
-    prof = orbits.derived_profile()
+    prof = homoclinic.derived_profile()
     t = np.linspace(-4.0, 4.0, 8001)
     states = prof(t)
     cyl = geometry.RadialProfile(chart="cylinder", grid=t, u=states[0],

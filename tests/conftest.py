@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cdelab import spectral, orbits
+from cdelab import homoclinic, orbits, spectral
 
 EPS_GRID = (0.2, 0.1, 0.05)
 AMPLITUDES = (1e-2, 1e-3, 1e-4)
@@ -21,7 +21,7 @@ def lyapunov_orbits():
 
 @pytest.fixture(scope="session")
 def homoclinic_profile():
-    return orbits.derived_profile()
+    return homoclinic.derived_profile()
 
 
 def random_states(n, seed, scale=1.0):

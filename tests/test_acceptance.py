@@ -10,7 +10,8 @@ which no double-precision run can avoid; see its docstring.
 import numpy as np
 import pytest
 
-from cdelab import (dynamics, linear, integrators, spectral, orbits, geometry)
+from cdelab import (dynamics, linear, integrators, spectral, orbits, homoclinic,
+                    geometry)
 
 T0 = 2.0 ** 0.75 * np.pi
 DELTA0 = 9.0 * np.pi / 32.0
@@ -44,9 +45,9 @@ def test_criterion_02_equilibrium_audit():
 
 
 def test_criterion_03_homoclinic():
-    rep = orbits.derive_constants()
+    rep = homoclinic.derive_constants()
     t = np.linspace(-10.0, 10.0, 8001)
-    prof = orbits.derived_profile()
+    prof = homoclinic.derived_profile()
     ode_res = float(np.max(prof.ode_residual(t)))
     h_max = float(np.max(np.abs(prof.energy(t))))
     cfg = integrators.StepperConfig(method="rk4", dt=1e-3)
@@ -122,7 +123,7 @@ def test_criterion_06_ground_states(ground_states):
 
 def test_criterion_07_convergence_to_homoclinic(ground_states):
     orb = orbits.field_to_orbit(ground_states[0.05].field)
-    d = orbits.distance_to_homoclinic(orb, window=10.0)
+    d = orbits.distance_to_homoclinic(orb)
     report(7, d["sup_dist"] <= 5e-2,
            f"sup distance {d['sup_dist']:.2e} at shift {d['shift']:.2e} "
            f"(window |t - peak| <= 10)")
@@ -164,7 +165,7 @@ def test_criterion_09_geometry_suite():
         xxphi = geometry.clifford_mult(x, geometry.clifford_mult(x, phi))
         cliff = max(cliff, float(np.max(np.abs(xxphi + np.dot(x, x) * phi))))
 
-    prof = orbits.derived_profile()
+    prof = homoclinic.derived_profile()
     t = np.linspace(-4.0, 4.0, 8001)
     u, _, a, b = prof(t)
     cyl = geometry.RadialProfile(chart="cylinder", grid=t, u=u, f1=a, f2=b)

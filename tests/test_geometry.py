@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from cdelab import geometry, orbits
+from cdelab import geometry, homoclinic
 from cdelab.errors import GridCoverage, DegenerateProfile
 
 
 def homoclinic_cylinder_profile(tmax=4.0, n=8001):
-    prof = orbits.derived_profile()
+    prof = homoclinic.derived_profile()
     t = np.linspace(-tmax, tmax, n)
     u, _, a, b = prof(t)
     return geometry.RadialProfile(chart="cylinder", grid=t, u=u, f1=a, f2=b), t
@@ -146,7 +146,7 @@ def test_cubic_interpolation_between_grids():
     r_request = np.exp(-np.linspace(-4.5, 4.5, 777) + 1e-4)
     euc = geometry.cylinder_to_euclidean(cyl, r_request)
     # compare against the closed form evaluated exactly
-    prof = orbits.derived_profile()
+    prof = homoclinic.derived_profile()
     exact = prof(-np.log(r_request))
     np.testing.assert_allclose(euc.u, exact[0] / np.sqrt(r_request), rtol=1e-9)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdelab import dynamics, integrators, linear, orbits
+from cdelab import dynamics, homoclinic, integrators, linear
 from cdelab.errors import NewtonDivergence, NonFiniteState, EmptyTrajectory
 
 
@@ -103,7 +103,7 @@ def test_integrate_constant_from_equilibrium():
 
 def test_rk4_tracks_homoclinic_profile():
     # closed-form orbit as an exact-solution oracle
-    prof = orbits.derived_profile()
+    prof = homoclinic.derived_profile()
     cfg = integrators.StepperConfig(method="rk4", dt=1e-3)
     tr = integrators.integrate(prof(0.0), 10.0, cfg)
     reference = prof(tr.times).T

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cdelab import dynamics, integrators, linear, orbits
+from cdelab import dynamics, homoclinic, integrators, linear, orbits
 from cdelab.errors import (ConvergedToEquilibrium, NewtonDivergence,
                            NonConvergence)
 
@@ -19,7 +19,7 @@ def small_orbit_guess(h):
 # homoclinic derivation
 
 def test_derived_constants():
-    rep = orbits.derive_constants()
+    rep = homoclinic.derive_constants()
     assert rep.alpha_sq == 1.5
     assert rep.beta_sq == 0.375
     assert rep.residual_derived <= 1e-10
@@ -50,9 +50,9 @@ def test_profile_time_reversal_symmetry(homoclinic_profile):
 
 def test_limit_energy_quadrature_oracle():
     # (9/8) int cosh^-3 = (9/8)(pi/2) = 9 pi / 32
-    val = orbits.limit_energy_quadrature()
+    val = homoclinic.limit_energy_quadrature()
     assert abs(val - 9.0 * np.pi / 32.0) <= 1e-8
-    assert abs(orbits.DELTA0 - 9.0 * np.pi / 32.0) == 0.0
+    assert abs(homoclinic.DELTA0 - 9.0 * np.pi / 32.0) == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -142,7 +142,7 @@ def test_lyapunov_amplitude_zero_rejected():
 # distance to the homoclinic
 
 def profile_orbit(shift=0.0, half_window=15.0):
-    prof = orbits.derived_profile()
+    prof = homoclinic.derived_profile()
     times = np.linspace(-half_window, half_window, 3001)
     states = prof(times - shift).T
     tr = integrators.Trajectory(times=times, states=states)
@@ -185,7 +185,7 @@ def test_field_to_orbit_invariants(ground_states):
 
 def test_period_energy_diagram(ground_states):
     diagram = orbits.period_energy_diagram([0.2, 0.1])
-    assert abs(diagram["delta0"] - orbits.DELTA0) <= 1e-8
+    assert abs(diagram["delta0"] - homoclinic.DELTA0) <= 1e-8
     rows = diagram["rows"]
     assert all(row["converged"] for row in rows)
     assert rows[0]["gap"] > rows[1]["gap"]

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdelab import cli, dynamics, geometry, integrators, orbits, serialize, spectral
+from cdelab import (cli, dynamics, geometry, homoclinic, integrators, orbits,
+                    serialize, spectral, verify)
 
 
 # ----------------------------------------------------------------------
@@ -53,7 +54,7 @@ def test_field_grid_csv_header():
 
 def test_profile_csv_roundtrip():
     t = np.linspace(-2.0, 2.0, 41)
-    prof = orbits.derived_profile()
+    prof = homoclinic.derived_profile()
     u, _, a, b = prof(t)
     p = geometry.RadialProfile(chart="cylinder", grid=t, u=u, f1=a, f2=b)
     text = serialize.profile_to_csv(p)
@@ -143,9 +144,7 @@ def test_write_rows_equals_csv_writer(n):
                 2.2250738585072014e-308, *REDO_EDGES]
     rows.flat[rng.integers(0, rows.size, len(specials))] = specials
     header = tuple("c%d" % j for j in range(m))
-    out = io.StringIO()
-    serialize._write_rows(out, header, rows)
-    assert out.getvalue() == csv_oracle(header, rows)
+    assert serialize._csv_table(header, rows) == csv_oracle(header, rows)
 
 
 def test_reprs_equals_float_repr_on_random_bit_patterns():
@@ -172,7 +171,7 @@ def test_reprs_respells_every_band():
 
 
 def test_diagram_csv():
-    diagram = {"delta0": orbits.DELTA0,
+    diagram = {"delta0": homoclinic.DELTA0,
                "rows": [{"epsilon": 0.2, "T": 5.0, "delta_eps": 0.86,
                          "gap": 0.02, "converged": True}]}
     rows = list(csv.reader(io.StringIO(serialize.diagram_to_csv(diagram))))
@@ -296,7 +295,7 @@ def test_cli_integrate_csv(capsys):
 def test_cli_integrate_homoclinic_tail_text(fmt, capsys):
     # on the homoclinic's tail a stays in 1e-5 <= |a| < 1e-4, where orjson
     # writes 0.0000123 for repr's 1.23e-05
-    state = [float(x) for x in orbits.derived_profile()(-6.0)]
+    state = [float(x) for x in homoclinic.derived_profile()(-6.0)]
     code, out, _ = run_cli(["integrate", "--state", ",".join(map(repr, state)),
                             "--t-final", "0.5", "--format", fmt], capsys)
     assert code == 0
@@ -375,12 +374,23 @@ def test_cli_verify_exit_codes(capsys):
 
 
 @pytest.mark.parametrize("flags", [["--tol", "0"], ["--tol", "-1"],
-                                   ["--modes", "0"]], ids=" ".join)
+                                   ["--modes", "0"], ["--epsilon", "0"],
+                                   ["--epsilon", "-0.1"], ["--epsilon", "inf"],
+                                   ["--epsilon", "nan"]], ids=" ".join)
 def test_cli_ground_state_rejects_nonpositive_tol_and_modes(flags, capsys):
+    # the last --epsilon on the command line wins
     code, _, err = run_cli(["ground-state", "--epsilon", "0.05", *flags],
                            capsys)
     assert code == 2
     assert "invalid input" in err
+    assert flags[0] != "--epsilon" or "epsilon" in err
+
+
+@pytest.mark.parametrize("suite", sorted(verify.SUITES))
+def test_cli_verify_fails_every_suite_at_a_tiny_tol(suite, capsys):
+    code, out, _ = run_cli(["verify", suite, "--tol", "1e-300"], capsys)
+    assert code == 1
+    assert "[FAIL]" in out
 
 
 @pytest.mark.parametrize("argv", [
@@ -403,14 +413,22 @@ def test_cli_lyapunov_solver_failure(capsys):
     assert "solver failure" in err
 
 
+@pytest.mark.parametrize("amplitudes", ["-1", "nan", "1e-2,-1e-3"])
+def test_cli_lyapunov_rejects_negative_and_nonfinite_amplitudes(amplitudes,
+                                                                 capsys):
+    code, _, err = run_cli(["lyapunov", "--amplitudes", amplitudes], capsys)
+    assert code == 2
+    assert "amplitude h" in err
+
+
 def test_cli_transform_roundtrip(tmp_path, capsys):
     t = np.linspace(-3.0, 3.0, 601)
-    prof = orbits.derived_profile()
+    prof = homoclinic.derived_profile()
     u, _, a, b = prof(t)
     p = geometry.RadialProfile(chart="cylinder", grid=t, u=u, f1=a, f2=b)
     src = tmp_path / "cyl.csv"
     with open(src, "w") as fh:
-        serialize.profile_to_csv(p, fh)
+        fh.write(serialize.profile_to_csv(p))
 
     out_file = tmp_path / "euc.csv"
     code, _, _ = run_cli(["transform", "--from", "cylinder", "--to", "euclidean",
@@ -430,6 +448,27 @@ def test_cli_transform_roundtrip(tmp_path, capsys):
         sph = serialize.profile_from_csv(fh)
     assert sph.chart == "sphere"
     assert sph.grid.min() > 0.0 and sph.grid.max() < np.pi
+
+
+def test_cli_transform_rejects_a_header_other_than_from(tmp_path, capsys):
+    t = np.linspace(0.5, 3.0, 26)
+    p = geometry.RadialProfile(chart="cylinder", grid=t, u=np.exp(-t),
+                               f1=np.exp(-t), f2=np.exp(-2 * t))
+    src = tmp_path / "cyl.csv"
+    src.write_text(serialize.profile_to_csv(p))
+    code, out, err = run_cli(["transform", "--from", "euclidean", "--to",
+                              "sphere", "--input", str(src)], capsys)
+    assert (code, out) == (2, "")
+    assert "invalid input" in err and "cylinder" in err
+
+
+def test_cli_transform_rejects_an_empty_file(tmp_path, capsys):
+    src = tmp_path / "empty.csv"
+    src.write_text("")
+    code, _, err = run_cli(["transform", "--from", "cylinder", "--to",
+                            "euclidean", "--input", str(src)], capsys)
+    assert code == 2
+    assert "unrecognized profile header" in err
 
 
 def test_cli_transform_missing_file(capsys):

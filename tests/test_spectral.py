@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from cdelab import spectral, orbits
+from cdelab import homoclinic, spectral
 from cdelab.errors import NonConvergence, TruncationMismatch
 
 SQ2 = np.sqrt(2.0)
@@ -202,7 +202,7 @@ def test_energy_of_zero_field():
 
 def test_cutoff_energy_near_limit_value():
     eb = spectral.energy(spectral.cutoff_test_pair(0.05))
-    assert abs(eb.total - orbits.DELTA0) <= 0.05 * orbits.DELTA0
+    assert abs(eb.total - homoclinic.DELTA0) <= 0.05 * homoclinic.DELTA0
 
 
 # ----------------------------------------------------------------------
@@ -210,11 +210,12 @@ def test_cutoff_energy_near_limit_value():
 
 def test_gradient_vanishes_at_equilibrium_pair():
     f = spectral.equilibrium_field(0.1, 16)
-    assert spectral.gradient_norm(f) <= 1e-12
+    assert spectral.gradient_norm(spectral.gradient(f)) <= 1e-12
 
 
 def test_gradient_of_zero_field():
-    assert spectral.gradient_norm(spectral.zero_field(0.1, 8)) == 0.0
+    f = spectral.zero_field(0.1, 8)
+    assert spectral.gradient_norm(spectral.gradient(f)) == 0.0
 
 
 def test_gradient_matches_finite_differences():
@@ -313,14 +314,15 @@ def test_bump_endpoint_values():
 
 
 def test_cutoff_pair_gradient_vanishes_with_eps():
-    norms = [spectral.gradient_norm(spectral.cutoff_test_pair(eps))
+    norms = [spectral.gradient_norm(
+                 spectral.gradient(spectral.cutoff_test_pair(eps)))
              for eps in (0.2, 0.1, 0.05)]
     assert norms[0] > norms[1] > norms[2]
 
 
 def test_cutoff_pair_energy_approaches_limit():
-    gaps = [abs(spectral.energy(spectral.cutoff_test_pair(eps)).total - orbits.DELTA0)
-            for eps in (0.2, 0.1, 0.05)]
+    gaps = [abs(spectral.energy(spectral.cutoff_test_pair(eps)).total
+                - homoclinic.DELTA0) for eps in (0.2, 0.1, 0.05)]
     assert gaps[0] > gaps[1] > gaps[2]
 
 
@@ -353,10 +355,11 @@ def test_ground_state_tolerances(ground_states):
 
 
 def test_ground_state_energy_ordering(ground_states):
-    gaps = [abs(ground_states[eps].delta_eps - orbits.DELTA0)
+    gaps = [abs(ground_states[eps].delta_eps - homoclinic.DELTA0)
             for eps in (0.2, 0.1, 0.05)]
     assert gaps[0] > gaps[1] > gaps[2]
-    assert abs(ground_states[0.1].delta_eps - orbits.DELTA0) <= 0.05 * orbits.DELTA0
+    assert (abs(ground_states[0.1].delta_eps - homoclinic.DELTA0)
+            <= 0.05 * homoclinic.DELTA0)
 
 
 def test_ground_state_reduction_optimality(ground_states):
@@ -377,7 +380,8 @@ def test_ground_state_gap_law(ground_states):
     # delta_0 - delta_eps ~ 3 e^{-1/eps}; the ratio is 2.9937 at eps = 0.2,
     # where the correction beyond the leading exponential is still visible
     for eps in (0.1, 0.05):
-        ratio = (orbits.DELTA0 - ground_states[eps].delta_eps) * np.exp(1.0 / eps)
+        ratio = ((homoclinic.DELTA0 - ground_states[eps].delta_eps)
+                 * np.exp(1.0 / eps))
         assert 2.995 <= ratio <= 3.005, (eps, ratio)
 
 
