@@ -185,10 +185,11 @@ def integrate(s0, t_final, cfg):
     round(|t_final| / dt), so dt is adjusted slightly when it does not divide
     t_final evenly.  Raises NonFiniteState when a component is NaN or exceeds
     1e12, and re-raises an implicit-midpoint NewtonDivergence naming the step,
-    its start time and ‖s‖∞.
+    its start time and ‖s‖∞.  Raises ValueError unless t_final is finite and
+    nonzero.
     """
-    if t_final == 0:
-        raise ValueError("t_final must be nonzero")
+    if not 0.0 < abs(t_final) < np.inf:
+        raise ValueError(f"t_final must be finite and nonzero, got {t_final!r}")
     s0 = np.asarray(s0, dtype=float)
     n_steps = max(1, int(round(abs(t_final) / cfg.dt)))
     dt = t_final / n_steps              # signed

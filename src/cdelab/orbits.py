@@ -58,9 +58,8 @@ def _sample(s0, T, K):
     tr = integrators.integrate(s0, 2.0 * T, integrators.StepperConfig(
         method="rk4", dt=2.0 * T / N))
     states = np.roll(tr.states[:-1], N // 2, axis=0)
-    x = spectral._pack(spectral.values_to_coeffs(states[:, 0], K),
-                       spectral.values_to_coeffs(states[:, 2:], K), K)
-    return spectral._symmetric(x, K)
+    ops = spectral._Packed(spectral.build_spectrum(T, K))
+    return ops.symmetric(ops.to_packed(states[:, [0, 2, 3]].T))
 
 
 def _orbit(x, K, T, dt, tol, label):

@@ -386,6 +386,28 @@ def test_cli_ground_state_rejects_nonpositive_tol_and_modes(flags, capsys):
     assert flags[0] != "--epsilon" or "epsilon" in err
 
 
+def test_cli_ground_state_with_too_few_modes_is_a_solver_failure(capsys):
+    # K = 3 converges on the truncated problem (delta_eps 1.3445, against
+    # 0.88357 at the default K = 128), and the coefficient tail shows it
+    code, out, err = run_cli(["ground-state", "--epsilon", "0.05",
+                              "--modes", "3"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "solver failure" in err and "truncated" in err
+
+
+@pytest.mark.parametrize("t_final", ["nan", "inf", "-inf"])
+def test_cli_integrate_rejects_a_nonfinite_t_final(t_final, capsys):
+    with pytest.raises(ValueError, match="t_final"):
+        integrators.integrate(np.array([1.0, 0.0, 0.3, 0.35]), float(t_final),
+                              integrators.StepperConfig())
+    code, out, err = run_cli(["integrate", "--state", "1,0,0.3,0.35",
+                              f"--t-final={t_final}"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "invalid input" in err and "t_final" in err
+
+
 @pytest.mark.parametrize("suite", sorted(verify.SUITES))
 def test_cli_verify_fails_every_suite_at_a_tiny_tol(suite, capsys):
     code, out, _ = run_cli(["verify", suite, "--tol", "1e-300"], capsys)

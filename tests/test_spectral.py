@@ -43,6 +43,41 @@ def test_coeffs_to_values_matches_direct_sum(extra):
                                basis @ c[:, 0], rtol=0, atol=1e-12)
 
 
+def test_grid_size_is_the_smallest_even_5_smooth_size_above_4K():
+    def smooth(n):
+        for p in (2, 3, 5):
+            while n % p == 0:
+                n //= p
+        return n == 1
+
+    for K in range(1, 301):
+        N = spectral.grid_size(K)
+        assert N % 2 == 0 and N > 4 * K and smooth(N)
+        assert not any(smooth(n) for n in range(4 * K + 2, N, 2))
+
+
+@pytest.mark.parametrize("K", [16, 136, 256])
+def test_packed_transforms_match_the_complex_transforms(K):
+    # K + 1 = 17, 137 and 257 are prime
+    f = random_field(0.1, K, seed=K)
+    ops = spectral._Packed(f.spectrum)
+    x = spectral._pack(f.u_coeffs, f.z_ab_coeffs(), K)
+    vals = ops.to_grid(x)
+    assert vals.shape == (3, ops.N)
+    c = np.column_stack([f.u_coeffs, f.z_ab_coeffs()])
+    reference = spectral.coeffs_to_values(c, ops.N).real.T
+    scale = np.max(np.abs(reference))
+    assert np.max(np.abs(vals - reference)) <= 1e-14 * scale
+    back = ops.to_packed(vals)
+    assert np.max(np.abs(back - x)) <= 1e-14 * np.max(np.abs(x))
+    # values off the band: the truncation of the complex transform
+    v = np.random.default_rng(K).standard_normal((3, ops.N))
+    coeffs = spectral.values_to_coeffs(v.T, K)
+    expected = spectral._pack(coeffs[:, 0], coeffs[:, 1:], K)
+    got = ops.to_packed(v)
+    assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
 # ----------------------------------------------------------------------
 # spectrum of the operator
 
@@ -394,14 +429,12 @@ def test_ground_state_reports_krylov_iterations(ground_states):
 
 def test_linearization_matches_finite_differences():
     f = spectral.cutoff_test_pair(0.1)
-    sp = f.spectrum
-    N = spectral.grid_size(f.num_modes)
+    ops = spectral._Packed(f.spectrum)
     x = spectral._pack(f.u_coeffs, f.z_ab_coeffs(), f.num_modes)
     v = np.random.default_rng(40).standard_normal(x.shape)
-    jvp = spectral._linearization(f.u_values(N), f.z_values(N), sp, N)
+    jvp = ops.linearization(ops.to_grid(x))
     h = 1e-5
-    fd = (spectral._residual_coeffs(x + h * v, sp, N)[0]
-          - spectral._residual_coeffs(x - h * v, sp, N)[0]) / (2.0 * h)
+    fd = (ops.residual(x + h * v)[0] - ops.residual(x - h * v)[0]) / (2.0 * h)
     assert np.linalg.norm(jvp(v) - fd) <= 1e-6 * np.linalg.norm(fd)
 
 
@@ -409,27 +442,26 @@ def test_eps_derivative_matches_finite_differences():
     # the bordered orbit solve's eps column: only omega_k = eps k pi moves
     f = spectral.cutoff_test_pair(0.1, K=24)
     K = f.num_modes
-    N = spectral.grid_size(K)
     x = spectral._pack(f.u_coeffs, f.z_ab_coeffs(), K)
     h = 1e-6
 
-    def residual(eps):
-        return spectral._residual_coeffs(
-            x, spectral.build_spectrum(1.0 / eps, K), N)[0]
+    def packed(eps):
+        return spectral._Packed(spectral.build_spectrum(1.0 / eps, K))
 
-    fd = (residual(0.1 + h) - residual(0.1 - h)) / (2.0 * h)
-    exact = spectral._eps_derivative(x, spectral.build_spectrum(10.0, K))
+    fd = (packed(0.1 + h).residual(x)[0]
+          - packed(0.1 - h).residual(x)[0]) / (2.0 * h)
+    ops = packed(0.1)
+    exact = ops.gather(x, ops.eps_w)
     assert np.linalg.norm(exact - fd) <= 1e-7 * np.linalg.norm(fd)
 
 
 def test_inverse_linear_part_inverts_linear_part():
     eps, K = 0.1, 64
-    sp = spectral.build_spectrum(1.0 / eps, K)
-    N = spectral.grid_size(K)
+    ops = spectral._Packed(spectral.build_spectrum(1.0 / eps, K))
     # at the zero field the linearization is the linear part alone
-    linear = spectral._linearization(np.zeros(N), np.zeros((N, 2)), sp, N)
+    linear = ops.linearization(np.zeros((3, ops.N)))
     v = np.random.default_rng(41).standard_normal(3 * (2 * K + 1))
-    back = spectral._inverse_linear_part(linear(v), sp)
+    back = ops.gather(linear(v), ops.inverse_w)
     assert np.max(np.abs(back - v)) <= 1e-13 * np.max(np.abs(v))
 
 
@@ -438,9 +470,8 @@ def test_newton_step_applies_every_jvp_inside_the_krylov_solve():
     # preconditioner inverts exactly: one Krylov step solves the system, and
     # no operator is applied outside the Krylov iteration
     eps, K = 0.1, 64
-    sp = spectral.build_spectrum(1.0 / eps, K)
-    N = spectral.grid_size(K)
-    linear = spectral._linearization(np.zeros(N), np.zeros((N, 2)), sp, N)
+    ops = spectral._Packed(spectral.build_spectrum(1.0 / eps, K))
+    linear = ops.linearization(np.zeros((3, ops.N)))
     calls = [0]
 
     def jvp(v):
@@ -448,10 +479,10 @@ def test_newton_step_applies_every_jvp_inside_the_krylov_solve():
         return linear(v)
 
     r = np.random.default_rng(43).standard_normal(3 * (2 * K + 1))
-    dx, jvps = spectral._newton_step(r, jvp, sp)
+    dx, jvps = spectral._newton_step(r, jvp, ops)
     assert calls[0] == 1 and jvps == 1
-    even_r = spectral._symmetric(r, K)
-    defect = spectral._symmetric(linear(dx), K) + even_r
+    even_r = ops.symmetric(r)
+    defect = ops.symmetric(linear(dx)) + even_r
     assert np.linalg.norm(defect) <= 1e-13 * np.linalg.norm(even_r)
 
 
@@ -462,27 +493,39 @@ def test_newton_step_matches_a_dense_solve_on_the_even_fields(monkeypatch,
     # solves Q^T J Q y = -Q^T r, Q an orthonormal basis of the even fields
     monkeypatch.setattr(spectral, "KRYLOV_RESTART", restart)
     f = spectral.cutoff_test_pair(0.1, K=16)
-    sp, K = f.spectrum, f.num_modes
-    N = spectral.grid_size(K)
-    x = spectral._pack(f.u_coeffs, f.z_ab_coeffs(), K)
-    r, _, u, zv = spectral._residual_coeffs(x, sp, N)
-    linearization = spectral._linearization(u, zv, sp, N)
+    ops = spectral._Packed(f.spectrum)
+    x = spectral._pack(f.u_coeffs, f.z_ab_coeffs(), f.num_modes)
+    r, _, vals = ops.residual(x)
+    linearization = ops.linearization(vals)
     calls = [0]
 
     def jvp(v):
         calls[0] += 1
         return linearization(v)
 
-    S = np.column_stack([spectral._symmetric(e, K) for e in np.eye(r.size)])
+    S = np.column_stack([ops.symmetric(e) for e in np.eye(r.size)])
     basis, sv, _ = np.linalg.svd(S)
     Q = basis[:, sv > 0.5]
     J = np.column_stack([linearization(q) for q in Q.T])
     dense = Q @ np.linalg.solve(Q.T @ J, -Q.T @ r)
-    dx, jvps = spectral._newton_step(r, jvp, sp)
+    dx, jvps = spectral._newton_step(r, jvp, ops)
     assert jvps == calls[0]
     assert np.linalg.norm(dx - dense) <= 1e-6 * np.linalg.norm(dense)
     if restart == 3:
         assert jvps > 3      # more than one cycle ran
+
+
+def test_ground_state_with_too_few_modes_raises_naming_the_truncation(
+        ground_states):
+    # converged on the truncated problem (gradient ~1e-13), but the tail of
+    # K = 32 at eps = 0.05 is 1.5e-3; the default K = 128 leaves ~1e-12
+    with pytest.raises(NonConvergence, match="truncated") as info:
+        spectral.ground_state(0.05, K=32)
+    best = info.value.best
+    assert not best.converged
+    assert best.diagnostics["final_gradient_norm"] <= 1e-8
+    assert best.diagnostics["coefficient_tail"] > 1e-3
+    assert ground_states[0.05].diagnostics["coefficient_tail"] <= 1e-11
 
 
 def test_ground_state_nonconvergence_attaches_best_iterate():
@@ -512,14 +555,16 @@ def test_ground_state_is_time_reversal_symmetric(ground_states):
               ground_states[0.05].field, ground_states[0.2].field]
     for f in fields:
         x = _packed(f)
-        assert np.max(np.abs(x - spectral._symmetric(x, f.num_modes))) <= 1e-13
+        symmetric = spectral._Packed(f.spectrum).symmetric
+        assert np.max(np.abs(x - symmetric(x))) <= 1e-13
 
 
 def test_symmetric_projection_fixes_reflected_fields():
     f = random_field(0.1, 12, seed=42)
     x = _packed(f)
-    sym = spectral._symmetric(x, f.num_modes)
-    np.testing.assert_array_equal(spectral._symmetric(sym, f.num_modes), sym)
+    symmetric = spectral._Packed(f.spectrum).symmetric
+    sym = symmetric(x)
+    np.testing.assert_array_equal(symmetric(sym), sym)
     # the reflection t -> -t with a and b swapped maps the projection to itself
     u_hat, z_ab = spectral._unpack(sym, f.num_modes)
     reflected = spectral._pack(u_hat[::-1], z_ab[::-1, ::-1], f.num_modes)
@@ -531,12 +576,11 @@ def test_jvp_annihilates_translation_mode(ground_states):
     # (measured 1.4e-12 to 5.4e-12 relative)
     for eps in (0.2, 0.1, 0.05):
         f = ground_states[eps].field
-        N = spectral.grid_size(f.num_modes)
         d = spectral._pack(spectral.derivative_coeffs(f.u_coeffs),
                            spectral.derivative_coeffs(f.z_ab_coeffs()),
                            f.num_modes)
-        jvp = spectral._linearization(f.u_values(N), f.z_values(N),
-                                      f.spectrum, N)
+        ops = spectral._Packed(f.spectrum)
+        jvp = ops.linearization(ops.to_grid(_packed(f)))
         assert np.linalg.norm(jvp(d)) <= 1e-10 * np.linalg.norm(d)
 
 
@@ -608,9 +652,13 @@ def test_concentration_zero_field():
 
 
 def test_concentration_translation_equivariance(ground_states):
+    # the diagnostic is discrete, so shift by a whole number m of grid steps
+    # 2/N, about 0.3
     f = ground_states[0.1].field
+    N = spectral.grid_size(f.num_modes)
+    tau = 2.0 * round(0.15 * N) / N
     base = spectral.concentration_diagnostic(f, r0=2.0)
-    shifted = spectral.concentration_diagnostic(f.shifted(-0.3), r0=2.0)
-    # f.shifted(-0.3) maps features at 0 to +0.3
-    assert abs(shifted["y_center"] - (base["y_center"] + 0.3)) <= 0.02
+    shifted = spectral.concentration_diagnostic(f.shifted(-tau), r0=2.0)
+    # f.shifted(-tau) maps features at 0 to +tau
+    assert abs(shifted["y_center"] - (base["y_center"] + tau)) <= 0.02
     assert abs(shifted["mass_u"] - base["mass_u"]) <= 1e-8
