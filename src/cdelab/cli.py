@@ -134,8 +134,9 @@ def cmd_equilibria(args):
 
 def cmd_integrate(args):
     state = _parse_floats(args.state)
-    if len(state) != 4:
-        raise ValueError("--state needs exactly four numbers u,v,a,b")
+    if len(state) != 4 or not np.isfinite(state).all():
+        raise ValueError("--state needs exactly four finite numbers u,v,a,b, "
+                         f"got {args.state!r}")
     cfg = integrators.StepperConfig(method=args.method, dt=args.dt)
     tr = integrators.integrate(np.array(state), args.t_final, cfg)
     if args.format == "json":

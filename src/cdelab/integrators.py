@@ -36,10 +36,11 @@ class StepperConfig:
     max_newton_iters: int = 25
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.newton_tol <= 0:
-            raise ValueError("newton_tol must be positive")
+        if not 0.0 < self.dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
+        if not 0.0 < self.newton_tol < np.inf:
+            raise ValueError("newton_tol must be positive and finite, "
+                             f"got {self.newton_tol!r}")
         if self.method not in ("implicit_midpoint", "rk4"):
             raise ValueError(f"unknown method {self.method!r}")
 

@@ -4,9 +4,11 @@ and convergence diagnostics against the homoclinic profile.
 A 2T-periodic orbit is a zero of the spectral Euler-Lagrange residual at
 eps = 1/T, found by the Newton-Krylov core of the ground-state solver on the
 fields even under R(u, v, a, b) = (u, -v, b, a), so it crosses v(0) = 0 at
-t = 0 with a(0) = b(0).  The family continuation pins the amplitude u(0)
-and solves for eps too.  The reported residual is the closure defect
-||s(2T) - s(0)|| of the RK4 run over one period from the t = 0 state.
+t = 0 with a(0) = b(0).  Newton starts from the field of an RK4 run over
+one period and returns a field, whose t = 0 state starts the orbit.  The
+family continuation pins the amplitude u(0) and solves for eps too.  The
+reported residual is the closure defect ||s(2T) - s(0)|| of the RK4 run
+over one period from the t = 0 state.
 """
 
 import numpy as np
@@ -52,22 +54,22 @@ def _distance_to_equilibria(s):
 
 
 def _sample(s0, T, K):
-    """Packed time-reversal-even part of the RK4 run from s0 over one period
-    2T, one step per collocation node (s0 lands on the node t = 0)."""
+    """The field at eps = 1/T, K modes, of the RK4 run from s0 over one
+    period 2T, one step per collocation node (s0 lands on the node t = 0)."""
     N = spectral.grid_size(K)
     tr = integrators.integrate(s0, 2.0 * T, integrators.StepperConfig(
         method="rk4", dt=2.0 * T / N))
     states = np.roll(tr.states[:-1], N // 2, axis=0)
-    ops = spectral._Packed(spectral.build_spectrum(T, K))
-    return ops.symmetric(ops.to_packed(states[:, [0, 2, 3]].T))
+    return spectral.field_from_values(1.0 / T, K, states[:, 0], states[:, 2:])
 
 
-def _orbit(x, K, T, dt, tol, label):
-    """The orbit through the t = 0 state (u(0), 0, a(0), b(0)) of the packed
-    field x, integrated with RK4 over one period 2T; raises when that state
-    is an equilibrium or the run's closure defect exceeds tol."""
-    u_hat, z_ab = spectral._unpack(x, K)
-    s0 = np.array([u_hat.sum().real, 0.0, *z_ab.sum(axis=0).real])
+def _orbit(field, dt, tol, label):
+    """The orbit through the t = 0 state (u(0), 0, a(0), b(0)) of the field,
+    integrated with RK4 over one period 2T = 2/field.epsilon; raises when
+    that state is an equilibrium or the run's closure defect exceeds tol."""
+    T = 1.0 / field.epsilon
+    s0 = np.array([field.u_coeffs.sum().real, 0.0,
+                   *field.z_ab_coeffs().sum(axis=0).real])
     if _distance_to_equilibria(s0) <= EQUILIBRIUM_TOL:
         raise ConvergedToEquilibrium(f"{label} collapsed onto an equilibrium")
     tr = integrators.integrate(s0, 2.0 * T, integrators.StepperConfig(
@@ -90,16 +92,14 @@ def shoot_periodic(T, guess, max_iters=25):
     result is an equilibrium, NewtonDivergence when the closure residual
     (RK4, step 2e-3) is above CLOSURE_TOL.
     """
-    if T <= 0:
-        raise ValueError("T must be positive")
+    if not 0.0 < T < np.inf:
+        raise ValueError(f"T must be positive and finite, got {T!r}")
     guess = np.asarray(guess, dtype=float)
     if _distance_to_equilibria(guess) <= EQUILIBRIUM_TOL:
         raise ConvergedToEquilibrium("orbit guess is an equilibrium point")
-    eps = 1.0 / T
-    K = spectral.default_modes(eps)
-    x, *_ = spectral._newton(_sample(guess, T, K), eps, K, NEWTON_TOL,
-                             max_iters)
-    return _orbit(x, K, T, 2e-3, CLOSURE_TOL, "periodic orbit")
+    field = _sample(guess, T, spectral.default_modes(1.0 / T))
+    field, *_ = spectral._newton(field, field.epsilon, NEWTON_TOL, max_iters)
+    return _orbit(field, 2e-3, CLOSURE_TOL, "periodic orbit")
 
 
 def lyapunov_family(amplitudes, tol=CLOSURE_TOL):
@@ -120,20 +120,20 @@ def lyapunov_family(amplitudes, tol=CLOSURE_TOL):
     report = linear.eigenvalues_4x4(linear.matrix_c())
     omega = report.elliptic_omega
     t0 = linear.lyapunov_period(report)
-    eps = 2.0 / t0
-    K = spectral.default_modes(eps)
-    x = None
+    field = None
     orbits = []
     for h in amplitudes:
         if h == 0:
             raise ConvergedToEquilibrium(
                 "amplitude 0 is the equilibrium itself")
-        if x is None:
+        if field is None:
             # elliptic-plane direction in the rotated chart: (1, 0, omega^2, 0)
             rot = dynamics.P_PLUS_ROTATED + h * np.array([1.0, 0.0, omega ** 2, 0.0])
-            x = _sample(dynamics.from_rotated(rot), t0 / 2.0, K)
-        x, eps, *_ = spectral._newton(x, eps, K, NEWTON_TOL, 30, pin=1.0 + h)
-        orbits.append(_orbit(x, K, 1.0 / eps, t0 / 4000, tol, "family orbit"))
+            field = _sample(dynamics.from_rotated(rot), t0 / 2.0,
+                            spectral.default_modes(2.0 / t0))
+        field, *_ = spectral._newton(field, field.epsilon, NEWTON_TOL, 30,
+                                     pin=1.0 + h)
+        orbits.append(_orbit(field, t0 / 4000, tol, "family orbit"))
     return orbits
 
 
@@ -146,12 +146,11 @@ def field_to_orbit(field):
     difference of the sampled trajectory.
     """
     T = 1.0 / field.epsilon
-    N = spectral.grid_size(field.num_modes)
-    s = spectral.grid(N)
+    s = spectral.grid(spectral.grid_size(field.num_modes))
     times = np.concatenate([s, [1.0]]) * T
-    u = field.u_values(N)
-    v = field.u_slope_values(N)
-    z = field.z_values(N)
+    u = field.u_values()
+    v = field.u_slope_values()
+    z = field.z_values()
     states = np.column_stack([u, v, z[:, 0], z[:, 1]])
     states = np.vstack([states, states[0]])    # periodic wrap
     tr = integrators.Trajectory(times=times, states=states)

@@ -86,10 +86,9 @@ def trajectory_to_csv(tr):
 
 def field_grid_to_csv(field):
     """Collocation samples of a spectral field: columns t,u,a,b."""
-    N = spectral.grid_size(field.num_modes)
-    t = spectral.grid(N)
-    z = field.z_values(N)
-    rows = np.column_stack([t, field.u_values(N), z[:, 0], z[:, 1]])
+    t = spectral.grid(spectral.grid_size(field.num_modes))
+    z = field.z_values()
+    rows = np.column_stack([t, field.u_values(), z[:, 0], z[:, 1]])
     return _csv_table(("t", "u", "a", "b"), rows)
 
 

@@ -213,19 +213,17 @@ class PeriodicField:
     def z_ab_coeffs(self):
         return merge_spinor(self.z_plus, self.z_minus, self.spectrum)
 
-    def u_values(self, N=None):
-        N = N or grid_size(self.num_modes)
-        return coeffs_to_values(self.u_coeffs, N).real
+    def u_values(self):
+        return coeffs_to_values(self.u_coeffs, grid_size(self.num_modes)).real
 
-    def z_values(self, N=None):
-        N = N or grid_size(self.num_modes)
+    def z_values(self):
+        N = grid_size(self.num_modes)
         return coeffs_to_values(self.z_ab_coeffs(), N).real
 
-    def u_slope_values(self, N=None):
+    def u_slope_values(self):
         """du/dt in the original (unrescaled) time variable, i.e. eps * d/ds."""
-        N = N or grid_size(self.num_modes)
         du = derivative_coeffs(self.u_coeffs) * self.epsilon
-        return coeffs_to_values(du, N).real
+        return coeffs_to_values(du, grid_size(self.num_modes)).real
 
     def shifted(self, tau):
         """Translate the field by tau in s: f(s) -> f(s + tau)."""
@@ -290,8 +288,8 @@ def norms(field):
     half = (2.0 / eps) * float(np.sum(lam * (np.abs(field.z_plus) ** 2
                                              + np.abs(field.z_minus) ** 2)))
     N = grid_size(field.num_modes)
-    u = field.u_values(N)
-    z = field.z_values(N)
+    u = field.u_values()
+    z = field.z_values()
     z2 = z[:, 0] ** 2 + z[:, 1] ** 2
     l4_u = ((2.0 / (N * eps)) * float(np.sum(u ** 4))) ** 0.25
     l4_z = ((2.0 / (N * eps)) * float(np.sum(z2 ** 2))) ** 0.25
@@ -307,8 +305,8 @@ def energy(field):
     spin = (2.0 / eps) * float(np.sum(lam * (np.abs(field.z_plus) ** 2
                                              - np.abs(field.z_minus) ** 2)))
     N = grid_size(field.num_modes)
-    u = field.u_values(N)
-    z = field.z_values(N)
+    u = field.u_values()
+    z = field.z_values()
     coup = (2.0 / (N * eps)) * float(np.sum(u ** 2 * (z[:, 0] ** 2 + z[:, 1] ** 2)))
     return EnergyBreakdown(scalar_quadratic=scal, spinor_quadratic=spin,
                            coupling=coup, total=0.5 * (scal + spin - coup))
@@ -322,13 +320,9 @@ def gradient(field):
     against this representative in the eps-weighted L^2 product reproduces
     the directional derivative of the energy.
     """
-    K = field.num_modes
     r, _, _ = _Packed(field.spectrum).residual(
-        _pack(field.u_coeffs, field.z_ab_coeffs(), K))
-    gu, gz_ab = _unpack(r, K)
-    gp, gm = split_spinor(gz_ab, field.spectrum)
-    return replace(field, u_coeffs=gu, z_plus=gp, z_minus=gm,
-                   spectrum=field.spectrum)
+        _pack(field.u_coeffs, field.z_ab_coeffs(), field.num_modes))
+    return _field(r, field.epsilon, field.spectrum)
 
 
 def gradient_norm(g):
@@ -521,6 +515,14 @@ def _unpack(x, K):
     return c[0], c[1:].T
 
 
+def _field(x, eps, sp):
+    """The field at eps of the packed point x, on the spectrum sp."""
+    u_hat, z_ab = _unpack(x, sp.num_modes)
+    p, m = split_spinor(z_ab, sp)
+    return PeriodicField(epsilon=eps, num_modes=sp.num_modes, u_coeffs=u_hat,
+                         z_plus=p, z_minus=m, spectrum=sp)
+
+
 class _Packed:
     """The Euler-Lagrange residual and its parts on the packed unknowns of a
     real field (see :func:`_pack`) at one spectrum, with grid values on
@@ -541,7 +543,7 @@ class _Packed:
         j = np.arange(M)
         k = np.where(j > K, j - K, j)                 # the mode of each entry
         comp = np.array([[0], [2], [1]]) * M          # u fixed, a <-> b
-        self.K, self.N, self.epsilon = K, grid_size(K), sp.epsilon
+        self.K, self.N, self.spectrum = K, grid_size(K), sp
         self.swap = (comp + j).ravel()
         self.cross = (comp + np.where(j > K, k, k + K * (k > 0))).ravel()
         self.alternate = 1.0 - 2.0 * (j[:K + 1] % 2)     # e^{-i pi k}, k >= 0
@@ -595,7 +597,8 @@ class _Packed:
         u2 = u * u
         r = self.gather(x, self.linear_w) - self.to_packed(
             np.stack([uz, u2 * a, u2 * b]))
-        gn = float(np.sqrt((2.0 / self.epsilon) * (self.parseval @ (r * r))))
+        gn = float(np.sqrt((2.0 / self.spectrum.epsilon)
+                           * (self.parseval @ (r * r))))
         return r, gn, vals
 
     def linearization(self, vals):
@@ -691,17 +694,22 @@ def _gmres(operator, c):
     return x
 
 
-def _newton(x, eps, K, tol, max_iters, pin=None):
-    """Inexact Newton on the time-reversal-even fields from the packed point
-    x at eps, each step solved by :func:`_newton_step` and halved up to 30
-    times until the merit decreases; stops once the merit is at most tol.
-    The merit is the residual's eps-weighted L^2 norm.  With ``pin`` eps is
-    an unknown too, fixed by u(0) = sum_k u_k = pin, and the merit is the
-    hypot of that norm and u(0) - pin.  Returns x, eps, the merit of every
-    iterate, the Jacobian-vector products of each solve, and the number of
-    steps taken (one less than solves when the line search rejects the
-    last step)."""
-    ops = _Packed(build_spectrum(1.0 / eps, K))
+def _newton(field, eps, tol, max_iters, pin=None):
+    """Inexact Newton on the time-reversal-even fields from the projection
+    of ``field`` onto them, at eps, each step solved by :func:`_newton_step`
+    and halved up to 30 times until the merit decreases; stops once the
+    merit is at most tol.  The merit is the residual's eps-weighted L^2
+    norm.  With ``pin`` eps is an unknown too, fixed by u(0) = sum_k u_k =
+    pin, and the merit is the hypot of that norm and u(0) - pin.  The
+    start reuses ``field.spectrum`` when field.epsilon == eps.  Returns the
+    last iterate as a field at the final eps, the merit of every iterate,
+    the Jacobian-vector products of each solve, and the number of steps
+    taken (one less than solves when the line search rejects the last
+    step)."""
+    K = field.num_modes
+    ops = _Packed(field.spectrum if field.epsilon == eps
+                  else build_spectrum(1.0 / eps, K))
+    x = ops.symmetric(_pack(field.u_coeffs, field.z_ab_coeffs(), K))
     p = np.zeros(x.size)          # u(0) = u_0 + 2 sum_{k > 0} Re u_k
     p[:K + 1] = 2.0
     p[0] = 1.0
@@ -733,7 +741,7 @@ def _newton(x, eps, K, tol, max_iters, pin=None):
         x, eps = x + lam * dx, eps + lam * de
         ops, r, merit, vals = trial
         steps += 1
-    return x, eps, history, krylov_iters, steps
+    return _field(x, eps, ops.spectrum), history, krylov_iters, steps
 
 
 def nehari_scale(u_hat, z_plus, sp, tol=1e-11, max_iter=40):
@@ -805,28 +813,20 @@ def ground_state(eps, K=None, grad_tol=1e-8, max_newton_iters=40):
     if not 0.0 < eps < np.inf:
         raise ValueError(f"epsilon must be positive and finite, got {eps!r}")
     K = default_modes(eps) if K is None else K
-    N = grid_size(K)
-    sp = build_spectrum(1.0 / eps, K)
-    field = cutoff_test_pair(min(eps, 0.25), K)
-
-    x, _, grad_history, krylov_iters, newton_iters = _newton(
-        _pack(field.u_coeffs, field.z_ab_coeffs(), K), eps, K,
-        min(grad_tol, 1e-10), max_newton_iters)
-
-    uh, z_ab = _unpack(x, K)
-    p, m = split_spinor(z_ab, sp)
-    field = PeriodicField(epsilon=eps, num_modes=K, u_coeffs=uh,
-                          z_plus=p, z_minus=m, spectrum=sp)
+    field, grad_history, krylov_iters, newton_iters = _newton(
+        cutoff_test_pair(min(eps, 0.25), K), eps, min(grad_tol, 1e-10),
+        max_newton_iters)
 
     eb = energy(field)
     g = gradient(field)
     gn = gradient_norm(g)
     res = nehari_residuals(field, energy=eb, gradient=g)
-    coeffs = np.abs(np.stack([uh, p, m]))
+    coeffs = np.abs(np.stack([field.u_coeffs, field.z_plus, field.z_minus]))
     peak = coeffs.max()
-    tail = float(coeffs[:, np.abs(sp.k) > 0.9 * K].max() / peak) if peak else 0.0
+    tail = coeffs[:, np.abs(field.spectrum.k) > 0.9 * K].max()
+    tail = float(tail / peak) if peak else 0.0
     diagnostics = {
-        "epsilon": eps, "modes": K, "grid": N,
+        "epsilon": eps, "modes": K, "grid": grid_size(K),
         "gradient_history": grad_history,
         "newton_iterations": newton_iters,
         "krylov_iterations": krylov_iters,
@@ -871,8 +871,8 @@ def concentration_diagnostic(field, r0):
     eps = field.epsilon
     N = grid_size(field.num_modes)
     t = grid(N)
-    u = field.u_values(N)
-    z = field.z_values(N)
+    u = field.u_values()
+    z = field.z_values()
     z2 = z[:, 0] ** 2 + z[:, 1] ** 2
     half_width = eps * r0
     # circular convolution with the window indicator via FFT

@@ -278,3 +278,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         integrators.integrate(dynamics.P0, 0.0,
                               integrators.StepperConfig(dt=1e-2))
+    for bad in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match=f"dt must be .*, got {bad!r}"):
+            integrators.StepperConfig(dt=bad)
+        with pytest.raises(ValueError, match=f"newton_tol .*, got {bad!r}"):
+            integrators.StepperConfig(newton_tol=bad)

@@ -100,6 +100,12 @@ def test_shoot_rejects_equilibrium_guess():
         orbits.shoot_periodic(2.7, dynamics.P_PLUS)
 
 
+@pytest.mark.parametrize("T", [0.0, -1.0, np.inf, np.nan])
+def test_shoot_rejects_a_nonpositive_or_nonfinite_half_period(T):
+    with pytest.raises(ValueError, match=f"T must be .*, got {T!r}"):
+        orbits.shoot_periodic(T, small_orbit_guess(0.031))
+
+
 def test_lyapunov_family_period_limit(lyapunov_orbits):
     periods = {h: orb.period for h, orb in lyapunov_orbits.items()}
     assert abs(periods[1e-3] - T0) / T0 <= 0.01

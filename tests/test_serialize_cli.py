@@ -396,16 +396,29 @@ def test_cli_ground_state_with_too_few_modes_is_a_solver_failure(capsys):
     assert "solver failure" in err and "truncated" in err
 
 
-@pytest.mark.parametrize("t_final", ["nan", "inf", "-inf"])
-def test_cli_integrate_rejects_a_nonfinite_t_final(t_final, capsys):
-    with pytest.raises(ValueError, match="t_final"):
-        integrators.integrate(np.array([1.0, 0.0, 0.3, 0.35]), float(t_final),
-                              integrators.StepperConfig())
-    code, out, err = run_cli(["integrate", "--state", "1,0,0.3,0.35",
-                              f"--t-final={t_final}"], capsys)
+@pytest.mark.parametrize("flag, value, name", [
+    ("--t-final", "nan", "t_final"), ("--t-final", "inf", "t_final"),
+    ("--t-final", "-inf", "t_final"), ("--dt", "inf", "dt"),
+    ("--dt", "nan", "dt"), ("--state", "nan,0,0.3,0.35", "--state"),
+    ("--state", "1,0,inf,0.35", "--state")],
+    ids=["nan", "inf", "-inf", "--dt inf", "--dt nan",
+         "--state nan,0,0.3,0.35", "--state 1,0,inf,0.35"])
+def test_cli_integrate_rejects_a_nonfinite_t_final(flag, value, name, capsys):
+    # and a non-finite --dt or --state; integrate and StepperConfig reject
+    # t_final and dt themselves, the CLI checks --state
+    args = {"--state": "1,0,0.3,0.35", "--t-final": "1", "--dt": "1e-3"}
+    args[flag] = value
+    if flag != "--state":
+        with pytest.raises(ValueError, match=name):
+            integrators.integrate(np.array([1.0, 0.0, 0.3, 0.35]),
+                                  float(args["--t-final"]),
+                                  integrators.StepperConfig(
+                                      dt=float(args["--dt"])))
+    argv = ["integrate", *(f"{k}={v}" for k, v in args.items())]
+    code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert out == ""
-    assert "invalid input" in err and "t_final" in err
+    assert "invalid input" in err and name in err and value in err
 
 
 @pytest.mark.parametrize("suite", sorted(verify.SUITES))

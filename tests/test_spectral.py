@@ -215,7 +215,7 @@ def test_parseval_quadrature_agreement():
     eps, K = 0.1, 32
     f = random_field(eps, K, seed=24)
     N = spectral.grid_size(K)
-    z = f.z_values(N)
+    z = f.z_values()
     grid_integral = (2.0 / N) * np.sum(z[:, 0] ** 2 + z[:, 1] ** 2)
     coeff_sum = 2.0 * float(np.sum(np.abs(f.z_ab_coeffs()) ** 2))
     assert abs(grid_integral - coeff_sum) <= 1e-10 * max(1.0, coeff_sum)
@@ -549,11 +549,14 @@ def _packed(field):
 
 
 def test_ground_state_is_time_reversal_symmetric(ground_states):
-    # R(u, v, a, b) = (u, -v, b, a): u_k real and a_k = conj(b_k); the
-    # solutions sit on that subspace to ~4e-17
-    fields = [spectral.ground_state(0.025).field,
-              ground_states[0.05].field, ground_states[0.2].field]
+    # R(u, v, a, b) = (u, -v, b, a): u_k real and a_k = conj(b_k).  Newton
+    # starts from the projection onto that subspace and stays on it, so
+    # Im u_k is exactly 0; (a, b), stored in the eigenbasis, sit on it to
+    # ~1e-17
+    fields = [spectral.ground_state(0.025).field, ground_states[0.05].field,
+              ground_states[0.2].field, spectral.ground_state(0.3).field]
     for f in fields:
+        assert np.all(f.u_coeffs.imag == 0.0), f.epsilon
         x = _packed(f)
         symmetric = spectral._Packed(f.spectrum).symmetric
         assert np.max(np.abs(x - symmetric(x))) <= 1e-13
@@ -582,6 +585,23 @@ def test_jvp_annihilates_translation_mode(ground_states):
         ops = spectral._Packed(f.spectrum)
         jvp = ops.linearization(ops.to_grid(_packed(f)))
         assert np.linalg.norm(jvp(d)) <= 1e-10 * np.linalg.norm(d)
+
+
+@pytest.mark.parametrize("eps, builds", [(0.04, 1), (0.25, 1), (0.3, 2)])
+def test_ground_state_builds_one_spectrum_per_epsilon(monkeypatch, eps,
+                                                      builds):
+    # the cutoff pair's, which Newton reuses at eps <= 1/4, and above 1/4
+    # one more at eps
+    calls = [0]
+    original = spectral.build_spectrum
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(spectral, "build_spectrum", counted)
+    spectral.ground_state(eps)
+    assert calls[0] == builds
 
 
 @pytest.mark.parametrize("eps", [0.05, 0.3])
@@ -631,7 +651,7 @@ def test_ground_state_phase_centered(ground_states):
     f = ground_states[0.1].field
     N = spectral.grid_size(f.num_modes)
     t = spectral.grid(N)
-    u = f.u_values(N)
+    u = f.u_values()
     centroid = np.angle(np.sum(u * u * np.exp(1j * np.pi * t))) / np.pi
     assert abs(centroid) <= 1e-8
 
