@@ -30,7 +30,8 @@ def main():
 
     print("\nconvergence to the homoclinic (largest period):")
     best = diagram["rows"][-1]["result"]
-    orb = orbits.field_to_orbit(best.field)
+    orb = orbits.field_to_orbit(best.field,
+                                best.diagnostics["final_gradient_norm"])
     d = orbits.distance_to_homoclinic(orb)
     print(f"  sup distance over |t - peak| <= 10: {d['sup_dist']:.2e} "
           f"(optimal shift {d['shift']:+.2e})")

@@ -152,8 +152,8 @@ def cmd_integrate(args):
 
 def cmd_lyapunov(args):
     amplitudes = _parse_floats(args.amplitudes)
-    tol = 1e-9 if args.tol is None else args.tol
-    family = orbits.lyapunov_family(amplitudes, tol=tol)
+    kwargs = {} if args.tol is None else {"tol": args.tol}
+    family = orbits.lyapunov_family(amplitudes, **kwargs)
     records = []
     for h, orbit in zip(amplitudes, family):
         rec = serialize.orbit_record(orbit, provenance={
@@ -176,18 +176,16 @@ def cmd_lyapunov(args):
 
 
 def cmd_ground_state(args):
-    kwargs = {}
-    if args.tol is not None:
-        kwargs["grad_tol"] = args.tol
+    kwargs = {} if args.tol is None else {"grad_tol": args.tol}
     result = spectral.ground_state(args.epsilon, K=args.modes, **kwargs)
-    orbit = orbits.field_to_orbit(result.field)
     if args.format == "csv":
         _emit(serialize.field_grid_to_csv(result.field), args.out)
         return 0
-    rec = serialize.orbit_record(orbit, provenance={
-        "kind": "ground_state", "epsilon": args.epsilon,
-        "modes": result.field.num_modes,
-        "gradient_norm": result.diagnostics["final_gradient_norm"]},
+    gn = result.diagnostics["final_gradient_norm"]
+    rec = serialize.orbit_record(
+        orbits.field_to_orbit(result.field, gn),
+        provenance={"kind": "ground_state", "epsilon": args.epsilon,
+                    "modes": result.field.num_modes, "gradient_norm": gn},
         epsilon=args.epsilon)
     rec["delta_eps"] = result.delta_eps
     rec["field"] = serialize.field_to_json(

@@ -7,7 +7,7 @@ class CdelabError(Exception):
 
 class NewtonDivergence(CdelabError):
     """A Newton iteration failed: an implicit midpoint step did not converge,
-    or a periodic-orbit solve left an RK4 closure residual above its
+    or a periodic-orbit solve left its spectral residual above its
     tolerance (the message ends with that residual)."""
 
 
@@ -52,9 +52,9 @@ class DegenerateProfile(CdelabError):
 
 
 class NonConvergence(CdelabError):
-    """Ground-state solver did not reach its tolerances.
+    """A spectral solve did not reach its tolerances or is truncated.
 
-    The best iterate found is attached as the ``best`` attribute.
+    A ground state's best iterate is attached as the ``best`` attribute.
     """
 
     def __init__(self, message, best=None, diagnostics=None):

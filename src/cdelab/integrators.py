@@ -20,6 +20,9 @@ from .errors import NewtonDivergence, NonFiniteState, EmptyTrajectory
 #: hyperbolic direction
 OVERFLOW_LIMIT = 1e12
 
+#: most steps ``integrate`` takes (it keeps every state, ~0.2 kB per step)
+MAX_STEPS = 10 ** 7
+
 
 @dataclass(frozen=True)
 class StepperConfig:
@@ -187,12 +190,16 @@ def integrate(s0, t_final, cfg):
     t_final evenly.  Raises NonFiniteState when a component is NaN or exceeds
     1e12, and re-raises an implicit-midpoint NewtonDivergence naming the step,
     its start time and ‖s‖∞.  Raises ValueError unless t_final is finite and
-    nonzero.
+    nonzero and |t_final| / dt is at most MAX_STEPS.
     """
     if not 0.0 < abs(t_final) < np.inf:
         raise ValueError(f"t_final must be finite and nonzero, got {t_final!r}")
+    n_steps = abs(t_final) / cfg.dt
+    if not n_steps <= MAX_STEPS:
+        raise ValueError(f"|t_final| / dt = {n_steps:.3g} steps exceeds "
+                         f"MAX_STEPS = {MAX_STEPS}")
     s0 = np.asarray(s0, dtype=float)
-    n_steps = max(1, int(round(abs(t_final) / cfg.dt)))
+    n_steps = max(1, int(round(n_steps)))
     dt = t_final / n_steps              # signed
     kernel, extra = ((_rk4, ()) if cfg.method == "rk4" else
                      (_midpoint, (cfg.newton_tol, cfg.max_newton_iters)))

@@ -2,13 +2,11 @@
 and convergence diagnostics against the homoclinic profile.
 
 A 2T-periodic orbit is a zero of the spectral Euler-Lagrange residual at
-eps = 1/T, found by the Newton-Krylov core of the ground-state solver on the
-fields even under R(u, v, a, b) = (u, -v, b, a), so it crosses v(0) = 0 at
-t = 0 with a(0) = b(0).  Newton starts from the field of an RK4 run over
-one period and returns a field, whose t = 0 state starts the orbit.  The
-family continuation pins the amplitude u(0) and solves for eps too.  The
-reported residual is the closure defect ||s(2T) - s(0)|| of the RK4 run
-over one period from the t = 0 state.
+eps = 1/T on the fields even under R(u, v, a, b) = (u, -v, b, a), found by
+the ground-state Newton core from an RK4 run over one period, and accepted
+as a ground state is: merit <= tol, spectral.coefficient_tail <= TAIL_TOL,
+not constant.  No RK4 closure checks it: that grows with the Floquet
+multiplier (~1e6 at eps = 0.15) however exact the orbit.
 """
 
 import numpy as np
@@ -17,25 +15,19 @@ from dataclasses import dataclass
 from . import dynamics, homoclinic, integrators, linear, spectral
 from .errors import NewtonDivergence, ConvergedToEquilibrium, NonConvergence
 
-#: result within this distance of an equilibrium is rejected as constant
-EQUILIBRIUM_TOL = 1e-8
-
-#: merit at which the orbit Newton solves stop; the quadratically converging
-#: step that crosses it mostly lands near the rounding floor (~3e-16), and
-#: the RK4 closure defects measured 1e-14 to 5e-11
+#: merit at which the orbit Newton solves stop and up to which an orbit is
+#: accepted; the quadratically converging step that crosses it mostly lands
+#: near the rounding floor (family merits measured 3e-16 to 4e-13)
 NEWTON_TOL = 1e-12
-
-#: bound on the RK4 closure residual of a returned orbit (the family's
-#: default ``tol``)
-CLOSURE_TOL = 1e-9
 
 
 @dataclass
 class PeriodicOrbit:
     """A converged periodic solution with half-period T.
 
-    ``residual`` is the closure defect ||s(2T) - s(0)|| of ``trajectory``,
-    the run from the initial state; ``energy`` is H at the initial state.
+    ``trajectory`` samples the orbit on [-T, T]; ``initial_state`` is its
+    state at t = 0 and ``energy`` H there; ``residual`` is the merit of the
+    spectral solve that made the orbit.
     """
     half_period: float
     initial_state: np.ndarray
@@ -48,11 +40,6 @@ class PeriodicOrbit:
         return 2.0 * self.half_period
 
 
-def _distance_to_equilibria(s):
-    return min(np.linalg.norm(s - p)
-               for p in (dynamics.P0, dynamics.P_PLUS, dynamics.P_MINUS))
-
-
 def _sample(s0, T, K):
     """The field at eps = 1/T, K modes, of the RK4 run from s0 over one
     period 2T, one step per collocation node (s0 lands on the node t = 0)."""
@@ -63,24 +50,23 @@ def _sample(s0, T, K):
     return spectral.field_from_values(1.0 / T, K, states[:, 0], states[:, 2:])
 
 
-def _orbit(field, dt, tol, label):
-    """The orbit through the t = 0 state (u(0), 0, a(0), b(0)) of the field,
-    integrated with RK4 over one period 2T = 2/field.epsilon; raises when
-    that state is an equilibrium or the run's closure defect exceeds tol."""
-    T = 1.0 / field.epsilon
-    s0 = np.array([field.u_coeffs.sum().real, 0.0,
-                   *field.z_ab_coeffs().sum(axis=0).real])
-    if _distance_to_equilibria(s0) <= EQUILIBRIUM_TOL:
+def _orbit(field, merit, tol, label):
+    """The orbit of a Newton result of the given merit; raises
+    ConvergedToEquilibrium for a constant field, NewtonDivergence for a
+    merit above tol and NonConvergence for a tail above TAIL_TOL."""
+    if spectral.is_constant(field):
         raise ConvergedToEquilibrium(f"{label} collapsed onto an equilibrium")
-    tr = integrators.integrate(s0, 2.0 * T, integrators.StepperConfig(
-        method="rk4", dt=dt))
-    rn = float(np.linalg.norm(tr.states[-1] - s0))
-    if not rn <= tol:
+    if not merit <= tol:
         raise NewtonDivergence(
-            f"{label} did not reach tolerance {tol}: closure residual {rn:.3e}")
-    return PeriodicOrbit(half_period=float(T), initial_state=s0,
-                         trajectory=tr, energy=float(dynamics.hamiltonian(s0)),
-                         residual=rn)
+            f"{label} did not reach tolerance {tol}: spectral residual "
+            f"{merit:.3e}")
+    tail = spectral.coefficient_tail(field)
+    if not tail <= spectral.TAIL_TOL:
+        raise NonConvergence(
+            f"{label} at eps={field.epsilon} is truncated: K = "
+            f"{field.num_modes} modes leave a coefficient tail of {tail:.3e} "
+            f"> {spectral.TAIL_TOL:g}")
+    return field_to_orbit(field, merit)
 
 
 def shoot_periodic(T, guess, max_iters=25):
@@ -88,31 +74,36 @@ def shoot_periodic(T, guess, max_iters=25):
 
     The RK4 run from ``guess`` over 2T, sampled on the collocation nodes,
     starts at most ``max_iters`` spectral Newton steps at eps = 1/T with K =
-    default_modes(eps).  Raises ConvergedToEquilibrium when the guess or
-    result is an equilibrium, NewtonDivergence when the closure residual
-    (RK4, step 2e-3) is above CLOSURE_TOL.
+    default_modes(eps); the orbit is accepted at merit <= NEWTON_TOL.
+    Raises ConvergedToEquilibrium for a constant result (as from an
+    equilibrium guess), NewtonDivergence naming the spectral residual,
+    NonConvergence naming the truncation, and ValueError unless T is
+    positive and finite and guess is four finite numbers.
     """
     if not 0.0 < T < np.inf:
         raise ValueError(f"T must be positive and finite, got {T!r}")
     guess = np.asarray(guess, dtype=float)
-    if _distance_to_equilibria(guess) <= EQUILIBRIUM_TOL:
-        raise ConvergedToEquilibrium("orbit guess is an equilibrium point")
+    if guess.shape != (4,) or not np.isfinite(guess).all():
+        raise ValueError(f"guess must be four finite numbers u, v, a, b, "
+                         f"got {guess.tolist()!r}")
     field = _sample(guess, T, spectral.default_modes(1.0 / T))
-    field, *_ = spectral._newton(field, field.epsilon, NEWTON_TOL, max_iters)
-    return _orbit(field, 2e-3, CLOSURE_TOL, "periodic orbit")
+    field, history, *_ = spectral._newton(field, field.epsilon, NEWTON_TOL,
+                                          max_iters)
+    return _orbit(field, history[-1], NEWTON_TOL, "periodic orbit")
 
 
-def lyapunov_family(amplitudes, tol=CLOSURE_TOL):
+def lyapunov_family(amplitudes, tol=NEWTON_TOL):
     """Continuation of small orbits around the center equilibrium.
 
     The first amplitude h starts from the equilibrium displaced along the
     real part of the elliptic eigenvector of the linearization, sampled over
     the linear period t0; each later one starts from the previous solution.
     The spectral Newton solve pins u(0) = 1 + h and finds the field and
-    eps = 1/T.  ``tol`` bounds each orbit's RK4 closure residual (step
-    t0/4000).  Periods approach 2*pi/2^(1/4) ... = 2^(3/4)*pi as the
-    amplitude shrinks.  Raises ValueError for a negative or non-finite h and
-    ConvergedToEquilibrium for h = 0, the equilibrium itself.
+    eps = 1/T, with the K of the first start, down to merit min(tol,
+    NEWTON_TOL); ``tol`` bounds each accepted orbit's merit.  Periods approach
+    2*pi/2^(1/4) ... = 2^(3/4)*pi as the amplitude shrinks.  Raises
+    ValueError for a negative or non-finite h and ConvergedToEquilibrium for
+    h = 0, the equilibrium itself.
     """
     if not all(0.0 <= h < np.inf for h in amplitudes):
         raise ValueError(f"each amplitude h must be >= 0 and finite, "
@@ -131,34 +122,33 @@ def lyapunov_family(amplitudes, tol=CLOSURE_TOL):
             rot = dynamics.P_PLUS_ROTATED + h * np.array([1.0, 0.0, omega ** 2, 0.0])
             field = _sample(dynamics.from_rotated(rot), t0 / 2.0,
                             spectral.default_modes(2.0 / t0))
-        field, *_ = spectral._newton(field, field.epsilon, NEWTON_TOL, 30,
-                                     pin=1.0 + h)
-        orbits.append(_orbit(field, t0 / 4000, tol, "family orbit"))
+        field, history, *_ = spectral._newton(
+            field, field.epsilon, min(tol, NEWTON_TOL), 30, pin=1.0 + h)
+        orbits.append(_orbit(field, history[-1], tol, "family orbit"))
     return orbits
 
 
-def field_to_orbit(field):
-    """Sample a converged spectral field as a periodic orbit in original time.
-
-    The epsilon-chart field on [-1, 1] becomes a 2T-periodic trajectory on
-    [-T, T] with T = 1/epsilon; v is the spectral derivative of u.  Closure
-    is exact by periodicity, so the stored residual is the wrap-around state
-    difference of the sampled trajectory.
+def field_to_orbit(field, residual):
+    """A solved spectral field as a periodic orbit in original time: the
+    field on the collocation nodes of [-1, 1] plus the periodic wrap, i.e.
+    on [-T, T] with T = 1/epsilon, v the spectral derivative of u.  The
+    initial state is the t = 0 state summed from the coefficients (v(0) =
+    0.0 on a time-reversal-even field), ``energy`` H there, and ``residual``
+    the merit of the solve that made the field.
     """
     T = 1.0 / field.epsilon
     s = spectral.grid(spectral.grid_size(field.num_modes))
     times = np.concatenate([s, [1.0]]) * T
-    u = field.u_values()
-    v = field.u_slope_values()
-    z = field.z_values()
-    states = np.column_stack([u, v, z[:, 0], z[:, 1]])
-    states = np.vstack([states, states[0]])    # periodic wrap
-    tr = integrators.Trajectory(times=times, states=states)
-    residual = float(np.linalg.norm(states[-1] - states[0]))
-    return PeriodicOrbit(half_period=T, initial_state=states[0].copy(),
-                         trajectory=tr,
-                         energy=float(np.mean(tr.energy_series)),
-                         residual=residual)
+    states = np.column_stack([field.u_values(), field.u_slope_values(),
+                              field.z_values()])
+    tr = integrators.Trajectory(times=times,
+                                states=np.vstack([states, states[0]]))
+    du = spectral.derivative_coeffs(field.u_coeffs) * field.epsilon
+    s0 = np.array([field.u_coeffs.sum().real, du.sum().real,
+                   *field.z_ab_coeffs().sum(axis=0).real])
+    return PeriodicOrbit(half_period=T, initial_state=s0, trajectory=tr,
+                         energy=float(dynamics.hamiltonian(s0)),
+                         residual=float(residual))
 
 
 def distance_to_homoclinic(orbit):

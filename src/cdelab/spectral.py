@@ -487,11 +487,26 @@ KRYLOV_FORCING = 1e-8
 KRYLOV_RESTART = 50
 KRYLOV_MAX_RESTARTS = 20
 
-#: bound on a ground state's coefficient tail: the largest |coefficient| of
-#: u, z_plus and z_minus over |k| > 0.9 K, relative to the largest overall.
-#: At the default K it is at most 1.7e-12 for eps in [0.025, 0.37]; at eps =
-#: 0.05 with K = 3, 8, 32 and 64 it is 0.34, 0.11, 1.6e-3 and 1.75e-6
+#: bound on a solution's :func:`coefficient_tail`.  At the default K it is
+#: at most 1.7e-12 for eps in [0.025, 0.37]; at eps = 0.05 with K = 3, 8, 32
+#: and 64 it is 0.34, 0.11, 1.6e-3 and 1.75e-6
 TAIL_TOL = 1e-8
+
+
+def coefficient_tail(field):
+    """The largest |coefficient| of u, z_plus and z_minus over |k| > 0.9 K,
+    relative to the largest overall (0.0 for the zero field)."""
+    coeffs = np.abs(np.stack([field.u_coeffs, field.z_plus, field.z_minus]))
+    peak = coeffs.max()
+    tail = coeffs[:, np.abs(field.spectrum.k) > 0.9 * field.num_modes].max()
+    return float(tail / peak) if peak else 0.0
+
+
+def is_constant(field):
+    """Whether every coefficient with k != 0 is at most 1e-8 in modulus: a
+    constant field solves the problem only at P0 or P+-."""
+    coeffs = np.stack([field.u_coeffs, field.z_plus, field.z_minus])
+    return bool(np.abs(coeffs[:, field.spectrum.k != 0]).max() <= 1e-8)
 
 
 @dataclass
@@ -702,10 +717,10 @@ def _newton(field, eps, tol, max_iters, pin=None):
     norm.  With ``pin`` eps is an unknown too, fixed by u(0) = sum_k u_k =
     pin, and the merit is the hypot of that norm and u(0) - pin.  The
     start reuses ``field.spectrum`` when field.epsilon == eps.  Returns the
-    last iterate as a field at the final eps, the merit of every iterate,
-    the Jacobian-vector products of each solve, and the number of steps
-    taken (one less than solves when the line search rejects the last
-    step)."""
+    last iterate as a field at the final eps, the merits of the start and of
+    each step (the last is the returned field's), the Jacobian-vector
+    products of each solve, and the number of steps taken (one less than
+    solves when the line search rejects the last step)."""
     K = field.num_modes
     ops = _Packed(field.spectrum if field.epsilon == eps
                   else build_spectrum(1.0 / eps, K))
@@ -720,11 +735,8 @@ def _newton(field, eps, tol, max_iters, pin=None):
         return o, r, (gn if pin is None else np.hypot(gn, p @ x - pin)), vals
 
     _, r, merit, vals = evaluate(x, eps)
-    history, krylov_iters, steps = [], [], 0
-    for _ in range(max_iters):
-        history.append(merit)
-        if merit <= tol:
-            break
+    history, krylov_iters, steps = [merit], [], 0
+    while merit > tol and steps < max_iters:
         border = None if pin is None else (ops.gather(x, ops.eps_w), p,
                                            p @ x - pin)
         step, jvps = _newton_step(r, ops.linearization(vals), ops, border)
@@ -740,6 +752,7 @@ def _newton(field, eps, tol, max_iters, pin=None):
             break
         x, eps = x + lam * dx, eps + lam * de
         ops, r, merit, vals = trial
+        history.append(merit)
         steps += 1
     return _field(x, eps, ops.spectrum), history, krylov_iters, steps
 
@@ -797,18 +810,15 @@ def ground_state(eps, K=None, grad_tol=1e-8, max_newton_iters=40):
     Every solve starts from :func:`cutoff_test_pair` at min(eps, 1/4) with
     K modes; above 1/4 that pulse is already close enough for Newton to
     reach the nontrivial branch up to its end at eps* = 2^(1/4)/pi.  The
-    diagnostics hold the merit of every Newton iterate
-    (``gradient_history``), the steps taken (``newton_iterations``) and the
-    Jacobian-vector products of each solve (``krylov_iterations``: the
-    Krylov steps and the true residual of each restart; one entry more than
-    steps when the line search rejects the last step).
+    diagnostics hold :func:`_newton`'s merits (``gradient_history``), steps
+    (``newton_iterations``) and Jacobian-vector products of each solve
+    (``krylov_iterations``: the Krylov steps and each restart's residual).
 
     Returns a :class:`GroundStateResult`; raises NonConvergence with the best
     iterate attached when the gradient norm exceeds ``grad_tol``, a relative
-    Nehari residual exceeds 1e-6, or Newton lands on the constant
-    solution (as it does for eps >= eps*), and, naming the truncation, when
-    the diagnostics' ``coefficient_tail`` exceeds TAIL_TOL: too few modes
-    for this eps.  Raises ValueError unless eps is positive and finite.
+    Nehari residual 1e-6, or the result :func:`is_constant` (as past eps*),
+    and, naming the truncation, when its :func:`coefficient_tail` exceeds
+    TAIL_TOL.  Raises ValueError unless eps is positive and finite.
     """
     if not 0.0 < eps < np.inf:
         raise ValueError(f"epsilon must be positive and finite, got {eps!r}")
@@ -821,10 +831,7 @@ def ground_state(eps, K=None, grad_tol=1e-8, max_newton_iters=40):
     g = gradient(field)
     gn = gradient_norm(g)
     res = nehari_residuals(field, energy=eb, gradient=g)
-    coeffs = np.abs(np.stack([field.u_coeffs, field.z_plus, field.z_minus]))
-    peak = coeffs.max()
-    tail = coeffs[:, np.abs(field.spectrum.k) > 0.9 * K].max()
-    tail = float(tail / peak) if peak else 0.0
+    tail = coefficient_tail(field)
     diagnostics = {
         "epsilon": eps, "modes": K, "grid": grid_size(K),
         "gradient_history": grad_history,
@@ -836,11 +843,8 @@ def ground_state(eps, K=None, grad_tol=1e-8, max_newton_iters=40):
         "coefficient_tail": tail,
     }
 
-    nontrivial = eb.coupling > 1e-8
-    equilibrium_like = (abs(eb.total - 1.0 / (4.0 * eps)) < 1e-10
-                        and np.max(np.abs(field.u_coeffs[np.arange(2 * K + 1) != K])) < 1e-10)
     solved = (gn <= grad_tol and res.max_relative() <= 1e-6
-              and nontrivial and not equilibrium_like)
+              and not is_constant(field))
     resolved = tail <= TAIL_TOL
     result = GroundStateResult(field=field, delta_eps=eb.total,
                                diagnostics=diagnostics,

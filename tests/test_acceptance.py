@@ -122,7 +122,9 @@ def test_criterion_06_ground_states(ground_states):
 
 
 def test_criterion_07_convergence_to_homoclinic(ground_states):
-    orb = orbits.field_to_orbit(ground_states[0.05].field)
+    result = ground_states[0.05]
+    orb = orbits.field_to_orbit(result.field,
+                                result.diagnostics["final_gradient_norm"])
     d = orbits.distance_to_homoclinic(orb)
     report(7, d["sup_dist"] <= 5e-2,
            f"sup distance {d['sup_dist']:.2e} at shift {d['shift']:.2e} "

@@ -207,6 +207,21 @@ def test_singular_newton_matrix_names_step_in_integrate():
                               integrators.StepperConfig(dt=2.0))
 
 
+def test_integrate_rejects_more_than_max_steps():
+    # checked before anything is stored: a run of 1e300 steps would grow
+    # until memory is gone
+    s0 = [1.0, 0.0, 0.3, 0.35]
+    for t_final, dt, steps in [(1.0, 1e-300, r"1e\+300"),
+                               (1e300, 1e-3, r"1e\+303"),
+                               (1e300, 1e-300, "inf"),
+                               ((integrators.MAX_STEPS + 1) * 0.5, 0.5,
+                                r"1e\+07")]:
+        cfg = integrators.StepperConfig(method="rk4", dt=dt)
+        with pytest.raises(ValueError, match=f"= {steps} steps exceeds "
+                                             "MAX_STEPS = 10000000"):
+            integrators.integrate(s0, t_final, cfg)
+
+
 def test_nan_start_overflows_after_first_step():
     cfg = integrators.StepperConfig(method="rk4", dt=0.1)
     with pytest.raises(NonFiniteState, match="after step 1$"):

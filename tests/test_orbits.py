@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cdelab import dynamics, homoclinic, integrators, linear, orbits
+from cdelab import (dynamics, homoclinic, integrators, linear, orbits,
+                    spectral)
 from cdelab.errors import (ConvergedToEquilibrium, NewtonDivergence,
                            NonConvergence)
 
@@ -81,11 +82,26 @@ def test_shoot_periodic_fixed_period(fixed_period_shot):
 
 
 def test_shooting_budget_exhausted_reports_residual():
-    with pytest.raises(NewtonDivergence, match="closure residual") as info:
+    with pytest.raises(NewtonDivergence, match="spectral residual") as info:
         orbits.shoot_periodic(5.3 / 2.0, small_orbit_guess(0.031),
                               max_iters=1)
     residual = float(str(info.value).rsplit(" ", 1)[-1])
     assert 1e-9 < residual < np.inf
+
+
+@pytest.mark.parametrize("max_iters", [1, 2])
+def test_newton_history_ends_with_the_merit_of_the_returned_field(max_iters):
+    # the budget runs out before the merit reaches tol (1.06 at the start,
+    # 3.09e-3 after one step)
+    start = orbits._sample(small_orbit_guess(0.031), 2.65,
+                           spectral.default_modes(1.0 / 2.65))
+    field, history, _, steps = spectral._newton(start, start.epsilon, 1e-12,
+                                                max_iters)
+    assert steps == max_iters
+    assert len(history) == steps + 1
+    merit = spectral.gradient_norm(spectral.gradient(field))
+    assert abs(history[-1] - merit) <= 1e-9 * merit
+    assert history[-1] > 1e-12
 
 
 def test_shoot_below_the_bifurcation_collapses_onto_the_center():
@@ -100,10 +116,31 @@ def test_shoot_rejects_equilibrium_guess():
         orbits.shoot_periodic(2.7, dynamics.P_PLUS)
 
 
-@pytest.mark.parametrize("T", [0.0, -1.0, np.inf, np.nan])
-def test_shoot_rejects_a_nonpositive_or_nonfinite_half_period(T):
-    with pytest.raises(ValueError, match=f"T must be .*, got {T!r}"):
-        orbits.shoot_periodic(T, small_orbit_guess(0.031))
+@pytest.mark.parametrize("T, guess, match", [
+    (0.0, None, "T must be .*, got 0.0"),
+    (-1.0, None, "T must be .*, got -1.0"),
+    (np.inf, None, "T must be .*, got inf"),
+    (np.nan, None, "T must be .*, got nan"),
+    (2.65, [np.nan, 0.0, 0.3, 0.35], r"guess must be .*, got \[nan, "),
+    (2.65, [1.0, 0.0, np.inf, 0.35], r"guess must be .*, got \[1.0, 0.0, inf"),
+], ids=["0.0", "-1.0", "inf", "nan", "guess nan", "guess inf"])
+def test_shoot_rejects_a_nonpositive_or_nonfinite_half_period(T, guess, match):
+    # and a non-finite guess, which is invalid input, not a solver failure
+    guess = small_orbit_guess(0.031) if guess is None else guess
+    with pytest.raises(ValueError, match=match):
+        orbits.shoot_periodic(T, guess)
+
+
+@pytest.mark.parametrize("eps", [0.15, 0.1])
+def test_shoot_from_a_ground_state_returns_it(eps):
+    # an RK4 run from this exact state closes only to 2.6e-8 (0.15) and
+    # 3.0e-5 (0.1): the Floquet multiplier is ~1e6 and ~1e9
+    gs = spectral.ground_state(eps)
+    s0 = orbits.field_to_orbit(
+        gs.field, gs.diagnostics["final_gradient_norm"]).initial_state
+    orb = orbits.shoot_periodic(1.0 / eps, s0)
+    assert np.max(np.abs(orb.initial_state - s0)) <= 1e-10
+    assert orb.residual <= orbits.NEWTON_TOL
 
 
 def test_lyapunov_family_period_limit(lyapunov_orbits):
@@ -129,9 +166,32 @@ def test_lyapunov_family_pins_the_section_and_closes(lyapunov_orbits):
         states = orb.trajectory.states
         assert orb.initial_state[1] == 0.0
         assert abs(orb.initial_state[0] - (1.0 + h)) <= 1e-12
-        assert np.array_equal(states[0], orb.initial_state)
-        assert orb.residual == np.linalg.norm(states[-1] - states[0])
-        assert orb.residual <= 1e-11
+        t0_node = len(states) // 2           # the samples span [-T, T]
+        assert orb.trajectory.times[t0_node] == 0.0
+        assert np.max(np.abs(states[t0_node] - orb.initial_state)) <= 1e-14
+        assert np.array_equal(states[-1], states[0])
+        assert orb.residual <= 1e-12
+        # the ODE's own flow closes too: RK4 over one period
+        tr = integrators.integrate(orb.initial_state, orb.period,
+                                   integrators.StepperConfig(
+                                       method="rk4", dt=T0 / 4000))
+        assert np.linalg.norm(tr.states[-1] - orb.initial_state) <= 1e-11
+
+
+def test_lyapunov_family_to_the_truncation_edge():
+    # K = 17 from the start holds to h = 0.205 (eps = 0.2504, tail <= 3.2e-9)
+    hs = [0.01, 0.05, 0.1, 0.15, 0.18, 0.2, 0.205]
+    for orb in orbits.lyapunov_family(hs):
+        assert orb.residual <= orbits.NEWTON_TOL
+    with pytest.raises(NonConvergence, match="truncated: K = 17 modes"):
+        orbits.lyapunov_family(hs + [0.21])
+
+
+def test_lyapunov_family_polishes_below_a_loose_tol():
+    # tol bounds acceptance only: Newton stopped at merit 1e-3 would keep
+    # the tail of the RK4 start, 3.6e-8 at h = 1e-2
+    orb, = orbits.lyapunov_family([1e-2], tol=1e-3)
+    assert orb.residual <= orbits.NEWTON_TOL
 
 
 def test_lyapunov_family_matches_the_shooting_periods(lyapunov_orbits):
@@ -169,15 +229,27 @@ def test_distance_recovers_shift():
     assert d["sup_dist"] <= 1e-6
 
 
+def ground_state_orbit(result):
+    return orbits.field_to_orbit(result.field,
+                                 result.diagnostics["final_gradient_norm"])
+
+
 def test_ground_state_orbit_near_homoclinic(ground_states):
-    orb = orbits.field_to_orbit(ground_states[0.05].field)
-    d = orbits.distance_to_homoclinic(orb)
+    d = orbits.distance_to_homoclinic(ground_state_orbit(ground_states[0.05]))
     assert d["sup_dist"] <= 5e-2
 
 
 def test_field_to_orbit_invariants(ground_states):
-    orb = orbits.field_to_orbit(ground_states[0.1].field)
-    assert orb.residual <= 1e-9                       # periodic closure
+    result = ground_states[0.1]
+    orb = ground_state_orbit(result)
+    assert orb.residual == result.diagnostics["final_gradient_norm"] <= 1e-9
+    states = orb.trajectory.states
+    assert np.array_equal(states[-1], states[0])      # periodic closure
+    t0_node = len(states) // 2
+    assert orb.trajectory.times[t0_node] == 0.0
+    assert np.max(np.abs(states[t0_node] - orb.initial_state)) <= 1e-14
+    assert orb.initial_state[1] == 0.0                # R-even: v(0) = 0
+    assert orb.energy == dynamics.hamiltonian(orb.initial_state)
     drift = np.max(np.abs(orb.trajectory.energy_series
                           - orb.trajectory.energy_series[0]))
     assert drift <= 1e-8                              # H constant on the orbit

@@ -257,8 +257,13 @@ def test_cli_ground_state_record_matches_recomputed_record(capsys):
     code, out, _ = run_cli(["ground-state", "--epsilon", "0.05"], capsys)
     assert code == 0
     result = spectral.ground_state(0.05)
-    tr = orbits.field_to_orbit(result.field).trajectory
+    orb = orbits.field_to_orbit(result.field,
+                                result.diagnostics["final_gradient_norm"])
+    tr = orb.trajectory
     rec = json.loads(out)
+    assert rec["initial_state"] == orb.initial_state.tolist()
+    assert rec["H"] == orb.energy
+    assert rec["residual"] == result.diagnostics["final_gradient_norm"]
     stride = max(1, len(tr) // 400)
     samples = [[float(tr.times[i])] + [float(x) for x in tr.states[i]]
                for i in range(0, len(tr), stride)]
@@ -419,6 +424,24 @@ def test_cli_integrate_rejects_a_nonfinite_t_final(flag, value, name, capsys):
     assert code == 2
     assert out == ""
     assert "invalid input" in err and name in err and value in err
+
+
+@pytest.mark.parametrize("flag, value", [("--dt", "1e-300"),
+                                         ("--t-final", "1e300")])
+def test_cli_integrate_rejects_too_many_steps(flag, value, capsys):
+    args = {"--state": "1,0,0.3,0.35", "--t-final": "1", "--dt": "1e-3"}
+    args[flag] = value
+    code, out, err = run_cli(
+        ["integrate", *(f"{k}={v}" for k, v in args.items())], capsys)
+    assert code == 2
+    assert out == ""
+    assert "invalid input" in err and "steps exceeds MAX_STEPS" in err
+
+
+def test_cli_verify_all_passes_at_the_default_tolerances(capsys):
+    code, out, _ = run_cli(["verify", "all"], capsys)
+    assert code == 0
+    assert out.endswith("all checks passed: 24/24\n")
 
 
 @pytest.mark.parametrize("suite", sorted(verify.SUITES))

@@ -542,6 +542,11 @@ def test_ground_state_counts_steps_taken():
     with pytest.raises(NonConvergence) as info:
         spectral.ground_state(0.25, max_newton_iters=2)
     assert info.value.diagnostics["newton_iterations"] == 2
+    # the start's merit and each step's, the last the returned field's
+    history = info.value.diagnostics["gradient_history"]
+    assert len(history) == 3
+    assert history[-1] == pytest.approx(
+        info.value.diagnostics["final_gradient_norm"], rel=1e-9)
 
 
 def _packed(field):
