@@ -143,7 +143,7 @@ def cmd_integrate(args):
         doc = {"schema": geometry.SCHEMA,
                "drift": integrators.energy_drift(tr),
                "samples": np.column_stack(
-                   [tr.times, tr.states, tr.energy_series]).tolist()}
+                   [tr.times, tr.states, tr.energy_series])}
         _emit(serialize.dumps(doc), args.out)
     else:
         _emit(serialize.trajectory_to_csv(tr), args.out)

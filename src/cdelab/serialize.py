@@ -1,24 +1,28 @@
 """CSV and JSON export of trajectories, fields, orbits, and profiles.
 
 All documents carry the schema tag "cde-lab/1".  CSV files have a header row
-and fixed column order; each float is written as its ``float.__repr__``.  A
-CSV table is written a chunk of rows at a time: one formatting pass fills one
-row template per row, giving ``csv.writer``'s bytes (a float's repr needs no
-quoting).  ``dumps`` returns exactly ``json.dumps(doc, indent=2)`` for any
-acyclic document, without json's pure-Python indenting encoder; float lists
-and tables take the same template path.  Floats are formatted by orjson's Ryu
-printer, which writes repr's shortest round-trip digits far faster.  Its
-notation differs from repr's in three bands of finite values, and there its
-text is respelled: orjson's ``1.5e-6``, ``0.0000123`` and ``1e16`` become
-``1.5e-06``, ``1.23e-05`` and ``1e+16`` for ``1e-9 <= |x| < 1e-5``,
-``1e-5 <= |x| < 1e-4`` and ``|x| >= 1e16``.  orjson writes nan and inf as
-``null``; only those values are redone by ``repr``.
+and fixed column order, with the bytes ``csv.writer`` writes when each float
+is its ``float.__repr__``.  ``dumps(doc)`` returns exactly
+``json.dumps(doc, indent=2)``, with each ndarray written as its ``tolist()``.
+
+Each writer makes one orjson pass over a whole table or document.  orjson's
+Ryu printer writes repr's shortest round-trip digits, but spells them
+otherwise in three bands: ``1.5e-6``, ``0.0000123`` and ``1e16`` for repr's
+``1.5e-06``, ``1.23e-05`` and ``1e+16`` (``1e-9 <= |x| < 1e-5``,
+``1e-5 <= |x| < 1e-4``, ``|x| >= 1e16``), and nan and inf as ``null``.  Those
+floats become null holes (NaN) before the pass; their text, spelled a band at
+a time, fills the holes after it, with ``null`` for each None.  ``dumps``
+first walks the document: float lists and lists of equal-width float rows
+become arrays, and each scalar float a hole with json's own text.  A document
+that orjson would not write as json does (a non-str key, a str with a
+non-ASCII character, DEL or ``ull``, an int beyond 64 bits, any other type)
+is written by ``json.dumps`` itself.
 """
 
 import csv
 import io
+import json
 from itertools import chain
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 import orjson
@@ -33,49 +37,60 @@ PROFILE_COLUMNS = {
 }
 
 
-#: table rows rendered per %-template, in CSV and JSON: bounds the float
-#: strings alive at once
-_CHUNK_ROWS = 1024
-
 #: an orbit record keeps every (n // MIN_RECORD_SAMPLES)-th of a trajectory's
 #: n samples: 400 to 799 of them when n >= 400, all of them otherwise
 MIN_RECORD_SAMPLES = 400
 
 
-def _respell(text):
-    """repr's spelling of orjson's ``text`` of a finite float x with
-    ``1e-9 <= |x| < 1e-4`` or ``|x| >= 1e16``: the same digits."""
-    if "e-" in text:                # |x| < 1e-5: the exponent is one digit
-        return text.replace("e-", "e-0")
-    if "e" in text:                 # |x| >= 1e16
-        return text.replace("e", "e+")
-    sign, _, digits = text.partition("0.0000")     # 1e-5 <= |x| < 1e-4
+def _inner_text(a):
+    """orjson's text of an array, without its outer brackets."""
+    return orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+
+
+def _shift(text):
+    """repr's text of a float with ``1e-5 <= |x| < 1e-4`` from orjson's:
+    ``-0.0000123`` becomes ``-1.23e-05``, with the same digits."""
+    sign, _, digits = text.partition("0.0000")
     return sign + digits[0] + ("." + digits[1:] if digits[1:] else "") + "e-05"
 
 
-def _reprs(values):
-    """``float.__repr__`` of each of a non-empty sequence of floats."""
-    a = np.ascontiguousarray(values, dtype=float)
-    text = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)
-    out = text[1:-1].decode().split(",")
+def _punch(a, nonfinite):
+    """a as a C-contiguous float64 array with NaN (orjson's null) in place of
+    each float that orjson does not spell as repr, and the text of those
+    floats in C order: orjson's digits in repr's notation, spelled a band at
+    a time, or ``nonfinite(x)`` for nan and inf."""
+    a = np.ascontiguousarray(a, dtype=float)
     mag = np.abs(a)
-    redo = ~(mag < 1e16) | ((mag >= 1e-9) & (mag < 1e-4))
-    for i in np.flatnonzero(redo).tolist():
-        t = out[i]
-        out[i] = float.__repr__(a[i]) if t == "null" else _respell(t)
-    return out
+    misspelled = ~(mag < 1e16) | ((mag >= 1e-9) & (mag < 1e-4))
+    v, mag = a[misspelled], mag[misspelled]
+    small, mid = mag < 1e-5, (mag >= 1e-5) & (mag < 1e-4)
+    big, odd = (mag >= 1e16) & (mag < np.inf), ~(mag < np.inf)
+    texts = np.empty(len(v), dtype=object)
+    if small.any():
+        texts[small] = _inner_text(v[small]).replace("e-", "e-0").split(",")
+    if mid.any():
+        texts[mid] = list(map(_shift, _inner_text(v[mid]).split(",")))
+    if big.any():
+        texts[big] = _inner_text(v[big]).replace("e", "e+").split(",")
+    texts[odd] = [nonfinite(x) for x in v[odd].tolist()]
+    return np.where(misspelled, np.nan, a), texts.tolist()
+
+
+def _fill(text, holes):
+    """text with its n-th ``null`` replaced by ``holes[n]``."""
+    out = [""] * (2 * len(holes) + 1)
+    out[::2] = text.split("null")
+    out[1::2] = holes
+    return "".join(out)
 
 
 def _csv_table(header, rows):
     """A header and an (n, m) float table as CSV text."""
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerow(header)
-    row = ",".join(["%s"] * rows.shape[1]) + "\n"
-    for start in range(0, len(rows), _CHUNK_ROWS):
-        chunk = rows[start:start + _CHUNK_ROWS]
-        values = tuple(_reprs(chunk.ravel()))
-        out.write(row * len(chunk) % values)
-    return out.getvalue()
+    table, holes = _punch(rows, float.__repr__)
+    body = _inner_text(table)[1:].replace("],[", "\n").replace("]", "\n")
+    return out.getvalue() + _fill(body, holes)
 
 
 def trajectory_to_csv(tr):
@@ -138,14 +153,14 @@ def orbit_record(orbit, provenance, epsilon=None):
     """JSON document for a periodic orbit or converted field."""
     tr = orbit.trajectory
     stride = max(1, len(tr) // MIN_RECORD_SAMPLES)
-    samples = np.column_stack([tr.times, tr.states])[::stride].tolist()
+    samples = np.column_stack([tr.times, tr.states])[::stride]
     return {
         "schema": SCHEMA,
         "T": orbit.half_period,
         "epsilon": epsilon,
         "H": orbit.energy,
         "residual": orbit.residual,
-        "initial_state": [float(x) for x in orbit.initial_state],
+        "initial_state": orbit.initial_state,
         "samples": samples,
         "provenance": provenance,
     }
@@ -184,86 +199,63 @@ def diagram_to_csv(diagram):
     return out.getvalue()
 
 
-#: json's spelling of the floats whose repr is not JSON
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+def _str(s):
+    """s, if orjson writes it as json does.  A str whose text holds ``null``
+    holds ``ull``: newline + ``ull`` is written ``\\null``."""
+    if type(s) is not str or not s.isascii() or "\x7f" in s or "ull" in s:
+        raise TypeError("not written by orjson as by json")
+    return s
 
 
-def _float(x):
-    text = float.__repr__(x)
-    return _NONFINITE.get(text, text)
-
-
-def _key(k):
-    if isinstance(k, str):
-        return encode_basestring_ascii(k)
-    if isinstance(k, (int, float)) or k is None:     # bool is an int
-        return '"' + _encode(k, 0) + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {k.__class__.__name__}")
-
-
-def _float_block(items, level):
-    """A list of floats, or of equal-length rows of floats, rendered through
-    one %-template per chunk of rows; None for any other list."""
+def _float_array(items):
+    """A list of floats, or of equal-width rows of floats, as a float64
+    array; None for any other list."""
     kinds = set(map(type, items))
     if kinds <= {list, tuple}:
-        widths = set(map(len, items))
-        if len(widths) != 1 or 0 in widths:
+        if len(set(map(len, items))) != 1 or not items[0]:
             return None
-        (width,) = widths
-        values = list(chain.from_iterable(items))
-        kinds = set(map(type, values))
-        cell = _bracket(["%s"] * width, level + 1)
-    else:
-        width, values, cell = 1, items, "%s"
-    if not all(issubclass(k, float) for k in kinds):
-        return None
-    step = _CHUNK_ROWS * width
-    sep = ",\n" + "  " * (level + 1)
-    parts = []
-    for start in range(0, len(values), step):
-        reprs = tuple(_reprs(values[start:start + step]))
-        template = sep.join([cell] * (len(reprs) // width))
-        text = template % reprs
-        if "n" in text:             # nan or inf: no finite repr has an "n"
-            text = template % tuple(_NONFINITE.get(r, r) for r in reprs)
-        parts.append(text)
-    return _bracket(parts, level)
+        kinds = set(map(type, chain.from_iterable(items)))
+    return np.array(items, dtype=float) if kinds == {float} else None
 
 
-def _bracket(parts, level, ends="[]"):
-    inner = "\n" + "  " * (level + 1)
-    return (ends[0] + inner + ("," + inner).join(parts) + "\n" + "  " * level
-            + ends[1])
-
-
-def _encode(o, level):
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
+def _walk(o, holes):
+    """o for orjson, with float lists and tables as arrays and a null hole
+    for each scalar float and each misspelled array float.  Appends the text
+    of each hole, and ``null`` for each None, to holes in document order.
+    Raises TypeError where orjson's text would not be json's."""
     if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
+        holes.append("null")
+        return o
+    if type(o) in (bool, int):          # orjson rejects ints beyond 64 bits
+        return o
     if isinstance(o, float):
-        return _float(o)
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        return (_float_block(o, level)
-                or _bracket([_encode(x, level + 1) for x in o], level))
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
-        return _bracket([_key(k) + ": " + _encode(v, level + 1)
-                         for k, v in o.items()], level, "{}")
-    raise TypeError(f"Object of type {o.__class__.__name__} "
-                    f"is not JSON serializable")
+        holes.append(json.dumps(o))
+        return None
+    if type(o) is dict:
+        return {_str(k): _walk(v, holes) for k, v in o.items()}
+    if type(o) in (list, tuple):
+        table = _float_array(o)
+        if table is None:
+            return [_walk(x, holes) for x in o]
+        o = table
+    if type(o) is np.ndarray:
+        if o.dtype != np.float64 or o.ndim == 0:
+            return _walk(o.tolist(), holes)
+        table, texts = _punch(o, json.dumps)
+        holes += texts
+        return table
+    return _str(o)
 
 
 def dumps(doc):
-    """Exactly ``json.dumps(doc, indent=2)``, for an acyclic document."""
-    return _encode(doc, 0)
+    """Exactly ``json.dumps(doc, indent=2)``, with each ndarray written as
+    its ``tolist()``, for an acyclic document."""
+    holes = []
+    try:
+        text = orjson.dumps(_walk(doc, holes), option=orjson.OPT_INDENT_2
+                            | orjson.OPT_SERIALIZE_NUMPY).decode()
+    except TypeError:
+        return json.dumps(doc, indent=2, default=lambda o: o.tolist()
+                          if isinstance(o, np.ndarray)
+                          else json.JSONEncoder().default(o))
+    return _fill(text, holes)

@@ -72,8 +72,9 @@ def test_orbit_record_schema(lyapunov_orbits):
     assert len(rec["samples"][0]) == 5       # t,u,v,a,b
 
 
-# neighbours of the points where orjson's or repr's notation changes; the bands
-# that serialize._reprs redoes by repr start or end at 1e-9, 1e-4 and 1e16
+# neighbours of the points where orjson's or repr's notation changes; the
+# floats that serialize writes as holes lie in bands that start or end at
+# 1e-9, 1e-4 and 1e16
 REDO_EDGES = [float(y) for x in (1e-10, 1e-9, 1e-5, 1e-4, 1e16)
               for y in (np.nextafter(x, 0.0), x, np.nextafter(x, np.inf))]
 # every float json spells specially or that sits at a repr edge
@@ -85,10 +86,20 @@ floats = (st.floats() | st.sampled_from(SPECIAL_FLOATS)
 float_tables = st.integers(1, 4).flatmap(lambda m: st.lists(
     st.lists(floats, min_size=m, max_size=m)
     | st.tuples(*[floats] * m), max_size=5))
+# 1-D and 2-D float64 arrays, C-contiguous or reversed (a strided view)
+float_arrays = (st.lists(floats, max_size=6) | float_tables).map(
+    lambda x: np.array(x, dtype=float)).flatmap(
+    lambda a: st.sampled_from([a, a[::-1]]))
+# strs and lists that orjson would not write as json does, or that put a
+# None beside a NaN hole
+ROUTES = ["null", "a null b", "\n" + "ull", "\x7f", [None, float("nan")],
+          [float("nan"), None, 1.0], [[1.0, None], [float("nan"), 2.0]]]
 leaves = (st.none() | st.booleans() | st.integers() | floats | st.text()
           | st.sampled_from(["", "caf\u00e9", "tab\t\"q\"\\", "\U0001f600"])
-          | st.lists(floats, max_size=6) | float_tables)
-keys = st.text() | st.integers() | floats | st.booleans() | st.none()
+          | st.lists(floats, max_size=6) | float_tables | float_arrays
+          | st.sampled_from(ROUTES))
+keys = (st.text() | st.integers() | floats | st.booleans() | st.none()
+        | st.sampled_from(["null", "\n" + "ull", "\x7f"]))
 documents = st.recursive(
     leaves,
     lambda children: (st.lists(children, max_size=4)
@@ -97,10 +108,27 @@ documents = st.recursive(
     max_leaves=30)
 
 
+def tolist(o):
+    """json's ``default`` under the ``dumps`` contract."""
+    if isinstance(o, np.ndarray):
+        return o.tolist()
+    return json.JSONEncoder().default(o)
+
+
 @settings(max_examples=150, deadline=None, database=None)
 @given(documents)
 def test_dumps_equals_json_indent_2(doc):
-    assert serialize.dumps(doc) == json.dumps(doc, indent=2)
+    assert serialize.dumps(doc) == json.dumps(doc, indent=2, default=tolist)
+
+
+@pytest.mark.parametrize("leaf", ROUTES, ids=ascii)
+def test_dumps_takes_every_route(leaf):
+    docs = [leaf, [1.5e-7, leaf], {"x": np.array([1e16, np.nan]), "k": leaf}]
+    if isinstance(leaf, str):
+        docs.append({leaf: 1.5e-7, "x": np.array([1e-5, None])})
+    for doc in docs:
+        assert serialize.dumps(doc) == json.dumps(doc, indent=2,
+                                                  default=tolist)
 
 
 @pytest.mark.parametrize("n", [1023, 1024, 1025, 2600])
@@ -109,17 +137,19 @@ def test_dumps_long_float_tables(n):
     table = rng.standard_normal((n, 3))
     table[-1, 1] = np.nan
     table[n // 2, 0] = -np.inf
-    doc = {"rows": table.tolist(), "flat": table[:, 2].tolist()}
-    assert serialize.dumps(doc) == json.dumps(doc, indent=2)
+    doc = {"rows": table.tolist(), "flat": table[:, 2].tolist(),
+           "array": table, "column": table[:, 2]}
+    assert serialize.dumps(doc) == json.dumps(doc, indent=2, default=tolist)
 
 
 @pytest.mark.parametrize("doc", [
     {"x": np.int64(3)}, [1.0, np.int64(3)], [[1.0], [np.int64(3)]],
     {"s": {1.0}}, np.float32(1.0), {(1, 2): 1.0}, {"k": object()},
+    [np.zeros(2), object()],
 ])
 def test_dumps_rejects_what_json_rejects(doc):
     with pytest.raises(TypeError) as expected:
-        json.dumps(doc, indent=2)
+        json.dumps(doc, indent=2, default=tolist)
     with pytest.raises(TypeError) as got:
         serialize.dumps(doc)
     assert str(got.value) == str(expected.value)
@@ -147,13 +177,23 @@ def test_write_rows_equals_csv_writer(n):
     assert serialize._csv_table(header, rows) == csv_oracle(header, rows)
 
 
-def test_reprs_equals_float_repr_on_random_bit_patterns():
+def assert_writers_equal_repr(values, width):
+    # dumps against json of the same floats as a list, and _csv_table against
+    # csv.writer of their reprs
+    rows = np.reshape(values, (-1, width))
+    assert serialize.dumps({"flat": values, "rows": rows}) == json.dumps(
+        {"flat": values.tolist(), "rows": rows.tolist()}, indent=2)
+    header = tuple("c%d" % j for j in range(width))
+    assert serialize._csv_table(header, rows) == csv_oracle(header, rows)
+
+
+def test_writers_equal_repr_on_random_bit_patterns():
     rng = np.random.default_rng(19)
     values = rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
-    assert serialize._reprs(values) == list(map(float.__repr__, values))
+    assert_writers_equal_repr(values, 4)
 
 
-def test_reprs_respells_every_band():
+def test_writers_respell_every_band():
     # orjson's notation differs from repr's for 1e-9 <= |x| < 1e-5, for
     # 1e-5 <= |x| < 1e-4 and for |x| >= 1e16: draw m * 10^k in [10^e, 10^(e+1))
     # with m of 1 to 17 digits, of both signs, in each band
@@ -167,7 +207,8 @@ def test_reprs_respells_every_band():
     mag = np.abs(values)
     for lo, hi in ((1e-9, 1e-5), (1e-5, 1e-4), (1e16, np.inf)):
         assert np.count_nonzero((mag >= lo) & (mag < hi)) >= 2 * 17
-    assert serialize._reprs(values) == list(map(float.__repr__, values))
+    assert_writers_equal_repr(np.array(values), 1)
+    assert serialize.dumps(values) == json.dumps(values, indent=2)
 
 
 def test_diagram_csv():
