@@ -47,11 +47,14 @@ def _emit(text, out_path):
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _parse_floats(text):
+def _parse_floats(text, flag):
     try:
-        return [float(x) for x in text.split(",") if x.strip()]
+        values = [float(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
         raise ValueError(f"could not parse number list {text!r}") from exc
+    if values:
+        return values
+    raise ValueError(f"{flag} needs at least one number, got {text!r}")
 
 
 @functools.cache
@@ -133,7 +136,7 @@ def cmd_equilibria(args):
 
 
 def cmd_integrate(args):
-    state = _parse_floats(args.state)
+    state = _parse_floats(args.state, "--state")
     if len(state) != 4 or not np.isfinite(state).all():
         raise ValueError("--state needs exactly four finite numbers u,v,a,b, "
                          f"got {args.state!r}")
@@ -151,7 +154,7 @@ def cmd_integrate(args):
 
 
 def cmd_lyapunov(args):
-    amplitudes = _parse_floats(args.amplitudes)
+    amplitudes = _parse_floats(args.amplitudes, "--amplitudes")
     kwargs = {} if args.tol is None else {"tol": args.tol}
     family = orbits.lyapunov_family(amplitudes, **kwargs)
     records = []
@@ -196,7 +199,7 @@ def cmd_ground_state(args):
 
 
 def cmd_continuation(args):
-    eps_grid = _parse_floats(args.eps_grid)
+    eps_grid = _parse_floats(args.eps_grid, "--eps-grid")
     diagram = orbits.period_energy_diagram(eps_grid)
     if args.format == "json":
         doc = {"schema": geometry.SCHEMA, "delta0": diagram["delta0"],

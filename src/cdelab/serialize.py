@@ -107,23 +107,21 @@ def field_grid_to_csv(field):
     return _csv_table(("t", "u", "a", "b"), rows)
 
 
-def _complex_list(c):
-    return np.column_stack([c.real, c.imag]).tolist()
-
-
-def _complex_array(pairs):
-    return np.array([complex(re, im) for re, im in pairs])
+def _complex_array(doc, key):
+    a = np.array(doc[key], dtype=float)
+    if a.shape != (2 * int(doc["K"]) + 1, 2):
+        raise ValueError(f"{key} needs 2K+1 rows [re, im], K = {doc['K']}")
+    return a.view(complex)[:, 0]
 
 
 def field_to_json(field, energy=None, residuals=None):
-    doc = {
-        "schema": SCHEMA,
-        "epsilon": field.epsilon,
-        "K": field.num_modes,
-        "u_coeffs": _complex_list(field.u_coeffs),
-        "z_plus_coeffs": _complex_list(field.z_plus),
-        "z_minus_coeffs": _complex_list(field.z_minus),
-    }
+    """The field's document.  Its coefficient tables are C-contiguous
+    float64 (2K+1, 2) arrays of [re, im] rows, for :func:`dumps`."""
+    doc = {"schema": SCHEMA, "epsilon": field.epsilon, "K": field.num_modes}
+    for key, c in (("u_coeffs", field.u_coeffs),
+                   ("z_plus_coeffs", field.z_plus),
+                   ("z_minus_coeffs", field.z_minus)):
+        doc[key] = np.column_stack([c.real, c.imag])
     eb = energy if energy is not None else spectral.energy(field)
     doc["energy"] = {
         "scalar_quadratic": eb.scalar_quadratic,
@@ -143,9 +141,9 @@ def field_from_json(doc):
     return spectral.PeriodicField(
         epsilon=float(doc["epsilon"]),
         num_modes=int(doc["K"]),
-        u_coeffs=_complex_array(doc["u_coeffs"]),
-        z_plus=_complex_array(doc["z_plus_coeffs"]),
-        z_minus=_complex_array(doc["z_minus_coeffs"]),
+        u_coeffs=_complex_array(doc, "u_coeffs"),
+        z_plus=_complex_array(doc, "z_plus_coeffs"),
+        z_minus=_complex_array(doc, "z_minus_coeffs"),
     )
 
 

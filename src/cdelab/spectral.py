@@ -27,6 +27,7 @@ and its critical points solve -eps^2 u'' + u/4 = u |z|^2, A_eps z = u^2 z.
 
 import numpy as np
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .errors import TruncationMismatch, SolverStall, NonConvergence
 from . import homoclinic
@@ -124,6 +125,11 @@ class SpectrumA:
     def eigenvalue_table(self):
         """Rows (k, omega, +lam, -lam) for every retained mode."""
         return np.stack([self.k, self.omega, self.lam, -self.lam], axis=1)
+
+    @cached_property
+    def packed(self):
+        """The :class:`_Packed` operator of this spectrum, built once."""
+        return _Packed(self)
 
 
 def build_spectrum(T, K):
@@ -320,7 +326,7 @@ def gradient(field):
     against this representative in the eps-weighted L^2 product reproduces
     the directional derivative of the energy.
     """
-    r, _, _ = _Packed(field.spectrum).residual(
+    r, _, _ = field.spectrum.packed.residual(
         _pack(field.u_coeffs, field.z_ab_coeffs(), field.num_modes))
     return _field(r, field.epsilon, field.spectrum)
 
@@ -486,6 +492,9 @@ def cutoff_test_pair(eps, K=None):
 KRYLOV_FORCING = 1e-8
 KRYLOV_RESTART = 50
 KRYLOV_MAX_RESTARTS = 20
+#: largest K :func:`ground_state` accepts: the Krylov basis alone holds
+#: (KRYLOV_RESTART + 1) * 3(2K+1) floats, about 2.4 kB per mode (245 MB here)
+MAX_MODES = 100_000
 
 #: bound on a solution's :func:`coefficient_tail`.  At the default K it is
 #: at most 1.7e-12 for eps in [0.025, 0.37]; at eps = 0.05 with K = 3, 8, 32
@@ -675,34 +684,34 @@ def _gmres(operator, c):
         if beta <= tol:
             break
         V = np.empty((m + 1, c.size))
-        H = np.zeros((m + 1, m))
-        rot = np.zeros((m, 2))
-        g = np.zeros(m + 1)
+        H = np.zeros((m, m))
+        rot, g = [], [float(beta)]
         V[0] = res / beta
-        g[0] = beta
         for j in range(m):
             w = operator(V[j])
             w_norm = np.linalg.norm(w)
+            col = []
             for i in range(j + 1):
-                H[i, j] = V[i] @ w
-                w -= H[i, j] * V[i]
-            h = np.linalg.norm(w)
+                col.append(float(V[i] @ w))
+                w -= col[i] * V[i]
+            h = float(np.linalg.norm(w))
             done = h <= np.finfo(float).eps * w_norm     # happy breakdown
             if done:
                 h = 0.0
             else:
                 V[j + 1] = w / h
-            for i, (cs, sn) in enumerate(rot[:j]):
-                H[i, j], H[i + 1, j] = (cs * H[i, j] + sn * H[i + 1, j],
-                                        cs * H[i + 1, j] - sn * H[i, j])
-            rho = np.hypot(H[j, j], h)
-            rot[j] = H[j, j] / rho, h / rho
-            H[j, j] = rho
-            g[j], g[j + 1] = rot[j, 0] * g[j], -rot[j, 1] * g[j]
+            for i, (cs, sn) in enumerate(rot):
+                col[i], col[i + 1] = (cs * col[i] + sn * col[i + 1],
+                                      cs * col[i + 1] - sn * col[i])
+            rho = np.hypot(col[j], h)
+            cs, sn = float(col[j] / rho), float(h / rho)
+            rot.append((cs, sn))
+            H[:j + 1, j] = col[:j] + [rho]
+            g[j:] = cs * g[j], -sn * g[j]
             done = done or abs(g[j + 1]) <= tol
             if done:
                 break
-        y = np.linalg.solve(np.triu(H[:j + 1, :j + 1]), g[:j + 1])
+        y = np.linalg.solve(H[:j + 1, :j + 1], g[:j + 1])
         x = x + y @ V[:j + 1]
         if done:
             break
@@ -722,15 +731,15 @@ def _newton(field, eps, tol, max_iters, pin=None):
     products of each solve, and the number of steps taken (one less than
     solves when the line search rejects the last step)."""
     K = field.num_modes
-    ops = _Packed(field.spectrum if field.epsilon == eps
-                  else build_spectrum(1.0 / eps, K))
+    ops = (field.spectrum if field.epsilon == eps
+           else build_spectrum(1.0 / eps, K)).packed
     x = ops.symmetric(_pack(field.u_coeffs, field.z_ab_coeffs(), K))
     p = np.zeros(x.size)          # u(0) = u_0 + 2 sum_{k > 0} Re u_k
     p[:K + 1] = 2.0
     p[0] = 1.0
 
     def evaluate(x, eps):
-        o = ops if pin is None else _Packed(build_spectrum(1.0 / eps, K))
+        o = ops if pin is None else build_spectrum(1.0 / eps, K).packed
         r, gn, vals = o.residual(x)
         return o, r, (gn if pin is None else np.hypot(gn, p @ x - pin)), vals
 
@@ -818,11 +827,13 @@ def ground_state(eps, K=None, grad_tol=1e-8, max_newton_iters=40):
     iterate attached when the gradient norm exceeds ``grad_tol``, a relative
     Nehari residual 1e-6, or the result :func:`is_constant` (as past eps*),
     and, naming the truncation, when its :func:`coefficient_tail` exceeds
-    TAIL_TOL.  Raises ValueError unless eps is positive and finite.
+    TAIL_TOL.  Raises ValueError unless 0 < eps < inf and K <= MAX_MODES.
     """
     if not 0.0 < eps < np.inf:
         raise ValueError(f"epsilon must be positive and finite, got {eps!r}")
     K = default_modes(eps) if K is None else K
+    if K > MAX_MODES:
+        raise ValueError(f"{K:.4g} modes exceed MAX_MODES = {MAX_MODES}")
     field, grad_history, krylov_iters, newton_iters = _newton(
         cutoff_test_pair(min(eps, 0.25), K), eps, min(grad_tol, 1e-10),
         max_newton_iters)

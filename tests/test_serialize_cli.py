@@ -33,7 +33,7 @@ def test_field_json_roundtrip():
     f = spectral.cutoff_test_pair(0.2, K=16)
     doc = serialize.field_to_json(f)
     assert doc["schema"] == "cde-lab/1"
-    clone = serialize.field_from_json(json.loads(json.dumps(doc)))
+    clone = serialize.field_from_json(json.loads(serialize.dumps(doc)))
     np.testing.assert_array_equal(clone.u_coeffs, f.u_coeffs)
     np.testing.assert_array_equal(clone.z_plus, f.z_plus)
     np.testing.assert_array_equal(clone.z_minus, f.z_minus)
@@ -43,6 +43,29 @@ def test_field_json_roundtrip():
 def test_field_json_rejects_unknown_schema():
     with pytest.raises(ValueError):
         serialize.field_from_json({"schema": "other/9"})
+
+
+def test_field_to_json_writes_float64_tables():
+    f = spectral.cutoff_test_pair(0.2, K=16)
+    doc = serialize.field_to_json(f)
+    for key in ("u_coeffs", "z_plus_coeffs", "z_minus_coeffs"):
+        table = doc[key]
+        assert type(table) is np.ndarray and table.dtype == np.float64
+        assert table.shape == (33, 2) and table.flags.c_contiguous
+    assert serialize.dumps(doc) == json.dumps(doc, indent=2, default=tolist)
+
+
+@pytest.mark.parametrize("key", ["u_coeffs", "z_plus_coeffs",
+                                 "z_minus_coeffs"])
+@pytest.mark.parametrize("shape", [(33, 2), (16, 2), (17, 3)], ids=str)
+def test_field_from_json_rejects_tables_not_2k_plus_1_by_2(key, shape):
+    # a K = 8 table has 17 rows; a 33-row one used to reach energy() and
+    # fail there on a broadcast
+    f = spectral.cutoff_test_pair(0.2, K=8)
+    doc = json.loads(serialize.dumps(serialize.field_to_json(f)))
+    doc[key] = np.ones(shape).tolist()
+    with pytest.raises(ValueError, match=key):
+        serialize.field_from_json(doc)
 
 
 def test_field_grid_csv_header():
@@ -310,7 +333,7 @@ def test_cli_ground_state_record_matches_recomputed_record(capsys):
                for i in range(0, len(tr), stride)]
     assert rec["samples"] == samples
     rec["field"] = serialize.field_to_json(result.field)
-    assert json.dumps(rec, indent=2) + "\n" == out
+    assert json.dumps(rec, indent=2, default=tolist) + "\n" == out
 
 
 def test_cli_equilibria(capsys):
@@ -430,6 +453,31 @@ def test_cli_ground_state_rejects_nonpositive_tol_and_modes(flags, capsys):
     assert code == 2
     assert "invalid input" in err
     assert flags[0] != "--epsilon" or "epsilon" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ground-state", "--epsilon", "0.05", "--modes", "100000000"],
+    ["ground-state", "--epsilon", "1e-300"],
+    ["continuation", "--eps-grid", "1e-300"]], ids=" ".join)
+def test_cli_rejects_more_than_max_modes(argv, monkeypatch, capsys):
+    # K is checked before the start field is built
+    def unreachable(*args):
+        raise AssertionError("built a field past MAX_MODES")
+
+    monkeypatch.setattr(spectral, "cutoff_test_pair", unreachable)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert "invalid input" in err and "MAX_MODES" in err
+
+
+@pytest.mark.parametrize("argv", [["lyapunov", "--amplitudes", ","],
+                                  ["continuation", "--eps-grid", ","],
+                                  ["continuation", "--eps-grid", " "]],
+                         ids=" ".join)
+def test_cli_rejects_empty_number_lists(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert "invalid input" in err and argv[1] in err
 
 
 def test_cli_ground_state_with_too_few_modes_is_a_solver_failure(capsys):

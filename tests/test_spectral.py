@@ -515,6 +515,62 @@ def test_newton_step_matches_a_dense_solve_on_the_even_fields(monkeypatch,
         assert jvps > 3      # more than one cycle ran
 
 
+def test_gmres_matches_a_dense_solve():
+    # the stop on the residual, KRYLOV_FORCING * |c|, bounds the relative
+    # error by cond(A) * KRYLOV_FORCING
+    rng = np.random.default_rng(50)
+    n = 40
+    A = np.eye(n) + 0.5 * rng.standard_normal((n, n)) / np.sqrt(n)
+    c = rng.standard_normal(n)
+    x = spectral._gmres(lambda v: A @ v, c)
+    exact = np.linalg.solve(A, c)
+    bound = np.linalg.cond(A) * spectral.KRYLOV_FORCING
+    assert np.linalg.norm(x - exact) <= bound * np.linalg.norm(exact)
+
+
+def test_gmres_stops_on_a_happy_breakdown():
+    # with c = 2 e_0 the first Arnoldi step leaves w = 0 exactly: the
+    # breakdown branch must not divide by h = 0
+    calls = [0]
+
+    def identity(v):
+        calls[0] += 1
+        return v.copy()
+
+    c = np.zeros(30)
+    c[0] = 2.0
+    with np.errstate(all="raise"):
+        x = spectral._gmres(identity, c)
+    assert calls[0] == 1
+    np.testing.assert_array_equal(x, c)
+    c = np.random.default_rng(51).standard_normal(30)
+    x = spectral._gmres(identity, c)
+    assert calls[0] == 2
+    np.testing.assert_allclose(x, c, rtol=1e-14, atol=0.0)
+
+
+def test_gmres_restarts_past_krylov_restart():
+    # eigenvalues spread over [1, 1e3]: one cycle of KRYLOV_RESTART steps
+    # stops short of the forcing, so at least one restart runs
+    rng = np.random.default_rng(52)
+    n = 4 * spectral.KRYLOV_RESTART
+    d = rng.permutation(np.geomspace(1.0, 1e3, n))
+    c = rng.standard_normal(n)
+    calls = [0]
+
+    def operator(v):
+        calls[0] += 1
+        return d * v
+
+    x = spectral._gmres(operator, c)
+    assert calls[0] > spectral.KRYLOV_RESTART + 1
+    forcing = spectral.KRYLOV_FORCING
+    assert np.linalg.norm(d * x - c) <= 1.01 * forcing * np.linalg.norm(c)
+    exact = c / d
+    assert (np.linalg.norm(x - exact)
+            <= 1e3 * forcing * np.linalg.norm(exact))
+
+
 def test_ground_state_with_too_few_modes_raises_naming_the_truncation(
         ground_states):
     # converged on the truncated problem (gradient ~1e-13), but the tail of
@@ -607,6 +663,34 @@ def test_ground_state_builds_one_spectrum_per_epsilon(monkeypatch, eps,
     monkeypatch.setattr(spectral, "build_spectrum", counted)
     spectral.ground_state(eps)
     assert calls[0] == builds
+
+
+@pytest.mark.parametrize("eps", [0.04, 0.3])
+def test_ground_state_builds_one_packed_operator(monkeypatch, eps):
+    # Newton's, which the gradient certificate reuses
+    calls = [0]
+
+    class Counted(spectral._Packed):
+        def __init__(self, sp):
+            calls[0] += 1
+            super().__init__(sp)
+
+    monkeypatch.setattr(spectral, "_Packed", Counted)
+    spectral.ground_state(eps)
+    assert calls[0] == 1
+
+
+@pytest.mark.parametrize("eps, K", [(0.05, spectral.MAX_MODES + 1),
+                                    (0.05, 10 ** 8), (1e-300, None)])
+def test_ground_state_rejects_more_than_max_modes(monkeypatch, eps, K):
+    # before the start field, or any grid, is built
+    def unreachable(*args):
+        raise AssertionError("allocated past MAX_MODES")
+
+    monkeypatch.setattr(spectral, "cutoff_test_pair", unreachable)
+    monkeypatch.setattr(spectral, "grid_size", unreachable)
+    with pytest.raises(ValueError, match="MAX_MODES"):
+        spectral.ground_state(eps, K=K)
 
 
 @pytest.mark.parametrize("eps", [0.05, 0.3])
