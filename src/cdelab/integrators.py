@@ -67,7 +67,8 @@ def _rk4(u, v, a, b, dt, n=1, out=None):
     """n RK4 steps on four floats or (m,) rows, with the vector field inline
     in the array form's operation order.  Given a list ``out``, each new
     state is appended to it and must lie within OVERFLOW_LIMIT (NaN fails)."""
-    h, c, lim = 0.5 * dt, dt / 6.0, OVERFLOW_LIMIT
+    h, c, hi = 0.5 * dt, dt / 6.0, OVERFLOW_LIMIT
+    lo = -hi
     for i in range(n):
         w = u * u
         k1u, k1v = v, -(a * a + b * b - 0.25) * u
@@ -89,33 +90,17 @@ def _rk4(u, v, a, b, dt, n=1, out=None):
         b = b + c * (k1b + 2.0 * k2b + 2.0 * k3b + (q - w * p))
         if out is not None:
             out += u, v, a, b
-            if not (-lim <= u <= lim and -lim <= v <= lim
-                    and -lim <= a <= lim and -lim <= b <= lim):
+            if not (lo <= u <= hi and lo <= v <= hi
+                    and lo <= a <= hi and lo <= b <= hi):
                 raise NonFiniteState(f"state overflow after step {i + 1}")
     return u, v, a, b
-
-
-def _newton_correction(u, a, b, r0, r1, r2, r3, h):
-    """Solve (I - h Df) d = r at (u, ., a, b): row 0 gives d0 = r0 + h d1; rows
-    1..3 in d1..d3, [1 + h hg, p, q], [-h q, 1 + h, -w], [h p, w, 1 - h], are
-    reduced onto their (a, b) block, of det 1 - h² + w² > 0 for |h| < 1."""
-    hu, hg = h * u, h * (a * a + b * b - 0.25)
-    p, q, w = 2.0 * hu * a, 2.0 * hu * b, hu * u
-    c2, c3 = r2 + q * r0, r3 - p * r0
-    det_ab = 1.0 - h * h + w * w
-    e2, e3 = (1.0 - h) * c2 + w * c3, (1.0 + h) * c3 - w * c2
-    g2, g3 = h * (w * p - (1.0 - h) * q), h * ((1.0 + h) * p + w * q)
-    det = (1.0 + h * hg) * det_ab - p * g2 - q * g3
-    if det == 0.0 or det_ab == 0.0:
-        raise NewtonDivergence("singular implicit midpoint Newton matrix")
-    d1 = ((r1 - hg * r0) * det_ab - p * e2 - q * e3) / det
-    return r0 + h * d1, d1, (e2 - g2 * d1) / det_ab, (e3 - g3 * d1) / det_ab
 
 
 def _midpoint(u, v, a, b, dt, newton_tol, max_iters, n=1, out=None):
     """n implicit midpoint steps on four floats, each Newton solve started
     from the explicit Euler predictor; ``out`` as in :func:`_rk4`."""
-    h, tol2, lim = 0.5 * dt, newton_tol ** 2, OVERFLOW_LIMIT
+    h, tol2, hi = 0.5 * dt, newton_tol ** 2, OVERFLOW_LIMIT
+    lo = -hi
     for i in range(n):
         w = u * u
         xu, xv = u + dt * v, v + dt * (-(a * a + b * b - 0.25) * u)
@@ -123,9 +108,9 @@ def _midpoint(u, v, a, b, dt, newton_tol, max_iters, n=1, out=None):
         it = 0
         while True:
             mu, ma, mb = 0.5 * (u + xu), 0.5 * (a + xa), 0.5 * (b + xb)
-            w = mu * mu
+            w, g = mu * mu, ma * ma + mb * mb - 0.25
             r0 = xu - u - dt * (0.5 * (v + xv))
-            r1 = xv - v - dt * (-(ma * ma + mb * mb - 0.25) * mu)
+            r1 = xv - v - dt * (-g * mu)
             r2, r3 = xa - a - dt * (-ma + w * mb), xb - b - dt * (mb - w * ma)
             rr = r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3
             # ‖res‖ <= newton_tol * max(1, ‖x‖∞), compared squared (cheaper).
@@ -145,13 +130,28 @@ def _midpoint(u, v, a, b, dt, newton_tol, max_iters, n=1, out=None):
                 raise NewtonDivergence("implicit midpoint Newton stalled at "
                                        f"residual {rr ** 0.5:.3e}")
             it += 1
-            d0, d1, d2, d3 = _newton_correction(mu, ma, mb, r0, r1, r2, r3, h)
-            xu, xv, xa, xb = xu - d0, xv - d1, xa - d2, xb - d3
+            # solve (I - h Df) d = r at the midpoint: row 0 gives d0 = r0 +
+            # h d1; rows 1..3 in d1..d3, [1 + h hg, p, q], [-h q, 1 + h, -hw]
+            # and [h p, hw, 1 - h], are reduced onto their (a, b) block, of
+            # det 1 - h² + hw² > 0 for |h| < 1
+            hu, hg = h * mu, h * g
+            p, q, hw = 2.0 * hu * ma, 2.0 * hu * mb, hu * mu
+            c2, c3 = r2 + q * r0, r3 - p * r0
+            det_ab = 1.0 - h * h + hw * hw
+            e2, e3 = (1.0 - h) * c2 + hw * c3, (1.0 + h) * c3 - hw * c2
+            g2, g3 = h * (hw * p - (1.0 - h) * q), h * ((1.0 + h) * p + hw * q)
+            det = (1.0 + h * hg) * det_ab - p * g2 - q * g3
+            if det == 0.0 or det_ab == 0.0:
+                raise NewtonDivergence(
+                    "singular implicit midpoint Newton matrix")
+            d1 = ((r1 - hg * r0) * det_ab - p * e2 - q * e3) / det
+            xu, xv = xu - (r0 + h * d1), xv - d1
+            xa, xb = xa - (e2 - g2 * d1) / det_ab, xb - (e3 - g3 * d1) / det_ab
         u, v, a, b = xu, xv, xa, xb
         if out is not None:
             out += u, v, a, b
-            if not (-lim <= u <= lim and -lim <= v <= lim
-                    and -lim <= a <= lim and -lim <= b <= lim):
+            if not (lo <= u <= hi and lo <= v <= hi
+                    and lo <= a <= hi and lo <= b <= hi):
                 raise NonFiniteState(f"state overflow after step {i + 1}")
     return u, v, a, b
 
@@ -212,7 +212,7 @@ def integrate(s0, t_final, cfg):
         raise NewtonDivergence(
             f"{exc} in step {k} from t = {dt * (k - 1):.6g}, "
             f"|s|_inf = {max(map(abs, out[-4:])):.3e}") from exc
-    states = np.array(out).reshape(n_steps + 1, 4)
+    states = np.fromiter(out, float, len(out)).reshape(n_steps + 1, 4)
     times = dt * np.arange(n_steps + 1)
     if dt < 0:
         times = times[::-1].copy()

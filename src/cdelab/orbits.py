@@ -131,16 +131,16 @@ def lyapunov_family(amplitudes, tol=NEWTON_TOL):
 def field_to_orbit(field, residual):
     """A solved spectral field as a periodic orbit in original time: the
     field on the collocation nodes of [-1, 1] plus the periodic wrap, i.e.
-    on [-T, T] with T = 1/epsilon, v the spectral derivative of u.  The
-    initial state is the t = 0 state summed from the coefficients (v(0) =
-    0.0 on a time-reversal-even field), ``energy`` H there, and ``residual``
-    the merit of the solve that made the field.
+    on [-T, T] with T = 1/epsilon, v the spectral derivative of u, all from
+    one real transform of the packed field to the grid.  The initial state
+    is the t = 0 state summed from the coefficients (v(0) = 0.0 on a
+    time-reversal-even field), ``energy`` H there, and ``residual`` the
+    merit of the solve that made the field.
     """
     T = 1.0 / field.epsilon
     s = spectral.grid(spectral.grid_size(field.num_modes))
     times = np.concatenate([s, [1.0]]) * T
-    states = np.column_stack([field.u_values(), field.u_slope_values(),
-                              field.z_values()])
+    states = spectral._grid_states(field)
     tr = integrators.Trajectory(times=times,
                                 states=np.vstack([states, states[0]]))
     du = spectral.derivative_coeffs(field.u_coeffs) * field.epsilon

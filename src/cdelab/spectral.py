@@ -34,9 +34,13 @@ from . import homoclinic
 
 #: documented truncation table: coefficient tails of the limit profile fall
 #: below 1e-10 once K >= 6.4/eps (decay rate exp(-K*eps*pi^2/2)), giving
-#: K = 32, 64, 128 at eps = 0.2, 0.1, 0.05
+#: K = 32, 64, 128 at eps = 0.2, 0.1, 0.05; ValueError past MAX_MODES
 def default_modes(eps):
-    return int(np.ceil(6.4 / eps))
+    K = np.ceil(6.4 / eps)
+    if not K <= MAX_MODES:
+        raise ValueError(f"eps = {eps!r} needs {K:.4g} modes, more than "
+                         f"MAX_MODES = {MAX_MODES}")
+    return int(K)
 
 
 def grid_size(K):
@@ -226,11 +230,6 @@ class PeriodicField:
         N = grid_size(self.num_modes)
         return coeffs_to_values(self.z_ab_coeffs(), N).real
 
-    def u_slope_values(self):
-        """du/dt in the original (unrescaled) time variable, i.e. eps * d/ds."""
-        du = derivative_coeffs(self.u_coeffs) * self.epsilon
-        return coeffs_to_values(du, grid_size(self.num_modes)).real
-
     def shifted(self, tau):
         """Translate the field by tau in s: f(s) -> f(s + tau)."""
         k = np.arange(-self.num_modes, self.num_modes + 1)
@@ -302,20 +301,25 @@ def norms(field):
     return {"h1": h1, "half": half, "l4_u": l4_u, "l4_z": l4_z}
 
 
+def _energy_and_gradient(field):
+    """:func:`energy` and :func:`gradient` of field from one pack and one
+    transform to the grid, whose values give the coupling term."""
+    eps, sp = field.epsilon, field.spectrum
+    r, _, (u, a, b) = sp.packed.residual(
+        _pack(field.u_coeffs, field.z_ab_coeffs(), field.num_modes))
+    mult = _scalar_multiplier(sp)
+    scal = (2.0 / eps) * float(np.sum(mult * np.abs(field.u_coeffs) ** 2))
+    spin = (2.0 / eps) * float(np.sum(sp.lam * (np.abs(field.z_plus) ** 2
+                                                - np.abs(field.z_minus) ** 2)))
+    coup = (2.0 / (u.size * eps)) * float(np.sum(u * u * (a * a + b * b)))
+    eb = EnergyBreakdown(scalar_quadratic=scal, spinor_quadratic=spin,
+                         coupling=coup, total=0.5 * (scal + spin - coup))
+    return eb, _field(r, eps, sp)
+
+
 def energy(field):
     """Rescaled energy with its quadratic/coupling breakdown."""
-    eps = field.epsilon
-    mult = _scalar_multiplier(field.spectrum)
-    scal = (2.0 / eps) * float(np.sum(mult * np.abs(field.u_coeffs) ** 2))
-    lam = field.spectrum.lam
-    spin = (2.0 / eps) * float(np.sum(lam * (np.abs(field.z_plus) ** 2
-                                             - np.abs(field.z_minus) ** 2)))
-    N = grid_size(field.num_modes)
-    u = field.u_values()
-    z = field.z_values()
-    coup = (2.0 / (N * eps)) * float(np.sum(u ** 2 * (z[:, 0] ** 2 + z[:, 1] ** 2)))
-    return EnergyBreakdown(scalar_quadratic=scal, spinor_quadratic=spin,
-                           coupling=coup, total=0.5 * (scal + spin - coup))
+    return _energy_and_gradient(field)[0]
 
 
 def gradient(field):
@@ -326,9 +330,19 @@ def gradient(field):
     against this representative in the eps-weighted L^2 product reproduces
     the directional derivative of the energy.
     """
-    r, _, _ = field.spectrum.packed.residual(
-        _pack(field.u_coeffs, field.z_ab_coeffs(), field.num_modes))
-    return _field(r, field.epsilon, field.spectrum)
+    return _energy_and_gradient(field)[1]
+
+
+def _grid_states(field):
+    """States (u, u', a, b) of field on its grid, u' = eps du/ds the slope
+    in original time, from one packed transform to the grid."""
+    K, M = field.num_modes, 2 * field.num_modes + 1
+    x = _pack(field.u_coeffs, field.z_ab_coeffs(), K)
+    kpi = np.pi * field.epsilon * np.arange(1, K + 1)
+    # (Re, Im) of i pi k c_k are (-pi k Im c_k, pi k Re c_k)
+    du = np.concatenate([[0.0], -kpi * x[K + 1:M], kpi * x[1:K + 1]])
+    u, a, b, v = field.spectrum.packed.to_grid(np.concatenate([x, du]))
+    return np.column_stack([u, v, a, b])
 
 
 def gradient_norm(g):
@@ -483,13 +497,18 @@ def cutoff_test_pair(eps, K=None):
 # ----------------------------------------------------------------------
 # ground-state solver
 
-#: GMRES in the Newton polish: bound on each solve's preconditioned residual
-#: relative to the preconditioned right-hand side, basis size, cap on restart
-#: cycles.  The time-reversal-even subspace has no translation null mode, so
-#: a tighter forcing converges too; 1e-8 is kept because it is cheaper (12
-#: ground states at eps in [0.025, 0.06] on a 2-vCPU VM: 47 ms and 89 JVPs,
-#: and 65 ms and 141 JVPs at 1e-12)
+#: GMRES in the Newton polish: floor of each solve's forcing (its bound on
+#: the preconditioned residual relative to the preconditioned right-hand
+#: side), basis size, cap on restart cycles.  A lower floor converges too (no
+#: translation null mode on the time-reversal-even fields) but costs more
+#: where it binds, at merits above 1e-5: at eps = 0.1, 0.2, 0.3 and 0.37,
+#: 173 JVPs in 16 ms, and 204 in 19 ms at 1e-12 (process time, 2-vCPU VM)
 KRYLOV_FORCING = 1e-8
+#: each Newton step's forcing is max(KRYLOV_FORCING, min(0.1, KRYLOV_GAMMA *
+#: tol / merit)) (Eisenstat & Walker 1996).  12 ground states at eps in
+#: [0.025, 0.06] take 7 steps and 63 JVPs in 16 ms (14, 89 and 22 ms at a
+#: fixed forcing 1e-8); gamma = 1e-2 takes 56 JVPs
+KRYLOV_GAMMA = 1e-3
 KRYLOV_RESTART = 50
 KRYLOV_MAX_RESTARTS = 20
 #: largest K :func:`ground_state` accepts: the Krylov basis alone holds
@@ -598,10 +617,11 @@ class _Packed:
         return 0.5 * (x + self.sign * x[self.swap])
 
     def to_grid(self, x):
-        """Grid values (3, N) of (u, a, b) at the packed point x."""
+        """Grid values (3, N) of (u, a, b) at the packed point x; (n, N) of
+        any n packed components."""
         K = self.K
-        c = x.reshape(3, 2 * K + 1)
-        spread = np.zeros((3, self.N // 2 + 1), dtype=complex)
+        c = x.reshape(-1, 2 * K + 1)
+        spread = np.zeros((len(c), self.N // 2 + 1), dtype=complex)
         spread.real[:, :K + 1] = c[:, :K + 1] * self.alternate
         spread.imag[:, 1:K + 1] = c[:, K + 1:] * self.alternate[1:]
         return np.fft.irfft(spread, self.N, axis=1, norm="forward")
@@ -640,15 +660,15 @@ class _Packed:
         return jvp
 
 
-def _newton_step(r, jvp, ops, border=None):
+def _newton_step(r, jvp, ops, border=None, forcing=KRYLOV_FORCING):
     """GMRES solve of J dx = -r on the time-reversal-even fields,
     left-preconditioned by the inverse linear part M: the operator is
     B = S M S J, S the projection onto those fields.  With ``border = (dr,
     p, e)`` eps is an unknown too, and the bordered system [S M S (J dx + dr
     deps); p . dx] = -[S M S r; e] is solved for the step (dx, deps).
     M maps even fields to even fields exactly, so S M S = M S.  ``ops`` is
-    the :class:`_Packed` of the point.  Returns the step and the number of
-    Jacobian-vector products."""
+    the :class:`_Packed` of the point; GMRES runs to the given forcing.
+    Returns the step and the number of Jacobian-vector products."""
     jvps = 0
 
     def precondition(y):
@@ -665,17 +685,17 @@ def _newton_step(r, jvp, ops, border=None):
     c = precondition(-r)
     if border is not None:
         c = np.append(c, -border[2])
-    return _gmres(operator, c), jvps
+    return _gmres(operator, c, forcing), jvps
 
 
-def _gmres(operator, c):
+def _gmres(operator, c, forcing=KRYLOV_FORCING):
     """Restarted GMRES (Saad & Schultz 1986) for operator(x) = c: Arnoldi
     with modified Gram-Schmidt and Givens rotations.  A cycle stops when the
-    Arnoldi estimate of the residual reaches KRYLOV_FORCING times |c|, or on
+    Arnoldi estimate of the residual reaches ``forcing`` times |c|, or on
     a happy breakdown; a cycle of KRYLOV_RESTART steps that stops short
     restarts from the true residual.  Returns the iterate, also when the
     last of KRYLOV_MAX_RESTARTS cycles stops short."""
-    tol = KRYLOV_FORCING * np.linalg.norm(c)
+    tol = forcing * np.linalg.norm(c)
     m = KRYLOV_RESTART
     x = np.zeros(c.size)
     for cycle in range(KRYLOV_MAX_RESTARTS):
@@ -721,6 +741,7 @@ def _gmres(operator, c):
 def _newton(field, eps, tol, max_iters, pin=None):
     """Inexact Newton on the time-reversal-even fields from the projection
     of ``field`` onto them, at eps, each step solved by :func:`_newton_step`
+    to the forcing max(KRYLOV_FORCING, min(0.1, KRYLOV_GAMMA * tol / merit))
     and halved up to 30 times until the merit decreases; stops once the
     merit is at most tol.  The merit is the residual's eps-weighted L^2
     norm.  With ``pin`` eps is an unknown too, fixed by u(0) = sum_k u_k =
@@ -748,7 +769,9 @@ def _newton(field, eps, tol, max_iters, pin=None):
     while merit > tol and steps < max_iters:
         border = None if pin is None else (ops.gather(x, ops.eps_w), p,
                                            p @ x - pin)
-        step, jvps = _newton_step(r, ops.linearization(vals), ops, border)
+        forcing = max(KRYLOV_FORCING, min(0.1, KRYLOV_GAMMA * tol / merit))
+        step, jvps = _newton_step(r, ops.linearization(vals), ops, border,
+                                  forcing)
         dx, de = (step, 0.0) if pin is None else (step[:-1], step[-1])
         krylov_iters.append(jvps)
         lam = 1.0
@@ -810,18 +833,30 @@ def nehari_scale(u_hat, z_plus, sp, tol=1e-11, max_iter=40):
     raise NonConvergence("Nehari scaling Newton did not converge", best=f)
 
 
+def _periodized_homoclinic(eps, K):
+    """Newton's start at eps with K modes: U(t/w) + U((t -+ 2)/w), U the
+    derived homoclinic and w = min(eps, 1/4), sampled on the grid and packed
+    on the spectrum at eps."""
+    sp = build_spectrum(1.0 / eps, K)
+    t = grid(sp.packed.N) + np.array([[-2.0], [0.0], [2.0]])
+    u, _, a, b = homoclinic.derived_profile()(t / min(eps, 0.25)).sum(axis=1)
+    return _field(sp.packed.to_packed(np.stack([u, a, b])), eps, sp)
+
+
 def ground_state(eps, K=None, grad_tol=1e-8, max_newton_iters=40):
     """Ground state of the rescaled problem at the given epsilon.
 
     Strategy: inexact Newton steps that GMRES solves matrix-free on the
     time-reversal-even fields (u_k real, a_k = conj(b_k)), where the
     translation null mode is absent and the phase stays pinned at t = 0.
-    Every solve starts from :func:`cutoff_test_pair` at min(eps, 1/4) with
-    K modes; above 1/4 that pulse is already close enough for Newton to
-    reach the nontrivial branch up to its end at eps* = 2^(1/4)/pi.  The
-    diagnostics hold :func:`_newton`'s merits (``gradient_history``), steps
-    (``newton_iterations``) and Jacobian-vector products of each solve
-    (``krylov_iterations``: the Krylov steps and each restart's residual).
+    Every solve starts from the derived homoclinic at width min(eps, 1/4)
+    plus its period translates, with K modes: it solves the problem up to
+    O(e^(-1/eps)), and above 1/4 it is close enough for Newton to reach the
+    nontrivial branch up to its end at eps* = 2^(1/4)/pi.  Each step's
+    forcing follows the merit (see :func:`_newton`).  The diagnostics hold
+    its merits (``gradient_history``), steps (``newton_iterations``) and
+    Jacobian-vector products of each solve (``krylov_iterations``: the
+    Krylov steps and each restart's residual).
 
     Returns a :class:`GroundStateResult`; raises NonConvergence with the best
     iterate attached when the gradient norm exceeds ``grad_tol``, a relative
@@ -835,11 +870,10 @@ def ground_state(eps, K=None, grad_tol=1e-8, max_newton_iters=40):
     if K > MAX_MODES:
         raise ValueError(f"{K:.4g} modes exceed MAX_MODES = {MAX_MODES}")
     field, grad_history, krylov_iters, newton_iters = _newton(
-        cutoff_test_pair(min(eps, 0.25), K), eps, min(grad_tol, 1e-10),
+        _periodized_homoclinic(eps, K), eps, min(grad_tol, 1e-10),
         max_newton_iters)
 
-    eb = energy(field)
-    g = gradient(field)
+    eb, g = _energy_and_gradient(field)
     gn = gradient_norm(g)
     res = nehari_residuals(field, energy=eb, gradient=g)
     tail = coefficient_tail(field)

@@ -78,6 +78,24 @@ def test_integrate_bitwise_equals_iterated_steps(s0, step_spec, method):
         assert np.array_equal(nxt, ref)
 
 
+def newton_correction_reference(u, a, b, r0, r1, r2, r3, h):
+    """The midpoint kernel's closed-form Newton correction, as a reference:
+    solve (I - h Df) d = r at (u, ., a, b).  Row 0 gives d0 = r0 + h d1;
+    rows 1..3 in d1..d3, [1 + h hg, p, q], [-h q, 1 + h, -w], [h p, w, 1 - h],
+    are reduced onto their (a, b) block, of det 1 - h² + w² > 0 for |h| < 1."""
+    hu, hg = h * u, h * (a * a + b * b - 0.25)
+    p, q, w = 2.0 * hu * a, 2.0 * hu * b, hu * u
+    c2, c3 = r2 + q * r0, r3 - p * r0
+    det_ab = 1.0 - h * h + w * w
+    e2, e3 = (1.0 - h) * c2 + w * c3, (1.0 + h) * c3 - w * c2
+    g2, g3 = h * (w * p - (1.0 - h) * q), h * ((1.0 + h) * p + w * q)
+    det = (1.0 + h * hg) * det_ab - p * g2 - q * g3
+    if det == 0.0 or det_ab == 0.0:
+        raise NewtonDivergence("singular implicit midpoint Newton matrix")
+    d1 = ((r1 - hg * r0) * det_ab - p * e2 - q * e3) / det
+    return r0 + h * d1, d1, (e2 - g2 * d1) / det_ab, (e3 - g3 * d1) / det_ab
+
+
 @pytest.mark.parametrize("dt", [1e-3, 1e-2])
 def test_newton_correction_matches_dense_solve(dt):
     rng = np.random.default_rng(29)
@@ -90,7 +108,7 @@ def test_newton_correction_matches_dense_solve(dt):
         res = rng.standard_normal(4) * 10.0 ** rng.uniform(-14, 0)
         ref = np.linalg.solve(np.eye(4) - h * linear.jacobian_at(mid).entries,
                               res)
-        d = integrators._newton_correction(mid[0], mid[2], mid[3], *res, h)
+        d = newton_correction_reference(mid[0], mid[2], mid[3], *res, h)
         assert np.linalg.norm(np.array(d) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -257,7 +275,7 @@ def midpoint_step_reference(s, dt, newton_tol, max_iters=25):
         rr = r[0] * r[0] + r[1] * r[1] + r[2] * r[2] + r[3] * r[3]
         if rr <= (newton_tol * max(1.0, *map(abs, x))) ** 2:
             return x
-        d = integrators._newton_correction(mu, ma, mb, *r, h)
+        d = newton_correction_reference(mu, ma, mb, *r, h)
         x = [xi - di for xi, di in zip(x, d)]
     raise NewtonDivergence("reference Newton stalled")
 

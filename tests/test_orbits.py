@@ -258,6 +258,18 @@ def test_field_to_orbit_invariants(ground_states):
     assert dmin >= 1e-6                               # nonconstant
 
 
+def test_field_to_orbit_samples_the_field(ground_states):
+    # one real transform of the packed field against the complex ones, v =
+    # eps du/ds; the shifted field has Im u_k != 0
+    for field in (ground_states[0.05].field, spectral.cutoff_test_pair(0.2),
+                  ground_states[0.1].field.shifted(0.3)):
+        states = orbits.field_to_orbit(field, 0.0).trajectory.states[:-1]
+        du = spectral.derivative_coeffs(field.u_coeffs) * field.epsilon
+        v = spectral.coeffs_to_values(du, len(states)).real
+        ref = np.column_stack([field.u_values(), v, field.z_values()])
+        assert np.max(np.abs(states - ref)) <= 1e-13
+
+
 # ----------------------------------------------------------------------
 # continuation diagram
 

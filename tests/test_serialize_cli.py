@@ -464,10 +464,21 @@ def test_cli_rejects_more_than_max_modes(argv, monkeypatch, capsys):
     def unreachable(*args):
         raise AssertionError("built a field past MAX_MODES")
 
-    monkeypatch.setattr(spectral, "cutoff_test_pair", unreachable)
+    monkeypatch.setattr(spectral, "_periodized_homoclinic", unreachable)
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == ""
     assert "invalid input" in err and "MAX_MODES" in err
+
+
+@pytest.mark.parametrize("argv", [["ground-state", "--epsilon", "1e-320"],
+                                  ["continuation", "--eps-grid", "1e-320"]],
+                         ids=" ".join)
+def test_cli_rejects_an_epsilon_whose_default_modes_overflow(argv, capsys):
+    # 6.4 / 1e-320 is inf: compared with MAX_MODES before int() sees it
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert "invalid input" in err
+    assert "eps = 1e-320" in err and "MAX_MODES" in err
 
 
 @pytest.mark.parametrize("argv", [["lyapunov", "--amplitudes", ","],

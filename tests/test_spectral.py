@@ -235,6 +235,26 @@ def test_energy_of_zero_field():
     assert eb.total == 0.0 and eb.coupling == 0.0
 
 
+def test_energy_matches_the_complex_transform_formula():
+    # the coupling sums real grid values of the packed field; the complex
+    # transforms of u and z give the same terms to rounding
+    fields = [random_field(0.1, K, seed=K) for K in (8, 32, 136)]
+    for f in fields + [spectral.cutoff_test_pair(0.05)]:
+        eps, N = f.epsilon, spectral.grid_size(f.num_modes)
+        mult = f.spectrum.omega ** 2 + 0.25
+        scal = (2.0 / eps) * np.sum(mult * np.abs(f.u_coeffs) ** 2)
+        spin = (2.0 / eps) * np.sum(f.spectrum.lam * (
+            np.abs(f.z_plus) ** 2 - np.abs(f.z_minus) ** 2))
+        u, z = f.u_values(), f.z_values()
+        coup = (2.0 / (N * eps)) * np.sum(u ** 2 * (z[:, 0] ** 2
+                                                    + z[:, 1] ** 2))
+        want = np.array([scal, spin, coup, 0.5 * (scal + spin - coup)])
+        eb = spectral.energy(f)
+        got = np.array([eb.scalar_quadratic, eb.spinor_quadratic,
+                        eb.coupling, eb.total])
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_cutoff_energy_near_limit_value():
     eb = spectral.energy(spectral.cutoff_test_pair(0.05))
     assert abs(eb.total - homoclinic.DELTA0) <= 0.05 * homoclinic.DELTA0
@@ -648,11 +668,10 @@ def test_jvp_annihilates_translation_mode(ground_states):
         assert np.linalg.norm(jvp(d)) <= 1e-10 * np.linalg.norm(d)
 
 
-@pytest.mark.parametrize("eps, builds", [(0.04, 1), (0.25, 1), (0.3, 2)])
+@pytest.mark.parametrize("eps, builds", [(0.04, 1), (0.25, 1), (0.3, 1)])
 def test_ground_state_builds_one_spectrum_per_epsilon(monkeypatch, eps,
                                                       builds):
-    # the cutoff pair's, which Newton reuses at eps <= 1/4, and above 1/4
-    # one more at eps
+    # the start's, at eps also above 1/4, which Newton reuses
     calls = [0]
     original = spectral.build_spectrum
 
@@ -681,13 +700,15 @@ def test_ground_state_builds_one_packed_operator(monkeypatch, eps):
 
 
 @pytest.mark.parametrize("eps, K", [(0.05, spectral.MAX_MODES + 1),
-                                    (0.05, 10 ** 8), (1e-300, None)])
+                                    (0.05, 10 ** 8), (1e-300, None),
+                                    (1e-320, None)])
 def test_ground_state_rejects_more_than_max_modes(monkeypatch, eps, K):
-    # before the start field, or any grid, is built
+    # before the start field, or any grid, is built; at 1e-320 the default
+    # 6.4 / eps is inf, which int() cannot take
     def unreachable(*args):
         raise AssertionError("allocated past MAX_MODES")
 
-    monkeypatch.setattr(spectral, "cutoff_test_pair", unreachable)
+    monkeypatch.setattr(spectral, "_periodized_homoclinic", unreachable)
     monkeypatch.setattr(spectral, "grid_size", unreachable)
     with pytest.raises(ValueError, match="MAX_MODES"):
         spectral.ground_state(eps, K=K)
@@ -712,13 +733,34 @@ def test_ground_state_skips_projected_gradient(monkeypatch, eps):
     (0.025, 0.8835729338221298),
     (0.04, 0.883572933780466),
     (0.06, 0.8835727604896779),
-    # eps > 1/4: Newton from the cutoff pair at 1/4, up to the branch's end
+    # eps > 1/4: Newton from the pulse of width 1/4, up to the branch's end
     (0.3, 0.7762872683721382),
     (0.37, 0.6750661791015719),
     (0.378, 0.6613732738644914),
 ])
 def test_ground_state_energy_pinned(eps, delta):
     assert abs(spectral.ground_state(eps).delta_eps - delta) <= 1e-14
+
+
+@pytest.mark.parametrize("eps", [0.025, 0.0345])
+def test_ground_state_starts_on_the_periodized_homoclinic(eps):
+    # the homoclinic plus its period translates solves the problem up to
+    # O(e^(-1/eps)): start merits measured 1.3e-13 and 2.8e-12
+    d = spectral.ground_state(eps).diagnostics
+    assert d["newton_iterations"] == 0
+    assert d["final_gradient_norm"] <= 1e-10
+
+
+def test_ground_state_newton_work_over_the_benchmark_range():
+    # 12 eps spread over [0.025, 0.06]: 14 Newton steps and 89 JVPs from the
+    # cutoff pair with forcing 1e-8, measured 7 and 63 from the periodized
+    # homoclinic with the forcing tied to the merit
+    steps = jvps = 0
+    for eps in np.linspace(0.025, 0.06, 12):
+        d = spectral.ground_state(eps).diagnostics
+        steps += d["newton_iterations"]
+        jvps += sum(d["krylov_iterations"])
+    assert steps <= 7 and jvps <= 70
 
 
 def test_ground_state_above_the_branch_end_is_the_constant_solution():
