@@ -3,10 +3,13 @@ and convergence diagnostics against the homoclinic profile.
 
 A 2T-periodic orbit is a zero of the spectral Euler-Lagrange residual at
 eps = 1/T on the fields even under R(u, v, a, b) = (u, -v, b, a), found by
-the ground-state Newton core from an RK4 run over one period, and accepted
-as a ground state is: merit <= tol, spectral.coefficient_tail <= TAIL_TOL,
-not constant.  No RK4 closure checks it: that grows with the Floquet
-multiplier (~1e6 at eps = 0.15) however exact the orbit.
+the ground-state Newton core, and accepted as a ground state is: merit <=
+tol, spectral.coefficient_tail <= TAIL_TOL, not constant.  The family starts
+from the linear flow of the elliptic mode at P+, in closed form on the
+collocation grid, so no time integration makes or checks an orbit: an RK4
+closure grows with the Floquet multiplier (~1e6 at eps = 0.15) however
+exact the orbit.  At a fixed period T on the branch the orbit is
+spectral.ground_state(1/T).
 """
 
 import numpy as np
@@ -15,10 +18,13 @@ from dataclasses import dataclass
 from . import dynamics, homoclinic, integrators, linear, spectral
 from .errors import NewtonDivergence, ConvergedToEquilibrium, NonConvergence
 
-#: merit at which the orbit Newton solves stop and up to which an orbit is
-#: accepted; the quadratically converging step that crosses it mostly lands
-#: near the rounding floor (family merits measured 3e-16 to 4e-13)
+#: merit up to which an orbit is accepted (``lyapunov_family``'s default tol)
 NEWTON_TOL = 1e-12
+#: merit at which the family Newton solves stop: from the eigenmode start the
+#: step that crosses NEWTON_TOL can land just under it (6.8e-13 at h = 1e-2,
+#: whose RK4 closure then reads 1.25e-11), one more step reaches the rounding
+#: floor (family merits measured 3e-16 to 2.9e-15)
+STOP_TOL = 1e-14
 
 
 @dataclass
@@ -40,16 +46,6 @@ class PeriodicOrbit:
         return 2.0 * self.half_period
 
 
-def _sample(s0, T, K):
-    """The field at eps = 1/T, K modes, of the RK4 run from s0 over one
-    period 2T, one step per collocation node (s0 lands on the node t = 0)."""
-    N = spectral.grid_size(K)
-    tr = integrators.integrate(s0, 2.0 * T, integrators.StepperConfig(
-        method="rk4", dt=2.0 * T / N))
-    states = np.roll(tr.states[:-1], N // 2, axis=0)
-    return spectral.field_from_values(1.0 / T, K, states[:, 0], states[:, 2:])
-
-
 def _orbit(field, merit, tol, label):
     """The orbit of a Newton result of the given merit; raises
     ConvergedToEquilibrium for a constant field, NewtonDivergence for a
@@ -69,48 +65,41 @@ def _orbit(field, merit, tol, label):
     return field_to_orbit(field, merit)
 
 
-def shoot_periodic(T, guess, max_iters=25):
-    """Find a 2T-periodic orbit through the section v(0) = 0 at fixed T.
-
-    The RK4 run from ``guess`` over 2T, sampled on the collocation nodes,
-    starts at most ``max_iters`` spectral Newton steps at eps = 1/T with K =
-    default_modes(eps); the orbit is accepted at merit <= NEWTON_TOL.
-    Raises ConvergedToEquilibrium for a constant result (as from an
-    equilibrium guess), NewtonDivergence naming the spectral residual,
-    NonConvergence naming the truncation, and ValueError unless T is
-    positive and finite and guess is four finite numbers.
-    """
-    if not 0.0 < T < np.inf:
-        raise ValueError(f"T must be positive and finite, got {T!r}")
-    guess = np.asarray(guess, dtype=float)
-    if guess.shape != (4,) or not np.isfinite(guess).all():
-        raise ValueError(f"guess must be four finite numbers u, v, a, b, "
-                         f"got {guess.tolist()!r}")
-    field = _sample(guess, T, spectral.default_modes(1.0 / T))
-    field, history, *_ = spectral._newton(field, field.epsilon, NEWTON_TOL,
-                                          max_iters)
-    return _orbit(field, history[-1], NEWTON_TOL, "periodic orbit")
+def _eigenmode_start(h):
+    """The field at eps = 2/t0, t0 = 2 pi/omega the linear period, of P+ plus
+    the linear flow of the elliptic mode d0 = h (1, 0, omega^2, 0) in the
+    rotated chart, d(t) = cos(omega t) d0 + sin(omega t)/omega A d0 (A =
+    linear.matrix_c(), A^2 d0 = -omega^2 d0), sampled on the collocation
+    nodes of [-t0/2, t0/2)."""
+    A = linear.matrix_c()
+    report = linear.eigenvalues_4x4(A)
+    omega = report.elliptic_omega
+    t0 = linear.lyapunov_period(report)
+    sp = spectral.build_spectrum(t0 / 2.0, spectral.default_modes(2.0 / t0))
+    t = spectral.grid(sp.packed.N) * (t0 / 2.0)
+    d0 = h * np.array([1.0, 0.0, omega ** 2, 0.0])
+    d = (np.outer(d0, np.cos(omega * t))
+         + np.outer(A @ d0 / omega, np.sin(omega * t)))
+    u, _, a, b = dynamics.from_rotated(dynamics.P_PLUS_ROTATED[:, None] + d)
+    return spectral._field(sp.packed.to_packed(np.stack([u, a, b])),
+                           sp.epsilon, sp)
 
 
 def lyapunov_family(amplitudes, tol=NEWTON_TOL):
     """Continuation of small orbits around the center equilibrium.
 
-    The first amplitude h starts from the equilibrium displaced along the
-    real part of the elliptic eigenvector of the linearization, sampled over
-    the linear period t0; each later one starts from the previous solution.
-    The spectral Newton solve pins u(0) = 1 + h and finds the field and
-    eps = 1/T, with the K of the first start, down to merit min(tol,
-    NEWTON_TOL); ``tol`` bounds each accepted orbit's merit.  Periods approach
-    2*pi/2^(1/4) ... = 2^(3/4)*pi as the amplitude shrinks.  Raises
-    ValueError for a negative or non-finite h and ConvergedToEquilibrium for
-    h = 0, the equilibrium itself.
+    The first amplitude h starts from the linear flow of the elliptic mode
+    at P+ over the linear period t0 (see :func:`_eigenmode_start`); each
+    later one starts from the previous solution.  The spectral Newton solve
+    pins u(0) = 1 + h and finds the field and eps = 1/T, with the K of the
+    first start, down to merit min(tol, STOP_TOL); ``tol`` bounds each
+    accepted orbit's merit.  Periods approach 2*pi/2^(1/4) = 2^(3/4)*pi as
+    the amplitude shrinks.  Raises ValueError for a negative or non-finite h
+    and ConvergedToEquilibrium for h = 0, the equilibrium itself.
     """
     if not all(0.0 <= h < np.inf for h in amplitudes):
         raise ValueError(f"each amplitude h must be >= 0 and finite, "
                          f"got {list(amplitudes)}")
-    report = linear.eigenvalues_4x4(linear.matrix_c())
-    omega = report.elliptic_omega
-    t0 = linear.lyapunov_period(report)
     field = None
     orbits = []
     for h in amplitudes:
@@ -118,12 +107,9 @@ def lyapunov_family(amplitudes, tol=NEWTON_TOL):
             raise ConvergedToEquilibrium(
                 "amplitude 0 is the equilibrium itself")
         if field is None:
-            # elliptic-plane direction in the rotated chart: (1, 0, omega^2, 0)
-            rot = dynamics.P_PLUS_ROTATED + h * np.array([1.0, 0.0, omega ** 2, 0.0])
-            field = _sample(dynamics.from_rotated(rot), t0 / 2.0,
-                            spectral.default_modes(2.0 / t0))
+            field = _eigenmode_start(h)
         field, history, *_ = spectral._newton(
-            field, field.epsilon, min(tol, NEWTON_TOL), 30, pin=1.0 + h)
+            field, field.epsilon, min(tol, STOP_TOL), 30, pin=1.0 + h)
         orbits.append(_orbit(field, history[-1], tol, "family orbit"))
     return orbits
 

@@ -745,7 +745,8 @@ def _newton(field, eps, tol, max_iters, pin=None):
     and halved up to 30 times until the merit decreases; stops once the
     merit is at most tol.  The merit is the residual's eps-weighted L^2
     norm.  With ``pin`` eps is an unknown too, fixed by u(0) = sum_k u_k =
-    pin, and the merit is the hypot of that norm and u(0) - pin.  The
+    pin, and the merit is the hypot of that norm and u(0) - pin; a trial
+    step to eps <= 0 or a non-finite eps has infinite merit.  The
     start reuses ``field.spectrum`` when field.epsilon == eps.  Returns the
     last iterate as a field at the final eps, the merits of the start and of
     each step (the last is the returned field's), the Jacobian-vector
@@ -760,6 +761,8 @@ def _newton(field, eps, tol, max_iters, pin=None):
     p[0] = 1.0
 
     def evaluate(x, eps):
+        if not 0.0 < eps < np.inf:      # a rejected trial, not bad input
+            return None, None, np.inf, None
         o = ops if pin is None else build_spectrum(1.0 / eps, K).packed
         r, gn, vals = o.residual(x)
         return o, r, (gn if pin is None else np.hypot(gn, p @ x - pin)), vals

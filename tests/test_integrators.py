@@ -170,13 +170,17 @@ def test_midpoint_drift_small_and_second_order(lyapunov_orbits):
 
 
 def test_rk4_order_four_by_step_halving(lyapunov_orbits):
+    # the end-state error against a dt = 2.5e-3 run (2.2e-9 and 1.4e-10);
+    # the energy drift at dt = 1e-2 is 5e-15, too near rounding for a ratio
     orb = lyapunov_orbits[1e-2]
-    drifts = {}
-    for dt in (2e-2, 1e-2):
+
+    def end_state(dt):
         cfg = integrators.StepperConfig(method="rk4", dt=dt)
-        tr = integrators.integrate(orb.initial_state, 4.0, cfg)
-        drifts[dt] = integrators.energy_drift(tr)
-    ratio = drifts[2e-2] / drifts[1e-2]
+        return integrators.integrate(orb.initial_state, 4.0, cfg).states[-1]
+
+    ref = end_state(2.5e-3)
+    errors = {dt: np.max(np.abs(end_state(dt) - ref)) for dt in (4e-2, 2e-2)}
+    ratio = errors[4e-2] / errors[2e-2]
     assert 11.0 <= ratio <= 22.0      # ~16x for a fourth-order method
 
 

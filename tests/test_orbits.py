@@ -3,17 +3,9 @@ import pytest
 
 from cdelab import (dynamics, homoclinic, integrators, linear, orbits,
                     spectral)
-from cdelab.errors import (ConvergedToEquilibrium, NewtonDivergence,
-                           NonConvergence)
+from cdelab.errors import ConvergedToEquilibrium, NonConvergence
 
 T0 = 2.0 ** 0.75 * np.pi
-
-
-def small_orbit_guess(h):
-    rep = linear.eigenvalues_4x4(linear.matrix_c())
-    om = rep.elliptic_omega
-    rot = dynamics.P_PLUS_ROTATED + h * np.array([1.0, 0.0, om ** 2, 0.0])
-    return dynamics.from_rotated(rot)
 
 
 # ----------------------------------------------------------------------
@@ -66,81 +58,18 @@ SHOOTING_PERIODS = {1e-2: 5.285211422657067, 1e-3: 5.283524649604041,
                     1e-4: 5.283508226067543}
 
 
-@pytest.fixture(scope="module")
-def fixed_period_shot():
-    # half-period slightly above T0/2 admits a small nonconstant orbit
-    return orbits.shoot_periodic(5.3 / 2.0, small_orbit_guess(0.031))
-
-
-def test_shoot_periodic_fixed_period(fixed_period_shot):
-    orb = fixed_period_shot
-    assert orb.residual <= 1e-9
-    assert np.linalg.norm(orb.initial_state - dynamics.P_PLUS) > 1e-6
-    drift = np.max(np.abs(orb.trajectory.energy_series
-                          - orb.trajectory.energy_series[0]))
-    assert drift <= 1e-8
-
-
-def test_shooting_budget_exhausted_reports_residual():
-    with pytest.raises(NewtonDivergence, match="spectral residual") as info:
-        orbits.shoot_periodic(5.3 / 2.0, small_orbit_guess(0.031),
-                              max_iters=1)
-    residual = float(str(info.value).rsplit(" ", 1)[-1])
-    assert 1e-9 < residual < np.inf
-
-
 @pytest.mark.parametrize("max_iters", [1, 2])
 def test_newton_history_ends_with_the_merit_of_the_returned_field(max_iters):
-    # the budget runs out before the merit reaches tol (1.06 at the start,
-    # 3.09e-3 after one step)
-    start = orbits._sample(small_orbit_guess(0.031), 2.65,
-                           spectral.default_modes(1.0 / 2.65))
-    field, history, _, steps = spectral._newton(start, start.epsilon, 1e-12,
-                                                max_iters)
+    # the budget runs out before the merit reaches tol (0.707 at the start,
+    # 0.157 after one step and 0.067 after two; 8 steps reach 7.7e-15)
+    eps = 1.0 / 2.65
+    start = spectral._periodized_homoclinic(eps, spectral.default_modes(eps))
+    field, history, _, steps = spectral._newton(start, eps, 1e-12, max_iters)
     assert steps == max_iters
     assert len(history) == steps + 1
     merit = spectral.gradient_norm(spectral.gradient(field))
     assert abs(history[-1] - merit) <= 1e-9 * merit
     assert history[-1] > 1e-12
-
-
-def test_shoot_below_the_bifurcation_collapses_onto_the_center():
-    # 2T = 5.0 is below the linear period 2^(3/4) pi, where no small orbit
-    # exists: the Newton iteration converges to P+ itself
-    with pytest.raises(ConvergedToEquilibrium):
-        orbits.shoot_periodic(2.5, small_orbit_guess(0.031))
-
-
-def test_shoot_rejects_equilibrium_guess():
-    with pytest.raises(ConvergedToEquilibrium):
-        orbits.shoot_periodic(2.7, dynamics.P_PLUS)
-
-
-@pytest.mark.parametrize("T, guess, match", [
-    (0.0, None, "T must be .*, got 0.0"),
-    (-1.0, None, "T must be .*, got -1.0"),
-    (np.inf, None, "T must be .*, got inf"),
-    (np.nan, None, "T must be .*, got nan"),
-    (2.65, [np.nan, 0.0, 0.3, 0.35], r"guess must be .*, got \[nan, "),
-    (2.65, [1.0, 0.0, np.inf, 0.35], r"guess must be .*, got \[1.0, 0.0, inf"),
-], ids=["0.0", "-1.0", "inf", "nan", "guess nan", "guess inf"])
-def test_shoot_rejects_a_nonpositive_or_nonfinite_half_period(T, guess, match):
-    # and a non-finite guess, which is invalid input, not a solver failure
-    guess = small_orbit_guess(0.031) if guess is None else guess
-    with pytest.raises(ValueError, match=match):
-        orbits.shoot_periodic(T, guess)
-
-
-@pytest.mark.parametrize("eps", [0.15, 0.1])
-def test_shoot_from_a_ground_state_returns_it(eps):
-    # an RK4 run from this exact state closes only to 2.6e-8 (0.15) and
-    # 3.0e-5 (0.1): the Floquet multiplier is ~1e6 and ~1e9
-    gs = spectral.ground_state(eps)
-    s0 = orbits.field_to_orbit(
-        gs.field, gs.diagnostics["final_gradient_norm"]).initial_state
-    orb = orbits.shoot_periodic(1.0 / eps, s0)
-    assert np.max(np.abs(orb.initial_state - s0)) <= 1e-10
-    assert orb.residual <= orbits.NEWTON_TOL
 
 
 def test_lyapunov_family_period_limit(lyapunov_orbits):
@@ -187,9 +116,31 @@ def test_lyapunov_family_to_the_truncation_edge():
         orbits.lyapunov_family(hs + [0.21])
 
 
+def test_lyapunov_family_runs_no_time_integration(monkeypatch):
+    def integrate(*args, **kwargs):
+        raise AssertionError("lyapunov_family ran integrators.integrate")
+    monkeypatch.setattr(integrators, "integrate", integrate)
+    assert len(orbits.lyapunov_family([1e-2, 1e-3])) == 2
+
+
+@pytest.mark.parametrize("h", [0.15, 0.2, 0.205])
+def test_lyapunov_family_cold_starts_far_up_the_branch(h):
+    # the eigenmode start at h alone converges; the bordered line search
+    # halves trial steps that would take eps to zero or below
+    orb, = orbits.lyapunov_family([h])
+    assert orb.residual <= orbits.STOP_TOL
+    assert abs(orb.initial_state[0] - (1.0 + h)) <= 1e-12
+
+
+def test_lyapunov_family_cold_start_past_the_truncation_edge():
+    # K = 17 leaves a coefficient tail of 1.43e-8 at h = 0.21
+    with pytest.raises(NonConvergence, match="truncated: K = 17 modes"):
+        orbits.lyapunov_family([0.21])
+
+
 def test_lyapunov_family_polishes_below_a_loose_tol():
-    # tol bounds acceptance only: Newton stopped at merit 1e-3 would keep
-    # the tail of the RK4 start, 3.6e-8 at h = 1e-2
+    # tol bounds acceptance only: Newton stopped at merit 1e-3 would return
+    # the eigenmode start itself, whose merit is 7.1e-4 at h = 1e-2
     orb, = orbits.lyapunov_family([1e-2], tol=1e-3)
     assert orb.residual <= orbits.NEWTON_TOL
 

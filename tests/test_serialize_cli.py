@@ -571,6 +571,18 @@ def test_cli_lyapunov_solver_failure(capsys):
     assert "solver failure" in err
 
 
+@pytest.mark.parametrize("amplitude", ["0.25", "1.0"])
+def test_cli_lyapunov_off_the_branch_names_the_spectral_residual(amplitude,
+                                                                 capsys):
+    # Newton's trial steps there take eps to zero or below; the line search
+    # rejects them, so the solve ends on its residual (2.067e-01 and
+    # 4.015e+00), not on an invalid period
+    code, out, err = run_cli(["lyapunov", "--amplitudes", amplitude], capsys)
+    assert code == 1 and out == ""
+    assert "solver failure" in err and "spectral residual" in err
+    assert float(err.split()[-1]) > orbits.NEWTON_TOL
+
+
 @pytest.mark.parametrize("amplitudes", ["-1", "nan", "1e-2,-1e-3"])
 def test_cli_lyapunov_rejects_negative_and_nonfinite_amplitudes(amplitudes,
                                                                  capsys):
