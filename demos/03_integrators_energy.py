@@ -16,7 +16,7 @@ from cdelab import integrators, orbits
 def main():
     print("finding a small periodic orbit (amplitude 1e-2) ...")
     orb = orbits.lyapunov_family([1e-2])[0]
-    print(f"  period = {orb.period:.9f}, spectral residual = {orb.residual:.2e}")
+    print(f"  period = {orb.period:.9f}, spectral residual = {orb.merit:.2e}")
 
     print("\nimplicit midpoint drift over t in [0, 15]:")
     for dt in (4e-3, 2e-3, 1e-3):

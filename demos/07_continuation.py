@@ -14,8 +14,8 @@ def main():
     print("small-oscillation end: periods vs amplitude")
     amplitudes = [1e-2, 1e-3, 1e-4]
     for h, orb in zip(amplitudes, orbits.lyapunov_family(amplitudes)):
-        dist = np.max(np.linalg.norm(orb.trajectory.states - dynamics.P_PLUS,
-                                     axis=1))
+        tr = orbits.field_to_orbit(orb.field)
+        dist = np.max(np.linalg.norm(tr.states - dynamics.P_PLUS, axis=1))
         print(f"  amplitude {h:.0e}: period = {orb.period:.9f}, "
               f"sup distance to the center = {dist:.2e}")
     print(f"  limiting period 2^(3/4)*pi = {2**0.75 * np.pi:.9f}")
@@ -30,9 +30,7 @@ def main():
 
     print("\nconvergence to the homoclinic (largest period):")
     best = diagram["rows"][-1]["result"]
-    orb = orbits.field_to_orbit(best.field,
-                                best.diagnostics["final_gradient_norm"])
-    d = orbits.distance_to_homoclinic(orb)
+    d = orbits.distance_to_homoclinic(orbits.field_to_orbit(best.field))
     print(f"  sup distance over |t - peak| <= 10: {d['sup_dist']:.2e} "
           f"(optimal shift {d['shift']:+.2e})")
 

@@ -15,11 +15,10 @@ from . import dynamics, integrators, spectral, orbits, homoclinic, geometry
 from . import serialize, verify
 from .errors import (CdelabError, NewtonDivergence, NonFiniteState,
                      ConvergenceFailure, NoEllipticPair, SolverStall,
-                     NonConvergence, ConvergedToEquilibrium)
+                     NonConvergence)
 
 SOLVER_ERRORS = (NewtonDivergence, NonFiniteState, ConvergenceFailure,
-                 NoEllipticPair, SolverStall, NonConvergence,
-                 ConvergedToEquilibrium)
+                 NoEllipticPair, SolverStall, NonConvergence)
 
 
 #: the flags that several subcommands share
@@ -163,7 +162,8 @@ def cmd_lyapunov(args):
             "kind": "lyapunov_family", "amplitude": h})
         rec["period"] = orbit.period
         rec["distance_to_center"] = float(np.max(np.linalg.norm(
-            orbit.trajectory.states - dynamics.P_PLUS, axis=1)))
+            orbits.field_to_orbit(orbit.field).states - dynamics.P_PLUS,
+            axis=1)))
         records.append(rec)
     if args.format == "csv":
         lines = ["amplitude,period,H,residual,distance_to_center"]
@@ -180,20 +180,18 @@ def cmd_lyapunov(args):
 
 def cmd_ground_state(args):
     kwargs = {} if args.tol is None else {"grad_tol": args.tol}
-    result = spectral.ground_state(args.epsilon, K=args.modes, **kwargs)
+    sol = spectral.ground_state(args.epsilon, K=args.modes, **kwargs)
     if args.format == "csv":
-        _emit(serialize.field_grid_to_csv(result.field), args.out)
+        _emit(serialize.field_grid_to_csv(sol.field), args.out)
         return 0
-    gn = result.diagnostics["final_gradient_norm"]
     rec = serialize.orbit_record(
-        orbits.field_to_orbit(result.field, gn),
-        provenance={"kind": "ground_state", "epsilon": args.epsilon,
-                    "modes": result.field.num_modes, "gradient_norm": gn},
+        sol, provenance={"kind": "ground_state", "epsilon": args.epsilon,
+                         "modes": sol.field.num_modes,
+                         "gradient_norm": sol.merit},
         epsilon=args.epsilon)
-    rec["delta_eps"] = result.delta_eps
-    rec["field"] = serialize.field_to_json(
-        result.field, energy=result.diagnostics["energy"],
-        residuals=result.diagnostics["nehari"])
+    rec["delta_eps"] = sol.delta_eps
+    rec["field"] = serialize.field_to_json(sol.field, energy=sol.energy,
+                                           residuals=sol.nehari)
     _emit(serialize.dumps(rec), args.out)
     return 0
 

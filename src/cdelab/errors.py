@@ -6,9 +6,7 @@ class CdelabError(Exception):
 
 
 class NewtonDivergence(CdelabError):
-    """A Newton iteration failed: an implicit midpoint step did not converge,
-    or a periodic-orbit solve left its spectral residual above its
-    tolerance (the message ends with that residual)."""
+    """An implicit midpoint step's Newton iteration did not converge."""
 
 
 class NonFiniteState(CdelabError):
@@ -39,10 +37,6 @@ class SolverStall(CdelabError):
     """An inner linear solve (conjugate gradient) failed to converge."""
 
 
-class ConvergedToEquilibrium(CdelabError):
-    """A periodic-orbit solve collapsed onto an equilibrium point."""
-
-
 class GridCoverage(CdelabError):
     """Requested output grid maps outside the input grid."""
 
@@ -54,10 +48,10 @@ class DegenerateProfile(CdelabError):
 class NonConvergence(CdelabError):
     """A spectral solve did not reach its tolerances or is truncated.
 
-    A ground state's best iterate is attached as the ``best`` attribute.
+    A rejected ground state or orbit is attached, as a spectral.Solution, as
+    the ``best`` attribute.
     """
 
-    def __init__(self, message, best=None, diagnostics=None):
+    def __init__(self, message, best=None):
         super().__init__(message)
         self.best = best
-        self.diagnostics = diagnostics

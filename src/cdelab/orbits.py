@@ -1,10 +1,11 @@
-"""Periodic orbits: the spectral orbit solver, the small-oscillation family,
-and convergence diagnostics against the homoclinic profile.
+"""Periodic orbits: the small-oscillation family, the sampling of a solved
+field in original time, and convergence diagnostics against the homoclinic
+profile.
 
 A 2T-periodic orbit is a zero of the spectral Euler-Lagrange residual at
 eps = 1/T on the fields even under R(u, v, a, b) = (u, -v, b, a), found by
-the ground-state Newton core, and accepted as a ground state is: merit <=
-tol, spectral.coefficient_tail <= TAIL_TOL, not constant.  The family starts
+the ground-state Newton core and accepted by the same rule, so it is a
+spectral.Solution as a ground state is.  The family starts
 from the linear flow of the elliptic mode at P+, in closed form on the
 collocation grid, so no time integration makes or checks an orbit: an RK4
 closure grows with the Floquet multiplier (~1e6 at eps = 0.15) however
@@ -13,10 +14,9 @@ spectral.ground_state(1/T).
 """
 
 import numpy as np
-from dataclasses import dataclass
 
 from . import dynamics, homoclinic, integrators, linear, spectral
-from .errors import NewtonDivergence, ConvergedToEquilibrium, NonConvergence
+from .errors import NonConvergence
 
 #: merit up to which an orbit is accepted (``lyapunov_family``'s default tol)
 NEWTON_TOL = 1e-12
@@ -25,44 +25,6 @@ NEWTON_TOL = 1e-12
 #: whose RK4 closure then reads 1.25e-11), one more step reaches the rounding
 #: floor (family merits measured 3e-16 to 2.9e-15)
 STOP_TOL = 1e-14
-
-
-@dataclass
-class PeriodicOrbit:
-    """A converged periodic solution with half-period T.
-
-    ``trajectory`` samples the orbit on [-T, T]; ``initial_state`` is its
-    state at t = 0 and ``energy`` H there; ``residual`` is the merit of the
-    spectral solve that made the orbit.
-    """
-    half_period: float
-    initial_state: np.ndarray
-    trajectory: integrators.Trajectory
-    energy: float
-    residual: float
-
-    @property
-    def period(self):
-        return 2.0 * self.half_period
-
-
-def _orbit(field, merit, tol, label):
-    """The orbit of a Newton result of the given merit; raises
-    ConvergedToEquilibrium for a constant field, NewtonDivergence for a
-    merit above tol and NonConvergence for a tail above TAIL_TOL."""
-    if spectral.is_constant(field):
-        raise ConvergedToEquilibrium(f"{label} collapsed onto an equilibrium")
-    if not merit <= tol:
-        raise NewtonDivergence(
-            f"{label} did not reach tolerance {tol}: spectral residual "
-            f"{merit:.3e}")
-    tail = spectral.coefficient_tail(field)
-    if not tail <= spectral.TAIL_TOL:
-        raise NonConvergence(
-            f"{label} at eps={field.epsilon} is truncated: K = "
-            f"{field.num_modes} modes leave a coefficient tail of {tail:.3e} "
-            f"> {spectral.TAIL_TOL:g}")
-    return field_to_orbit(field, merit)
 
 
 def _eigenmode_start(h):
@@ -92,61 +54,50 @@ def lyapunov_family(amplitudes, tol=NEWTON_TOL):
     at P+ over the linear period t0 (see :func:`_eigenmode_start`); each
     later one starts from the previous solution.  The spectral Newton solve
     pins u(0) = 1 + h and finds the field and eps = 1/T, with the K of the
-    first start, down to merit min(tol, STOP_TOL); ``tol`` bounds each
-    accepted orbit's merit.  Periods approach 2*pi/2^(1/4) = 2^(3/4)*pi as
-    the amplitude shrinks.  Raises ValueError for a negative or non-finite h
-    and ConvergedToEquilibrium for h = 0, the equilibrium itself.
+    first start, down to merit min(tol, STOP_TOL).  Each orbit is the
+    :class:`spectral.Solution` that spectral._accept takes at ``tol``, its
+    merit Newton's last.  Periods approach 2*pi/2^(1/4) = 2^(3/4)*pi as the
+    amplitude shrinks.  Raises ValueError unless every h is positive and
+    finite (h = 0 is the equilibrium itself).
     """
-    if not all(0.0 <= h < np.inf for h in amplitudes):
-        raise ValueError(f"each amplitude h must be >= 0 and finite, "
+    if not all(0.0 < h < np.inf for h in amplitudes):
+        raise ValueError(f"each amplitude h must be > 0 and finite, "
                          f"got {list(amplitudes)}")
     field = None
-    orbits = []
+    family = []
     for h in amplitudes:
-        if h == 0:
-            raise ConvergedToEquilibrium(
-                "amplitude 0 is the equilibrium itself")
         if field is None:
             field = _eigenmode_start(h)
-        field, history, *_ = spectral._newton(
-            field, field.epsilon, min(tol, STOP_TOL), 30, pin=1.0 + h)
-        orbits.append(_orbit(field, history[-1], tol, "family orbit"))
-    return orbits
+        field, report = spectral._newton(field, field.epsilon,
+                                         min(tol, STOP_TOL), 30, pin=1.0 + h)
+        family.append(spectral._accept(field, report, tol, "family orbit",
+                                       merit=report.merits[-1]))
+    return family
 
 
-def field_to_orbit(field, residual):
-    """A solved spectral field as a periodic orbit in original time: the
-    field on the collocation nodes of [-1, 1] plus the periodic wrap, i.e.
-    on [-T, T] with T = 1/epsilon, v the spectral derivative of u, all from
-    one real transform of the packed field to the grid.  The initial state
-    is the t = 0 state summed from the coefficients (v(0) = 0.0 on a
-    time-reversal-even field), ``energy`` H there, and ``residual`` the
-    merit of the solve that made the field.
+def field_to_orbit(field):
+    """The field sampled in original time on [-T, T], T = 1/epsilon, as a
+    trajectory: the collocation nodes of [-1, 1] plus the periodic wrap, v
+    the spectral derivative of u, all from one real transform of the packed
+    field to the grid.
     """
     T = 1.0 / field.epsilon
     s = spectral.grid(spectral.grid_size(field.num_modes))
-    times = np.concatenate([s, [1.0]]) * T
     states = spectral._grid_states(field)
-    tr = integrators.Trajectory(times=times,
-                                states=np.vstack([states, states[0]]))
-    du = spectral.derivative_coeffs(field.u_coeffs) * field.epsilon
-    s0 = np.array([field.u_coeffs.sum().real, du.sum().real,
-                   *field.z_ab_coeffs().sum(axis=0).real])
-    return PeriodicOrbit(half_period=T, initial_state=s0, trajectory=tr,
-                         energy=float(dynamics.hamiltonian(s0)),
-                         residual=float(residual))
+    return integrators.Trajectory(times=np.concatenate([s, [1.0]]) * T,
+                                  states=np.vstack([states, states[0]]))
 
 
-def distance_to_homoclinic(orbit):
-    """Sup-norm distance to the time-shifted derived homoclinic profile.
+def distance_to_homoclinic(tr):
+    """Sup-norm distance of a trajectory (as :func:`field_to_orbit` samples
+    an orbit) to the time-shifted derived homoclinic profile.
 
-    The orbit trajectory is restricted to the window |t - t_peak| <= 10
-    around its u-mass peak, and the shift t0 minimizing
-    sup_t || orbit(t) - profile(t - t0) || is located by a coarse scan plus
+    The trajectory is restricted to the window |t - t_peak| <= 10 around its
+    u-mass peak, and the shift t0 minimizing
+    sup_t || tr(t) - profile(t - t0) || is located by a coarse scan plus
     scipy's bounded Brent refinement.  Returns {"shift": t0, "sup_dist": d}.
     """
     profile = homoclinic.derived_profile()
-    tr = orbit.trajectory
     peak = tr.times[int(np.argmax(np.abs(tr.states[:, 0])))]
     mask = np.abs(tr.times - peak) <= 10.0
     times = tr.times[mask]

@@ -27,7 +27,7 @@ from itertools import chain
 import numpy as np
 import orjson
 
-from . import spectral
+from . import orbits, spectral
 from .geometry import RadialProfile, SCHEMA
 
 PROFILE_COLUMNS = {
@@ -148,16 +148,17 @@ def field_from_json(doc):
 
 
 def orbit_record(orbit, provenance, epsilon=None):
-    """JSON document for a periodic orbit or converted field."""
-    tr = orbit.trajectory
+    """JSON document for a spectral.Solution, a ground state or an orbit,
+    sampled on [-T, T] by orbits.field_to_orbit."""
+    tr = orbits.field_to_orbit(orbit.field)
     stride = max(1, len(tr) // MIN_RECORD_SAMPLES)
     samples = np.column_stack([tr.times, tr.states])[::stride]
     return {
         "schema": SCHEMA,
         "T": orbit.half_period,
         "epsilon": epsilon,
-        "H": orbit.energy,
-        "residual": orbit.residual,
+        "H": orbit.hamiltonian,
+        "residual": orbit.merit,
         "initial_state": orbit.initial_state,
         "samples": samples,
         "provenance": provenance,

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .errors import TruncationMismatch, SolverStall, NonConvergence
-from . import homoclinic
+from . import dynamics, homoclinic
 
 #: documented truncation table: coefficient tails of the limit profile fall
 #: below 1e-10 once K >= 6.4/eps (decay rate exp(-K*eps*pi^2/2)), giving
@@ -537,12 +537,58 @@ def is_constant(field):
     return bool(np.abs(coeffs[:, field.spectrum.k != 0]).max() <= 1e-8)
 
 
-@dataclass
-class GroundStateResult:
+@dataclass(frozen=True)
+class SolverReport:
+    """What the Newton solve behind a :class:`Solution` did: the merits of
+    its start and of each step (the last the returned field's), the steps
+    taken, and the Jacobian-vector products of each GMRES solve (one more
+    solve than steps when the line search rejects the last step); then the
+    field's :func:`coefficient_tail` and why the acceptance stopped:
+    "converged", "residual", "constant" or "truncated"."""
+    merits: list
+    steps: int
+    jvps: list
+    tail: float = None
+    stop: str = None
+
+
+@dataclass(frozen=True)
+class Solution:
+    """A solution at eps = 1/T: a ground state at eps, or equally a periodic
+    orbit of half-period T.  ``merit`` is that of the Newton solve that made
+    ``field``; ``energy`` and ``nehari`` are the field's certificate.  The
+    rest derives from the field: ``delta_eps`` is the energy's total,
+    ``initial_state`` the state (u, v, a, b) at t = 0 summed from the
+    coefficients (v(0) = 0.0 on a time-reversal-even field) and
+    ``hamiltonian`` H there."""
     field: PeriodicField
-    delta_eps: float
-    diagnostics: dict
-    converged: bool = True
+    merit: float
+    energy: EnergyBreakdown
+    nehari: NehariResiduals
+    report: SolverReport
+
+    @property
+    def half_period(self):
+        return 1.0 / self.field.epsilon
+
+    @property
+    def period(self):
+        return 2.0 * self.half_period
+
+    @property
+    def delta_eps(self):
+        return self.energy.total
+
+    @cached_property
+    def initial_state(self):
+        f = self.field
+        du = derivative_coeffs(f.u_coeffs) * f.epsilon
+        return np.array([f.u_coeffs.sum().real, du.sum().real,
+                         *f.z_ab_coeffs().sum(axis=0).real])
+
+    @property
+    def hamiltonian(self):
+        return float(dynamics.hamiltonian(self.initial_state))
 
 
 def _pack(u_hat, z_ab, K):
@@ -748,10 +794,8 @@ def _newton(field, eps, tol, max_iters, pin=None):
     pin, and the merit is the hypot of that norm and u(0) - pin; a trial
     step to eps <= 0 or a non-finite eps has infinite merit.  The
     start reuses ``field.spectrum`` when field.epsilon == eps.  Returns the
-    last iterate as a field at the final eps, the merits of the start and of
-    each step (the last is the returned field's), the Jacobian-vector
-    products of each solve, and the number of steps taken (one less than
-    solves when the line search rejects the last step)."""
+    last iterate as a field at the final eps and the :class:`SolverReport`
+    of its merits, steps and Jacobian-vector products."""
     K = field.num_modes
     ops = (field.spectrum if field.epsilon == eps
            else build_spectrum(1.0 / eps, K)).packed
@@ -768,7 +812,7 @@ def _newton(field, eps, tol, max_iters, pin=None):
         return o, r, (gn if pin is None else np.hypot(gn, p @ x - pin)), vals
 
     _, r, merit, vals = evaluate(x, eps)
-    history, krylov_iters, steps = [merit], [], 0
+    merits, jvps_per_solve, steps = [merit], [], 0
     while merit > tol and steps < max_iters:
         border = None if pin is None else (ops.gather(x, ops.eps_w), p,
                                            p @ x - pin)
@@ -776,7 +820,7 @@ def _newton(field, eps, tol, max_iters, pin=None):
         step, jvps = _newton_step(r, ops.linearization(vals), ops, border,
                                   forcing)
         dx, de = (step, 0.0) if pin is None else (step[:-1], step[-1])
-        krylov_iters.append(jvps)
+        jvps_per_solve.append(jvps)
         lam = 1.0
         for _ in range(30):
             trial = evaluate(x + lam * dx, eps + lam * de)
@@ -787,9 +831,10 @@ def _newton(field, eps, tol, max_iters, pin=None):
             break
         x, eps = x + lam * dx, eps + lam * de
         ops, r, merit, vals = trial
-        history.append(merit)
+        merits.append(merit)
         steps += 1
-    return _field(x, eps, ops.spectrum), history, krylov_iters, steps
+    return (_field(x, eps, ops.spectrum),
+            SolverReport(merits=merits, steps=steps, jvps=jvps_per_solve))
 
 
 def nehari_scale(u_hat, z_plus, sp, tol=1e-11, max_iter=40):
@@ -833,7 +878,7 @@ def nehari_scale(u_hat, z_plus, sp, tol=1e-11, max_iter=40):
         res, f = point(*ts)
     if np.max(np.abs(res)) <= tol * 100:
         return ts[0], ts[1], f
-    raise NonConvergence("Nehari scaling Newton did not converge", best=f)
+    raise NonConvergence("Nehari scaling Newton did not converge")
 
 
 def _periodized_homoclinic(eps, K):
@@ -846,6 +891,39 @@ def _periodized_homoclinic(eps, K):
     return _field(sp.packed.to_packed(np.stack([u, a, b])), eps, sp)
 
 
+def _accept(field, report, tol, label, merit=None, hint=""):
+    """The :class:`Solution` of a Newton result, its report completed with
+    the tail and the stop reason.  Its merit is ``merit`` or else the
+    gradient norm of its certificate.  Raises NonConvergence with that
+    Solution as ``best`` unless the merit is at most tol and every relative
+    Nehari residual at most 1e-6 (else "residual"), the field is not
+    :func:`is_constant` ("constant") and its :func:`coefficient_tail` is at
+    most TAIL_TOL ("truncated", the message ending with ``hint``)."""
+    eb, g = _energy_and_gradient(field)
+    nehari = nehari_residuals(field, energy=eb, gradient=g)
+    merit = float(gradient_norm(g) if merit is None else merit)
+    tail = coefficient_tail(field)
+    where = f"{label} at eps={field.epsilon}"
+    if not (merit <= tol and nehari.max_relative() <= 1e-6):
+        stop, message = "residual", (
+            f"{where} did not reach tolerance {tol:g}: relative Nehari "
+            f"residual {nehari.max_relative():.3e}, spectral residual "
+            f"{merit:.3e}")
+    elif is_constant(field):
+        stop, message = "constant", f"{where} is a constant solution"
+    elif not tail <= TAIL_TOL:
+        stop, message = "truncated", (
+            f"{where} is truncated: K = {field.num_modes} modes leave a "
+            f"coefficient tail of {tail:.3e} > {TAIL_TOL:g}{hint}")
+    else:
+        stop, message = "converged", None
+    solution = Solution(field=field, merit=merit, energy=eb, nehari=nehari,
+                        report=replace(report, tail=tail, stop=stop))
+    if message:
+        raise NonConvergence(message, best=solution)
+    return solution
+
+
 def ground_state(eps, K=None, grad_tol=1e-8, max_newton_iters=40):
     """Ground state of the rescaled problem at the given epsilon.
 
@@ -856,58 +934,23 @@ def ground_state(eps, K=None, grad_tol=1e-8, max_newton_iters=40):
     plus its period translates, with K modes: it solves the problem up to
     O(e^(-1/eps)), and above 1/4 it is close enough for Newton to reach the
     nontrivial branch up to its end at eps* = 2^(1/4)/pi.  Each step's
-    forcing follows the merit (see :func:`_newton`).  The diagnostics hold
-    its merits (``gradient_history``), steps (``newton_iterations``) and
-    Jacobian-vector products of each solve (``krylov_iterations``: the
-    Krylov steps and each restart's residual).
+    forcing follows the merit (see :func:`_newton`).
 
-    Returns a :class:`GroundStateResult`; raises NonConvergence with the best
-    iterate attached when the gradient norm exceeds ``grad_tol``, a relative
-    Nehari residual 1e-6, or the result :func:`is_constant` (as past eps*),
-    and, naming the truncation, when its :func:`coefficient_tail` exceeds
-    TAIL_TOL.  Raises ValueError unless 0 < eps < inf and K <= MAX_MODES.
+    Returns the :class:`Solution`, whose merit is its gradient norm, when
+    :func:`_accept` takes it at tolerance ``grad_tol``; a constant result
+    lies past eps*.  Raises ValueError unless 0 < eps < inf and both K and
+    the default K at eps are at most MAX_MODES.
     """
     if not 0.0 < eps < np.inf:
         raise ValueError(f"epsilon must be positive and finite, got {eps!r}")
-    K = default_modes(eps) if K is None else K
+    K_default = default_modes(eps)
+    K = K_default if K is None else K
     if K > MAX_MODES:
         raise ValueError(f"{K:.4g} modes exceed MAX_MODES = {MAX_MODES}")
-    field, grad_history, krylov_iters, newton_iters = _newton(
-        _periodized_homoclinic(eps, K), eps, min(grad_tol, 1e-10),
-        max_newton_iters)
-
-    eb, g = _energy_and_gradient(field)
-    gn = gradient_norm(g)
-    res = nehari_residuals(field, energy=eb, gradient=g)
-    tail = coefficient_tail(field)
-    diagnostics = {
-        "epsilon": eps, "modes": K, "grid": grid_size(K),
-        "gradient_history": grad_history,
-        "newton_iterations": newton_iters,
-        "krylov_iterations": krylov_iters,
-        "final_gradient_norm": gn,
-        "energy": eb,
-        "nehari": res,
-        "coefficient_tail": tail,
-    }
-
-    solved = (gn <= grad_tol and res.max_relative() <= 1e-6
-              and not is_constant(field))
-    resolved = tail <= TAIL_TOL
-    result = GroundStateResult(field=field, delta_eps=eb.total,
-                               diagnostics=diagnostics,
-                               converged=solved and resolved)
-    if not solved:
-        raise NonConvergence(
-            f"ground state at eps={eps} stopped with gradient {gn:.3e}, "
-            f"nehari {res.max_relative():.3e}", best=result,
-            diagnostics=diagnostics)
-    if not resolved:
-        raise NonConvergence(
-            f"ground state at eps={eps} is truncated: K = {K} modes leave a "
-            f"coefficient tail of {tail:.3e} > {TAIL_TOL:g} (default K is "
-            f"{default_modes(eps)})", best=result, diagnostics=diagnostics)
-    return result
+    field, report = _newton(_periodized_homoclinic(eps, K), eps,
+                            min(grad_tol, 1e-10), max_newton_iters)
+    return _accept(field, report, grad_tol, "ground state",
+                   hint=f" (default K is {K_default})")
 
 
 # ----------------------------------------------------------------------

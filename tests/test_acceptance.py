@@ -87,7 +87,8 @@ def test_criterion_04_operator_suite():
 def test_criterion_05_lyapunov_family(lyapunov_orbits):
     period_rel = abs(lyapunov_orbits[1e-3].period - T0) / T0
     dists = [float(np.max(np.linalg.norm(
-        lyapunov_orbits[h].trajectory.states - dynamics.P_PLUS, axis=1)))
+        orbits.field_to_orbit(lyapunov_orbits[h].field).states
+        - dynamics.P_PLUS, axis=1)))
         for h in (1e-2, 1e-3, 1e-4)]
     nonconstant = all(
         np.linalg.norm(orb.initial_state - dynamics.P_PLUS) > 1e-6
@@ -106,8 +107,8 @@ def test_criterion_06_ground_states(ground_states):
     for eps in (0.2, 0.1, 0.05):
         res = ground_states[eps]
         eb = spectral.energy(res.field)
-        grad = res.diagnostics["final_gradient_norm"]
-        nehari = res.diagnostics["nehari"].max_relative()
+        grad = res.merit
+        nehari = res.nehari.max_relative()
         ident = abs(eb.total - 0.5 * eb.coupling) / abs(eb.total)
         below = res.delta_eps < 1.0 / (4.0 * eps)
         gaps[eps] = abs(res.delta_eps - DELTA0)
@@ -122,10 +123,8 @@ def test_criterion_06_ground_states(ground_states):
 
 
 def test_criterion_07_convergence_to_homoclinic(ground_states):
-    result = ground_states[0.05]
-    orb = orbits.field_to_orbit(result.field,
-                                result.diagnostics["final_gradient_norm"])
-    d = orbits.distance_to_homoclinic(orb)
+    d = orbits.distance_to_homoclinic(
+        orbits.field_to_orbit(ground_states[0.05].field))
     report(7, d["sup_dist"] <= 5e-2,
            f"sup distance {d['sup_dist']:.2e} at shift {d['shift']:.2e} "
            f"(window |t - peak| <= 10)")

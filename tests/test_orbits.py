@@ -3,7 +3,7 @@ import pytest
 
 from cdelab import (dynamics, homoclinic, integrators, linear, orbits,
                     spectral)
-from cdelab.errors import ConvergedToEquilibrium, NonConvergence
+from cdelab.errors import NonConvergence
 
 T0 = 2.0 ** 0.75 * np.pi
 
@@ -64,12 +64,12 @@ def test_newton_history_ends_with_the_merit_of_the_returned_field(max_iters):
     # 0.157 after one step and 0.067 after two; 8 steps reach 7.7e-15)
     eps = 1.0 / 2.65
     start = spectral._periodized_homoclinic(eps, spectral.default_modes(eps))
-    field, history, _, steps = spectral._newton(start, eps, 1e-12, max_iters)
-    assert steps == max_iters
-    assert len(history) == steps + 1
+    field, report = spectral._newton(start, eps, 1e-12, max_iters)
+    assert report.steps == max_iters
+    assert len(report.merits) == report.steps + 1
     merit = spectral.gradient_norm(spectral.gradient(field))
-    assert abs(history[-1] - merit) <= 1e-9 * merit
-    assert history[-1] > 1e-12
+    assert abs(report.merits[-1] - merit) <= 1e-9 * merit
+    assert report.merits[-1] > 1e-12
 
 
 def test_lyapunov_family_period_limit(lyapunov_orbits):
@@ -80,26 +80,27 @@ def test_lyapunov_family_period_limit(lyapunov_orbits):
 
 
 def test_lyapunov_family_shrinks_to_equilibrium(lyapunov_orbits):
-    dists = [np.max(np.linalg.norm(orb.trajectory.states - dynamics.P_PLUS,
-                                   axis=1))
+    dists = [np.max(np.linalg.norm(
+        orbits.field_to_orbit(orb.field).states - dynamics.P_PLUS, axis=1))
              for orb in (lyapunov_orbits[1e-2], lyapunov_orbits[1e-3],
                          lyapunov_orbits[1e-4])]
     assert dists[0] > dists[1] > dists[2]
     for orb in lyapunov_orbits.values():
-        assert orb.residual <= 1e-9
+        assert orb.merit <= 1e-9
         assert np.linalg.norm(orb.initial_state - dynamics.P_PLUS) >= 1e-6
 
 
 def test_lyapunov_family_pins_the_section_and_closes(lyapunov_orbits):
     for h, orb in lyapunov_orbits.items():
-        states = orb.trajectory.states
+        tr = orbits.field_to_orbit(orb.field)
+        states = tr.states
         assert orb.initial_state[1] == 0.0
         assert abs(orb.initial_state[0] - (1.0 + h)) <= 1e-12
         t0_node = len(states) // 2           # the samples span [-T, T]
-        assert orb.trajectory.times[t0_node] == 0.0
+        assert tr.times[t0_node] == 0.0
         assert np.max(np.abs(states[t0_node] - orb.initial_state)) <= 1e-14
         assert np.array_equal(states[-1], states[0])
-        assert orb.residual <= 1e-12
+        assert orb.merit <= 1e-12
         # the ODE's own flow closes too: RK4 over one period
         tr = integrators.integrate(orb.initial_state, orb.period,
                                    integrators.StepperConfig(
@@ -111,7 +112,7 @@ def test_lyapunov_family_to_the_truncation_edge():
     # K = 17 from the start holds to h = 0.205 (eps = 0.2504, tail <= 3.2e-9)
     hs = [0.01, 0.05, 0.1, 0.15, 0.18, 0.2, 0.205]
     for orb in orbits.lyapunov_family(hs):
-        assert orb.residual <= orbits.NEWTON_TOL
+        assert orb.merit <= orbits.NEWTON_TOL
     with pytest.raises(NonConvergence, match="truncated: K = 17 modes"):
         orbits.lyapunov_family(hs + [0.21])
 
@@ -128,21 +129,26 @@ def test_lyapunov_family_cold_starts_far_up_the_branch(h):
     # the eigenmode start at h alone converges; the bordered line search
     # halves trial steps that would take eps to zero or below
     orb, = orbits.lyapunov_family([h])
-    assert orb.residual <= orbits.STOP_TOL
+    assert orb.merit <= orbits.STOP_TOL
     assert abs(orb.initial_state[0] - (1.0 + h)) <= 1e-12
 
 
 def test_lyapunov_family_cold_start_past_the_truncation_edge():
     # K = 17 leaves a coefficient tail of 1.43e-8 at h = 0.21
-    with pytest.raises(NonConvergence, match="truncated: K = 17 modes"):
+    with pytest.raises(NonConvergence, match="truncated: K = 17 modes") as info:
         orbits.lyapunov_family([0.21])
+    best = info.value.best
+    assert isinstance(best, spectral.Solution)
+    assert best.report.stop == "truncated"
+    assert spectral.TAIL_TOL < best.report.tail <= 1.5e-8
+    assert best.merit == best.report.merits[-1] <= orbits.STOP_TOL
 
 
 def test_lyapunov_family_polishes_below_a_loose_tol():
     # tol bounds acceptance only: Newton stopped at merit 1e-3 would return
     # the eigenmode start itself, whose merit is 7.1e-4 at h = 1e-2
     orb, = orbits.lyapunov_family([1e-2], tol=1e-3)
-    assert orb.residual <= orbits.NEWTON_TOL
+    assert orb.merit <= orbits.NEWTON_TOL
 
 
 def test_lyapunov_family_matches_the_shooting_periods(lyapunov_orbits):
@@ -151,8 +157,31 @@ def test_lyapunov_family_matches_the_shooting_periods(lyapunov_orbits):
 
 
 def test_lyapunov_amplitude_zero_rejected():
-    with pytest.raises(ConvergedToEquilibrium):
+    # h = 0 is the equilibrium itself: invalid input, as h < 0 is
+    with pytest.raises(ValueError, match="amplitude h"):
         orbits.lyapunov_family([0.0])
+
+
+def test_lyapunov_family_solutions_carry_their_report(lyapunov_orbits):
+    for orb in lyapunov_orbits.values():
+        assert isinstance(orb, spectral.Solution)
+        assert orb.merit == orb.report.merits[-1]
+        assert orb.report.stop == "converged"
+        assert orb.report.tail <= spectral.TAIL_TOL
+        assert len(orb.report.merits) == orb.report.steps + 1
+        assert orb.delta_eps == orb.energy.total
+        # the family passes the ground states' Nehari check with room
+        assert orb.nehari.max_relative() <= 1e-12
+
+
+def test_lyapunov_family_off_the_branch_stops_on_the_residual():
+    # the message ends with the merit, which the CLI test parses
+    with pytest.raises(NonConvergence, match="spectral residual") as info:
+        orbits.lyapunov_family([0.25])
+    best = info.value.best
+    assert best.report.stop == "residual"
+    assert best.merit > orbits.NEWTON_TOL
+    assert str(info.value).split()[-1] == f"{best.merit:.3e}"
 
 
 # ----------------------------------------------------------------------
@@ -161,11 +190,7 @@ def test_lyapunov_amplitude_zero_rejected():
 def profile_orbit(shift=0.0, half_window=15.0):
     prof = homoclinic.derived_profile()
     times = np.linspace(-half_window, half_window, 3001)
-    states = prof(times - shift).T
-    tr = integrators.Trajectory(times=times, states=states)
-    return orbits.PeriodicOrbit(half_period=half_window,
-                                initial_state=states[0], trajectory=tr,
-                                energy=0.0, residual=0.0)
+    return integrators.Trajectory(times=times, states=prof(times - shift).T)
 
 
 def test_distance_zero_on_profile_samples():
@@ -180,29 +205,25 @@ def test_distance_recovers_shift():
     assert d["sup_dist"] <= 1e-6
 
 
-def ground_state_orbit(result):
-    return orbits.field_to_orbit(result.field,
-                                 result.diagnostics["final_gradient_norm"])
-
-
 def test_ground_state_orbit_near_homoclinic(ground_states):
-    d = orbits.distance_to_homoclinic(ground_state_orbit(ground_states[0.05]))
+    d = orbits.distance_to_homoclinic(
+        orbits.field_to_orbit(ground_states[0.05].field))
     assert d["sup_dist"] <= 5e-2
 
 
 def test_field_to_orbit_invariants(ground_states):
-    result = ground_states[0.1]
-    orb = ground_state_orbit(result)
-    assert orb.residual == result.diagnostics["final_gradient_norm"] <= 1e-9
-    states = orb.trajectory.states
+    orb = ground_states[0.1]
+    tr = orbits.field_to_orbit(orb.field)
+    assert orb.merit <= 1e-9
+    assert orb.half_period == tr.times[-1] == 10.0
+    states = tr.states
     assert np.array_equal(states[-1], states[0])      # periodic closure
     t0_node = len(states) // 2
-    assert orb.trajectory.times[t0_node] == 0.0
+    assert tr.times[t0_node] == 0.0
     assert np.max(np.abs(states[t0_node] - orb.initial_state)) <= 1e-14
     assert orb.initial_state[1] == 0.0                # R-even: v(0) = 0
-    assert orb.energy == dynamics.hamiltonian(orb.initial_state)
-    drift = np.max(np.abs(orb.trajectory.energy_series
-                          - orb.trajectory.energy_series[0]))
+    assert orb.hamiltonian == dynamics.hamiltonian(orb.initial_state)
+    drift = np.max(np.abs(tr.energy_series - tr.energy_series[0]))
     assert drift <= 1e-8                              # H constant on the orbit
     dmin = min(np.linalg.norm(orb.initial_state - p)
                for p in (dynamics.P0, dynamics.P_PLUS, dynamics.P_MINUS))
@@ -214,7 +235,7 @@ def test_field_to_orbit_samples_the_field(ground_states):
     # eps du/ds; the shifted field has Im u_k != 0
     for field in (ground_states[0.05].field, spectral.cutoff_test_pair(0.2),
                   ground_states[0.1].field.shifted(0.3)):
-        states = orbits.field_to_orbit(field, 0.0).trajectory.states[:-1]
+        states = orbits.field_to_orbit(field).states[:-1]
         du = spectral.derivative_coeffs(field.u_coeffs) * field.epsilon
         v = spectral.coeffs_to_values(du, len(states)).real
         ref = np.column_stack([field.u_values(), v, field.z_values()])

@@ -397,9 +397,9 @@ def test_default_mode_table():
 
 def test_ground_state_tolerances(ground_states):
     for eps, res in ground_states.items():
-        assert res.converged
-        assert res.diagnostics["final_gradient_norm"] <= 1e-8
-        assert res.diagnostics["nehari"].max_relative() <= 1e-6
+        assert res.report.stop == "converged"
+        assert res.merit <= 1e-8
+        assert res.nehari.max_relative() <= 1e-6
         eb = spectral.energy(res.field)
         # critical-point identities
         assert abs(eb.total - 0.5 * eb.coupling) <= 1e-6 * abs(eb.total)
@@ -441,10 +441,10 @@ def test_ground_state_gap_law(ground_states):
 
 
 def test_ground_state_reports_krylov_iterations(ground_states):
-    diag = ground_states[0.05].diagnostics
-    assert diag["newton_iterations"] > 0
-    assert len(diag["krylov_iterations"]) == diag["newton_iterations"]
-    assert all(n > 0 for n in diag["krylov_iterations"])
+    report = ground_states[0.05].report
+    assert report.steps > 0
+    assert len(report.jvps) == report.steps
+    assert all(n > 0 for n in report.jvps)
 
 
 def test_linearization_matches_finite_differences():
@@ -598,31 +598,37 @@ def test_ground_state_with_too_few_modes_raises_naming_the_truncation(
     with pytest.raises(NonConvergence, match="truncated") as info:
         spectral.ground_state(0.05, K=32)
     best = info.value.best
-    assert not best.converged
-    assert best.diagnostics["final_gradient_norm"] <= 1e-8
-    assert best.diagnostics["coefficient_tail"] > 1e-3
-    assert ground_states[0.05].diagnostics["coefficient_tail"] <= 1e-11
+    assert isinstance(best, spectral.Solution)
+    assert best.report.stop == "truncated"
+    assert best.merit <= 1e-8
+    assert best.report.tail > 1e-3
+    assert ground_states[0.05].report.tail <= 1e-11
 
 
 def test_ground_state_nonconvergence_attaches_best_iterate():
-    with pytest.raises(NonConvergence) as info:
+    with pytest.raises(NonConvergence, match="spectral residual") as info:
         spectral.ground_state(0.2, K=32, max_newton_iters=0)
-    assert info.value.best is not None
-    assert info.value.best.field.epsilon == 0.2
+    best = info.value.best
+    assert isinstance(best, spectral.Solution)
+    assert best.field.epsilon == 0.2
+    assert best.report.stop == "residual"
+    assert best.report.steps == 0 and best.report.jvps == []
+    assert best.merit > 1e-8
+    assert str(info.value).split()[-1] == f"{best.merit:.3e}"
 
 
 def test_ground_state_counts_steps_taken():
     res = spectral.ground_state(0.25)
-    assert res.diagnostics["newton_iterations"] > 0
+    assert res.report.steps > 0
     # an exhausted Newton budget reports every step it took
     with pytest.raises(NonConvergence) as info:
         spectral.ground_state(0.25, max_newton_iters=2)
-    assert info.value.diagnostics["newton_iterations"] == 2
+    report = info.value.best.report
+    assert report.steps == 2
     # the start's merit and each step's, the last the returned field's
-    history = info.value.diagnostics["gradient_history"]
-    assert len(history) == 3
-    assert history[-1] == pytest.approx(
-        info.value.diagnostics["final_gradient_norm"], rel=1e-9)
+    assert len(report.merits) == 3
+    assert report.merits[-1] == pytest.approx(info.value.best.merit,
+                                              rel=1e-9)
 
 
 def _packed(field):
@@ -746,9 +752,9 @@ def test_ground_state_energy_pinned(eps, delta):
 def test_ground_state_starts_on_the_periodized_homoclinic(eps):
     # the homoclinic plus its period translates solves the problem up to
     # O(e^(-1/eps)): start merits measured 1.3e-13 and 2.8e-12
-    d = spectral.ground_state(eps).diagnostics
-    assert d["newton_iterations"] == 0
-    assert d["final_gradient_norm"] <= 1e-10
+    res = spectral.ground_state(eps)
+    assert res.report.steps == 0
+    assert res.merit <= 1e-10
 
 
 def test_ground_state_newton_work_over_the_benchmark_range():
@@ -757,9 +763,9 @@ def test_ground_state_newton_work_over_the_benchmark_range():
     # homoclinic with the forcing tied to the merit
     steps = jvps = 0
     for eps in np.linspace(0.025, 0.06, 12):
-        d = spectral.ground_state(eps).diagnostics
-        steps += d["newton_iterations"]
-        jvps += sum(d["krylov_iterations"])
+        report = spectral.ground_state(eps).report
+        steps += report.steps
+        jvps += sum(report.jvps)
     assert steps <= 7 and jvps <= 70
 
 
@@ -767,15 +773,21 @@ def test_ground_state_above_the_branch_end_is_the_constant_solution():
     # eps* = 2^(1/4)/pi ~ 0.3785: past it Newton lands on the constant
     # solution, delta_eps = 1/(4 eps) (measured within 3.3e-16), and that
     # is rejected
-    with pytest.raises(NonConvergence) as info:
+    with pytest.raises(NonConvergence, match="constant") as info:
         spectral.ground_state(0.39)
-    assert abs(info.value.best.delta_eps - 1.0 / (4.0 * 0.39)) <= 1e-10
+    best = info.value.best
+    assert best.report.stop == "constant"
+    assert spectral.is_constant(best.field)
+    assert best.merit <= 1e-8
+    assert abs(best.delta_eps - 1.0 / (4.0 * 0.39)) <= 1e-10
 
 
 def test_ground_state_certificate_matches_fresh_residuals(ground_states):
     res = ground_states[0.1]
-    assert res.diagnostics["nehari"] == spectral.nehari_residuals(res.field)
-    assert res.diagnostics["energy"] == spectral.energy(res.field)
+    assert res.nehari == spectral.nehari_residuals(res.field)
+    assert res.energy == spectral.energy(res.field)
+    assert res.delta_eps == res.energy.total
+    assert res.merit == spectral.gradient_norm(spectral.gradient(res.field))
 
 
 def test_ground_state_phase_centered(ground_states):
