@@ -40,9 +40,12 @@ def main():
     print(f"\nconcentration: window center {conc['y_center']:+.4f}, "
           f"masses u/z = {conc['mass_u']:.4f}/{conc['mass_z']:.4f}")
 
-    u = f.u_values()
+    # the states (u, v, a, b) on the collocation grid, one real transform
+    u, _, a, b = f.grid_values
     print(f"\nscalar profile peak {u.max():.6f} "
           f"(homoclinic amplitude sqrt(3/2) = {np.sqrt(1.5):.6f})")
+    print(f"spinor profile peak |z| = {np.hypot(a, b).max():.6f} "
+          f"(homoclinic sqrt(3/4) = {np.sqrt(0.75):.6f})")
 
 
 if __name__ == "__main__":

@@ -158,12 +158,12 @@ def cmd_lyapunov(args):
     family = orbits.lyapunov_family(amplitudes, **kwargs)
     records = []
     for h, orbit in zip(amplitudes, family):
-        rec = serialize.orbit_record(orbit, provenance={
+        tr = orbits.field_to_orbit(orbit.field)
+        rec = serialize.orbit_record(orbit, tr, provenance={
             "kind": "lyapunov_family", "amplitude": h})
         rec["period"] = orbit.period
         rec["distance_to_center"] = float(np.max(np.linalg.norm(
-            orbits.field_to_orbit(orbit.field).states - dynamics.P_PLUS,
-            axis=1)))
+            tr.states - dynamics.P_PLUS, axis=1)))
         records.append(rec)
     if args.format == "csv":
         lines = ["amplitude,period,H,residual,distance_to_center"]
@@ -185,9 +185,9 @@ def cmd_ground_state(args):
         _emit(serialize.field_grid_to_csv(sol.field), args.out)
         return 0
     rec = serialize.orbit_record(
-        sol, provenance={"kind": "ground_state", "epsilon": args.epsilon,
-                         "modes": sol.field.num_modes,
-                         "gradient_norm": sol.merit},
+        sol, orbits.field_to_orbit(sol.field),
+        provenance={"kind": "ground_state", "epsilon": args.epsilon,
+                    "modes": sol.field.num_modes, "gradient_norm": sol.merit},
         epsilon=args.epsilon)
     rec["delta_eps"] = sol.delta_eps
     rec["field"] = serialize.field_to_json(sol.field, energy=sol.energy,

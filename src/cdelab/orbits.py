@@ -37,14 +37,13 @@ def _eigenmode_start(h):
     report = linear.eigenvalues_4x4(A)
     omega = report.elliptic_omega
     t0 = linear.lyapunov_period(report)
-    sp = spectral.build_spectrum(t0 / 2.0, spectral.default_modes(2.0 / t0))
-    t = spectral.grid(sp.packed.N) * (t0 / 2.0)
+    K = spectral.default_modes(2.0 / t0)
+    t = spectral.grid(spectral.grid_size(K)) * (t0 / 2.0)
     d0 = h * np.array([1.0, 0.0, omega ** 2, 0.0])
     d = (np.outer(d0, np.cos(omega * t))
          + np.outer(A @ d0 / omega, np.sin(omega * t)))
     u, _, a, b = dynamics.from_rotated(dynamics.P_PLUS_ROTATED[:, None] + d)
-    return spectral._field(sp.packed.to_packed(np.stack([u, a, b])),
-                           sp.epsilon, sp)
+    return spectral.field_from_values(2.0 / t0, K, np.stack([u, a, b]))
 
 
 def lyapunov_family(amplitudes, tol=NEWTON_TOL):
@@ -70,20 +69,18 @@ def lyapunov_family(amplitudes, tol=NEWTON_TOL):
             field = _eigenmode_start(h)
         field, report = spectral._newton(field, field.epsilon,
                                          min(tol, STOP_TOL), 30, pin=1.0 + h)
-        family.append(spectral._accept(field, report, tol, "family orbit",
-                                       merit=report.merits[-1]))
+        family.append(spectral._accept(field, report, tol, "family orbit"))
     return family
 
 
 def field_to_orbit(field):
     """The field sampled in original time on [-T, T], T = 1/epsilon, as a
-    trajectory: the collocation nodes of [-1, 1] plus the periodic wrap, v
-    the spectral derivative of u, all from one real transform of the packed
-    field to the grid.
+    trajectory: the collocation nodes of [-1, 1] plus the periodic wrap,
+    the states the field's ``grid_values``.
     """
     T = 1.0 / field.epsilon
     s = spectral.grid(spectral.grid_size(field.num_modes))
-    states = spectral._grid_states(field)
+    states = field.grid_values.T
     return integrators.Trajectory(times=np.concatenate([s, [1.0]]) * T,
                                   states=np.vstack([states, states[0]]))
 

@@ -27,7 +27,7 @@ from itertools import chain
 import numpy as np
 import orjson
 
-from . import orbits, spectral
+from . import spectral
 from .geometry import RadialProfile, SCHEMA
 
 PROFILE_COLUMNS = {
@@ -102,8 +102,7 @@ def trajectory_to_csv(tr):
 def field_grid_to_csv(field):
     """Collocation samples of a spectral field: columns t,u,a,b."""
     t = spectral.grid(spectral.grid_size(field.num_modes))
-    z = field.z_values()
-    rows = np.column_stack([t, field.u_values(), z[:, 0], z[:, 1]])
+    rows = np.column_stack([t, field.grid_values[[0, 2, 3]].T])
     return _csv_table(("t", "u", "a", "b"), rows)
 
 
@@ -138,19 +137,15 @@ def field_to_json(field, energy=None, residuals=None):
 def field_from_json(doc):
     if doc.get("schema") != SCHEMA:
         raise ValueError(f"unknown schema {doc.get('schema')!r}")
-    return spectral.PeriodicField(
-        epsilon=float(doc["epsilon"]),
-        num_modes=int(doc["K"]),
-        u_coeffs=_complex_array(doc, "u_coeffs"),
-        z_plus=_complex_array(doc, "z_plus_coeffs"),
-        z_minus=_complex_array(doc, "z_minus_coeffs"),
-    )
+    return spectral.field_from_coeffs(
+        float(doc["epsilon"]), _complex_array(doc, "u_coeffs"),
+        _complex_array(doc, "z_plus_coeffs"),
+        _complex_array(doc, "z_minus_coeffs"))
 
 
-def orbit_record(orbit, provenance, epsilon=None):
+def orbit_record(orbit, tr, provenance, epsilon=None):
     """JSON document for a spectral.Solution, a ground state or an orbit,
-    sampled on [-T, T] by orbits.field_to_orbit."""
-    tr = orbits.field_to_orbit(orbit.field)
+    with tr its field sampled on [-T, T] by orbits.field_to_orbit."""
     stride = max(1, len(tr) // MIN_RECORD_SAMPLES)
     samples = np.column_stack([tr.times, tr.states])[::stride]
     return {

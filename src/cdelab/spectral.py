@@ -7,8 +7,9 @@ operator acts per Fourier mode k as the Hermitian matrix
 
     [[0, 1 - i w_k], [1 + i w_k, 0]],   w_k = k*pi/T = eps*k*pi,
 
-with eigenvalues +/- sqrt(1 + w_k^2) and no kernel (min |lambda| = 1).  Spinor
-coefficients are stored in this eigenbasis, split into plus/minus parts.
+with eigenvalues +/- sqrt(1 + w_k^2) and no kernel (min |lambda| = 1).  A
+field is stored as the packed real vector of its (u, a, b) coefficients; its
+spinor coordinates in this eigenbasis, split into plus/minus parts, are views.
 
 Discretization: truncated Fourier collocation with K modes on a dealiased
 grid of N points, N the smallest even 2*3*5-smooth number above 4K.  N > 4K
@@ -200,72 +201,108 @@ def _check_modes(M, sp):
 # ----------------------------------------------------------------------
 # fields
 
-@dataclass
+@dataclass(frozen=True)
 class PeriodicField:
-    """Scalar/spinor pair in coefficient space at a fixed epsilon.
+    """Scalar/spinor pair at a fixed epsilon, stored as the packed real
+    vector ``x`` that Newton solves on: per component u, a, b the Fourier
+    coefficient c_0, then Re c_k and Im c_k for k = 1..K (a real field's
+    c_{-k} is conj(c_k)).  ``x`` is a read-only copy.
 
-    ``u_coeffs`` are the Fourier coefficients of the real scalar (conjugate
-    symmetric); ``z_plus``/``z_minus`` are the spinor coordinates against the
-    positive/negative eigenvectors of the operator spectrum.
+    The other forms are cached read-only views: ``u_coeffs`` and
+    ``z_ab_coeffs()`` the centered coefficients of u and (a, b),
+    ``z_plus``/``z_minus`` the spinor's coordinates against the positive/
+    negative eigenvectors of the operator spectrum (:func:`split_spinor`),
+    and ``grid_values`` the (4, N) values of the states (u, v, a, b) on the
+    grid, v = eps du/ds the slope in original time.
     """
     epsilon: float
-    num_modes: int
-    u_coeffs: np.ndarray
-    z_plus: np.ndarray
-    z_minus: np.ndarray
-    spectrum: SpectrumA = None
+    spectrum: SpectrumA
+    x: np.ndarray
 
     def __post_init__(self):
-        if self.spectrum is None:
-            self.spectrum = build_spectrum(1.0 / self.epsilon, self.num_modes)
+        object.__setattr__(self, "x", _readonly(np.array(self.x, dtype=float)))
 
-    # -- views -----------------------------------------------------------
+    @property
+    def num_modes(self):
+        return self.spectrum.num_modes
+
+    @cached_property
+    def _views(self):
+        """u_coeffs, (a, b) coefficients (2K+1, 2), z_plus, z_minus."""
+        K = self.num_modes
+        seg = self.x.reshape(3, 2 * K + 1)
+        pos = seg[:, 1:K + 1] + 1j * seg[:, K + 1:]
+        c = _readonly(np.concatenate([np.conj(pos[:, ::-1]), seg[:, :1], pos],
+                                     axis=1))
+        p, m = map(_readonly, split_spinor(c[1:].T, self.spectrum))
+        return c[0], c[1:].T, p, m
+
+    u_coeffs = property(lambda self: self._views[0])
+    z_plus = property(lambda self: self._views[2])
+    z_minus = property(lambda self: self._views[3])
+
     def z_ab_coeffs(self):
-        return merge_spinor(self.z_plus, self.z_minus, self.spectrum)
+        return self._views[1]
 
-    def u_values(self):
-        return coeffs_to_values(self.u_coeffs, grid_size(self.num_modes)).real
-
-    def z_values(self):
-        N = grid_size(self.num_modes)
-        return coeffs_to_values(self.z_ab_coeffs(), N).real
+    @cached_property
+    def grid_values(self):
+        K, M, x = self.num_modes, 2 * self.num_modes + 1, self.x
+        kpi = np.pi * self.epsilon * np.arange(1, K + 1)
+        # (Re, Im) of i pi k c_k are (-pi k Im c_k, pi k Re c_k)
+        du = np.concatenate([[0.0], -kpi * x[K + 1:M], kpi * x[1:K + 1]])
+        u, a, b, v = self.spectrum.packed.to_grid(np.concatenate([x, du]))
+        return _readonly(np.stack([u, v, a, b]))
 
     def shifted(self, tau):
-        """Translate the field by tau in s: f(s) -> f(s + tau)."""
-        k = np.arange(-self.num_modes, self.num_modes + 1)
-        phase = np.exp(1j * np.pi * k * tau)
-        return replace(self, u_coeffs=self.u_coeffs * phase,
-                       z_plus=self.z_plus * phase,
-                       z_minus=self.z_minus * phase,
-                       spectrum=self.spectrum)
+        """Translate the field by tau in s: f(s) -> f(s + tau), each mode's
+        (Re c_k, Im c_k) rotated by pi k tau."""
+        K = self.num_modes
+        seg = self.x.reshape(3, 2 * K + 1)
+        re, im = seg[:, 1:K + 1], seg[:, K + 1:]
+        theta = np.pi * np.remainder(tau * np.arange(1, K + 1), 2.0)
+        c, s = np.cos(theta), np.sin(theta)
+        x = np.concatenate([seg[:, :1], re * c - im * s, re * s + im * c],
+                           axis=1)
+        return PeriodicField(self.epsilon, self.spectrum, x.ravel())
+
+
+def _readonly(a):
+    a.flags.writeable = False
+    return a
+
+
+def field_from_coeffs(eps, u_coeffs, z_plus, z_minus, spectrum=None):
+    """The field at eps with centered coefficients ``u_coeffs`` (2K+1) and
+    spinor eigenbasis coordinates ``z_plus``, ``z_minus``, on ``spectrum``
+    (by default the one at T = 1/eps): (a, b) from :func:`merge_spinor`,
+    then packed from the modes k >= 0 of a conjugate-symmetric field."""
+    K = (len(u_coeffs) - 1) // 2
+    sp = build_spectrum(1.0 / eps, K) if spectrum is None else spectrum
+    c = np.column_stack([u_coeffs, merge_spinor(z_plus, z_minus, sp)])[K:].T
+    x = np.concatenate([c.real, c[:, 1:].imag], axis=1).ravel()
+    return PeriodicField(eps, sp, x)
 
 
 def zero_field(eps, K):
-    M = 2 * K + 1
-    z = np.zeros(M, dtype=complex)
-    return PeriodicField(epsilon=eps, num_modes=K, u_coeffs=z.copy(),
-                         z_plus=z.copy(), z_minus=z.copy())
+    return PeriodicField(eps, build_spectrum(1.0 / eps, K),
+                         np.zeros(3 * (2 * K + 1)))
 
 
-def field_from_values(eps, K, u_vals, z_vals):
-    """Build a field from real samples on any uniform grid with N > 2K nodes."""
+def field_from_values(eps, K, values):
+    """The field at eps with K modes of real samples ``values`` (3, N) of
+    (u, a, b) on any uniform grid of [-1, 1) with N > 2K nodes: their
+    truncated coefficients, packed by one real transform."""
     sp = build_spectrum(1.0 / eps, K)
-    u_hat = values_to_coeffs(np.asarray(u_vals, dtype=float), K)
-    z_ab = values_to_coeffs(np.asarray(z_vals, dtype=float), K)
-    p, m = split_spinor(z_ab, sp)
-    return PeriodicField(epsilon=eps, num_modes=K, u_coeffs=u_hat,
-                         z_plus=p, z_minus=m, spectrum=sp)
+    return PeriodicField(eps, sp, sp.packed.to_packed(
+        np.asarray(values, dtype=float)))
 
 
 def equilibrium_field(eps, K):
     """The constant solution u = 1, z = (1, 1)/(2*sqrt(2))."""
-    f = zero_field(eps, K)
-    f.u_coeffs[K] = 1.0
+    x = np.zeros((3, 2 * K + 1))
     c = 1.0 / (2.0 * np.sqrt(2.0))
-    z_ab = np.zeros((2 * K + 1, 2), dtype=complex)
-    z_ab[K] = (c, c)
-    p, m = split_spinor(z_ab, f.spectrum)
-    return replace(f, z_plus=p, z_minus=m, spectrum=f.spectrum)
+    x[:, 0] = 1.0, c, c
+    return PeriodicField(eps, build_spectrum(1.0 / eps, K), x.ravel())
 
 
 # ----------------------------------------------------------------------
@@ -279,42 +316,35 @@ class EnergyBreakdown:
     total: float
 
 
-def _scalar_multiplier(sp):
-    """Per-mode multiplier omega_k^2 + 1/4 of the scalar's linear part."""
-    return sp.omega ** 2 + 0.25
-
-
 def norms(field):
     """Rescaled norms; ``h1`` and ``half`` are the squared norms."""
     eps = field.epsilon
-    mult = _scalar_multiplier(field.spectrum)
+    mult = field.spectrum.omega ** 2 + 0.25       # the scalar's linear part
     h1 = (2.0 / eps) * float(np.sum(mult * np.abs(field.u_coeffs) ** 2))
     lam = field.spectrum.lam
     half = (2.0 / eps) * float(np.sum(lam * (np.abs(field.z_plus) ** 2
                                              + np.abs(field.z_minus) ** 2)))
-    N = grid_size(field.num_modes)
-    u = field.u_values()
-    z = field.z_values()
-    z2 = z[:, 0] ** 2 + z[:, 1] ** 2
+    u, _, a, b = field.grid_values
+    N = u.size
+    z2 = a * a + b * b
     l4_u = ((2.0 / (N * eps)) * float(np.sum(u ** 4))) ** 0.25
     l4_z = ((2.0 / (N * eps)) * float(np.sum(z2 ** 2))) ** 0.25
     return {"h1": h1, "half": half, "l4_u": l4_u, "l4_z": l4_z}
 
 
 def _energy_and_gradient(field):
-    """:func:`energy` and :func:`gradient` of field from one pack and one
-    transform to the grid, whose values give the coupling term."""
-    eps, sp = field.epsilon, field.spectrum
-    r, _, (u, a, b) = sp.packed.residual(
-        _pack(field.u_coeffs, field.z_ab_coeffs(), field.num_modes))
-    mult = _scalar_multiplier(sp)
-    scal = (2.0 / eps) * float(np.sum(mult * np.abs(field.u_coeffs) ** 2))
-    spin = (2.0 / eps) * float(np.sum(sp.lam * (np.abs(field.z_plus) ** 2
-                                                - np.abs(field.z_minus) ** 2)))
+    """:func:`energy` and :func:`gradient` of field from one transform to
+    the grid, whose values give the coupling term; the quadratic terms pair
+    the packed field with its linear part, per component."""
+    eps, ops, x = field.epsilon, field.spectrum.packed, field.x
+    r, _, (u, a, b) = ops.residual(x)
+    quadratic = (ops.parseval * x * ops.gather(x, ops.linear_w)).reshape(3, -1)
+    scal = (2.0 / eps) * float(np.sum(quadratic[0]))
+    spin = (2.0 / eps) * float(np.sum(quadratic[1:]))
     coup = (2.0 / (u.size * eps)) * float(np.sum(u * u * (a * a + b * b)))
     eb = EnergyBreakdown(scalar_quadratic=scal, spinor_quadratic=spin,
                          coupling=coup, total=0.5 * (scal + spin - coup))
-    return eb, _field(r, eps, sp)
+    return eb, PeriodicField(eps, field.spectrum, r)
 
 
 def energy(field):
@@ -333,24 +363,10 @@ def gradient(field):
     return _energy_and_gradient(field)[1]
 
 
-def _grid_states(field):
-    """States (u, u', a, b) of field on its grid, u' = eps du/ds the slope
-    in original time, from one packed transform to the grid."""
-    K, M = field.num_modes, 2 * field.num_modes + 1
-    x = _pack(field.u_coeffs, field.z_ab_coeffs(), K)
-    kpi = np.pi * field.epsilon * np.arange(1, K + 1)
-    # (Re, Im) of i pi k c_k are (-pi k Im c_k, pi k Re c_k)
-    du = np.concatenate([[0.0], -kpi * x[K + 1:M], kpi * x[1:K + 1]])
-    u, a, b, v = field.spectrum.packed.to_grid(np.concatenate([x, du]))
-    return np.column_stack([u, v, a, b])
-
-
 def gradient_norm(g):
-    """eps-weighted L^2 norm of a :func:`gradient` field."""
-    eps = g.epsilon
-    total = (np.sum(np.abs(g.u_coeffs) ** 2) + np.sum(np.abs(g.z_plus) ** 2)
-             + np.sum(np.abs(g.z_minus) ** 2))
-    return float(np.sqrt((2.0 / eps) * total))
+    """eps-weighted L^2 norm of a :func:`gradient` field: the merit that
+    Newton reports for the field it belongs to."""
+    return g.spectrum.packed.norm(g.x)
 
 
 # ----------------------------------------------------------------------
@@ -447,9 +463,7 @@ def nehari_residuals(field, energy=None, gradient=None):
     eb = energy if energy is not None else globals()["energy"](field)
     g = gradient if gradient is not None else globals()["gradient"](field)
     r3 = float(np.sqrt((2.0 / field.epsilon) * np.sum(np.abs(g.z_minus) ** 2)))
-    trivial = (np.max(np.abs(field.u_coeffs), initial=0.0) < 1e-14
-               and np.max(np.abs(field.z_plus), initial=0.0) < 1e-14
-               and np.max(np.abs(field.z_minus), initial=0.0) < 1e-14)
+    trivial = np.max(np.abs(field.x)) < 1e-14
     return NehariResiduals(r1=abs(eb.scalar_quadratic - eb.coupling),
                            r2=abs(eb.spinor_quadratic - eb.coupling),
                            r3=r3, coupling=eb.coupling,
@@ -488,10 +502,7 @@ def cutoff_test_pair(eps, K=None):
     t = grid(N)
     prof = homoclinic.derived_profile()
     states = prof(t / eps)
-    beta = bump(t)
-    u_vals = beta * states[0]
-    z_vals = np.stack([beta * states[2], beta * states[3]], axis=1)
-    return field_from_values(eps, K, u_vals, z_vals)
+    return field_from_values(eps, K, bump(t) * states[[0, 2, 3]])
 
 
 # ----------------------------------------------------------------------
@@ -555,17 +566,22 @@ class SolverReport:
 @dataclass(frozen=True)
 class Solution:
     """A solution at eps = 1/T: a ground state at eps, or equally a periodic
-    orbit of half-period T.  ``merit`` is that of the Newton solve that made
-    ``field``; ``energy`` and ``nehari`` are the field's certificate.  The
-    rest derives from the field: ``delta_eps`` is the energy's total,
-    ``initial_state`` the state (u, v, a, b) at t = 0 summed from the
-    coefficients (v(0) = 0.0 on a time-reversal-even field) and
-    ``hamiltonian`` H there."""
+    orbit of half-period T.  ``field`` is the last iterate of the Newton
+    solve in ``report`` and ``merit`` that solve's last merit; ``energy``
+    and ``nehari`` are the field's certificate.  The rest derives from the
+    field: ``delta_eps`` is the energy's total, ``initial_state`` the state
+    (u, v, a, b) at t = 0 summed from the coefficients (v(0) = 0.0 on a
+    time-reversal-even field) and ``hamiltonian`` H at t = -T, the grid node
+    farthest from a pulse at t = 0, where every term of H is O(e^(-1/eps))
+    as H is."""
     field: PeriodicField
-    merit: float
     energy: EnergyBreakdown
     nehari: NehariResiduals
     report: SolverReport
+
+    @property
+    def merit(self):
+        return float(self.report.merits[-1])
 
     @property
     def half_period(self):
@@ -586,36 +602,15 @@ class Solution:
         return np.array([f.u_coeffs.sum().real, du.sum().real,
                          *f.z_ab_coeffs().sum(axis=0).real])
 
-    @property
+    @cached_property
     def hamiltonian(self):
-        return float(dynamics.hamiltonian(self.initial_state))
-
-
-def _pack(u_hat, z_ab, K):
-    """Real unknowns of a real field: per component c_0, Re c_k, Im c_k (k > 0)."""
-    c = np.column_stack([u_hat, z_ab])[K:]
-    return np.concatenate([c[:1].real, c[1:].real, c[1:].imag]).T.ravel()
-
-
-def _unpack(x, K):
-    seg = x.reshape(3, 2 * K + 1)
-    pos = seg[:, 1:K + 1] + 1j * seg[:, K + 1:]
-    c = np.concatenate([np.conj(pos[:, ::-1]), seg[:, :1], pos], axis=1)
-    return c[0], c[1:].T
-
-
-def _field(x, eps, sp):
-    """The field at eps of the packed point x, on the spectrum sp."""
-    u_hat, z_ab = _unpack(x, sp.num_modes)
-    p, m = split_spinor(z_ab, sp)
-    return PeriodicField(epsilon=eps, num_modes=sp.num_modes, u_coeffs=u_hat,
-                         z_plus=p, z_minus=m, spectrum=sp)
+        return float(dynamics.hamiltonian(self.field.grid_values[:, 0]))
 
 
 class _Packed:
     """The Euler-Lagrange residual and its parts on the packed unknowns of a
-    real field (see :func:`_pack`) at one spectrum, with grid values on
-    grid_size(K) nodes.
+    real field (see :class:`PeriodicField`) at one spectrum, with grid
+    values on grid_size(K) nodes.
 
     The mode-diagonal parts are two-term gathers, ``gather(x, (s, c)) = s *
     x[swap] + c * x[cross]``: ``swap`` exchanges a and b at the same entry,
@@ -687,9 +682,12 @@ class _Packed:
         u2 = u * u
         r = self.gather(x, self.linear_w) - self.to_packed(
             np.stack([uz, u2 * a, u2 * b]))
-        gn = float(np.sqrt((2.0 / self.spectrum.epsilon)
-                           * (self.parseval @ (r * r))))
-        return r, gn, vals
+        return r, self.norm(r), vals
+
+    def norm(self, r):
+        """eps-weighted L^2 norm of the packed field r."""
+        return float(np.sqrt((2.0 / self.spectrum.epsilon)
+                             * (self.parseval @ (r * r))))
 
     def linearization(self, vals):
         """Jacobian-vector product of the residual at the point with grid
@@ -799,7 +797,7 @@ def _newton(field, eps, tol, max_iters, pin=None):
     K = field.num_modes
     ops = (field.spectrum if field.epsilon == eps
            else build_spectrum(1.0 / eps, K)).packed
-    x = ops.symmetric(_pack(field.u_coeffs, field.z_ab_coeffs(), K))
+    x = ops.symmetric(field.x)
     p = np.zeros(x.size)          # u(0) = u_0 + 2 sum_{k > 0} Re u_k
     p[:K + 1] = 2.0
     p[0] = 1.0
@@ -833,7 +831,7 @@ def _newton(field, eps, tol, max_iters, pin=None):
         ops, r, merit, vals = trial
         merits.append(merit)
         steps += 1
-    return (_field(x, eps, ops.spectrum),
+    return (PeriodicField(eps, ops.spectrum, x),
             SolverReport(merits=merits, steps=steps, jvps=jvps_per_solve))
 
 
@@ -841,14 +839,11 @@ def nehari_scale(u_hat, z_plus, sp, tol=1e-11, max_iter=40):
     """Scalings (t, s) putting (t*u, s*z_plus + g(t*u, s*z_plus)) on the
     constraint set; 2D Newton with finite-difference Jacobian."""
     eps = sp.epsilon
-    K = sp.num_modes
 
     def point(t, s):
         uh = t * u_hat
         ph = s * z_plus
-        f = PeriodicField(epsilon=eps, num_modes=K, u_coeffs=uh,
-                          z_plus=ph, z_minus=reduce_g(uh, ph, sp),
-                          spectrum=sp)
+        f = field_from_coeffs(eps, uh, ph, reduce_g(uh, ph, sp), sp)
         eb = energy(f)
         scale = max(1.0, abs(eb.coupling))
         return np.array([eb.scalar_quadratic - eb.coupling,
@@ -883,25 +878,24 @@ def nehari_scale(u_hat, z_plus, sp, tol=1e-11, max_iter=40):
 
 def _periodized_homoclinic(eps, K):
     """Newton's start at eps with K modes: U(t/w) + U((t -+ 2)/w), U the
-    derived homoclinic and w = min(eps, 1/4), sampled on the grid and packed
-    on the spectrum at eps."""
-    sp = build_spectrum(1.0 / eps, K)
-    t = grid(sp.packed.N) + np.array([[-2.0], [0.0], [2.0]])
+    derived homoclinic and w = min(eps, 1/4), sampled on the grid."""
+    t = grid(grid_size(K)) + np.array([[-2.0], [0.0], [2.0]])
     u, _, a, b = homoclinic.derived_profile()(t / min(eps, 0.25)).sum(axis=1)
-    return _field(sp.packed.to_packed(np.stack([u, a, b])), eps, sp)
+    return field_from_values(eps, K, np.stack([u, a, b]))
 
 
-def _accept(field, report, tol, label, merit=None, hint=""):
+def _accept(field, report, tol, label, hint=""):
     """The :class:`Solution` of a Newton result, its report completed with
-    the tail and the stop reason.  Its merit is ``merit`` or else the
-    gradient norm of its certificate.  Raises NonConvergence with that
-    Solution as ``best`` unless the merit is at most tol and every relative
-    Nehari residual at most 1e-6 (else "residual"), the field is not
+    the tail and the stop reason; its merit is the report's last, which for
+    a solve at fixed eps is the gradient norm of its certificate.  Raises
+    NonConvergence with that Solution as ``best`` unless the merit is at
+    most tol and every relative Nehari residual at most 1e-6 (else
+    "residual"), the field is not
     :func:`is_constant` ("constant") and its :func:`coefficient_tail` is at
     most TAIL_TOL ("truncated", the message ending with ``hint``)."""
     eb, g = _energy_and_gradient(field)
     nehari = nehari_residuals(field, energy=eb, gradient=g)
-    merit = float(gradient_norm(g) if merit is None else merit)
+    merit = float(report.merits[-1])
     tail = coefficient_tail(field)
     where = f"{label} at eps={field.epsilon}"
     if not (merit <= tol and nehari.max_relative() <= 1e-6):
@@ -917,7 +911,7 @@ def _accept(field, report, tol, label, merit=None, hint=""):
             f"coefficient tail of {tail:.3e} > {TAIL_TOL:g}{hint}")
     else:
         stop, message = "converged", None
-    solution = Solution(field=field, merit=merit, energy=eb, nehari=nehari,
+    solution = Solution(field=field, energy=eb, nehari=nehari,
                         report=replace(report, tail=tail, stop=stop))
     if message:
         raise NonConvergence(message, best=solution)
@@ -964,17 +958,17 @@ def concentration_diagnostic(field, r0):
     in the same window.
     """
     eps = field.epsilon
-    N = grid_size(field.num_modes)
+    u, _, a, b = field.grid_values
+    N = u.size
     t = grid(N)
-    u = field.u_values()
-    z = field.z_values()
-    z2 = z[:, 0] ** 2 + z[:, 1] ** 2
+    z2 = a * a + b * b
     half_width = eps * r0
     # circular convolution with the window indicator via FFT
     dt_idx = np.minimum(np.arange(N), N - np.arange(N)) * (2.0 / N)
     kernel = (dt_idx <= half_width).astype(float)
-    fu = np.fft.ifft(np.fft.fft(u * u) * np.fft.fft(kernel)).real
-    fz = np.fft.ifft(np.fft.fft(z2) * np.fft.fft(kernel)).real
+    window = np.fft.rfft(kernel)
+    fu = np.fft.irfft(np.fft.rfft(u * u) * window, N)
+    fz = np.fft.irfft(np.fft.rfft(z2) * window, N)
     masses_u = (2.0 / (N * eps)) * fu
     j = int(np.argmax(masses_u))
     masses_z = (2.0 / (N * eps)) * fz

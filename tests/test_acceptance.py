@@ -131,8 +131,7 @@ def test_criterion_07_convergence_to_homoclinic(ground_states):
 
 
 def test_criterion_08_gradient_finite_differences():
-    from dataclasses import replace
-    from test_spectral import random_field
+    from test_spectral import perturbed, random_field
     eps, K = 0.12, 12
     delta = 1e-5
     worst = 0.0
@@ -140,12 +139,7 @@ def test_criterion_08_gradient_finite_differences():
     g = spectral.gradient(f)
     for trial in range(50):
         h = random_field(eps, K, seed=200 + trial, scale=1.0)
-        fp = replace(f, u_coeffs=f.u_coeffs + delta * h.u_coeffs,
-                     z_plus=f.z_plus + delta * h.z_plus,
-                     z_minus=f.z_minus + delta * h.z_minus, spectrum=f.spectrum)
-        fm = replace(f, u_coeffs=f.u_coeffs - delta * h.u_coeffs,
-                     z_plus=f.z_plus - delta * h.z_plus,
-                     z_minus=f.z_minus - delta * h.z_minus, spectrum=f.spectrum)
+        fp, fm = perturbed(f, h, delta), perturbed(f, h, -delta)
         fd = (spectral.energy(fp).total - spectral.energy(fm).total) / (2 * delta)
         pairing = (2.0 / eps) * float(np.real(
             np.sum(np.conj(g.u_coeffs) * h.u_coeffs)

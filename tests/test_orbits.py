@@ -67,9 +67,31 @@ def test_newton_history_ends_with_the_merit_of_the_returned_field(max_iters):
     field, report = spectral._newton(start, eps, 1e-12, max_iters)
     assert report.steps == max_iters
     assert len(report.merits) == report.steps + 1
+    # the field is Newton's iterate and the norm Newton's expression
     merit = spectral.gradient_norm(spectral.gradient(field))
-    assert abs(report.merits[-1] - merit) <= 1e-9 * merit
+    assert report.merits[-1] == merit
     assert report.merits[-1] > 1e-12
+
+
+@pytest.mark.parametrize("eps", [0.025, 0.1, 0.3])
+def test_ground_state_merit_is_the_last_newton_merit(eps):
+    # 0, 2 and 4 Newton steps from the periodized homoclinic
+    sol = spectral.ground_state(eps)
+    merit = spectral.gradient_norm(spectral.gradient(sol.field))
+    assert sol.merit == sol.report.merits[-1] == merit
+
+
+@pytest.mark.parametrize("eps", [0.03, 0.04])
+def test_hamiltonian_to_full_relative_precision(eps):
+    # H is taken at t = -T, the node farthest from the pulse.  There the
+    # tails of the pulse and of its period translate meet: each tail is
+    # u ~ alpha sqrt(2) e^(-|t|/2) with (alpha sqrt(2))^2 = 3, so u(T) ~
+    # 2 sqrt(3) e^(-T/2), v(T) = 0 by symmetry, and a, b = O(e^(-3T/2)).
+    # So H ~ -u^2/8 = -(3/2) e^(-1/eps) (measured -1.5000000041 and
+    # -1.5000000001); at the peak t = 0, where H is a difference of O(1)
+    # terms, the same product reads -7.08 and -1.4979
+    sol = spectral.ground_state(eps)
+    assert abs(sol.hamiltonian * np.exp(1.0 / eps) + 1.5) <= 1e-6
 
 
 def test_lyapunov_family_period_limit(lyapunov_orbits):
@@ -222,7 +244,7 @@ def test_field_to_orbit_invariants(ground_states):
     assert tr.times[t0_node] == 0.0
     assert np.max(np.abs(states[t0_node] - orb.initial_state)) <= 1e-14
     assert orb.initial_state[1] == 0.0                # R-even: v(0) = 0
-    assert orb.hamiltonian == dynamics.hamiltonian(orb.initial_state)
+    assert orb.hamiltonian == dynamics.hamiltonian(states[0])   # t = -T
     drift = np.max(np.abs(tr.energy_series - tr.energy_series[0]))
     assert drift <= 1e-8                              # H constant on the orbit
     dmin = min(np.linalg.norm(orb.initial_state - p)
@@ -236,9 +258,11 @@ def test_field_to_orbit_samples_the_field(ground_states):
     for field in (ground_states[0.05].field, spectral.cutoff_test_pair(0.2),
                   ground_states[0.1].field.shifted(0.3)):
         states = orbits.field_to_orbit(field).states[:-1]
+        N = len(states)
         du = spectral.derivative_coeffs(field.u_coeffs) * field.epsilon
-        v = spectral.coeffs_to_values(du, len(states)).real
-        ref = np.column_stack([field.u_values(), v, field.z_values()])
+        ref = np.column_stack([
+            spectral.coeffs_to_values(c, N).real
+            for c in (field.u_coeffs, du, *field.z_ab_coeffs().T)])
         assert np.max(np.abs(states - ref)) <= 1e-13
 
 
