@@ -29,8 +29,7 @@ def main():
     print("\nspectrum symmetry under lambda -> -lambda holds at every "
           "equilibrium; the saddle at the origin has rates +/-1/2, +/-1.")
     from cdelab import dynamics
-    rep0 = linear.eigenvalues_4x4(
-        linear.jacobian_at(dynamics.P0, "original").entries)
+    rep0 = linear.eigenvalues_4x4(linear.jacobian_at(dynamics.P0, "original"))
     print("origin eigenvalues:", np.sort_complex(rep0.eigenvalues))
 
 

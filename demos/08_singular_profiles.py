@@ -19,7 +19,7 @@ def main():
     u, _, a, b = prof(t)
     cyl = geometry.RadialProfile(chart="cylinder", grid=t, u=u, f1=a, f2=b)
 
-    euc = geometry.cylinder_to_euclidean(cyl, np.exp(-t))
+    euc = geometry.cylinder_to_euclidean(cyl)
     fit = geometry.coupling_constant_fit(euc)
     print("transported homoclinic on R^3 \\ {0}:")
     print(f"  -Lap(u) = kappa (f1^2 + f2^2) u fits kappa = {fit.kappa:.9f} "

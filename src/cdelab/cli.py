@@ -237,7 +237,7 @@ def cmd_transform(args):
         raise ValueError(f"--from {args.src}, but the header of {args.input} "
                          f"names the {profile.chart} chart")
     if args.src == "cylinder":
-        euc = geometry.cylinder_to_euclidean(profile, np.exp(-profile.grid))
+        euc = geometry.cylinder_to_euclidean(profile)
     else:
         euc = profile
     if args.dst == "euclidean":

@@ -33,17 +33,6 @@ def hamiltonian(s):
     return 0.5 * v * v + 0.5 * u * u * (a * a + b * b - 0.25) - a * b
 
 
-def hamiltonian_grouped(s):
-    """Algebraically regrouped form of the same energy.
-
-    Identical to :func:`hamiltonian` in exact arithmetic; kept as an
-    independent expression so rounding agreement can be cross-checked.
-    """
-    u, v, a, b = np.asarray(s, dtype=float)
-    q = a * a + b * b - 0.25
-    return 0.5 * v * v + 0.5 * (u * u - 1.0) * q + 0.5 * ((a - b) ** 2 - 0.25)
-
-
 def vector_field(s):
     """Right-hand side (u', v', a', b') of the cylinder system."""
     u, v, a, b = np.asarray(s, dtype=float)

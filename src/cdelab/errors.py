@@ -37,10 +37,6 @@ class SolverStall(CdelabError):
     """An inner linear solve (conjugate gradient) failed to converge."""
 
 
-class GridCoverage(CdelabError):
-    """Requested output grid maps outside the input grid."""
-
-
 class DegenerateProfile(CdelabError):
     """Profile has identically vanishing spinor density; no coupling to fit."""
 

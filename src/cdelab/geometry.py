@@ -16,7 +16,7 @@ depend on the representation only through |Psi| and the radial pair
 import numpy as np
 from dataclasses import dataclass
 
-from .errors import GridCoverage, DegenerateProfile
+from .errors import DegenerateProfile
 
 # i * Pauli matrices: skew-adjoint, anti-commuting, squaring to -1
 CLIFFORD_GENERATORS = np.array([
@@ -116,50 +116,28 @@ def closed_form_profile(lam, r_grid):
 # ----------------------------------------------------------------------
 # chart transforms
 
-def cylinder_to_euclidean(profile, r_grid):
-    """Transport a cylinder profile to radii r = e^{-t}.
-
-    Weights: u_euc(r) = e^{t/2} u(t), f1(r) = -a(t) e^t, f2(r) = b(t) e^t
-    evaluated at t = -ln r.  Values between cylinder nodes are obtained by
-    cubic interpolation; raises GridCoverage when a requested radius maps
-    outside the t-grid.
+def cylinder_to_euclidean(profile):
+    """Transport a cylinder profile to the radii r = e^{-t} of its own nodes,
+    in its order, with weights u_euc(r) = e^{t/2} u(t), f1(r) = -a(t) e^t,
+    f2(r) = b(t) e^t; ValueError where e^{-t} or e^t overflows (|t| > ~709).
     """
     if profile.chart != "cylinder":
         raise ValueError("input profile must be on the cylinder chart")
-    r = np.asarray(r_grid, dtype=float)
-    if np.any(r <= 0):
-        raise ValueError("radii must be positive")
-    t_needed = -np.log(r)
     t = profile.grid
-    lo, hi = t.min(), t.max()
-    pad = 1e-12 * max(1.0, abs(lo), abs(hi))
-    if t_needed.min() < lo - pad or t_needed.max() > hi + pad:
-        raise GridCoverage(
-            f"requested radii need t in [{t_needed.min():.3g}, {t_needed.max():.3g}], "
-            f"cylinder grid covers [{lo:.3g}, {hi:.3g}]")
-
-    if t[0] > t[-1]:
-        t = t[::-1]
-        sample = np.column_stack([profile.u[::-1], profile.f1[::-1], profile.f2[::-1]])
-    else:
-        sample = np.column_stack([profile.u, profile.f1, profile.f2])
-
-    if _grids_match(t_needed, t):
-        u_t, a_t, b_t = sample[_match_order(t_needed, t)].T
-    else:
-        from scipy.interpolate import CubicSpline
-        spline = CubicSpline(t, sample, axis=0)
-        u_t, a_t, b_t = spline(t_needed).T
-
-    et = 1.0 / r                      # e^{t} at t = -ln r
+    with np.errstate(over="ignore", divide="ignore"):
+        r = np.exp(-t)
+        et = 1.0 / r                  # e^{t} at t = -ln r
+    if not (np.isfinite(r).all() and np.isfinite(et).all()):
+        raise ValueError(f"cylinder grid covers t in [{t.min():.3g}, "
+                         f"{t.max():.3g}], where r = e^(-t) or 1/r overflows")
     return RadialProfile(chart="euclidean", grid=r,
-                         u=np.sqrt(et) * u_t, f1=-a_t * et, f2=b_t * et,
-                         lam=profile.lam)
+                         u=np.sqrt(et) * profile.u, f1=-profile.f1 * et,
+                         f2=profile.f2 * et, lam=profile.lam)
 
 
 def euclidean_to_cylinder(profile):
     """Inverse transport onto the grid t = -ln r, in increasing t; the round
-    trip through :func:`cylinder_to_euclidean` on that grid is exact."""
+    trip through :func:`cylinder_to_euclidean` is exact."""
     if profile.chart != "euclidean":
         raise ValueError("input profile must be on the euclidean chart")
     t = -np.log(profile.grid)
@@ -169,20 +147,6 @@ def euclidean_to_cylinder(profile):
     return RadialProfile(chart="cylinder", grid=t,
                          u=np.sqrt(r) * u_e, f1=-r * f1, f2=r * f2,
                          lam=profile.lam)
-
-
-def _grids_match(x, y):
-    if x.shape != y.shape:
-        return False
-    xs = np.sort(x)
-    return np.allclose(xs, y, rtol=0, atol=1e-12 * max(1.0, np.abs(y).max()))
-
-
-def _match_order(x, sorted_y):
-    idx = np.clip(np.searchsorted(sorted_y, x), 0, len(sorted_y) - 1)
-    below = np.clip(idx - 1, 0, len(sorted_y) - 1)
-    pick_below = np.abs(x - sorted_y[below]) < np.abs(x - sorted_y[idx])
-    return np.where(pick_below, below, idx)
 
 
 def euclidean_to_sphere(profile):

@@ -23,27 +23,23 @@ OVERFLOW_LIMIT = 1e12
 #: most steps ``integrate`` takes (it keeps every state, ~0.2 kB per step)
 MAX_STEPS = 10 ** 7
 
+#: implicit-midpoint Newton: a step is accepted once ``‖res‖ <= NEWTON_TOL *
+#: max(1, ‖x‖∞)``, relative to the state size, since an absolute bound would
+#: sit below the residual's rounding floor once |s| reaches ~1e4, far short
+#: of OVERFLOW_LIMIT; NewtonDivergence after MAX_NEWTON_ITERS corrections
+NEWTON_TOL = 1e-12
+MAX_NEWTON_ITERS = 25
+
 
 @dataclass(frozen=True)
 class StepperConfig:
-    """Fixed-step integrator settings.
-
-    ``newton_tol`` bounds the implicit-midpoint Newton residual relative to
-    the state size: a step is accepted once ``‖res‖ <= newton_tol *
-    max(1, ‖x‖∞)``.  An absolute bound would sit below the residual's
-    rounding floor once ``|s|`` reaches ~1e4, far short of OVERFLOW_LIMIT.
-    """
+    """Fixed-step integrator settings."""
     method: str = "implicit_midpoint"   # or "rk4"
     dt: float = 1e-3
-    newton_tol: float = 1e-12
-    max_newton_iters: int = 25
 
     def __post_init__(self):
         if not 0.0 < self.dt < np.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
-        if not 0.0 < self.newton_tol < np.inf:
-            raise ValueError("newton_tol must be positive and finite, "
-                             f"got {self.newton_tol!r}")
         if self.method not in ("implicit_midpoint", "rk4"):
             raise ValueError(f"unknown method {self.method!r}")
 
@@ -162,23 +158,16 @@ def rk4_step(s, dt):
     return np.array(_rk4(*(s.tolist() if s.ndim == 1 else s), dt))
 
 
-def implicit_midpoint_step(s, dt, newton_tol=1e-12, max_iters=25):
+def implicit_midpoint_step(s, dt):
     """One implicit midpoint step, midpoint fixed point solved by Newton.
 
     The iterate x is accepted once the residual of x = s + dt f((s + x)/2)
-    satisfies ``‖res‖ <= newton_tol * max(1, ‖x‖∞)``, i.e. the tolerance is
+    satisfies ``‖res‖ <= NEWTON_TOL * max(1, ‖x‖∞)``, i.e. the tolerance is
     absolute for unit-size states and relative beyond (NewtonDivergence
-    if not met, or if the Newton matrix is singular).
+    if not met within MAX_NEWTON_ITERS, or if the Newton matrix is singular).
     """
     s = np.asarray(s, dtype=float).tolist()
-    return np.array(_midpoint(*s, dt, newton_tol, max_iters))
-
-
-def step(s, cfg):
-    """Advance one step with the configured method."""
-    if cfg.method == "rk4":
-        return rk4_step(s, cfg.dt)
-    return implicit_midpoint_step(s, cfg.dt, cfg.newton_tol, cfg.max_newton_iters)
+    return np.array(_midpoint(*s, dt, NEWTON_TOL, MAX_NEWTON_ITERS))
 
 
 def integrate(s0, t_final, cfg):
@@ -202,7 +191,7 @@ def integrate(s0, t_final, cfg):
     n_steps = max(1, int(round(n_steps)))
     dt = t_final / n_steps              # signed
     kernel, extra = ((_rk4, ()) if cfg.method == "rk4" else
-                     (_midpoint, (cfg.newton_tol, cfg.max_newton_iters)))
+                     (_midpoint, (NEWTON_TOL, MAX_NEWTON_ITERS)))
 
     out = s0.tolist()                   # flat: 4 floats per state
     try:

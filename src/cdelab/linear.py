@@ -1,12 +1,12 @@
 """Jacobians of both charts, 4x4 eigenvalues, Lyapunov period prediction.
 
 Eigenvalues come from LAPACK (``np.linalg.eigvals``), are made closed under
-complex conjugation, and each carries an SVD eigenvector whose residual
-certifies it; the residual check guards conditioning.
+complex conjugation, and each is certified by the residual of an SVD
+eigenvector; the residual check guards conditioning.
 """
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConvergenceFailure, NoEllipticPair
 from . import dynamics
@@ -14,14 +14,6 @@ from . import dynamics
 #: relative threshold below which the real/imaginary part of an eigenvalue
 #: is treated as zero when classifying pairs
 CLASSIFY_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class Jacobian4:
-    """Analytic Jacobian of one chart's vector field at a base point."""
-    entries: np.ndarray
-    chart: str
-    base_point: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -35,14 +27,12 @@ class SpectrumReport:
     eigenvalues: np.ndarray
     hyperbolic_mu: float | None = None
     elliptic_omega: float | None = None
-    eigenvectors: np.ndarray = field(default=None, repr=False)
-    residuals: np.ndarray = field(default=None, repr=False)
 
 
 def jacobian_at(point, chart="original"):
-    """Analytic partial derivatives of the requested chart's vector field."""
-    point = np.asarray(point, dtype=float)
-    u, v, a, b = point
+    """Analytic partial derivatives (4x4) of the requested chart's vector
+    field at a point."""
+    u, v, a, b = np.asarray(point, dtype=float)
     if chart == "original":
         m = np.array([
             [0.0, 1.0, 0.0, 0.0],
@@ -59,19 +49,19 @@ def jacobian_at(point, chart="original"):
         ])
     else:
         raise ValueError(f"unknown chart {chart!r}")
-    return Jacobian4(entries=m, chart=chart, base_point=point)
+    return m
 
 
 def matrix_c():
     """Linearization at the rotated-chart center equilibrium (1, 0, 1/2, 0)."""
-    return jacobian_at(dynamics.P_PLUS_ROTATED, chart="rotated").entries
+    return jacobian_at(dynamics.P_PLUS_ROTATED, chart="rotated")
 
 
 def eigenvalues_4x4(m):
     """Eigenvalues of a real 4x4 matrix with a residual certificate.
 
-    Each returned eigenvalue carries a unit eigenvector (smallest singular
-    vector of M - lambda I) whose residual must satisfy
+    Each eigenvalue is certified by a unit eigenvector x (smallest singular
+    vector of M - lambda I), whose residual must satisfy
     ||(M - lambda I) x|| <= 1e-10 ||M||, otherwise ConvergenceFailure is
     raised.  The eigenvalue set is closed under complex conjugation.
     """
@@ -81,13 +71,10 @@ def eigenvalues_4x4(m):
     roots = _conjugate_symmetrize(np.linalg.eigvals(m))
 
     mnorm = np.linalg.norm(m, 2)
-    vecs = np.zeros((4, 4), dtype=complex)
     residuals = np.zeros(4)
     for i, lam in enumerate(roots):
         shifted = m - lam * np.eye(4)
-        _, sing, vh = np.linalg.svd(shifted)
-        x = vh[-1].conj()
-        vecs[:, i] = x
+        x = np.linalg.svd(shifted)[2][-1].conj()
         residuals[i] = np.linalg.norm(shifted @ x)
     if np.any(residuals > 1e-10 * max(mnorm, 1e-300)):
         raise ConvergenceFailure(
@@ -95,8 +82,7 @@ def eigenvalues_4x4(m):
 
     hyper, ellip = _classify_pairs(roots)
     return SpectrumReport(eigenvalues=roots, hyperbolic_mu=hyper,
-                          elliptic_omega=ellip, eigenvectors=vecs,
-                          residuals=residuals)
+                          elliptic_omega=ellip)
 
 
 def _conjugate_symmetrize(roots):

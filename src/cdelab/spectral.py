@@ -45,7 +45,9 @@ def default_modes(eps):
 
 
 def grid_size(K):
-    """Collocation size: the smallest even 5-smooth N > 4K."""
+    """Collocation size: the smallest even 5-smooth N > 4K, for K >= 1."""
+    if not K >= 1:
+        raise ValueError(f"require K >= 1, got {K!r}")
     N = 4 * K + 2
     while True:
         m = N
@@ -283,11 +285,6 @@ def field_from_coeffs(eps, u_coeffs, z_plus, z_minus, spectrum=None):
     return PeriodicField(eps, sp, x)
 
 
-def zero_field(eps, K):
-    return PeriodicField(eps, build_spectrum(1.0 / eps, K),
-                         np.zeros(3 * (2 * K + 1)))
-
-
 def field_from_values(eps, K, values):
     """The field at eps with K modes of real samples ``values`` (3, N) of
     (u, a, b) on any uniform grid of [-1, 1) with N > 2K nodes: their
@@ -297,16 +294,8 @@ def field_from_values(eps, K, values):
         np.asarray(values, dtype=float)))
 
 
-def equilibrium_field(eps, K):
-    """The constant solution u = 1, z = (1, 1)/(2*sqrt(2))."""
-    x = np.zeros((3, 2 * K + 1))
-    c = 1.0 / (2.0 * np.sqrt(2.0))
-    x[:, 0] = 1.0, c, c
-    return PeriodicField(eps, build_spectrum(1.0 / eps, K), x.ravel())
-
-
 # ----------------------------------------------------------------------
-# energy, norms, gradient
+# energy, gradient
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
@@ -314,22 +303,6 @@ class EnergyBreakdown:
     spinor_quadratic: float   # (1/eps) int <A_eps z, z>
     coupling: float           # (1/eps) int u^2 |z|^2
     total: float
-
-
-def norms(field):
-    """Rescaled norms; ``h1`` and ``half`` are the squared norms."""
-    eps = field.epsilon
-    mult = field.spectrum.omega ** 2 + 0.25       # the scalar's linear part
-    h1 = (2.0 / eps) * float(np.sum(mult * np.abs(field.u_coeffs) ** 2))
-    lam = field.spectrum.lam
-    half = (2.0 / eps) * float(np.sum(lam * (np.abs(field.z_plus) ** 2
-                                             + np.abs(field.z_minus) ** 2)))
-    u, _, a, b = field.grid_values
-    N = u.size
-    z2 = a * a + b * b
-    l4_u = ((2.0 / (N * eps)) * float(np.sum(u ** 4))) ** 0.25
-    l4_z = ((2.0 / (N * eps)) * float(np.sum(z2 ** 2))) ** 0.25
-    return {"h1": h1, "half": half, "l4_u": l4_u, "l4_z": l4_z}
 
 
 def _energy_and_gradient(field):
@@ -361,12 +334,6 @@ def gradient(field):
     the directional derivative of the energy.
     """
     return _energy_and_gradient(field)[1]
-
-
-def gradient_norm(g):
-    """eps-weighted L^2 norm of a :func:`gradient` field: the merit that
-    Newton reports for the field it belongs to."""
-    return g.spectrum.packed.norm(g.x)
 
 
 # ----------------------------------------------------------------------
@@ -455,13 +422,13 @@ class NehariResiduals:
         return max(self.relative())
 
 
-def nehari_residuals(field, energy=None, gradient=None):
-    """The three residuals of ``field``.  ``energy`` and ``gradient``, when
-    given, are the field's :func:`energy` breakdown and :func:`gradient`,
-    which are then not computed again."""
-    # the arguments shadow the module functions of the same names
-    eb = energy if energy is not None else globals()["energy"](field)
-    g = gradient if gradient is not None else globals()["gradient"](field)
+def nehari_residuals(field):
+    """The three residuals of ``field``."""
+    return _nehari(field, *_energy_and_gradient(field))
+
+
+def _nehari(field, eb, g):
+    """The residuals of ``field``, its :func:`energy` eb and gradient g."""
     r3 = float(np.sqrt((2.0 / field.epsilon) * np.sum(np.abs(g.z_minus) ** 2)))
     trivial = np.max(np.abs(field.x)) < 1e-14
     return NehariResiduals(r1=abs(eb.scalar_quadratic - eb.coupling),
@@ -522,6 +489,8 @@ KRYLOV_FORCING = 1e-8
 KRYLOV_GAMMA = 1e-3
 KRYLOV_RESTART = 50
 KRYLOV_MAX_RESTARTS = 20
+#: Newton steps :func:`ground_state` takes at most
+MAX_NEWTON_ITERS = 40
 #: largest K :func:`ground_state` accepts: the Krylov basis alone holds
 #: (KRYLOV_RESTART + 1) * 3(2K+1) floats, about 2.4 kB per mode (245 MB here)
 MAX_MODES = 100_000
@@ -551,16 +520,20 @@ def is_constant(field):
 @dataclass(frozen=True)
 class SolverReport:
     """What the Newton solve behind a :class:`Solution` did: the merits of
-    its start and of each step (the last the returned field's), the steps
-    taken, and the Jacobian-vector products of each GMRES solve (one more
-    solve than steps when the line search rejects the last step); then the
-    field's :func:`coefficient_tail` and why the acceptance stopped:
-    "converged", "residual", "constant" or "truncated"."""
+    its start and of each step (the last the returned field's), and the
+    Jacobian-vector products of each GMRES solve (one more solve than steps
+    when the line search rejects the last step); then the field's
+    :func:`coefficient_tail` and why the acceptance stopped: "converged",
+    "residual", "constant" or "truncated".  ``steps`` counts the steps
+    taken, one per merit after the start's."""
     merits: list
-    steps: int
     jvps: list
     tail: float = None
     stop: str = None
+
+    @property
+    def steps(self):
+        return len(self.merits) - 1
 
 
 @dataclass(frozen=True)
@@ -810,8 +783,8 @@ def _newton(field, eps, tol, max_iters, pin=None):
         return o, r, (gn if pin is None else np.hypot(gn, p @ x - pin)), vals
 
     _, r, merit, vals = evaluate(x, eps)
-    merits, jvps_per_solve, steps = [merit], [], 0
-    while merit > tol and steps < max_iters:
+    merits, jvps_per_solve = [merit], []
+    while merit > tol and len(merits) <= max_iters:
         border = None if pin is None else (ops.gather(x, ops.eps_w), p,
                                            p @ x - pin)
         forcing = max(KRYLOV_FORCING, min(0.1, KRYLOV_GAMMA * tol / merit))
@@ -830,9 +803,8 @@ def _newton(field, eps, tol, max_iters, pin=None):
         x, eps = x + lam * dx, eps + lam * de
         ops, r, merit, vals = trial
         merits.append(merit)
-        steps += 1
     return (PeriodicField(eps, ops.spectrum, x),
-            SolverReport(merits=merits, steps=steps, jvps=jvps_per_solve))
+            SolverReport(merits=merits, jvps=jvps_per_solve))
 
 
 def nehari_scale(u_hat, z_plus, sp, tol=1e-11, max_iter=40):
@@ -894,7 +866,7 @@ def _accept(field, report, tol, label, hint=""):
     :func:`is_constant` ("constant") and its :func:`coefficient_tail` is at
     most TAIL_TOL ("truncated", the message ending with ``hint``)."""
     eb, g = _energy_and_gradient(field)
-    nehari = nehari_residuals(field, energy=eb, gradient=g)
+    nehari = _nehari(field, eb, g)
     merit = float(report.merits[-1])
     tail = coefficient_tail(field)
     where = f"{label} at eps={field.epsilon}"
@@ -918,7 +890,7 @@ def _accept(field, report, tol, label, hint=""):
     return solution
 
 
-def ground_state(eps, K=None, grad_tol=1e-8, max_newton_iters=40):
+def ground_state(eps, K=None, grad_tol=1e-8):
     """Ground state of the rescaled problem at the given epsilon.
 
     Strategy: inexact Newton steps that GMRES solves matrix-free on the
@@ -942,7 +914,7 @@ def ground_state(eps, K=None, grad_tol=1e-8, max_newton_iters=40):
     if K > MAX_MODES:
         raise ValueError(f"{K:.4g} modes exceed MAX_MODES = {MAX_MODES}")
     field, report = _newton(_periodized_homoclinic(eps, K), eps,
-                            min(grad_tol, 1e-10), max_newton_iters)
+                            min(grad_tol, 1e-10), MAX_NEWTON_ITERS)
     return _accept(field, report, grad_tol, "ground state",
                    hint=f" (default K is {K_default})")
 

@@ -132,8 +132,7 @@ def suite_transforms(seed=0, tol=1e-12):
     states = prof(t)
     cyl = geometry.RadialProfile(chart="cylinder", grid=t, u=states[0],
                                  f1=states[2], f2=states[3])
-    r = np.exp(-t)
-    euc = geometry.cylinder_to_euclidean(cyl, r)
+    euc = geometry.cylinder_to_euclidean(cyl)
     back = geometry.euclidean_to_cylinder(euc)
     order = np.argsort(t)
     defect = max(np.max(np.abs(back.u - states[0][order])),

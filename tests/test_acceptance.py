@@ -164,7 +164,7 @@ def test_criterion_09_geometry_suite():
     t = np.linspace(-4.0, 4.0, 8001)
     u, _, a, b = prof(t)
     cyl = geometry.RadialProfile(chart="cylinder", grid=t, u=u, f1=a, f2=b)
-    euc = geometry.cylinder_to_euclidean(cyl, np.exp(-t))
+    euc = geometry.cylinder_to_euclidean(cyl)
     fit = geometry.coupling_constant_fit(euc)
     # the closed-form pair as printed carries a different normalization;
     # its constant is recorded (not asserted equal to 1)

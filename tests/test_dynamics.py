@@ -16,18 +16,6 @@ def test_hamiltonian_pinned_values():
     assert dynamics.hamiltonian(np.array([0.0, 1.0, 0.0, 0.0])) == 0.5
 
 
-def test_two_energy_forms_agree_to_4ulp():
-    s = random_states(10_000, seed=1, scale=2.0)
-    h1 = dynamics.hamiltonian(s)
-    h2 = dynamics.hamiltonian_grouped(s)
-    u, v, a, b = s
-    # bound the rounding by the magnitude of the terms entering either form
-    scale = (0.5 * v * v + 0.5 * u * u * (a * a + b * b + 0.25) + np.abs(a * b)
-             + 0.5 * (np.abs(u * u - 1.0)) * (a * a + b * b + 0.25)
-             + 0.5 * ((a - b) ** 2 + 0.25))
-    assert np.all(np.abs(h1 - h2) <= 4.0 * np.finfo(float).eps * scale)
-
-
 def test_vector_field_pinned_values():
     # P0 is exactly representable; for P+/- the components 1/(2 sqrt 2) round,
     # leaving the field at the rounding floor of a^2 + b^2 - 1/4

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from cdelab import geometry, homoclinic
-from cdelab.errors import GridCoverage, DegenerateProfile
+from cdelab.errors import DegenerateProfile
 
 
 def homoclinic_cylinder_profile(tmax=4.0, n=8001):
@@ -118,12 +120,12 @@ def test_cylinder_image_of_closed_form_scalar():
 
 def test_round_trip_identity():
     cyl, t = homoclinic_cylinder_profile(tmax=6.0, n=1201)
-    euc = geometry.cylinder_to_euclidean(cyl, np.exp(-t))
+    euc = geometry.cylinder_to_euclidean(cyl)
     back = geometry.euclidean_to_cylinder(euc)
     assert np.max(np.abs(back.u - cyl.u)) <= 1e-12
     assert np.max(np.abs(back.f1 - cyl.f1)) <= 1e-12
     assert np.max(np.abs(back.f2 - cyl.f2)) <= 1e-12
-    euc2 = geometry.cylinder_to_euclidean(back, np.exp(-back.grid))
+    euc2 = geometry.cylinder_to_euclidean(back)
     assert np.max(np.abs(np.sort(euc2.u) - np.sort(euc.u))) <= 1e-12
 
 
@@ -131,24 +133,33 @@ def test_zero_profile_transforms_to_zero():
     t = np.linspace(-2.0, 2.0, 101)
     z = np.zeros_like(t)
     cyl = geometry.RadialProfile(chart="cylinder", grid=t, u=z, f1=z, f2=z)
-    euc = geometry.cylinder_to_euclidean(cyl, np.exp(-t))
+    euc = geometry.cylinder_to_euclidean(cyl)
     assert np.all(euc.u == 0.0) and np.all(euc.f1 == 0.0)
 
 
-def test_grid_coverage_error():
+def test_transport_keeps_the_profile_order():
+    # r = e^{-t} node by node, in the profile's order (here decreasing t)
     cyl, t = homoclinic_cylinder_profile(tmax=2.0, n=101)
-    with pytest.raises(GridCoverage):
-        geometry.cylinder_to_euclidean(cyl, np.array([1e-3, 1.0]))  # t up to 6.9
+    flipped = geometry.RadialProfile(chart="cylinder", grid=t[::-1],
+                                     u=cyl.u[::-1], f1=cyl.f1[::-1],
+                                     f2=cyl.f2[::-1])
+    euc = geometry.cylinder_to_euclidean(flipped)
+    assert np.array_equal(euc.grid, np.exp(-t[::-1]))
+    assert np.array_equal(euc.u, np.sqrt(1.0 / euc.grid) * cyl.u[::-1])
+    assert np.array_equal(euc.f1, -cyl.f1[::-1] * (1.0 / euc.grid))
+    assert np.array_equal(euc.f2, cyl.f2[::-1] * (1.0 / euc.grid))
 
 
-def test_cubic_interpolation_between_grids():
-    cyl, t = homoclinic_cylinder_profile(tmax=5.0, n=2001)
-    r_request = np.exp(-np.linspace(-4.5, 4.5, 777) + 1e-4)
-    euc = geometry.cylinder_to_euclidean(cyl, r_request)
-    # compare against the closed form evaluated exactly
-    prof = homoclinic.derived_profile()
-    exact = prof(-np.log(r_request))
-    np.testing.assert_allclose(euc.u, exact[0] / np.sqrt(r_request), rtol=1e-9)
+@pytest.mark.parametrize("t_end", [-710.0, 710.0, 800.0])
+def test_transport_rejects_radii_outside_float64(t_end):
+    t = np.sort([t_end, 0.0, 0.5])
+    one = np.ones(3)
+    cyl = geometry.RadialProfile(chart="cylinder", grid=t, u=one, f1=one,
+                                 f2=one)
+    with warnings.catch_warnings():       # no overflow warning escapes
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"t in \[.*\]"):
+            geometry.cylinder_to_euclidean(cyl)
 
 
 # ----------------------------------------------------------------------
@@ -156,7 +167,7 @@ def test_cubic_interpolation_between_grids():
 
 def test_coupling_fit_on_transported_homoclinic():
     cyl, t = homoclinic_cylinder_profile()
-    euc = geometry.cylinder_to_euclidean(cyl, np.exp(-t))
+    euc = geometry.cylinder_to_euclidean(cyl)
     fit = geometry.coupling_constant_fit(euc)
     assert abs(fit.kappa - 1.0) <= 1e-6
     assert fit.residual <= 1e-6
@@ -193,7 +204,7 @@ def test_coupling_fit_needs_nodes():
 
 def test_sphere_profile_poles_excluded_and_finite():
     cyl, t = homoclinic_cylinder_profile(tmax=6.0, n=1201)
-    euc = geometry.cylinder_to_euclidean(cyl, np.exp(-t))
+    euc = geometry.cylinder_to_euclidean(cyl)
     sph, convention = geometry.euclidean_to_sphere(euc)
     assert sph.grid.min() > 0.0 and sph.grid.max() < np.pi
     assert np.all(np.isfinite(sph.u)) and np.all(np.isfinite(sph.f1))
@@ -216,7 +227,7 @@ def test_sphere_equator_symmetry():
 def test_sphere_image_of_homoclinic_is_constant():
     # the transported pulse has constant scalar sqrt(3/2) on the sphere
     cyl, t = homoclinic_cylinder_profile(tmax=6.0, n=1201)
-    euc = geometry.cylinder_to_euclidean(cyl, np.exp(-t))
+    euc = geometry.cylinder_to_euclidean(cyl)
     sph, _ = geometry.euclidean_to_sphere(euc)
     np.testing.assert_allclose(sph.u, np.sqrt(1.5), atol=1e-12)
 

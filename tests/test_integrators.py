@@ -8,10 +8,9 @@ from cdelab.errors import NewtonDivergence, NonFiniteState, EmptyTrajectory
 
 def test_equilibria_are_fixed_points():
     for p in (dynamics.P0, dynamics.P_PLUS, dynamics.P_MINUS):
-        cfg = integrators.StepperConfig(method="implicit_midpoint", dt=0.05)
-        assert np.linalg.norm(integrators.step(p, cfg) - p) <= cfg.newton_tol
-        cfg = integrators.StepperConfig(method="rk4", dt=0.05)
-        assert np.linalg.norm(integrators.step(p, cfg) - p) <= 1e-15
+        out = integrators.implicit_midpoint_step(p, 0.05)
+        assert np.linalg.norm(out - p) <= integrators.NEWTON_TOL
+        assert np.linalg.norm(integrators.rk4_step(p, 0.05) - p) <= 1e-15
 
 
 def test_rk4_step_taylor_oracle():
@@ -106,8 +105,7 @@ def test_newton_correction_matches_dense_solve(dt):
     h = 0.5 * dt
     for mid in mids:
         res = rng.standard_normal(4) * 10.0 ** rng.uniform(-14, 0)
-        ref = np.linalg.solve(np.eye(4) - h * linear.jacobian_at(mid).entries,
-                              res)
+        ref = np.linalg.solve(np.eye(4) - h * linear.jacobian_at(mid), res)
         d = newton_correction_reference(mid[0], mid[2], mid[3], *res, h)
         assert np.linalg.norm(np.array(d) - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -207,16 +205,20 @@ def test_singular_newton_matrix_raises_newton_divergence():
         integrators.implicit_midpoint_step([0.0, 0.0, 0.3, 0.2], 2.0)
 
 
-def test_newton_divergence_raised():
-    cfg = integrators.StepperConfig(method="implicit_midpoint", dt=1.0,
-                                    newton_tol=1e-16, max_newton_iters=1)
+@pytest.fixture
+def strict_newton(monkeypatch):
+    """A midpoint Newton tolerance that one correction cannot reach."""
+    monkeypatch.setattr(integrators, "NEWTON_TOL", 1e-16)
+    monkeypatch.setattr(integrators, "MAX_NEWTON_ITERS", 1)
+
+
+def test_newton_divergence_raised(strict_newton):
     with pytest.raises(NewtonDivergence):
-        integrators.step(np.array([1.0, 0.5, 0.3, 0.2]), cfg)
+        integrators.implicit_midpoint_step(np.array([1.0, 0.5, 0.3, 0.2]), 1.0)
 
 
-def test_newton_divergence_names_step_time_and_size():
-    cfg = integrators.StepperConfig(method="implicit_midpoint", dt=1.0,
-                                    newton_tol=1e-16, max_newton_iters=1)
+def test_newton_divergence_names_step_time_and_size(strict_newton):
+    cfg = integrators.StepperConfig(method="implicit_midpoint", dt=1.0)
     with pytest.raises(NewtonDivergence,
                        match=r"in step 1 from t = 0, \|s\|_inf = 1\.000e\+00"):
         integrators.integrate(np.array([1.0, 0.5, 0.3, 0.2]), 3.0, cfg)
@@ -255,11 +257,10 @@ def test_newton_converges_at_large_state():
     # (still below OVERFLOW_LIMIT); the residual's rounding floor grows with
     # it, so the default tolerance must scale with max(1, |x|_inf).
     rng = np.random.default_rng(17)
-    cfg = integrators.StepperConfig()
     for b in np.concatenate([rng.uniform(1e4, 2e4, 30),
                              rng.uniform(1e5, 2e5, 30)]):
         s = np.array([*(0.1 * rng.standard_normal(3)), b])
-        out = integrators.step(s, cfg)
+        out = integrators.implicit_midpoint_step(s, 1e-3)
         assert np.all(np.isfinite(out))
 
 
@@ -287,6 +288,10 @@ def midpoint_step_reference(s, dt, newton_tol, max_iters=25):
 def test_midpoint_acceptance_is_the_documented_rule():
     # loose tolerances and large states put many residuals near the bound,
     # where a pre-test that rejected too much would add a Newton step
+    def midpoint(s, dt, tol):
+        return list(integrators._midpoint(*s.tolist(), dt, tol,
+                                          integrators.MAX_NEWTON_ITERS))
+
     rng = np.random.default_rng(23)
     for _ in range(2000):
         s = rng.standard_normal(4) * 10.0 ** rng.uniform(-1, 3, 4)
@@ -296,9 +301,9 @@ def test_midpoint_acceptance_is_the_documented_rule():
             want = midpoint_step_reference(s.tolist(), dt, tol)
         except NewtonDivergence:
             with pytest.raises(NewtonDivergence):
-                integrators.implicit_midpoint_step(s, dt, tol)
+                midpoint(s, dt, tol)
             continue
-        assert integrators.implicit_midpoint_step(s, dt, tol).tolist() == want
+        assert midpoint(s, dt, tol) == want
 
 
 def test_empty_trajectory_guard():
@@ -318,5 +323,3 @@ def test_config_validation():
     for bad in (0.0, np.inf, np.nan):
         with pytest.raises(ValueError, match=f"dt must be .*, got {bad!r}"):
             integrators.StepperConfig(dt=bad)
-        with pytest.raises(ValueError, match=f"newton_tol .*, got {bad!r}"):
-            integrators.StepperConfig(newton_tol=bad)

@@ -18,7 +18,7 @@ def test_matrix_c_rows():
 
 
 def test_jacobian_original_at_origin():
-    j = linear.jacobian_at(np.zeros(4), chart="original").entries
+    j = linear.jacobian_at(np.zeros(4), chart="original")
     assert j[1, 0] == 0.25
     assert j[2, 2] == -1.0
     assert j[3, 3] == 1.0
@@ -37,7 +37,7 @@ def test_jacobian_matches_finite_differences(chart, field):
     pts = random_states(100, seed=11)
     h = 1e-5
     for p in pts.T:
-        j = linear.jacobian_at(p, chart=chart).entries
+        j = linear.jacobian_at(p, chart=chart)
         fd = np.zeros((4, 4))
         for col in range(4):
             e = np.zeros(4)
@@ -86,7 +86,7 @@ def test_eigenvalues_vieta_oracle():
 def test_hamiltonian_spectrum_symmetry(point, chart):
     # spectrum of the linearization at an equilibrium is symmetric under
     # lambda -> -lambda
-    rep = linear.eigenvalues_4x4(linear.jacobian_at(point, chart).entries)
+    rep = linear.eigenvalues_4x4(linear.jacobian_at(point, chart))
     evs = sorted(rep.eigenvalues, key=lambda z: (round(z.real, 9), round(z.imag, 9)))
     neg = sorted(-rep.eigenvalues, key=lambda z: (round(z.real, 9), round(z.imag, 9)))
     np.testing.assert_allclose(evs, neg, rtol=0, atol=1e-9)

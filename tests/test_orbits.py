@@ -66,9 +66,8 @@ def test_newton_history_ends_with_the_merit_of_the_returned_field(max_iters):
     start = spectral._periodized_homoclinic(eps, spectral.default_modes(eps))
     field, report = spectral._newton(start, eps, 1e-12, max_iters)
     assert report.steps == max_iters
-    assert len(report.merits) == report.steps + 1
     # the field is Newton's iterate and the norm Newton's expression
-    merit = spectral.gradient_norm(spectral.gradient(field))
+    merit = field.spectrum.packed.norm(spectral.gradient(field).x)
     assert report.merits[-1] == merit
     assert report.merits[-1] > 1e-12
 
@@ -77,7 +76,7 @@ def test_newton_history_ends_with_the_merit_of_the_returned_field(max_iters):
 def test_ground_state_merit_is_the_last_newton_merit(eps):
     # 0, 2 and 4 Newton steps from the periodized homoclinic
     sol = spectral.ground_state(eps)
-    merit = spectral.gradient_norm(spectral.gradient(sol.field))
+    merit = sol.field.spectrum.packed.norm(spectral.gradient(sol.field).x)
     assert sol.merit == sol.report.merits[-1] == merit
 
 
@@ -190,7 +189,6 @@ def test_lyapunov_family_solutions_carry_their_report(lyapunov_orbits):
         assert orb.merit == orb.report.merits[-1]
         assert orb.report.stop == "converged"
         assert orb.report.tail <= spectral.TAIL_TOL
-        assert len(orb.report.merits) == orb.report.steps + 1
         assert orb.delta_eps == orb.energy.total
         # the family passes the ground states' Nehari check with room
         assert orb.nehari.max_relative() <= 1e-12

@@ -448,7 +448,8 @@ def test_cli_verify_exit_codes(capsys):
 
 
 @pytest.mark.parametrize("flags", [["--tol", "0"], ["--tol", "-1"],
-                                   ["--modes", "0"], ["--epsilon", "0"],
+                                   ["--modes", "0"], ["--modes", "-1"],
+                                   ["--epsilon", "0"],
                                    ["--epsilon", "-0.1"], ["--epsilon", "inf"],
                                    ["--epsilon", "nan"]], ids=" ".join)
 def test_cli_ground_state_rejects_nonpositive_tol_and_modes(flags, capsys):
@@ -645,6 +646,21 @@ def test_cli_transform_rejects_a_header_other_than_from(tmp_path, capsys):
                               "sphere", "--input", str(src)], capsys)
     assert (code, out) == (2, "")
     assert "invalid input" in err and "cylinder" in err
+
+
+def test_cli_transform_rejects_t_beyond_float64_radii(tmp_path):
+    # e^800 overflows: one line on stderr, no numpy RuntimeWarning before it
+    src = tmp_path / "cyl.csv"
+    src.write_text("t,u,a,b\n-800.0,0.1,0.1,0.1\n0.0,0.2,0.2,0.2\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-m", "cdelab.cli", "transform",
+                          "--from", "cylinder", "--to", "euclidean",
+                          "--input", str(src)],
+                         env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr.startswith("invalid input: ")
+    assert run.stderr.count("\n") == 1 and "t in [-800, 0]" in run.stderr
 
 
 def test_cli_transform_rejects_an_empty_file(tmp_path, capsys):

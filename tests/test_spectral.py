@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdelab import homoclinic, spectral
+from cdelab import dynamics, homoclinic, spectral
 from cdelab.errors import NonConvergence, TruncationMismatch
 
 SQ2 = np.sqrt(2.0)
@@ -22,6 +22,16 @@ def random_field(eps, K, seed, scale=0.5):
 
     return spectral.field_from_values(
         eps, K, scale * np.stack([sample(), sample(), sample()]))
+
+
+def constant_field(eps, K, state=dynamics.P0):
+    """The field at eps with K modes that is constant at the equilibrium
+    ``state`` (u, 0, a, b): the zero field at P0, the constant solution at
+    P_PLUS."""
+    x = np.zeros((3, 2 * K + 1))
+    x[:, 0] = state[[0, 2, 3]]
+    return spectral.PeriodicField(eps, spectral.build_spectrum(1.0 / eps, K),
+                                  x.ravel())
 
 
 def perturbed(f, h, delta):
@@ -58,6 +68,9 @@ def test_grid_size_is_the_smallest_even_5_smooth_size_above_4K():
         N = spectral.grid_size(K)
         assert N % 2 == 0 and N > 4 * K and smooth(N)
         assert not any(smooth(n) for n in range(4 * K + 2, N, 2))
+    for K in (0, -1):
+        with pytest.raises(ValueError, match="K >= 1"):
+            spectral.grid_size(K)
 
 
 @pytest.mark.parametrize("K", [16, 136, 256])
@@ -245,26 +258,26 @@ def test_projectors_idempotent_orthogonal_complete():
     # L2 orthogonality via the coefficient pairing
     inner = 2.0 * np.sum(np.conj(zp) * zm)
     assert abs(inner) <= 1e-12
-    # norm splitting
-    n = spectral.norms(f)
+    # the spinor quadratic form splits over the parts
+    n = spectral.energy(f).spinor_quadratic
     fp = spectral.field_from_coeffs(eps, f.u_coeffs, f.z_plus,
                                     0 * f.z_minus, f.spectrum)
     fm = spectral.field_from_coeffs(eps, f.u_coeffs, 0 * f.z_plus,
                                     f.z_minus, f.spectrum)
-    assert abs(spectral.norms(fp)["half"] + spectral.norms(fm)["half"]
-               - n["half"]) <= 1e-12 * max(1.0, n["half"])
+    parts = [spectral.energy(g).spinor_quadratic for g in (fp, fm)]
+    assert abs(sum(parts) - n) <= 1e-12 * max(1.0, abs(n))
 
 
 # ----------------------------------------------------------------------
-# norms and energy
+# energy
 
 def test_norm_of_constant_scalar():
     for eps in (0.2, 0.07):
         zero, one = np.zeros(17, complex), np.zeros(17, complex)
         one[8] = 1.0
-        n = spectral.norms(spectral.field_from_coeffs(eps, one, zero, zero))
-        assert abs(n["h1"] - 1.0 / (2.0 * eps)) <= 1e-14 / eps
-        assert n["half"] == 0.0 and n["l4_z"] == 0.0
+        eb = spectral.energy(spectral.field_from_coeffs(eps, one, zero, zero))
+        assert abs(eb.scalar_quadratic - 1.0 / (2.0 * eps)) <= 1e-14 / eps
+        assert eb.spinor_quadratic == 0.0 and eb.coupling == 0.0
 
 
 def test_parseval_quadrature_agreement():
@@ -279,7 +292,7 @@ def test_parseval_quadrature_agreement():
 
 def test_energy_of_equilibrium_pair():
     for eps in (0.2, 0.1):
-        f = spectral.equilibrium_field(eps, 16)
+        f = constant_field(eps, 16, dynamics.P_PLUS)
         eb = spectral.energy(f)
         assert abs(eb.total - 1.0 / (4.0 * eps)) <= 1e-12 / eps
         assert eb.total == 0.5 * (eb.scalar_quadratic + eb.spinor_quadratic
@@ -287,7 +300,7 @@ def test_energy_of_equilibrium_pair():
 
 
 def test_energy_of_zero_field():
-    eb = spectral.energy(spectral.zero_field(0.1, 8))
+    eb = spectral.energy(constant_field(0.1, 8))
     assert eb.total == 0.0 and eb.coupling == 0.0
 
 
@@ -321,13 +334,15 @@ def test_cutoff_energy_near_limit_value():
 # gradient
 
 def test_gradient_vanishes_at_equilibrium_pair():
-    f = spectral.equilibrium_field(0.1, 16)
-    assert spectral.gradient_norm(spectral.gradient(f)) <= 1e-12
+    f = constant_field(0.1, 16, dynamics.P_PLUS)
+    g = spectral.gradient(f)
+    assert f.spectrum.packed.norm(g.x) <= 1e-12
 
 
 def test_gradient_of_zero_field():
-    f = spectral.zero_field(0.1, 8)
-    assert spectral.gradient_norm(spectral.gradient(f)) == 0.0
+    f = constant_field(0.1, 8)
+    g = spectral.gradient(f)
+    assert f.spectrum.packed.norm(g.x) == 0.0
 
 
 def test_gradient_matches_finite_differences():
@@ -389,13 +404,13 @@ def test_reduce_g_is_the_concave_maximizer():
 # Nehari residuals / cutoff pair
 
 def test_nehari_zero_field_flagged():
-    res = spectral.nehari_residuals(spectral.zero_field(0.1, 8))
+    res = spectral.nehari_residuals(constant_field(0.1, 8))
     assert res.r1 == res.r2 == res.r3 == 0.0
     assert res.excluded_trivial
 
 
 def test_nehari_equilibrium_pair():
-    res = spectral.nehari_residuals(spectral.equilibrium_field(0.1, 16))
+    res = spectral.nehari_residuals(constant_field(0.1, 16, dynamics.P_PLUS))
     assert res.r1 <= 1e-12 and res.r2 <= 1e-12 and res.r3 <= 1e-12
     assert not res.excluded_trivial
 
@@ -421,9 +436,8 @@ def test_bump_endpoint_values():
 
 
 def test_cutoff_pair_gradient_vanishes_with_eps():
-    norms = [spectral.gradient_norm(
-                 spectral.gradient(spectral.cutoff_test_pair(eps)))
-             for eps in (0.2, 0.1, 0.05)]
+    fields = [spectral.cutoff_test_pair(eps) for eps in (0.2, 0.1, 0.05)]
+    norms = [f.spectrum.packed.norm(spectral.gradient(f).x) for f in fields]
     assert norms[0] > norms[1] > norms[2]
 
 
@@ -656,9 +670,10 @@ def test_ground_state_with_too_few_modes_raises_naming_the_truncation(
     assert ground_states[0.05].report.tail <= 1e-11
 
 
-def test_ground_state_nonconvergence_attaches_best_iterate():
+def test_ground_state_nonconvergence_attaches_best_iterate(monkeypatch):
+    monkeypatch.setattr(spectral, "MAX_NEWTON_ITERS", 0)
     with pytest.raises(NonConvergence, match="spectral residual") as info:
-        spectral.ground_state(0.2, K=32, max_newton_iters=0)
+        spectral.ground_state(0.2, K=32)
     best = info.value.best
     assert isinstance(best, spectral.Solution)
     assert best.field.epsilon == 0.2
@@ -668,12 +683,13 @@ def test_ground_state_nonconvergence_attaches_best_iterate():
     assert str(info.value).split()[-1] == f"{best.merit:.3e}"
 
 
-def test_ground_state_counts_steps_taken():
+def test_ground_state_counts_steps_taken(monkeypatch):
     res = spectral.ground_state(0.25)
     assert res.report.steps > 0
     # an exhausted Newton budget reports every step it took
+    monkeypatch.setattr(spectral, "MAX_NEWTON_ITERS", 2)
     with pytest.raises(NonConvergence) as info:
-        spectral.ground_state(0.25, max_newton_iters=2)
+        spectral.ground_state(0.25)
     report = info.value.best.report
     assert report.steps == 2
     # the start's merit and each step's, the last the returned field's
@@ -832,7 +848,8 @@ def test_ground_state_certificate_matches_fresh_residuals(ground_states):
     assert res.nehari == spectral.nehari_residuals(res.field)
     assert res.energy == spectral.energy(res.field)
     assert res.delta_eps == res.energy.total
-    assert res.merit == spectral.gradient_norm(spectral.gradient(res.field))
+    g = spectral.gradient(res.field)
+    assert res.merit == res.field.spectrum.packed.norm(g.x)
 
 
 def test_ground_state_phase_centered(ground_states):
@@ -855,7 +872,7 @@ def test_concentration_on_ground_state(ground_states):
 
 
 def test_concentration_zero_field():
-    d = spectral.concentration_diagnostic(spectral.zero_field(0.1, 16), r0=1.0)
+    d = spectral.concentration_diagnostic(constant_field(0.1, 16), r0=1.0)
     assert d["mass_u"] == 0.0
 
 
