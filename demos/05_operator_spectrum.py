@@ -13,7 +13,7 @@ from cdelab import spectral
 
 def main():
     T, K = np.pi, 8
-    sp = spectral.build_spectrum(T, K)
+    sp = spectral.build_spectrum(1.0 / T, K)
     print(f"spectrum for half-period T = pi, {2 * K + 1} modes")
     print("  k   omega      +lambda     -lambda")
     for row in sp.eigenvalue_table()[K:K + 5]:

@@ -30,7 +30,7 @@ class NoEllipticPair(CdelabError):
 
 
 class TruncationMismatch(CdelabError):
-    """Field and operator data live on different truncations or periods."""
+    """Field and operator data live on different truncations."""
 
 
 class SolverStall(CdelabError):

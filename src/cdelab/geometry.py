@@ -53,6 +53,8 @@ class RadialProfile:
     lam: float = None
 
     def __post_init__(self):
+        if not np.all(np.isfinite(self.grid)):
+            raise ValueError("profile grid nodes must be finite")
         d = np.diff(self.grid)
         if not (np.all(d > 0) or np.all(d < 0)):
             raise ValueError("profile grid must be strictly monotone")

@@ -60,8 +60,8 @@ class Trajectory:
 
 
 def _rk4(u, v, a, b, dt, n=1, out=None):
-    """n RK4 steps on four floats or (m,) rows, with the vector field inline
-    in the array form's operation order.  Given a list ``out``, each new
+    """n RK4 steps on four floats, with the vector field inline in the
+    array form's operation order.  Given a list ``out``, each new
     state is appended to it and must lie within OVERFLOW_LIMIT (NaN fails)."""
     h, c, hi = 0.5 * dt, dt / 6.0, OVERFLOW_LIMIT
     lo = -hi
@@ -153,9 +153,9 @@ def _midpoint(u, v, a, b, dt, newton_tol, max_iters, n=1, out=None):
 
 
 def rk4_step(s, dt):
-    """One classical Runge-Kutta step; works on (4,) states or (4, m) batches."""
-    s = np.asarray(s, dtype=float)
-    return np.array(_rk4(*(s.tolist() if s.ndim == 1 else s), dt))
+    """One classical Runge-Kutta step of a (4,) state."""
+    s = np.asarray(s, dtype=float).tolist()
+    return np.array(_rk4(*s, dt))
 
 
 def implicit_midpoint_step(s, dt):

@@ -67,8 +67,8 @@ def lyapunov_family(amplitudes, tol=NEWTON_TOL):
     for h in amplitudes:
         if field is None:
             field = _eigenmode_start(h)
-        field, report = spectral._newton(field, field.epsilon,
-                                         min(tol, STOP_TOL), 30, pin=1.0 + h)
+        field, report = spectral._newton(field, min(tol, STOP_TOL), 30,
+                                         pin=1.0 + h)
         family.append(spectral._accept(field, report, tol, "family orbit"))
     return family
 

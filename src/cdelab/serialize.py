@@ -137,10 +137,10 @@ def field_to_json(field, energy=None, residuals=None):
 def field_from_json(doc):
     if doc.get("schema") != SCHEMA:
         raise ValueError(f"unknown schema {doc.get('schema')!r}")
+    coeffs = [_complex_array(doc, key)
+              for key in ("u_coeffs", "z_plus_coeffs", "z_minus_coeffs")]
     return spectral.field_from_coeffs(
-        float(doc["epsilon"]), _complex_array(doc, "u_coeffs"),
-        _complex_array(doc, "z_plus_coeffs"),
-        _complex_array(doc, "z_minus_coeffs"))
+        spectral.build_spectrum(float(doc["epsilon"]), int(doc["K"])), *coeffs)
 
 
 def orbit_record(orbit, tr, provenance, epsilon=None):

@@ -7,9 +7,10 @@ operator acts per Fourier mode k as the Hermitian matrix
 
     [[0, 1 - i w_k], [1 + i w_k, 0]],   w_k = k*pi/T = eps*k*pi,
 
-with eigenvalues +/- sqrt(1 + w_k^2) and no kernel (min |lambda| = 1).  A
-field is stored as the packed real vector of its (u, a, b) coefficients; its
-spinor coordinates in this eigenbasis, split into plus/minus parts, are views.
+with eigenvalues +/- sqrt(1 + w_k^2) and no kernel (min |lambda| = 1).  One
+spectrum per (eps, K) holds eps, the eigenpairs and the Newton operator.  A
+field is its spectrum and the packed real vector of its (u, a, b)
+coefficients; its eigenbasis coordinates (plus/minus parts) are views.
 
 Discretization: truncated Fourier collocation with K modes on a dealiased
 grid of N points, N the smallest even 2*3*5-smooth number above 4K.  N > 4K
@@ -109,48 +110,136 @@ def derivative_coeffs(c):
 # ----------------------------------------------------------------------
 # the spinor operator
 
-@dataclass(frozen=True)
 class SpectrumA:
-    """Eigen-decomposition of the spinor operator on modes |k| <= K.
+    """The discretization at eps with K modes: the spinor operator on modes
+    |k| <= K, and the Euler-Lagrange residual and its parts on the packed
+    unknowns of a real field (see :class:`PeriodicField`), with grid values
+    on N = grid_size(K) nodes.  Make one with :func:`build_spectrum`.
 
-    Per mode the eigenvalues are +/- lam_k with lam_k = sqrt(1 + omega_k^2)
-    exactly, omega_k = k*pi/T; ``eigvec_plus``/``eigvec_minus`` hold the
+    Per mode the operator's eigenvalues are +/- lam_k with lam_k = sqrt(1 +
+    omega_k^2) exactly, omega_k = k*pi/T = eps*k*pi (centered arrays ``k``,
+    ``omega``, ``lam``); ``eigvec_plus``/``eigvec_minus`` hold the
     orthonormal eigenvectors in the (a, b) Fourier representation.
+
+    The mode-diagonal parts of the residual are two-term gathers,
+    ``gather(x, (s, c)) = s * x[swap] + c * x[cross]``: ``swap`` exchanges a
+    and b at the same entry, ``cross`` exchanges them and also Re and Im of
+    the same mode; both fix the entries of u.  The weights ``linear_w`` give
+    the residual's linear part, ``inverse_w`` its exact inverse (the Newton
+    preconditioner) and ``eps_w`` its derivative in eps.  The reflection
+    R(u, v, a, b) = (u, -v, b, a) is ``sign * x[swap]``, sign = +1 on c_0
+    and Re c_k, -1 on Im c_k.  Raises ValueError unless 0 < eps < inf and
+    K >= 1.
     """
-    half_period: float
-    num_modes: int
-    k: np.ndarray
-    omega: np.ndarray
-    lam: np.ndarray
-    eigvec_plus: np.ndarray      # (M, 2) complex
-    eigvec_minus: np.ndarray     # (M, 2) complex
+
+    def __init__(self, eps, K):
+        if not 0.0 < eps < np.inf:
+            raise ValueError(f"epsilon must be in (0, inf), got {eps!r}")
+        self.epsilon, self.num_modes, self.N = eps, K, grid_size(K)
+        self.k = np.arange(-K, K + 1)
+        self.omega = self.k * np.pi / (1.0 / eps)
+        self.lam = np.sqrt(1.0 + self.omega * self.omega)
+        M = 2 * K + 1
+        j = np.arange(M)
+        k = np.where(j > K, j - K, j)                 # the mode of each entry
+        comp = np.array([[0], [2], [1]]) * M          # u fixed, a <-> b
+        self.swap = (comp + j).ravel()
+        self.cross = (comp + np.where(j > K, k, k + K * (k > 0))).ravel()
+        self.alternate = 1.0 - 2.0 * (j[:K + 1] % 2)     # e^{-i pi k}, k >= 0
+        sign = np.where(j > K, -1.0, 1.0)
+        self.sign = np.tile(sign, 3)
+        self.parseval = np.tile(np.where(j > 0, 2.0, 1.0), 3)   # sum over +-k
+        omega, kpi = self.omega[K + k], np.pi * k
+        u_mult, z_mult = omega ** 2 + 0.25, 1.0 + omega ** 2
+        spinor = np.array([[0.0], [1.0], [-1.0]]) * sign   # c's sign per entry
+        one, zero = np.ones(M), np.zeros(M)
+        # (omega^2 + 1/4) u, and A_k (a, b) = ((1 - i omega) b, (1 + i omega) a)
+        self.linear_w = (np.concatenate([u_mult, one, one]),
+                         (spinor * omega).ravel())
+        # u / (omega^2 + 1/4), and A_k^{-1} = A_k / (1 + omega^2)
+        self.inverse_w = (1.0 / np.concatenate([u_mult, z_mult, z_mult]),
+                          (spinor * (omega / z_mult)).ravel())
+        # only omega_k = eps k pi depends on eps
+        self.eps_w = (np.concatenate([2.0 * omega * kpi, zero, zero]),
+                      (spinor * kpi).ravel())
 
     @property
-    def epsilon(self):
-        return 1.0 / self.half_period
+    def half_period(self):
+        return 1.0 / self.epsilon
+
+    @cached_property
+    def eigvec_plus(self):       # (M, 2) complex
+        top = (1.0 - 1j * self.omega) / (np.sqrt(2.0) * self.lam)
+        return np.stack([top, np.full_like(top, 1.0 / np.sqrt(2.0))], axis=1)
+
+    @cached_property
+    def eigvec_minus(self):      # (M, 2) complex
+        top = self.eigvec_plus[:, 0]
+        return np.stack([top, np.full_like(top, -1.0 / np.sqrt(2.0))], axis=1)
 
     def eigenvalue_table(self):
         """Rows (k, omega, +lam, -lam) for every retained mode."""
         return np.stack([self.k, self.omega, self.lam, -self.lam], axis=1)
 
-    @cached_property
-    def packed(self):
-        """The :class:`_Packed` operator of this spectrum, built once."""
-        return _Packed(self)
+    def gather(self, x, weights):
+        s, c = weights
+        return s * x[self.swap] + c * x[self.cross]
+
+    def symmetric(self, x):
+        """Projection (x + Rx)/2 onto the time-reversal-even fields: Im u_k
+        = 0 and a_k = conj(b_k)."""
+        return 0.5 * (x + self.sign * x[self.swap])
+
+    def to_grid(self, x):
+        """Grid values (3, N) of (u, a, b) at the packed point x; (n, N) of
+        any n packed components."""
+        K = self.num_modes
+        c = x.reshape(-1, 2 * K + 1)
+        spread = np.zeros((len(c), self.N // 2 + 1), dtype=complex)
+        spread.real[:, :K + 1] = c[:, :K + 1] * self.alternate
+        spread.imag[:, 1:K + 1] = c[:, K + 1:] * self.alternate[1:]
+        return np.fft.irfft(spread, self.N, axis=1, norm="forward")
+
+    def to_packed(self, v):
+        """Packed truncated coefficients of real grid values v (3, N)."""
+        c = (np.fft.rfft(v, axis=1, norm="forward")[:, :self.num_modes + 1]
+             * self.alternate)
+        return np.concatenate([c.real, c.imag[:, 1:]], axis=1).ravel()
+
+    def residual(self, x):
+        """Packed Euler-Lagrange residual at the packed point x, its
+        eps-weighted L^2 norm, and the grid values of x."""
+        vals = self.to_grid(x)
+        u, a, b = vals
+        uz = u * (a * a + b * b)
+        u2 = u * u
+        r = self.gather(x, self.linear_w) - self.to_packed(
+            np.stack([uz, u2 * a, u2 * b]))
+        return r, self.norm(r), vals
+
+    def norm(self, r):
+        """eps-weighted L^2 norm of the packed field r."""
+        return float(np.sqrt((2.0 / self.epsilon)
+                             * (self.parseval @ (r * r))))
+
+    def linearization(self, vals):
+        """Jacobian-vector product of the residual at the point with grid
+        values ``vals``: packed direction -> packed derivative."""
+        u, a, b = vals
+        z2, u2, ua, ub = a * a + b * b, u * u, 2.0 * u * a, 2.0 * u * b
+
+        def jvp(h):
+            hu, ha, hb = self.to_grid(h)
+            return self.gather(h, self.linear_w) - self.to_packed(np.stack([
+                hu * z2 + ua * ha + ub * hb,
+                u2 * ha + ua * hu,
+                u2 * hb + ub * hu]))
+        return jvp
 
 
-def build_spectrum(T, K):
-    """Eigenpairs of the spinor operator for half-period T, truncation K."""
-    if T <= 0 or K < 1:
-        raise ValueError("require T > 0 and K >= 1")
-    k = np.arange(-K, K + 1)
-    omega = k * np.pi / T
-    lam = np.sqrt(1.0 + omega * omega)
-    top = (1.0 - 1j * omega) / (np.sqrt(2.0) * lam)
-    vp = np.stack([top, np.full_like(lam, 1.0 / np.sqrt(2.0)) + 0j], axis=1)
-    vm = np.stack([top, np.full_like(lam, -1.0 / np.sqrt(2.0)) + 0j], axis=1)
-    return SpectrumA(half_period=float(T), num_modes=K, k=k, omega=omega,
-                     lam=lam, eigvec_plus=vp, eigvec_minus=vm)
+def build_spectrum(eps, K):
+    """The :class:`SpectrumA` at eps with truncation K."""
+    return SpectrumA(eps, K)
 
 
 def split_spinor(z_ab, sp):
@@ -205,10 +294,10 @@ def _check_modes(M, sp):
 
 @dataclass(frozen=True)
 class PeriodicField:
-    """Scalar/spinor pair at a fixed epsilon, stored as the packed real
-    vector ``x`` that Newton solves on: per component u, a, b the Fourier
-    coefficient c_0, then Re c_k and Im c_k for k = 1..K (a real field's
-    c_{-k} is conj(c_k)).  ``x`` is a read-only copy.
+    """Scalar/spinor pair on a ``spectrum``, which holds eps and K, stored
+    as the packed real vector ``x`` that Newton solves on: per component u,
+    a, b the Fourier coefficient c_0, then Re c_k and Im c_k for k = 1..K (a
+    real field's c_{-k} is conj(c_k)).  ``x`` is a read-only copy.
 
     The other forms are cached read-only views: ``u_coeffs`` and
     ``z_ab_coeffs()`` the centered coefficients of u and (a, b),
@@ -217,16 +306,14 @@ class PeriodicField:
     and ``grid_values`` the (4, N) values of the states (u, v, a, b) on the
     grid, v = eps du/ds the slope in original time.
     """
-    epsilon: float
     spectrum: SpectrumA
     x: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "x", _readonly(np.array(self.x, dtype=float)))
 
-    @property
-    def num_modes(self):
-        return self.spectrum.num_modes
+    epsilon = property(lambda self: self.spectrum.epsilon)
+    num_modes = property(lambda self: self.spectrum.num_modes)
 
     @cached_property
     def _views(self):
@@ -252,7 +339,7 @@ class PeriodicField:
         kpi = np.pi * self.epsilon * np.arange(1, K + 1)
         # (Re, Im) of i pi k c_k are (-pi k Im c_k, pi k Re c_k)
         du = np.concatenate([[0.0], -kpi * x[K + 1:M], kpi * x[1:K + 1]])
-        u, a, b, v = self.spectrum.packed.to_grid(np.concatenate([x, du]))
+        u, a, b, v = self.spectrum.to_grid(np.concatenate([x, du]))
         return _readonly(np.stack([u, v, a, b]))
 
     def shifted(self, tau):
@@ -265,7 +352,7 @@ class PeriodicField:
         c, s = np.cos(theta), np.sin(theta)
         x = np.concatenate([seg[:, :1], re * c - im * s, re * s + im * c],
                            axis=1)
-        return PeriodicField(self.epsilon, self.spectrum, x.ravel())
+        return PeriodicField(self.spectrum, x.ravel())
 
 
 def _readonly(a):
@@ -273,25 +360,23 @@ def _readonly(a):
     return a
 
 
-def field_from_coeffs(eps, u_coeffs, z_plus, z_minus, spectrum=None):
-    """The field at eps with centered coefficients ``u_coeffs`` (2K+1) and
-    spinor eigenbasis coordinates ``z_plus``, ``z_minus``, on ``spectrum``
-    (by default the one at T = 1/eps): (a, b) from :func:`merge_spinor`,
-    then packed from the modes k >= 0 of a conjugate-symmetric field."""
-    K = (len(u_coeffs) - 1) // 2
-    sp = build_spectrum(1.0 / eps, K) if spectrum is None else spectrum
+def field_from_coeffs(sp, u_coeffs, z_plus, z_minus):
+    """The field on the spectrum sp with centered coefficients ``u_coeffs``
+    (2K+1) and spinor eigenbasis coordinates ``z_plus``, ``z_minus``: (a, b)
+    from :func:`merge_spinor`, then packed from the modes k >= 0 of a
+    conjugate-symmetric field."""
+    K = sp.num_modes
     c = np.column_stack([u_coeffs, merge_spinor(z_plus, z_minus, sp)])[K:].T
     x = np.concatenate([c.real, c[:, 1:].imag], axis=1).ravel()
-    return PeriodicField(eps, sp, x)
+    return PeriodicField(sp, x)
 
 
 def field_from_values(eps, K, values):
     """The field at eps with K modes of real samples ``values`` (3, N) of
     (u, a, b) on any uniform grid of [-1, 1) with N > 2K nodes: their
     truncated coefficients, packed by one real transform."""
-    sp = build_spectrum(1.0 / eps, K)
-    return PeriodicField(eps, sp, sp.packed.to_packed(
-        np.asarray(values, dtype=float)))
+    sp = build_spectrum(eps, K)
+    return PeriodicField(sp, sp.to_packed(np.asarray(values, dtype=float)))
 
 
 # ----------------------------------------------------------------------
@@ -309,15 +394,15 @@ def _energy_and_gradient(field):
     """:func:`energy` and :func:`gradient` of field from one transform to
     the grid, whose values give the coupling term; the quadratic terms pair
     the packed field with its linear part, per component."""
-    eps, ops, x = field.epsilon, field.spectrum.packed, field.x
-    r, _, (u, a, b) = ops.residual(x)
-    quadratic = (ops.parseval * x * ops.gather(x, ops.linear_w)).reshape(3, -1)
+    sp, eps, x = field.spectrum, field.epsilon, field.x
+    r, _, (u, a, b) = sp.residual(x)
+    quadratic = (sp.parseval * x * sp.gather(x, sp.linear_w)).reshape(3, -1)
     scal = (2.0 / eps) * float(np.sum(quadratic[0]))
     spin = (2.0 / eps) * float(np.sum(quadratic[1:]))
     coup = (2.0 / (u.size * eps)) * float(np.sum(u * u * (a * a + b * b)))
     eb = EnergyBreakdown(scalar_quadratic=scal, spinor_quadratic=spin,
                          coupling=coup, total=0.5 * (scal + spin - coup))
-    return eb, PeriodicField(eps, field.spectrum, r)
+    return eb, PeriodicField(sp, r)
 
 
 def energy(field):
@@ -558,7 +643,7 @@ class Solution:
 
     @property
     def half_period(self):
-        return 1.0 / self.field.epsilon
+        return self.field.spectrum.half_period
 
     @property
     def period(self):
@@ -580,103 +665,6 @@ class Solution:
         return float(dynamics.hamiltonian(self.field.grid_values[:, 0]))
 
 
-class _Packed:
-    """The Euler-Lagrange residual and its parts on the packed unknowns of a
-    real field (see :class:`PeriodicField`) at one spectrum, with grid
-    values on grid_size(K) nodes.
-
-    The mode-diagonal parts are two-term gathers, ``gather(x, (s, c)) = s *
-    x[swap] + c * x[cross]``: ``swap`` exchanges a and b at the same entry,
-    ``cross`` exchanges them and also Re and Im of the same mode; both fix
-    the entries of u.  The weights ``linear_w`` give the residual's linear
-    part, ``inverse_w`` its exact inverse (the Newton preconditioner) and
-    ``eps_w`` its derivative in eps.  The reflection R(u, v, a, b) = (u, -v,
-    b, a) is ``sign * x[swap]``, sign = +1 on c_0 and Re c_k, -1 on Im c_k.
-    """
-
-    def __init__(self, sp):
-        K = sp.num_modes
-        M = 2 * K + 1
-        j = np.arange(M)
-        k = np.where(j > K, j - K, j)                 # the mode of each entry
-        comp = np.array([[0], [2], [1]]) * M          # u fixed, a <-> b
-        self.K, self.N, self.spectrum = K, grid_size(K), sp
-        self.swap = (comp + j).ravel()
-        self.cross = (comp + np.where(j > K, k, k + K * (k > 0))).ravel()
-        self.alternate = 1.0 - 2.0 * (j[:K + 1] % 2)     # e^{-i pi k}, k >= 0
-        sign = np.where(j > K, -1.0, 1.0)
-        self.sign = np.tile(sign, 3)
-        self.parseval = np.tile(np.where(j > 0, 2.0, 1.0), 3)   # sum over +-k
-        omega, kpi = sp.omega[K + k], np.pi * k
-        u_mult, z_mult = omega ** 2 + 0.25, 1.0 + omega ** 2
-        spinor = np.array([[0.0], [1.0], [-1.0]]) * sign   # c's sign per entry
-        one, zero = np.ones(M), np.zeros(M)
-        # (omega^2 + 1/4) u, and A_k (a, b) = ((1 - i omega) b, (1 + i omega) a)
-        self.linear_w = (np.concatenate([u_mult, one, one]),
-                         (spinor * omega).ravel())
-        # u / (omega^2 + 1/4), and A_k^{-1} = A_k / (1 + omega^2)
-        self.inverse_w = (1.0 / np.concatenate([u_mult, z_mult, z_mult]),
-                          (spinor * (omega / z_mult)).ravel())
-        # only omega_k = eps k pi depends on eps
-        self.eps_w = (np.concatenate([2.0 * omega * kpi, zero, zero]),
-                      (spinor * kpi).ravel())
-
-    def gather(self, x, weights):
-        s, c = weights
-        return s * x[self.swap] + c * x[self.cross]
-
-    def symmetric(self, x):
-        """Projection (x + Rx)/2 onto the time-reversal-even fields: Im u_k
-        = 0 and a_k = conj(b_k)."""
-        return 0.5 * (x + self.sign * x[self.swap])
-
-    def to_grid(self, x):
-        """Grid values (3, N) of (u, a, b) at the packed point x; (n, N) of
-        any n packed components."""
-        K = self.K
-        c = x.reshape(-1, 2 * K + 1)
-        spread = np.zeros((len(c), self.N // 2 + 1), dtype=complex)
-        spread.real[:, :K + 1] = c[:, :K + 1] * self.alternate
-        spread.imag[:, 1:K + 1] = c[:, K + 1:] * self.alternate[1:]
-        return np.fft.irfft(spread, self.N, axis=1, norm="forward")
-
-    def to_packed(self, v):
-        """Packed truncated coefficients of real grid values v (3, N)."""
-        c = (np.fft.rfft(v, axis=1, norm="forward")[:, :self.K + 1]
-             * self.alternate)
-        return np.concatenate([c.real, c.imag[:, 1:]], axis=1).ravel()
-
-    def residual(self, x):
-        """Packed Euler-Lagrange residual at the packed point x, its
-        eps-weighted L^2 norm, and the grid values of x."""
-        vals = self.to_grid(x)
-        u, a, b = vals
-        uz = u * (a * a + b * b)
-        u2 = u * u
-        r = self.gather(x, self.linear_w) - self.to_packed(
-            np.stack([uz, u2 * a, u2 * b]))
-        return r, self.norm(r), vals
-
-    def norm(self, r):
-        """eps-weighted L^2 norm of the packed field r."""
-        return float(np.sqrt((2.0 / self.spectrum.epsilon)
-                             * (self.parseval @ (r * r))))
-
-    def linearization(self, vals):
-        """Jacobian-vector product of the residual at the point with grid
-        values ``vals``: packed direction -> packed derivative."""
-        u, a, b = vals
-        z2, u2, ua, ub = a * a + b * b, u * u, 2.0 * u * a, 2.0 * u * b
-
-        def jvp(h):
-            hu, ha, hb = self.to_grid(h)
-            return self.gather(h, self.linear_w) - self.to_packed(np.stack([
-                hu * z2 + ua * ha + ub * hb,
-                u2 * ha + ua * hu,
-                u2 * hb + ub * hu]))
-        return jvp
-
-
 def _newton_step(r, jvp, ops, border=None, forcing=KRYLOV_FORCING):
     """GMRES solve of J dx = -r on the time-reversal-even fields,
     left-preconditioned by the inverse linear part M: the operator is
@@ -684,7 +672,7 @@ def _newton_step(r, jvp, ops, border=None, forcing=KRYLOV_FORCING):
     p, e)`` eps is an unknown too, and the bordered system [S M S (J dx + dr
     deps); p . dx] = -[S M S r; e] is solved for the step (dx, deps).
     M maps even fields to even fields exactly, so S M S = M S.  ``ops`` is
-    the :class:`_Packed` of the point; GMRES runs to the given forcing.
+    the :class:`SpectrumA` of the point; GMRES runs to the given forcing.
     Returns the step and the number of Jacobian-vector products."""
     jvps = 0
 
@@ -755,21 +743,18 @@ def _gmres(operator, c, forcing=KRYLOV_FORCING):
     return x
 
 
-def _newton(field, eps, tol, max_iters, pin=None):
+def _newton(field, tol, max_iters, pin=None):
     """Inexact Newton on the time-reversal-even fields from the projection
-    of ``field`` onto them, at eps, each step solved by :func:`_newton_step`
+    of ``field`` onto them, each step solved by :func:`_newton_step`
     to the forcing max(KRYLOV_FORCING, min(0.1, KRYLOV_GAMMA * tol / merit))
     and halved up to 30 times until the merit decreases; stops once the
     merit is at most tol.  The merit is the residual's eps-weighted L^2
     norm.  With ``pin`` eps is an unknown too, fixed by u(0) = sum_k u_k =
     pin, and the merit is the hypot of that norm and u(0) - pin; a trial
-    step to eps <= 0 or a non-finite eps has infinite merit.  The
-    start reuses ``field.spectrum`` when field.epsilon == eps.  Returns the
+    step to eps <= 0 or a non-finite eps has infinite merit.  Returns the
     last iterate as a field at the final eps and the :class:`SolverReport`
     of its merits, steps and Jacobian-vector products."""
-    K = field.num_modes
-    ops = (field.spectrum if field.epsilon == eps
-           else build_spectrum(1.0 / eps, K)).packed
+    K, eps, ops = field.num_modes, field.epsilon, field.spectrum
     x = ops.symmetric(field.x)
     p = np.zeros(x.size)          # u(0) = u_0 + 2 sum_{k > 0} Re u_k
     p[:K + 1] = 2.0
@@ -778,7 +763,7 @@ def _newton(field, eps, tol, max_iters, pin=None):
     def evaluate(x, eps):
         if not 0.0 < eps < np.inf:      # a rejected trial, not bad input
             return None, None, np.inf, None
-        o = ops if pin is None else build_spectrum(1.0 / eps, K).packed
+        o = ops if pin is None else build_spectrum(eps, K)
         r, gn, vals = o.residual(x)
         return o, r, (gn if pin is None else np.hypot(gn, p @ x - pin)), vals
 
@@ -803,19 +788,17 @@ def _newton(field, eps, tol, max_iters, pin=None):
         x, eps = x + lam * dx, eps + lam * de
         ops, r, merit, vals = trial
         merits.append(merit)
-    return (PeriodicField(eps, ops.spectrum, x),
+    return (PeriodicField(ops, x),
             SolverReport(merits=merits, jvps=jvps_per_solve))
 
 
 def nehari_scale(u_hat, z_plus, sp, tol=1e-11, max_iter=40):
     """Scalings (t, s) putting (t*u, s*z_plus + g(t*u, s*z_plus)) on the
     constraint set; 2D Newton with finite-difference Jacobian."""
-    eps = sp.epsilon
-
     def point(t, s):
         uh = t * u_hat
         ph = s * z_plus
-        f = field_from_coeffs(eps, uh, ph, reduce_g(uh, ph, sp), sp)
+        f = field_from_coeffs(sp, uh, ph, reduce_g(uh, ph, sp))
         eb = energy(f)
         scale = max(1.0, abs(eb.coupling))
         return np.array([eb.scalar_quadratic - eb.coupling,
@@ -913,7 +896,7 @@ def ground_state(eps, K=None, grad_tol=1e-8):
     K = K_default if K is None else K
     if K > MAX_MODES:
         raise ValueError(f"{K:.4g} modes exceed MAX_MODES = {MAX_MODES}")
-    field, report = _newton(_periodized_homoclinic(eps, K), eps,
+    field, report = _newton(_periodized_homoclinic(eps, K),
                             min(grad_tol, 1e-10), MAX_NEWTON_ITERS)
     return _accept(field, report, grad_tol, "ground state",
                    hint=f" (default K is {K_default})")

@@ -86,7 +86,7 @@ def suite_homoclinic(seed=0, tol=1e-10):
 
 
 def suite_operator_a(seed=0, tol=1e-12):
-    sp = spectral.build_spectrum(T=np.pi, K=16)
+    sp = spectral.build_spectrum(1.0 / np.pi, 16)
     lam_defect = np.max(np.abs(sp.lam ** 2 - (1.0 + sp.omega ** 2))
                         / (1.0 + sp.omega ** 2))
     out = [_check("lambda^2 = 1 + omega^2 to rounding", lam_defect <= 1e-15,

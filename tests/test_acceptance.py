@@ -61,7 +61,7 @@ def test_criterion_03_homoclinic():
 
 
 def test_criterion_04_operator_suite():
-    sp = spectral.build_spectrum(T=np.pi, K=24)
+    sp = spectral.build_spectrum(1.0 / np.pi, 24)
     lam_formula = np.max(np.abs(sp.lam - np.sqrt(1.0 + (sp.k * np.pi / np.pi) ** 2)))
     kernel = float(np.min(sp.lam))
     rng = np.random.default_rng(7)

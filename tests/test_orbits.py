@@ -64,10 +64,10 @@ def test_newton_history_ends_with_the_merit_of_the_returned_field(max_iters):
     # 0.157 after one step and 0.067 after two; 8 steps reach 7.7e-15)
     eps = 1.0 / 2.65
     start = spectral._periodized_homoclinic(eps, spectral.default_modes(eps))
-    field, report = spectral._newton(start, eps, 1e-12, max_iters)
+    field, report = spectral._newton(start, 1e-12, max_iters)
     assert report.steps == max_iters
     # the field is Newton's iterate and the norm Newton's expression
-    merit = field.spectrum.packed.norm(spectral.gradient(field).x)
+    merit = field.spectrum.norm(spectral.gradient(field).x)
     assert report.merits[-1] == merit
     assert report.merits[-1] > 1e-12
 
@@ -76,7 +76,7 @@ def test_newton_history_ends_with_the_merit_of_the_returned_field(max_iters):
 def test_ground_state_merit_is_the_last_newton_merit(eps):
     # 0, 2 and 4 Newton steps from the periodized homoclinic
     sol = spectral.ground_state(eps)
-    merit = sol.field.spectrum.packed.norm(spectral.gradient(sol.field).x)
+    merit = sol.field.spectrum.norm(spectral.gradient(sol.field).x)
     assert sol.merit == sol.report.merits[-1] == merit
 
 

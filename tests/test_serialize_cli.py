@@ -50,6 +50,14 @@ def test_field_json_rejects_unknown_schema():
         serialize.field_from_json({"schema": "other/9"})
 
 
+@pytest.mark.parametrize("eps", [float("nan"), 0.0, -0.1, float("inf")])
+def test_field_json_rejects_a_bad_epsilon(eps):
+    doc = serialize.field_to_json(spectral.cutoff_test_pair(0.2, K=16))
+    doc["epsilon"] = eps
+    with pytest.raises(ValueError, match=r"epsilon must be in \(0, inf\)"):
+        serialize.field_from_json(doc)
+
+
 def test_field_to_json_writes_float64_tables():
     f = spectral.cutoff_test_pair(0.2, K=16)
     doc = serialize.field_to_json(f)
@@ -661,6 +669,21 @@ def test_cli_transform_rejects_t_beyond_float64_radii(tmp_path):
     assert (run.returncode, run.stdout) == (2, "")
     assert run.stderr.startswith("invalid input: ")
     assert run.stderr.count("\n") == 1 and "t in [-800, 0]" in run.stderr
+
+
+def test_cli_transform_rejects_an_infinite_radius(tmp_path):
+    # r = inf would land on the pole theta = pi with u, f1, f2 = inf
+    src = tmp_path / "euc.csv"
+    src.write_text("r,u,f1,f2\n0.5,0.1,0.1,0.1\n1.0,0.2,0.2,0.2\n"
+                   "inf,0.3,0.3,0.3\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-m", "cdelab.cli", "transform",
+                          "--from", "euclidean", "--to", "sphere",
+                          "--input", str(src)],
+                         env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr == "invalid input: profile grid nodes must be finite\n"
 
 
 def test_cli_transform_rejects_an_empty_file(tmp_path, capsys):
