@@ -14,11 +14,10 @@ import numpy as np
 from . import dynamics, integrators, spectral, orbits, homoclinic, geometry
 from . import serialize, verify
 from .errors import (CdelabError, NewtonDivergence, NonFiniteState,
-                     ConvergenceFailure, NoEllipticPair, SolverStall,
-                     NonConvergence)
+                     SolverStall, NonConvergence)
 
-SOLVER_ERRORS = (NewtonDivergence, NonFiniteState, ConvergenceFailure,
-                 NoEllipticPair, SolverStall, NonConvergence)
+SOLVER_ERRORS = (NewtonDivergence, NonFiniteState, SolverStall,
+                 NonConvergence)
 
 
 #: the flags that several subcommands share
@@ -166,12 +165,11 @@ def cmd_lyapunov(args):
             tr.states - dynamics.P_PLUS, axis=1)))
         records.append(rec)
     if args.format == "csv":
-        lines = ["amplitude,period,H,residual,distance_to_center"]
-        for h, rec in zip(amplitudes, records):
-            lines.append(",".join(repr(float(x)) for x in
-                                  (h, rec["period"], rec["H"], rec["residual"],
-                                   rec["distance_to_center"])))
-        _emit("\n".join(lines), args.out)
+        columns = ("period", "H", "residual", "distance_to_center")
+        rows = [[h] + [rec[key] for key in columns]
+                for h, rec in zip(amplitudes, records)]
+        _emit(serialize._csv_table(("amplitude",) + columns, np.array(rows)),
+              args.out)
     else:
         _emit(serialize.dumps({"schema": geometry.SCHEMA, "orbits": records}),
               args.out)

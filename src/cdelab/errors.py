@@ -21,14 +21,6 @@ class NonConjugatePair(CdelabError):
     """Spinor pair (psi_plus, psi_minus) is not related by complex conjugation."""
 
 
-class ConvergenceFailure(CdelabError):
-    """Eigenvalue residual tolerance could not be reached."""
-
-
-class NoEllipticPair(CdelabError):
-    """Spectrum contains no purely imaginary eigenvalue pair."""
-
-
 class TruncationMismatch(CdelabError):
     """Field and operator data live on different truncations."""
 

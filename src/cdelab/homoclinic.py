@@ -149,10 +149,9 @@ def quoted_profile():
 
 
 def limit_energy_quadrature():
-    """Ground-state energy of the limit problem, (1/2) * int u^2 |z|^2 dt.
-
-    Computed by adaptive quadrature along the derived homoclinic; the
-    closed-form value is (9/8) * (1/2) * int cosh^-3 = 9*pi/32.
+    """The oracle for :data:`DELTA0`: the limit problem's ground-state
+    energy (1/2) * int u^2 |z|^2 dt by adaptive quadrature along the derived
+    homoclinic, independent of the closed form it is compared against.
     """
     from scipy.integrate import quad
     prof = derived_profile()
@@ -166,5 +165,6 @@ def limit_energy_quadrature():
     return float(val)
 
 
-#: closed-form value of :func:`limit_energy_quadrature`
+#: ground-state energy of the limit problem along the derived homoclinic,
+#: (1/2) * int u^2 |z|^2 dt = (9/8) * (1/2) * int cosh^-3 dt = 9*pi/32
 DELTA0 = 9.0 * np.pi / 32.0

@@ -25,32 +25,32 @@ NEWTON_TOL = 1e-12
 #: whose RK4 closure then reads 1.25e-11), one more step reaches the rounding
 #: floor (family merits measured 3e-16 to 2.9e-15)
 STOP_TOL = 1e-14
+#: period 2 pi/omega of the linear flow at P+, the family's limit period
+T0 = 2.0 * np.pi / linear.OMEGA
 
 
 def _eigenmode_start(h):
-    """The field at eps = 2/t0, t0 = 2 pi/omega the linear period, of P+ plus
-    the linear flow of the elliptic mode d0 = h (1, 0, omega^2, 0) in the
-    rotated chart, d(t) = cos(omega t) d0 + sin(omega t)/omega A d0 (A =
+    """The field at eps = 2/T0 of P+ plus the linear flow of the elliptic
+    mode d0 = h (1, 0, omega^2, 0) in the rotated chart, d(t) =
+    cos(omega t) d0 + sin(omega t)/omega A d0 (omega = linear.OMEGA, A =
     linear.matrix_c(), A^2 d0 = -omega^2 d0), sampled on the collocation
-    nodes of [-t0/2, t0/2)."""
+    nodes of [-T0/2, T0/2)."""
     A = linear.matrix_c()
-    report = linear.eigenvalues_4x4(A)
-    omega = report.elliptic_omega
-    t0 = linear.lyapunov_period(report)
-    K = spectral.default_modes(2.0 / t0)
-    t = spectral.grid(spectral.grid_size(K)) * (t0 / 2.0)
+    omega = linear.OMEGA
+    K = spectral.default_modes(2.0 / T0)
+    t = spectral.grid(spectral.grid_size(K)) * (T0 / 2.0)
     d0 = h * np.array([1.0, 0.0, omega ** 2, 0.0])
     d = (np.outer(d0, np.cos(omega * t))
          + np.outer(A @ d0 / omega, np.sin(omega * t)))
     u, _, a, b = dynamics.from_rotated(dynamics.P_PLUS_ROTATED[:, None] + d)
-    return spectral.field_from_values(2.0 / t0, K, np.stack([u, a, b]))
+    return spectral.field_from_values(2.0 / T0, K, np.stack([u, a, b]))
 
 
 def lyapunov_family(amplitudes, tol=NEWTON_TOL):
     """Continuation of small orbits around the center equilibrium.
 
     The first amplitude h starts from the linear flow of the elliptic mode
-    at P+ over the linear period t0 (see :func:`_eigenmode_start`); each
+    at P+ over the linear period T0 (see :func:`_eigenmode_start`); each
     later one starts from the previous solution.  The spectral Newton solve
     pins u(0) = 1 + h and finds the field and eps = 1/T, with the K of the
     first start, down to merit min(tol, STOP_TOL).  Each orbit is the
@@ -124,18 +124,16 @@ def period_energy_diagram(eps_grid):
     """Ground-state energy versus period table.
 
     Runs the spectral ground-state solve at each epsilon in (0, eps*) and
-    reports delta_eps together with its gap to the limit energy delta0
-    (computed by quadrature along the derived homoclinic).  eps* = 2/t0 =
-    2^(1/4)/pi, t0 the linear period at the center, ends the branch.
-    Non-convergent entries are recorded with converged=False and the diagram
-    is still emitted.
+    reports delta_eps together with its gap to the limit energy
+    homoclinic.DELTA0 = 9 pi/32.  eps* = 2/T0 = 2^(1/4)/pi, T0 the linear
+    period at the center, ends the branch.  Non-convergent entries are
+    recorded with converged=False and the diagram is still emitted.
     """
-    eps_star = 2.0 / linear.lyapunov_period(
-        linear.eigenvalues_4x4(linear.matrix_c()))
+    eps_star = 2.0 / T0
     if not all(0.0 < eps < eps_star for eps in eps_grid):
         raise ValueError(
             f"each epsilon must lie in (0, eps*), eps* = {eps_star:.6f}")
-    delta0 = homoclinic.limit_energy_quadrature()
+    delta0 = homoclinic.DELTA0
     rows = []
     for eps in eps_grid:
         row = {"epsilon": float(eps), "T": 1.0 / eps, "delta_eps": np.nan,

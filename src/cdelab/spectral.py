@@ -794,13 +794,15 @@ def _newton(field, tol, max_iters, pin=None):
 
 def nehari_scale(u_hat, z_plus, sp, tol=1e-11, max_iter=40):
     """Scalings (t, s) putting (t*u, s*z_plus + g(t*u, s*z_plus)) on the
-    constraint set; 2D Newton with finite-difference Jacobian."""
+    constraint set; 2D Newton with finite-difference Jacobian, until both
+    identity defects are at most tol relative to |coupling| (floored as in
+    :meth:`NehariResiduals.relative`), however small the field."""
     def point(t, s):
         uh = t * u_hat
         ph = s * z_plus
         f = field_from_coeffs(sp, uh, ph, reduce_g(uh, ph, sp))
         eb = energy(f)
-        scale = max(1.0, abs(eb.coupling))
+        scale = max(abs(eb.coupling), 1e-300)
         return np.array([eb.scalar_quadratic - eb.coupling,
                          eb.spinor_quadratic - eb.coupling]) / scale, f
 

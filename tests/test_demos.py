@@ -1,4 +1,4 @@
-"""Smoke tests: every demo script runs to completion."""
+"""Smoke tests: every demo script runs to completion, warning-free."""
 
 import os
 import subprocess
@@ -14,6 +14,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    run = subprocess.run([sys.executable, str(demo)], env=env, cwd=ROOT,
+    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                          str(demo)], env=env, cwd=ROOT,
                          capture_output=True, text=True, timeout=300)
-    assert run.returncode == 0, run.stderr
+    assert (run.returncode, run.stderr) == (0, "")

@@ -1,12 +1,9 @@
 import numpy as np
 import pytest
 
-from cdelab import dynamics, linear
-from cdelab.errors import NoEllipticPair
+from cdelab import dynamics, linear, orbits
 
 from conftest import random_states
-
-MU = 2.0 ** 0.25
 
 
 def test_matrix_c_rows():
@@ -47,34 +44,30 @@ def test_jacobian_matches_finite_differences(chart, field):
         assert err.max() <= 1e-6
 
 
+def test_characteristic_polynomial_is_lambda4_minus_2():
+    np.testing.assert_allclose(np.poly(linear.matrix_c()), [1, 0, 0, 0, -2],
+                               rtol=0, atol=1e-14)
+
+
 def test_eigenvalues_of_linearization():
-    rep = linear.eigenvalues_4x4(linear.matrix_c())
-    expected = [MU, -MU, 1j * MU, -1j * MU]
+    evs = np.linalg.eigvals(linear.matrix_c())
+    # LAPACK against the closed form
+    mu = linear.OMEGA
+    expected = [mu, -mu, 1j * mu, -1j * mu]
     for target in expected:
-        assert min(abs(ev - target) for ev in rep.eigenvalues) <= 1e-10
-    assert abs(rep.hyperbolic_mu - MU) <= 1e-10
-    assert abs(rep.elliptic_omega - MU) <= 1e-10
-    # quartic identity lambda^4 = 2
-    assert max(abs(ev ** 4 - 2.0) for ev in rep.eigenvalues) <= 1e-10
+        assert min(abs(ev - target) for ev in evs) <= 1e-10
+    # quartic identity lambda^4 = 2, and the limiting period of the family
+    assert max(abs(ev ** 4 - 2.0) for ev in evs) <= 1e-10
 
 
-def test_eigenvalues_identity_matrix():
-    rep = linear.eigenvalues_4x4(np.eye(4))
-    np.testing.assert_allclose(rep.eigenvalues, np.ones(4), rtol=0, atol=1e-12)
-
-
-def test_eigenvalues_vieta_oracle():
-    rng = np.random.default_rng(12)
-    for _ in range(20):
-        m = rng.standard_normal((4, 4))
-        rep = linear.eigenvalues_4x4(m)
-        scale = max(1.0, np.abs(rep.eigenvalues).max())
-        assert abs(np.sum(rep.eigenvalues) - np.trace(m)) <= 1e-10 * scale
-        assert abs(np.prod(rep.eigenvalues) - np.linalg.det(m)) <= 1e-10 * scale ** 4
-        # closed under conjugation
-        evs = sorted(rep.eigenvalues, key=lambda z: (z.real, z.imag))
-        conj = sorted(np.conj(rep.eigenvalues), key=lambda z: (z.real, z.imag))
-        np.testing.assert_allclose(evs, conj, rtol=0, atol=1e-12 * scale)
+def test_lyapunov_period_values():
+    # the limiting period of the Lyapunov family is 2 pi over the elliptic
+    # frequency at P+: from the LAPACK spectrum, and as orbits.T0
+    evs = np.linalg.eigvals(linear.matrix_c())
+    period = 2.0 * np.pi / np.max(np.abs(evs.imag))
+    assert abs(period - 2.0 ** 0.75 * np.pi) <= 1e-10
+    assert abs(orbits.T0 - 2.0 ** 0.75 * np.pi) <= 1e-12
+    assert abs(orbits.T0 - period) <= 1e-10
 
 
 @pytest.mark.parametrize("point,chart", [
@@ -86,27 +79,7 @@ def test_eigenvalues_vieta_oracle():
 def test_hamiltonian_spectrum_symmetry(point, chart):
     # spectrum of the linearization at an equilibrium is symmetric under
     # lambda -> -lambda
-    rep = linear.eigenvalues_4x4(linear.jacobian_at(point, chart))
-    evs = sorted(rep.eigenvalues, key=lambda z: (round(z.real, 9), round(z.imag, 9)))
-    neg = sorted(-rep.eigenvalues, key=lambda z: (round(z.real, 9), round(z.imag, 9)))
-    np.testing.assert_allclose(evs, neg, rtol=0, atol=1e-9)
-
-
-def test_lyapunov_period_values():
-    rep = linear.eigenvalues_4x4(linear.matrix_c())
-    assert abs(linear.lyapunov_period(rep) - 2.0 ** 0.75 * np.pi) <= 1e-10
-
-    rot = np.zeros((4, 4))
-    rot[0, 1], rot[1, 0] = 1.0, -1.0     # pair +/- i
-    rot[2, 3], rot[3, 2] = 1.0, 1.0      # pair +/- 1
-    assert abs(linear.lyapunov_period(linear.eigenvalues_4x4(rot)) - 2 * np.pi) <= 1e-12
-
-    rot2 = np.zeros((4, 4))
-    rot2[0, 1], rot2[1, 0] = 2.0, -2.0   # pair +/- 2i
-    rot2[2, 3], rot2[3, 2] = 1.0, 1.0
-    assert abs(linear.lyapunov_period(linear.eigenvalues_4x4(rot2)) - np.pi) <= 1e-12
-
-
-def test_no_elliptic_pair_raises():
-    with pytest.raises(NoEllipticPair):
-        linear.lyapunov_period(linear.eigenvalues_4x4(np.diag([1.0, 2.0, -1.0, -2.0])))
+    evs = np.linalg.eigvals(linear.jacobian_at(point, chart))
+    key = lambda z: (round(z.real, 9), round(z.imag, 9))
+    np.testing.assert_allclose(sorted(evs, key=key), sorted(-evs, key=key),
+                               rtol=0, atol=1e-9)

@@ -269,7 +269,7 @@ def test_field_to_orbit_samples_the_field(ground_states):
 
 def test_period_energy_diagram(ground_states):
     diagram = orbits.period_energy_diagram([0.2, 0.1])
-    assert abs(diagram["delta0"] - homoclinic.DELTA0) <= 1e-8
+    assert diagram["delta0"] == homoclinic.DELTA0
     rows = diagram["rows"]
     assert all(row["converged"] for row in rows)
     assert rows[0]["gap"] > rows[1]["gap"]
@@ -281,9 +281,9 @@ def test_period_energy_diagram(ground_states):
 def test_period_energy_diagram_validates_eps():
     # the branch is (0, eps*), eps* = 2/t0 = 2^(1/4)/pi, where the small
     # orbits around the center end
-    eps_star = 2.0 / linear.lyapunov_period(
-        linear.eigenvalues_4x4(linear.matrix_c()))
+    omega = np.max(np.abs(np.linalg.eigvals(linear.matrix_c()).imag))
+    eps_star = 2.0 / (2.0 * np.pi / omega)
     assert abs(eps_star - 2.0 ** 0.25 / np.pi) <= 1e-15
-    for bad in (0.0, -0.1, eps_star, 0.39):
+    for bad in (0.0, -0.1, eps_star, 2.0 / orbits.T0, 0.39):
         with pytest.raises(ValueError):
             orbits.period_energy_diagram([0.2, bad])

