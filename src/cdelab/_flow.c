@@ -1,0 +1,141 @@
+/* The fused stepping loops of cdelab.integrators, compiled.
+ *
+ * flow_rk4 and flow_midpoint do the same double operations, in the same
+ * order, as integrators._rk4 and integrators._midpoint, so built without
+ * floating-point contraction (-ffp-contract=off: no fused multiply-add)
+ * they give the same bits.  Each runs n steps from s[0..3] and writes state
+ * k to s[4k..4k+3]; s holds 4 (n + 1) doubles.  Each returns 0, or the
+ * 1-based step that failed, with its cause in *cause:
+ *
+ *   1  a component of the new state is NaN or beyond limit (the state
+ *      is written)
+ *   2  the midpoint Newton iteration stalled; *rr is its last squared
+ *      residual
+ *   3  the midpoint Newton matrix is singular
+ *   4  the exact acceptance bound (newton_tol max(1, |x|_inf))^2 overflows,
+ *      where Python's ** raises OverflowError
+ */
+
+#include <math.h>
+#include <stdint.h>
+
+enum { OVERFLOW = 1, STALL = 2, SINGULAR = 3, BOUND_RANGE = 4 };
+
+/* Python's x ** 2 calls libm's pow, which differs from x * x in the last
+ * bit for some arguments; a volatile exponent stops the compiler from
+ * folding pow(x, 2.0) into x * x. */
+static volatile double two = 2.0;
+
+/* max(m, x) as Python's max(): x replaces m only if x > m, so NaN never
+ * replaces a number */
+static double pymax(double m, double x)
+{
+    return x > m ? x : m;
+}
+
+static int in_range(const double *x, double lo, double hi)
+{
+    return lo <= x[0] && x[0] <= hi && lo <= x[1] && x[1] <= hi
+        && lo <= x[2] && x[2] <= hi && lo <= x[3] && x[3] <= hi;
+}
+
+int64_t flow_rk4(double *s, int64_t n, double dt, double limit, int32_t *cause)
+{
+    double h = 0.5 * dt, c = dt / 6.0, lo = -limit;
+    double u = s[0], v = s[1], a = s[2], b = s[3];
+    for (int64_t i = 0; i < n; i++) {
+        double w = u * u;
+        double k1u = v, k1v = -(a * a + b * b - 0.25) * u;
+        double k1a = -a + w * b, k1b = b - w * a;
+        double x = u + h * k1u, p = a + h * k1a, q = b + h * k1b;
+        w = x * x;
+        double k2u = v + h * k1v, k2v = -(p * p + q * q - 0.25) * x;
+        double k2a = -p + w * q, k2b = q - w * p;
+        x = u + h * k2u, p = a + h * k2a, q = b + h * k2b;
+        w = x * x;
+        double k3u = v + h * k2v, k3v = -(p * p + q * q - 0.25) * x;
+        double k3a = -p + w * q, k3b = q - w * p;
+        x = u + dt * k3u, p = a + dt * k3a, q = b + dt * k3b;
+        w = x * x;
+        double nu = u + c * (k1u + 2.0 * k2u + 2.0 * k3u + (v + dt * k3v));
+        double nv = v + c * (k1v + 2.0 * k2v + 2.0 * k3v
+                             + -(p * p + q * q - 0.25) * x);
+        double na = a + c * (k1a + 2.0 * k2a + 2.0 * k3a + (-p + w * q));
+        double nb = b + c * (k1b + 2.0 * k2b + 2.0 * k3b + (q - w * p));
+        u = nu, v = nv, a = na, b = nb;
+        double *out = s + 4 * (i + 1);
+        out[0] = u, out[1] = v, out[2] = a, out[3] = b;
+        if (!in_range(out, lo, limit)) {
+            *cause = OVERFLOW;
+            return i + 1;
+        }
+    }
+    return 0;
+}
+
+int64_t flow_midpoint(double *s, int64_t n, double dt, double newton_tol,
+                      int64_t max_iters, double limit, int32_t *cause,
+                      double *rr_out)
+{
+    double h = 0.5 * dt, tol2 = pow(newton_tol, two), lo = -limit;
+    double u = s[0], v = s[1], a = s[2], b = s[3];
+    for (int64_t i = 0; i < n; i++) {
+        double w = u * u;
+        double xu = u + dt * v, xv = v + dt * (-(a * a + b * b - 0.25) * u);
+        double xa = a + dt * (-a + w * b), xb = b + dt * (b - w * a);
+        for (int64_t it = 0;; it++) {
+            double mu = 0.5 * (u + xu), ma = 0.5 * (a + xa),
+                   mb = 0.5 * (b + xb);
+            double g = ma * ma + mb * mb - 0.25;
+            w = mu * mu;
+            double r0 = xu - u - dt * (0.5 * (v + xv));
+            double r1 = xv - v - dt * (-g * mu);
+            double r2 = xa - a - dt * (-ma + w * mb);
+            double r3 = xb - b - dt * (mb - w * ma);
+            double rr = r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3;
+            /* the pre-test, then the exact rule, as in _midpoint */
+            if (rr <= tol2)
+                break;
+            if (rr <= 2.0 * tol2 * (1.0 + xu * xu + xv * xv + xa * xa
+                                    + xb * xb)) {
+                double m = pymax(pymax(pymax(pymax(1.0, fabs(xu)), fabs(xv)),
+                                       fabs(xa)), fabs(xb));
+                double t = newton_tol * m, bound = pow(t, two);
+                if (isinf(bound) && !isinf(t)) {
+                    *cause = BOUND_RANGE;
+                    return i + 1;
+                }
+                if (rr <= bound)
+                    break;
+            }
+            if (it == max_iters) {
+                *cause = STALL;
+                *rr_out = rr;
+                return i + 1;
+            }
+            double hu = h * mu, hg = h * g;
+            double p = 2.0 * hu * ma, q = 2.0 * hu * mb, hw = hu * mu;
+            double c2 = r2 + q * r0, c3 = r3 - p * r0;
+            double det_ab = 1.0 - h * h + hw * hw;
+            double e2 = (1.0 - h) * c2 + hw * c3, e3 = (1.0 + h) * c3 - hw * c2;
+            double g2 = h * (hw * p - (1.0 - h) * q);
+            double g3 = h * ((1.0 + h) * p + hw * q);
+            double det = (1.0 + h * hg) * det_ab - p * g2 - q * g3;
+            if (det == 0.0 || det_ab == 0.0) {
+                *cause = SINGULAR;
+                return i + 1;
+            }
+            double d1 = ((r1 - hg * r0) * det_ab - p * e2 - q * e3) / det;
+            xu = xu - (r0 + h * d1), xv = xv - d1;
+            xa = xa - (e2 - g2 * d1) / det_ab, xb = xb - (e3 - g3 * d1) / det_ab;
+        }
+        u = xu, v = xv, a = xa, b = xb;
+        double *out = s + 4 * (i + 1);
+        out[0] = u, out[1] = v, out[2] = a, out[3] = b;
+        if (!in_range(out, lo, limit)) {
+            *cause = OVERFLOW;
+            return i + 1;
+        }
+    }
+    return 0;
+}

@@ -6,12 +6,26 @@ and classical RK4 for cross-validation and high-accuracy short-horizon
 tracking.  Steps are uniform; the phase space is low-dimensional and smooth,
 so no adaptive control is attempted.  Each method is one fused loop on the
 four state components, with the vector field written inline and the midpoint
-Newton step solved in closed form: ``integrate`` runs a whole trajectory in
-one call of it, and the single-step functions run it for one step.
+Newton step solved in closed form; the single-step functions run it for one
+step.  ``integrate`` runs a whole trajectory in the same loops compiled from
+``_flow.c``, which do the same double operations in the same order and so
+give the same bits.  The C file is built once, on the first ``integrate``
+call, into ``__pycache__``; where no C compiler can build it, ``integrate``
+runs the Python loops.
 """
 
-import numpy as np
+import ctypes
+import errno
+import functools
+import importlib.util
+import os
+import sys
+import sysconfig
+import tempfile
 from dataclasses import dataclass, field
+from pathlib import Path
+
+import numpy as np
 
 from . import dynamics
 from .errors import NewtonDivergence, NonFiniteState, EmptyTrajectory
@@ -20,7 +34,7 @@ from .errors import NewtonDivergence, NonFiniteState, EmptyTrajectory
 #: hyperbolic direction
 OVERFLOW_LIMIT = 1e12
 
-#: most steps ``integrate`` takes (it keeps every state, ~0.2 kB per step)
+#: most steps ``integrate`` takes (it keeps every state, 32 B per step)
 MAX_STEPS = 10 ** 7
 
 #: implicit-midpoint Newton: a step is accepted once ``‖res‖ <= NEWTON_TOL *
@@ -170,6 +184,103 @@ def implicit_midpoint_step(s, dt):
     return np.array(_midpoint(*s, dt, NEWTON_TOL, MAX_NEWTON_ITERS))
 
 
+#: the kernel's build flags: never -ffast-math or -march=native, and no
+#: contraction, since a fused multiply-add (baseline on aarch64) changes bits
+_FLOW_CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+
+
+@functools.cache
+def _flow_kernel():
+    """The compiled loops of ``_flow.c``, or None where they cannot be built
+    or loaded.  The library is cached in ``__pycache__`` under a hash of its
+    source, compiler command and interpreter tag; the first call builds it
+    when absent, through a temporary file renamed into place."""
+    # imported here, so that importing cdelab builds and loads nothing
+    import shlex
+    import subprocess
+
+    cc = sysconfig.get_config_var("CC")
+    if not cc:
+        return None
+    source = Path(__file__).with_name("_flow.c")
+    cmd = [*shlex.split(cc), *_FLOW_CFLAGS]
+    try:
+        # the 64-bit hash that keys hash-based .pyc files: hashlib's SHA-256
+        # would load OpenSSL, about 3.5 MiB of resident memory
+        key = importlib.util.source_hash(b"\0".join(
+            [source.read_bytes(), *map(str.encode, cmd),
+             sys.implementation.cache_tag.encode()]))
+        lib_path = source.parent / "__pycache__" / f"_flow.{key.hex()}.so"
+        if not lib_path.exists():
+            lib_path.parent.mkdir(exist_ok=True)
+            fd, tmp = tempfile.mkstemp(".so", "_flow.", lib_path.parent)
+            os.close(fd)
+            try:
+                subprocess.run([*cmd, "-o", tmp, str(source)], check=True,
+                               capture_output=True, timeout=120)
+                os.replace(tmp, lib_path)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        lib = ctypes.CDLL(str(lib_path))
+    except (OSError, subprocess.SubprocessError):
+        return None
+    states = np.ctypeslib.ndpointer(np.float64, ndim=2,
+                                    flags=("C_CONTIGUOUS", "WRITEABLE"))
+    cause = ctypes.POINTER(ctypes.c_int32)
+    lib.flow_rk4.argtypes = [states, ctypes.c_int64, ctypes.c_double,
+                             ctypes.c_double, cause]
+    lib.flow_midpoint.argtypes = [
+        states, ctypes.c_int64, ctypes.c_double, ctypes.c_double,
+        ctypes.c_int64, ctypes.c_double, cause, ctypes.POINTER(ctypes.c_double)]
+    lib.flow_rk4.restype = lib.flow_midpoint.restype = ctypes.c_int64
+    return lib
+
+
+def _in_step(exc, dt, k, state):
+    """A NewtonDivergence of step k, from state s_(k-1), naming both."""
+    return NewtonDivergence(f"{exc} in step {k} from t = {dt * (k - 1):.6g}, "
+                            f"|s|_inf = {max(map(abs, state)):.3e}")
+
+
+def _python_flow(s0, dt, n, method):
+    """States s_0..s_n of n steps of the Python loops."""
+    kernel, extra = ((_rk4, ()) if method == "rk4" else
+                     (_midpoint, (NEWTON_TOL, MAX_NEWTON_ITERS)))
+    out = s0.tolist()                   # flat: 4 floats per state
+    try:
+        kernel(*out, dt, *extra, n=n, out=out)
+    except NewtonDivergence as exc:
+        raise _in_step(exc, dt, len(out) // 4, out[-4:]) from exc
+    return np.fromiter(out, float, len(out)).reshape(n + 1, 4)
+
+
+def _compiled_flow(lib, s0, dt, n, method):
+    """States s_0..s_n of n steps of the compiled loops, which raise what
+    the Python loops raise, with the same text."""
+    states = np.empty((n + 1, 4))
+    states[0] = s0
+    cause, rr = ctypes.c_int32(0), ctypes.c_double(0.0)
+    if method == "rk4":
+        k = lib.flow_rk4(states, n, dt, OVERFLOW_LIMIT, ctypes.byref(cause))
+    else:
+        k = lib.flow_midpoint(states, n, dt, NEWTON_TOL, MAX_NEWTON_ITERS,
+                              OVERFLOW_LIMIT, ctypes.byref(cause),
+                              ctypes.byref(rr))
+    if k == 0:
+        return states
+    # the failing step's cause, numbered as in _flow.c
+    if cause.value == 1:
+        raise NonFiniteState(f"state overflow after step {k}")
+    if cause.value == 4:                # as float ** raises it
+        raise OverflowError(errno.ERANGE, os.strerror(errno.ERANGE))
+    exc = NewtonDivergence(
+        "implicit midpoint Newton stalled at residual "
+        f"{rr.value ** 0.5:.3e}" if cause.value == 2 else
+        "singular implicit midpoint Newton matrix")
+    raise _in_step(exc, dt, k, states[k - 1].tolist()) from exc
+
+
 def integrate(s0, t_final, cfg):
     """Integrate from t=0 to t=t_final on a uniform grid.
 
@@ -178,8 +289,8 @@ def integrate(s0, t_final, cfg):
     round(|t_final| / dt), so dt is adjusted slightly when it does not divide
     t_final evenly.  Raises NonFiniteState when a component is NaN or exceeds
     1e12, and re-raises an implicit-midpoint NewtonDivergence naming the step,
-    its start time and ‖s‖∞.  Raises ValueError unless t_final is finite and
-    nonzero and |t_final| / dt is at most MAX_STEPS.
+    its start time and ‖s‖∞.  Raises ValueError unless s0 has shape (4,),
+    t_final is finite and nonzero and |t_final| / dt is at most MAX_STEPS.
     """
     if not 0.0 < abs(t_final) < np.inf:
         raise ValueError(f"t_final must be finite and nonzero, got {t_final!r}")
@@ -188,20 +299,14 @@ def integrate(s0, t_final, cfg):
         raise ValueError(f"|t_final| / dt = {n_steps:.3g} steps exceeds "
                          f"MAX_STEPS = {MAX_STEPS}")
     s0 = np.asarray(s0, dtype=float)
+    if s0.shape != (4,):
+        raise ValueError(f"s0 must be one state (u, v, a, b), got shape "
+                         f"{s0.shape}")
     n_steps = max(1, int(round(n_steps)))
     dt = t_final / n_steps              # signed
-    kernel, extra = ((_rk4, ()) if cfg.method == "rk4" else
-                     (_midpoint, (NEWTON_TOL, MAX_NEWTON_ITERS)))
-
-    out = s0.tolist()                   # flat: 4 floats per state
-    try:
-        kernel(*out, dt, *extra, n=n_steps, out=out)
-    except NewtonDivergence as exc:
-        k = len(out) // 4               # the failing step
-        raise NewtonDivergence(
-            f"{exc} in step {k} from t = {dt * (k - 1):.6g}, "
-            f"|s|_inf = {max(map(abs, out[-4:])):.3e}") from exc
-    states = np.fromiter(out, float, len(out)).reshape(n_steps + 1, 4)
+    lib = _flow_kernel()
+    states = (_python_flow(s0, dt, n_steps, cfg.method) if lib is None else
+              _compiled_flow(lib, s0, dt, n_steps, cfg.method))
     times = dt * np.arange(n_steps + 1)
     if dt < 0:
         times = times[::-1].copy()

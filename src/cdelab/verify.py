@@ -93,7 +93,7 @@ def suite_operator_a(seed=0, tol=1e-12):
     out = [_check("lambda^2 = 1 + omega^2 to rounding", lam_defect <= 1e-15,
                   f"defect {lam_defect:.3e}"),
            _check("trivial kernel: min |lambda| = 1", np.min(sp.lam) == 1.0,
-                  f"min = {np.min(sp.lam)!r}")]
+                  f"min = {float(np.min(sp.lam))!r}")]
     rng = np.random.default_rng(seed)
     M = 2 * sp.num_modes + 1
     z = rng.standard_normal((M, 2)) + 1j * rng.standard_normal((M, 2))

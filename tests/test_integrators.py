@@ -1,3 +1,11 @@
+import os
+import shlex
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -282,13 +290,9 @@ def midpoint_step_reference(s, dt, newton_tol, max_iters=25):
     raise NewtonDivergence("reference Newton stalled")
 
 
-def test_midpoint_acceptance_is_the_documented_rule():
+def _check_the_documented_rule(midpoint):
     # loose tolerances and large states put many residuals near the bound,
     # where a pre-test that rejected too much would add a Newton step
-    def midpoint(s, dt, tol):
-        return list(integrators._midpoint(*s.tolist(), dt, tol,
-                                          integrators.MAX_NEWTON_ITERS))
-
     rng = np.random.default_rng(23)
     for _ in range(2000):
         s = rng.standard_normal(4) * 10.0 ** rng.uniform(-1, 3, 4)
@@ -301,6 +305,24 @@ def test_midpoint_acceptance_is_the_documented_rule():
                 midpoint(s, dt, tol)
             continue
         assert midpoint(s, dt, tol) == want
+
+
+def test_midpoint_acceptance_is_the_documented_rule():
+    def midpoint(s, dt, tol):
+        return list(integrators._midpoint(*s.tolist(), dt, tol,
+                                          integrators.MAX_NEWTON_ITERS))
+
+    _check_the_documented_rule(midpoint)
+
+
+def test_integrate_midpoint_acceptance_is_the_documented_rule(monkeypatch):
+    # one step of integrate, which reads NEWTON_TOL when called
+    def midpoint(s, dt, tol):
+        monkeypatch.setattr(integrators, "NEWTON_TOL", tol)
+        cfg = integrators.StepperConfig(dt=dt)
+        return integrators.integrate(s, dt, cfg).states[1].tolist()
+
+    _check_the_documented_rule(midpoint)
 
 
 def test_empty_trajectory_guard():
@@ -320,3 +342,128 @@ def test_config_validation():
     for bad in (0.0, np.inf, np.nan):
         with pytest.raises(ValueError, match=f"dt must be .*, got {bad!r}"):
             integrators.StepperConfig(dt=bad)
+    # a scalar would broadcast into the first state
+    for s0, shape in [(1.0, r"\(\)"), ([1.0, 0.0, 0.3], r"\(3,\)"),
+                      (np.ones((4, 1)), r"\(4, 1\)")]:
+        with pytest.raises(ValueError, match=f"got shape {shape}"):
+            integrators.integrate(s0, 1.0, integrators.StepperConfig(dt=0.1))
+
+
+# ----------------------------------------------------------------------
+# the compiled flow kernel against the Python loops
+
+def _c_compiler():
+    """The configured C compiler's path, or None where it is not installed."""
+    cc = sysconfig.get_config_var("CC")
+    return shutil.which(shlex.split(cc)[0]) if cc else None
+
+
+@pytest.fixture
+def flow_kernel():
+    """The compiled kernel; the test is skipped only where no C compiler
+    exists, so a broken build cannot hide behind the Python loops."""
+    if _c_compiler() is None:
+        pytest.skip("no C compiler")
+    lib = integrators._flow_kernel()
+    assert lib is not None
+    return lib
+
+
+def _outcome(s0, t_final, method, dt):
+    """integrate's times and states as bytes, or the type and text of what
+    it raised and of that exception's cause."""
+    cfg = integrators.StepperConfig(method=method, dt=dt)
+    try:
+        tr = integrators.integrate(s0, t_final, cfg)
+    except (NonFiniteState, NewtonDivergence, OverflowError) as exc:
+        cause = exc.__cause__
+        return type(exc), str(exc), type(cause), str(cause)
+    return tr.times.tobytes(), tr.states.tobytes()
+
+
+def _parity_runs():
+    # states 1e-2 to 10, |dt| 1e-4 to 3e-2, 10 to 5,000 steps; about one run
+    # in ten ends in overflow (RK4) or a Newton stall (midpoint)
+    rng = np.random.default_rng(37)
+    for i in range(240):
+        s0 = rng.choice([-1.0, 1.0], 4) * 10.0 ** rng.uniform(-2, 1, 4)
+        dt = 10.0 ** rng.uniform(-4, np.log10(3e-2))
+        n = int(10.0 ** rng.uniform(1, np.log10(5000)))
+        yield (s0, rng.choice([-1.0, 1.0]) * n * dt,
+               ("rk4", "implicit_midpoint")[i % 2], dt)
+    yield [0.0, 0.0, 0.3, 0.2], 4.0, "implicit_midpoint", 2.0     # singular
+    yield [np.nan, 0.5, 0.3, 0.2], 0.5, "rk4", 0.1
+    yield [0.5, np.inf, 0.3, 0.2], 0.5, "implicit_midpoint", 0.1  # stall, nan
+    yield [1.0, 1.1e12, 0.0, 0.0], 0.02, "implicit_midpoint", 1e-2  # overflow
+    # the exact acceptance bound (NEWTON_TOL max(1, |x|_inf))^2 overflows,
+    # where float ** raises OverflowError
+    yield [-3.223729286484272e90, 1.0, 0.0, 1.0], -3.8, "implicit_midpoint", 1.9
+
+
+def test_compiled_kernel_matches_the_python_loops(flow_kernel, monkeypatch):
+    runs = list(_parity_runs())
+    compiled = [_outcome(*run) for run in runs]
+    monkeypatch.setattr(integrators, "_flow_kernel", lambda: None)
+    assert [_outcome(*run) for run in runs] == compiled
+    ends = {o[0] for o in compiled if len(o) == 4}
+    assert ends == {NonFiniteState, NewtonDivergence, OverflowError}
+    assert sum(len(o) == 2 for o in compiled) >= 200
+
+
+def test_compiled_kernel_stall_text(flow_kernel, strict_newton):
+    # rr ** 0.5 is taken in Python, from the residual the kernel returns
+    runs = [([1.0, 0.5, 0.3, 0.2], 3.0, "implicit_midpoint", 1.0),
+            ([0.3, -0.2, 2.0, 1.5], -0.5, "implicit_midpoint", 0.1)]
+    compiled = [_outcome(*run) for run in runs]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrators, "_flow_kernel", lambda: None)
+        assert [_outcome(*run) for run in runs] == compiled
+    assert all("stalled at residual" in o[1] for o in compiled)
+
+
+@pytest.mark.parametrize("method", ["rk4", "implicit_midpoint"])
+def test_python_loops_give_the_same_bytes(method, monkeypatch):
+    s0 = homoclinic.derived_profile()(-2.0)
+    cfg = integrators.StepperConfig(method=method, dt=1e-3)
+    default = integrators.integrate(s0, 7.5, cfg)
+    monkeypatch.setattr(integrators, "_flow_kernel", lambda: None)
+    loops = integrators.integrate(s0, 7.5, cfg)
+    for name in ("times", "states", "energy_series"):
+        assert getattr(loops, name).tobytes() == getattr(default, name).tobytes()
+
+
+def test_kernel_builds_and_loads_where_a_compiler_exists(tmp_path,
+                                                         monkeypatch):
+    # a cold build in an empty directory, not the cached library
+    if _c_compiler() is None:
+        pytest.skip("no C compiler")
+    source = Path(integrators.__file__).with_name("_flow.c")
+    (tmp_path / "_flow.c").write_bytes(source.read_bytes())
+    monkeypatch.setattr(integrators, "__file__",
+                        str(tmp_path / "integrators.py"))
+    lib = integrators._flow_kernel.__wrapped__()
+    assert lib is not None
+    built = list((tmp_path / "__pycache__").iterdir())
+    assert [p.name for p in built] == [Path(lib._name).name]
+    assert built[0].name.startswith("_flow.") and built[0].suffix == ".so"
+    # a second call loads the cached library and builds nothing
+    assert integrators._flow_kernel.__wrapped__() is not None
+    assert list((tmp_path / "__pycache__").iterdir()) == built
+
+
+def test_failed_build_falls_back_and_leaves_no_file(tmp_path, monkeypatch):
+    (tmp_path / "_flow.c").write_text("not C\n")
+    monkeypatch.setattr(integrators, "__file__",
+                        str(tmp_path / "integrators.py"))
+    assert integrators._flow_kernel.__wrapped__() is None
+    assert not any((tmp_path / "__pycache__").glob("*"))
+
+
+def test_import_builds_and_loads_nothing():
+    code = ("import cdelab.cli, cdelab.integrators as i; "
+            "print(i._flow_kernel.cache_info().currsize)")
+    src = str(Path(integrators.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout == "0\n"

@@ -562,6 +562,13 @@ def test_cli_verify_all_passes_at_the_default_tolerances(capsys):
     assert out.endswith("all checks passed: 24/24\n")
 
 
+def test_cli_verify_operator_a_prints_python_floats(capsys):
+    code, out, _ = run_cli(["verify", "operator-a"], capsys)
+    assert code == 0
+    assert ("[PASS] trivial kernel: min |lambda| = 1 (min = 1.0)\n"
+            in out.splitlines(keepends=True))
+
+
 @pytest.mark.parametrize("suite", sorted(verify.SUITES))
 def test_cli_verify_fails_every_suite_at_a_tiny_tol(suite, capsys):
     code, out, _ = run_cli(["verify", suite, "--tol", "1e-300"], capsys)
