@@ -12,26 +12,12 @@
  *   2  the midpoint Newton iteration stalled; *rr is its last squared
  *      residual
  *   3  the midpoint Newton matrix is singular
- *   4  the exact acceptance bound (newton_tol max(1, |x|_inf))^2 overflows,
- *      where Python's ** raises OverflowError
  */
 
 #include <math.h>
 #include <stdint.h>
 
-enum { OVERFLOW = 1, STALL = 2, SINGULAR = 3, BOUND_RANGE = 4 };
-
-/* Python's x ** 2 calls libm's pow, which differs from x * x in the last
- * bit for some arguments; a volatile exponent stops the compiler from
- * folding pow(x, 2.0) into x * x. */
-static volatile double two = 2.0;
-
-/* max(m, x) as Python's max(): x replaces m only if x > m, so NaN never
- * replaces a number */
-static double pymax(double m, double x)
-{
-    return x > m ? x : m;
-}
+enum { OVERFLOW = 1, STALL = 2, SINGULAR = 3 };
 
 static int in_range(const double *x, double lo, double hi)
 {
@@ -77,7 +63,7 @@ int64_t flow_midpoint(double *s, int64_t n, double dt, double newton_tol,
                       int64_t max_iters, double limit, int32_t *cause,
                       double *rr_out)
 {
-    double h = 0.5 * dt, tol2 = pow(newton_tol, two), lo = -limit;
+    double h = 0.5 * dt, tol2 = newton_tol * newton_tol, lo = -limit;
     double u = s[0], v = s[1], a = s[2], b = s[3];
     for (int64_t i = 0; i < n; i++) {
         double w = u * u;
@@ -98,14 +84,10 @@ int64_t flow_midpoint(double *s, int64_t n, double dt, double newton_tol,
                 break;
             if (rr <= 2.0 * tol2 * (1.0 + xu * xu + xv * xv + xa * xa
                                     + xb * xb)) {
-                double m = pymax(pymax(pymax(pymax(1.0, fabs(xu)), fabs(xv)),
-                                       fabs(xa)), fabs(xb));
-                double t = newton_tol * m, bound = pow(t, two);
-                if (isinf(bound) && !isinf(t)) {
-                    *cause = BOUND_RANGE;
-                    return i + 1;
-                }
-                if (rr <= bound)
+                double t = newton_tol * fmax(fmax(fmax(fmax(1.0, fabs(xu)),
+                                                         fabs(xv)), fabs(xa)),
+                                              fabs(xb));
+                if (rr <= t * t)
                     break;
             }
             if (it == max_iters) {

@@ -14,10 +14,9 @@ import numpy as np
 from . import dynamics, integrators, spectral, orbits, homoclinic, geometry
 from . import serialize, verify
 from .errors import (CdelabError, NewtonDivergence, NonFiniteState,
-                     SolverStall, NonConvergence)
+                     NonConvergence)
 
-SOLVER_ERRORS = (NewtonDivergence, NonFiniteState, SolverStall,
-                 NonConvergence)
+SOLVER_ERRORS = (NewtonDivergence, NonFiniteState, NonConvergence)
 
 
 #: the flags that several subcommands share
@@ -222,8 +221,7 @@ def cmd_homoclinic(args):
             else homoclinic.derived_profile())
     t = np.linspace(-10.0, 10.0, 81)
     doc["profile"] = {"convention": "quoted" if args.paper_constants else "derived",
-                      "samples": [[float(tt)] + [float(x) for x in prof(tt)]
-                                  for tt in t]}
+                      "samples": np.column_stack([t, prof(t).T])}
     _emit(serialize.dumps(doc), args.out)
     return 0
 

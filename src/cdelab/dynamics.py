@@ -84,10 +84,9 @@ def hamiltonian_rotated(r):
             + 0.5 * (2.0 * bb * bb - 0.25))
 
 
-#: rotated-chart center equilibria (1, 0, ±1/2, 0); exactly representable,
-#: so they are written out rather than produced by the rotation
+#: the center equilibrium P+ in the rotated chart, (1, 0, 1/2, 0); exactly
+#: representable, so it is written out rather than produced by the rotation
 P_PLUS_ROTATED = np.array([1.0, 0.0, 0.5, 0.0])
-P_MINUS_ROTATED = np.array([1.0, 0.0, -0.5, 0.0])
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,6 @@ class TruncationMismatch(CdelabError):
     """Field and operator data live on different truncations."""
 
 
-class SolverStall(CdelabError):
-    """An inner linear solve (conjugate gradient) failed to converge."""
-
-
 class DegenerateProfile(CdelabError):
     """Profile has identically vanishing spinor density; no coupling to fit."""
 
@@ -37,7 +33,7 @@ class NonConvergence(CdelabError):
     """A spectral solve did not reach its tolerances or is truncated.
 
     A rejected ground state or orbit is attached, as a spectral.Solution, as
-    the ``best`` attribute.
+    the ``best`` attribute; it is None for the reduction and its scaling.
     """
 
     def __init__(self, message, best=None):

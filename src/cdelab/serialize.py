@@ -12,17 +12,15 @@ otherwise in three bands: ``1.5e-6``, ``0.0000123`` and ``1e16`` for repr's
 ``1e-5 <= |x| < 1e-4``, ``|x| >= 1e16``), and nan and inf as ``null``.  Those
 floats become null holes (NaN) before the pass; their text, spelled a band at
 a time, fills the holes after it, with ``null`` for each None.  ``dumps``
-first walks the document: float lists and lists of equal-width float rows
-become arrays, and each scalar float a hole with json's own text.  A document
-that orjson would not write as json does (a non-str key, a str with a
-non-ASCII character, DEL or ``ull``, an int beyond 64 bits, any other type)
-is written by ``json.dumps`` itself.
+first walks the document and makes each scalar float a hole with json's own
+text.  A document that orjson would not write as json does (a non-str key, a
+str with a non-ASCII character, DEL or ``ull``, an int beyond 64 bits, any
+other type) is written by ``json.dumps`` itself.
 """
 
 import csv
 import io
 import json
-from itertools import chain
 
 import numpy as np
 import orjson
@@ -201,22 +199,11 @@ def _str(s):
     return s
 
 
-def _float_array(items):
-    """A list of floats, or of equal-width rows of floats, as a float64
-    array; None for any other list."""
-    kinds = set(map(type, items))
-    if kinds <= {list, tuple}:
-        if len(set(map(len, items))) != 1 or not items[0]:
-            return None
-        kinds = set(map(type, chain.from_iterable(items)))
-    return np.array(items, dtype=float) if kinds == {float} else None
-
-
 def _walk(o, holes):
-    """o for orjson, with float lists and tables as arrays and a null hole
-    for each scalar float and each misspelled array float.  Appends the text
-    of each hole, and ``null`` for each None, to holes in document order.
-    Raises TypeError where orjson's text would not be json's."""
+    """o for orjson, with a null hole for each scalar float and each
+    misspelled array float.  Appends the text of each hole, and ``null`` for
+    each None, to holes in document order.  Raises TypeError where orjson's
+    text would not be json's."""
     if o is None:
         holes.append("null")
         return o
@@ -228,10 +215,7 @@ def _walk(o, holes):
     if type(o) is dict:
         return {_str(k): _walk(v, holes) for k, v in o.items()}
     if type(o) in (list, tuple):
-        table = _float_array(o)
-        if table is None:
-            return [_walk(x, holes) for x in o]
-        o = table
+        return [_walk(x, holes) for x in o]
     if type(o) is np.ndarray:
         if o.dtype != np.float64 or o.ndim == 0:
             return _walk(o.tolist(), holes)

@@ -31,7 +31,7 @@ import numpy as np
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .errors import TruncationMismatch, SolverStall, NonConvergence
+from .errors import TruncationMismatch, NonConvergence
 from . import dynamics, homoclinic
 
 #: documented truncation table: coefficient tails of the limit profile fall
@@ -424,14 +424,23 @@ def gradient(field):
 # ----------------------------------------------------------------------
 # concave reduction onto the minus space
 
-def reduce_g(u_coeffs, z_plus, sp, tol=1e-12, max_iter=2000):
+#: the reduction's conjugate gradient: relative residual, iteration cap
+REDUCTION_TOL = 1e-12
+REDUCTION_MAX_ITERS = 2000
+
+
+def reduce_g(u_coeffs, z_plus, sp):
     """Unique maximizer of the concave minus-space restriction.
 
-    Solves lam*w + P^-(u^2 (w + v)) = 0 in minus coordinates by conjugate
-    gradient on the (positive definite) operator lam + P^- u^2 P^-, with the
-    diagonal 1/lam preconditioner.  The returned w satisfies
-    A_eps w - P^-(u^2 (w + v)) = 0 to the requested tolerance.
+    Solves lam*w + P^-(u^2 (w + v)) = 0 in minus coordinates by scipy's
+    conjugate gradient on the (positive definite) operator lam + P^- u^2 P^-,
+    with the diagonal 1/lam preconditioner.  The returned w satisfies
+    A_eps w - P^-(u^2 (w + v)) = 0 to REDUCTION_TOL relative to the
+    right-hand side; NonConvergence if not within REDUCTION_MAX_ITERS steps.
     """
+    # imported here, so that importing spectral loads no scipy
+    from scipy.sparse.linalg import LinearOperator, cg
+
     M = u_coeffs.shape[0]
     K = (M - 1) // 2
     _check_modes(M, sp)
@@ -447,37 +456,17 @@ def reduce_g(u_coeffs, z_plus, sp, tol=1e-12, max_iter=2000):
         _, mm = split_spinor(prod, sp)
         return mm
 
-    def operator(m):
-        return sp.lam * m + minus_part_of_u2_times(zero, m)
-
-    rhs = -minus_part_of_u2_times(z_plus, zero)
-    rhs_norm = np.linalg.norm(rhs)
-    if rhs_norm == 0.0:
-        return np.zeros(M, dtype=complex)
-
-    def inner(x, y):
-        return float(np.real(np.sum(np.conj(x) * y)))
-
-    w = np.zeros(M, dtype=complex)
-    r = rhs - operator(w)
-    z = r / sp.lam
-    d = z.copy()
-    rz = inner(r, z)
-    for _ in range(max_iter):
-        if np.linalg.norm(r) <= tol * rhs_norm:
-            return w
-        ad = operator(d)
-        alpha = rz / inner(d, ad)
-        w = w + alpha * d
-        r = r - alpha * ad
-        z = r / sp.lam
-        rz_new = inner(r, z)
-        d = z + (rz_new / rz) * d
-        rz = rz_new
-    if np.linalg.norm(r) <= tol * rhs_norm * 100:
-        return w
-    raise SolverStall(
-        f"reduction CG stalled at relative residual {np.linalg.norm(r) / rhs_norm:.3e}")
+    operator = LinearOperator(
+        (M, M), lambda m: sp.lam * m + minus_part_of_u2_times(zero, m),
+        dtype=complex)
+    precondition = LinearOperator((M, M), lambda r: r / sp.lam, dtype=complex)
+    w, info = cg(operator, -minus_part_of_u2_times(z_plus, zero),
+                 rtol=REDUCTION_TOL, maxiter=REDUCTION_MAX_ITERS,
+                 M=precondition)
+    if info != 0:
+        raise NonConvergence(f"reduction CG did not reach relative residual "
+                             f"{REDUCTION_TOL:g} in {info} iterations")
+    return w
 
 
 # ----------------------------------------------------------------------
@@ -792,11 +781,17 @@ def _newton(field, tol, max_iters, pin=None):
             SolverReport(merits=merits, jvps=jvps_per_solve))
 
 
-def nehari_scale(u_hat, z_plus, sp, tol=1e-11, max_iter=40):
+#: :func:`nehari_scale`'s Newton: bound on the relative identity defects,
+#: iteration cap
+NEHARI_TOL = 1e-11
+NEHARI_MAX_ITERS = 40
+
+
+def nehari_scale(u_hat, z_plus, sp):
     """Scalings (t, s) putting (t*u, s*z_plus + g(t*u, s*z_plus)) on the
     constraint set; 2D Newton with finite-difference Jacobian, until both
-    identity defects are at most tol relative to |coupling| (floored as in
-    :meth:`NehariResiduals.relative`), however small the field."""
+    identity defects are at most NEHARI_TOL relative to |coupling| (floored
+    as in :meth:`NehariResiduals.relative`), however small the field."""
     def point(t, s):
         uh = t * u_hat
         ph = s * z_plus
@@ -808,8 +803,8 @@ def nehari_scale(u_hat, z_plus, sp, tol=1e-11, max_iter=40):
 
     ts = np.array([1.0, 1.0])
     res, f = point(*ts)
-    for _ in range(max_iter):
-        if np.max(np.abs(res)) <= tol:
+    for _ in range(NEHARI_MAX_ITERS):
+        if np.max(np.abs(res)) <= NEHARI_TOL:
             return ts[0], ts[1], f
         jac = np.empty((2, 2))
         for j in range(2):
@@ -828,7 +823,7 @@ def nehari_scale(u_hat, z_plus, sp, tol=1e-11, max_iter=40):
                 break
         ts = ts + lam * dts
         res, f = point(*ts)
-    if np.max(np.abs(res)) <= tol * 100:
+    if np.max(np.abs(res)) <= NEHARI_TOL * 100:
         return ts[0], ts[1], f
     raise NonConvergence("Nehari scaling Newton did not converge")
 

@@ -375,7 +375,7 @@ def _outcome(s0, t_final, method, dt):
     cfg = integrators.StepperConfig(method=method, dt=dt)
     try:
         tr = integrators.integrate(s0, t_final, cfg)
-    except (NonFiniteState, NewtonDivergence, OverflowError) as exc:
+    except (NonFiniteState, NewtonDivergence) as exc:
         cause = exc.__cause__
         return type(exc), str(exc), type(cause), str(cause)
     return tr.times.tobytes(), tr.states.tobytes()
@@ -395,8 +395,8 @@ def _parity_runs():
     yield [np.nan, 0.5, 0.3, 0.2], 0.5, "rk4", 0.1
     yield [0.5, np.inf, 0.3, 0.2], 0.5, "implicit_midpoint", 0.1  # stall, nan
     yield [1.0, 1.1e12, 0.0, 0.0], 0.02, "implicit_midpoint", 1e-2  # overflow
-    # the exact acceptance bound (NEWTON_TOL max(1, |x|_inf))^2 overflows,
-    # where float ** raises OverflowError
+    # the exact acceptance bound (NEWTON_TOL max(1, |x|_inf))^2 overflows to
+    # inf, so the step is accepted and the state check ends the run
     yield [-3.223729286484272e90, 1.0, 0.0, 1.0], -3.8, "implicit_midpoint", 1.9
 
 
@@ -406,7 +406,7 @@ def test_compiled_kernel_matches_the_python_loops(flow_kernel, monkeypatch):
     monkeypatch.setattr(integrators, "_flow_kernel", lambda: None)
     assert [_outcome(*run) for run in runs] == compiled
     ends = {o[0] for o in compiled if len(o) == 4}
-    assert ends == {NonFiniteState, NewtonDivergence, OverflowError}
+    assert ends == {NonFiniteState, NewtonDivergence}
     assert sum(len(o) == 2 for o in compiled) >= 200
 
 

@@ -422,6 +422,19 @@ def test_cli_integrate_singular_newton_matrix_is_solver_failure(capsys):
     assert "solver failure" in err and "singular" in err
 
 
+def test_cli_integrate_overflowing_acceptance_bound_is_one_line():
+    # (NEWTON_TOL |s|_inf)^2 overflows in step 1; a whole process, so that a
+    # traceback would show on stderr
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-m", "cdelab.cli", "integrate",
+                          "--state=-3.223729286484272e+90,1,0,1",
+                          "--t-final", "2", "--dt", "1"],
+                         env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == (1, "")
+    assert run.stderr == "solver failure: state overflow after step 1\n"
+
+
 def test_cli_integrate_bad_state(capsys):
     code, _, err = run_cli(["integrate", "--state", "1,0,0.3",
                             "--t-final", "1.0"], capsys)

@@ -402,6 +402,13 @@ def test_reduce_g_is_the_concave_maximizer():
     assert r3 <= 1e-9
 
 
+def test_reduce_g_raises_nonconvergence_when_cg_stops_short(monkeypatch):
+    f = random_field(0.15, 16, seed=28, scale=0.6)
+    monkeypatch.setattr(spectral, "REDUCTION_MAX_ITERS", 1)
+    with pytest.raises(NonConvergence, match="reduction CG"):
+        spectral.reduce_g(f.u_coeffs, f.z_plus, f.spectrum)
+
+
 # ----------------------------------------------------------------------
 # Nehari residuals / cutoff pair
 
