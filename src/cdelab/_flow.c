@@ -1,4 +1,5 @@
-/* The fused stepping loops of cdelab.integrators, compiled.
+/* The fused stepping loops of cdelab.integrators and the respelling pass of
+ * cdelab.serialize, compiled.
  *
  * flow_rk4 and flow_midpoint do the same double operations, in the same
  * order, as integrators._rk4 and integrators._midpoint, so built without
@@ -16,6 +17,7 @@
 
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 enum { OVERFLOW = 1, STALL = 2, SINGULAR = 3 };
 
@@ -120,4 +122,92 @@ int64_t flow_midpoint(double *s, int64_t n, double dt, double newton_tol,
         }
     }
     return 0;
+}
+
+/* respell rewrites orjson's text of a document, in[0..n), into json's, writes
+ * it to out and returns its length.  orjson's printer writes repr's shortest
+ * round-trip digits, but spells three bands otherwise:
+ *
+ *   1e-9 <= |x| < 1e-5   1.5e-6      for repr's 1.5e-06
+ *   1e-5 <= |x| < 1e-4   0.0000123   for repr's 1.23e-05
+ *   |x| >= 1e16          1e16        for repr's 1e+16
+ *
+ * and nan and inf as null, which the caller keeps out.  String literals are
+ * copied unchanged, escapes included.  With csv set, in is a table
+ * [[a,b],[c,d]] and out its lines a,b\nc,d\n.  Runs of unchanged bytes are
+ * copied at the next edit.  out holds n + n / 4 + 8 bytes: only the first
+ * and third bands grow, by one byte, and in 1e-7, or 1e16, that is one byte
+ * in five.
+ */
+#define COPY_TO(j) (memcpy(out + m, in + done, (j) - done), \
+                    m += (j) - done, done = (j))
+#define DIGIT(c) ('0' <= (c) && (c) <= '9')
+
+enum { JSON_MARK = 1, CSV_MARK = 2 };
+
+/* the bytes respell stops at: a string's quote, a number's exponent or
+ * point, and in csv a table's brackets and commas */
+static const unsigned char marks[256] = {
+    ['"'] = JSON_MARK, ['e'] = JSON_MARK, ['.'] = JSON_MARK,
+    ['['] = CSV_MARK, [']'] = CSV_MARK, [','] = CSV_MARK,
+};
+
+int64_t respell(const char *in, int64_t n, char *out, int32_t csv)
+{
+    int64_t m = 0, done = 0, depth = 0;         /* in[done..i) is to copy */
+    unsigned char stop = csv ? JSON_MARK | CSV_MARK : JSON_MARK;
+    for (int64_t i = 0;; i++) {
+        while (i < n && !(marks[(unsigned char)in[i]] & stop))
+            i++;
+        if (i == n)
+            break;
+        switch (in[i]) {
+        case '"':
+            for (i++; i < n && in[i] != '"'; i++)
+                i += in[i] == '\\';
+            break;
+        case 'e':                               /* e16 -> e+16 */
+            if (i + 1 < n && DIGIT(in[i + 1])) {
+                COPY_TO(i + 1);
+                out[m++] = '+';
+            } else if (i + 2 < n && in[i + 1] == '-'    /* e-7 -> e-07 */
+                       && (i + 3 == n || !DIGIT(in[i + 3]))) {
+                COPY_TO(i + 2);
+                out[m++] = '0';
+            }
+            break;
+        case '.':                               /* 0.0000123 -> 1.23e-05 */
+            if (i >= 1 && in[i - 1] == '0' && n - i > 5
+                && memcmp(in + i + 1, "0000", 4) == 0 && DIGIT(in[i + 5])
+                && (i == 1 || !DIGIT(in[i - 2]))) {
+                COPY_TO(i - 1);
+                out[m++] = in[i + 5];
+                for (i += 6, done = i; i < n && DIGIT(in[i]); i++)
+                    ;
+                if (i > done)
+                    out[m++] = '.';
+                COPY_TO(i);
+                memcpy(out + m, "e-05", 4), m += 4, i--;
+            }
+            break;
+        case '[':
+            COPY_TO(i);
+            done = i + 1, depth++;
+            break;
+        case ']':                               /* a row's end is a line's */
+            COPY_TO(i);
+            done = i + 1;
+            if (depth-- == 2)
+                out[m++] = '\n';
+            break;
+        case ',':                               /* between rows */
+            if (depth == 1) {
+                COPY_TO(i);
+                done = i + 1;
+            }
+            break;
+        }
+    }
+    COPY_TO(n);
+    return m;
 }

@@ -37,11 +37,13 @@ def _flags(parser, *names):
 
 
 def _emit(text, out_path):
+    """text and a newline, unless it ends in one, to out_path or stdout."""
+    end = "" if text.endswith("\n") else "\n"
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            print(text, end=end, file=fh)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        print(text, end=end)
 
 
 def _parse_floats(text, flag):

@@ -10,8 +10,8 @@ Newton step solved in closed form; the single-step functions run it for one
 step.  ``integrate`` runs a whole trajectory in the same loops compiled from
 ``_flow.c``, which do the same double operations in the same order and so
 give the same bits.  The C file is built once, on the first ``integrate``
-call, into ``__pycache__``; where no C compiler can build it, ``integrate``
-runs the Python loops.
+call or ``serialize`` write, into ``__pycache__``; where no C compiler can
+build it, ``integrate`` runs the Python loops.
 """
 
 import ctypes
@@ -193,10 +193,11 @@ _FLOW_CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 @functools.cache
 def _flow_kernel():
-    """The compiled loops of ``_flow.c``, or None where they cannot be built
-    or loaded.  The library is cached in ``__pycache__`` under a hash of its
-    source, compiler command and interpreter tag; the first call builds it
-    when absent, through a temporary file renamed into place."""
+    """The compiled loops and ``respell`` of ``_flow.c``, or None where they
+    cannot be built or loaded.  The library is cached in ``__pycache__``
+    under a hash of its source, compiler command and interpreter tag; the
+    first call builds it when absent, through a temporary file renamed into
+    place."""
     # imported here, so that importing cdelab builds and loads nothing
     import shlex
     import subprocess
@@ -235,7 +236,12 @@ def _flow_kernel():
     lib.flow_midpoint.argtypes = [
         states, ctypes.c_int64, ctypes.c_double, ctypes.c_double,
         ctypes.c_int64, ctypes.c_double, cause, ctypes.POINTER(ctypes.c_double)]
+    lib.respell.argtypes = [
+        ctypes.c_char_p, ctypes.c_int64,
+        np.ctypeslib.ndpointer(np.uint8, flags=("C_CONTIGUOUS", "WRITEABLE")),
+        ctypes.c_int32]
     lib.flow_rk4.restype = lib.flow_midpoint.restype = ctypes.c_int64
+    lib.respell.restype = ctypes.c_int64
     return lib
 
 

@@ -5,27 +5,24 @@ and fixed column order, with the bytes ``csv.writer`` writes when each float
 is its ``float.__repr__``.  ``dumps(doc)`` returns exactly
 ``json.dumps(doc, indent=2)``, with each ndarray written as its ``tolist()``.
 
-Each writer makes one orjson pass over a whole table or document.  orjson's
-Ryu printer writes repr's shortest round-trip digits, but spells them
-otherwise in three bands: ``1.5e-6``, ``0.0000123`` and ``1e16`` for repr's
-``1.5e-06``, ``1.23e-05`` and ``1e+16`` (``1e-9 <= |x| < 1e-5``,
-``1e-5 <= |x| < 1e-4``, ``|x| >= 1e16``), and nan and inf as ``null``.  Those
-floats become null holes (NaN) before the pass; their text, spelled a band at
-a time, fills the holes after it, with ``null`` for each None.  ``dumps``
-first walks the document and makes each scalar float a hole with json's own
-text.  A document that orjson would not write as json does (a non-str key, a
-str with a non-ASCII character, DEL or ``ull``, an int beyond 64 bits, any
-other type) is written by ``json.dumps`` itself.
+A writer takes one of two routes.  A plain table or document (every float
+finite, every str ASCII without DEL, every key a str, every int within 64
+bits, every ndarray float64) is printed by one orjson call, and
+``respell`` in ``_flow.c`` rewrites that text in one pass into repr's
+spelling of each float (its header names the three bands where orjson's
+differs).  Every other table or document, and every one where ``_flow.c``
+cannot be built, is written by ``csv.writer`` or by ``json.dumps`` itself.
 """
 
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import orjson
 
-from . import spectral
+from . import integrators, spectral
 from .geometry import RadialProfile, SCHEMA
 
 PROFILE_COLUMNS = {
@@ -40,55 +37,30 @@ PROFILE_COLUMNS = {
 MIN_RECORD_SAMPLES = 400
 
 
-def _inner_text(a):
-    """orjson's text of an array, without its outer brackets."""
-    return orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
-
-
-def _shift(text):
-    """repr's text of a float with ``1e-5 <= |x| < 1e-4`` from orjson's:
-    ``-0.0000123`` becomes ``-1.23e-05``, with the same digits."""
-    sign, _, digits = text.partition("0.0000")
-    return sign + digits[0] + ("." + digits[1:] if digits[1:] else "") + "e-05"
-
-
-def _punch(a, nonfinite):
-    """a as a C-contiguous float64 array with NaN (orjson's null) in place of
-    each float that orjson does not spell as repr, and the text of those
-    floats in C order: orjson's digits in repr's notation, spelled a band at
-    a time, or ``nonfinite(x)`` for nan and inf."""
-    a = np.ascontiguousarray(a, dtype=float)
-    mag = np.abs(a)
-    misspelled = ~(mag < 1e16) | ((mag >= 1e-9) & (mag < 1e-4))
-    v, mag = a[misspelled], mag[misspelled]
-    small, mid = mag < 1e-5, (mag >= 1e-5) & (mag < 1e-4)
-    big, odd = (mag >= 1e16) & (mag < np.inf), ~(mag < np.inf)
-    texts = np.empty(len(v), dtype=object)
-    if small.any():
-        texts[small] = _inner_text(v[small]).replace("e-", "e-0").split(",")
-    if mid.any():
-        texts[mid] = list(map(_shift, _inner_text(v[mid]).split(",")))
-    if big.any():
-        texts[big] = _inner_text(v[big]).replace("e", "e+").split(",")
-    texts[odd] = [nonfinite(x) for x in v[odd].tolist()]
-    return np.where(misspelled, np.nan, a), texts.tolist()
-
-
-def _fill(text, holes):
-    """text with its n-th ``null`` replaced by ``holes[n]``."""
-    out = [""] * (2 * len(holes) + 1)
-    out[::2] = text.split("null")
-    out[1::2] = holes
-    return "".join(out)
+def _respelled(lib, text, head=""):
+    """orjson's text of a plain document as json's; with head, an ASCII CSV
+    header line, orjson's text of a table as head and csv.writer's lines."""
+    k, n = len(head), len(text)
+    out = np.empty(k + n + n // 4 + 8, np.uint8)
+    out[:k] = np.frombuffer(head.encode(), np.uint8)
+    m = k + lib.respell(text, n, out[k:], bool(head))
+    del text                            # freed before the str is made
+    return str(memoryview(out)[:m], "ascii")
 
 
 def _csv_table(header, rows):
     """A header and an (n, m) float table as CSV text."""
     out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerow(header)
-    table, holes = _punch(rows, float.__repr__)
-    body = _inner_text(table)[1:].replace("],[", "\n").replace("]", "\n")
-    return out.getvalue() + _fill(body, holes)
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    head = out.getvalue()
+    rows = np.ascontiguousarray(rows, dtype=float)
+    lib = integrators._flow_kernel()
+    if lib is not None and np.isfinite(rows).all():
+        return _respelled(lib, orjson.dumps(
+            rows, option=orjson.OPT_SERIALIZE_NUMPY), head)
+    writer.writerows(rows.tolist())         # csv writes a float as its repr
+    return out.getvalue()
 
 
 def trajectory_to_csv(tr):
@@ -192,48 +164,45 @@ def diagram_to_csv(diagram):
 
 
 def _str(s):
-    """s, if orjson writes it as json does.  A str whose text holds ``null``
-    holds ``ull``: newline + ``ull`` is written ``\\null``."""
-    if type(s) is not str or not s.isascii() or "\x7f" in s or "ull" in s:
+    """Raises TypeError unless s is a str that orjson writes as json does."""
+    if type(s) is not str or not s.isascii() or "\x7f" in s:
         raise TypeError("not written by orjson as by json")
-    return s
 
 
-def _walk(o, holes):
-    """o for orjson, with a null hole for each scalar float and each
-    misspelled array float.  Appends the text of each hole, and ``null`` for
-    each None, to holes in document order.  Raises TypeError where orjson's
-    text would not be json's."""
-    if o is None:
-        holes.append("null")
-        return o
-    if type(o) in (bool, int):          # orjson rejects ints beyond 64 bits
-        return o
-    if isinstance(o, float):
-        holes.append(json.dumps(o))
-        return None
+def _walk(o):
+    """Raises TypeError unless o is a plain document, one that orjson writes
+    as json does once respelled.  orjson itself raises at an int beyond 64
+    bits."""
     if type(o) is dict:
-        return {_str(k): _walk(v, holes) for k, v in o.items()}
-    if type(o) in (list, tuple):
-        return [_walk(x, holes) for x in o]
-    if type(o) is np.ndarray:
-        if o.dtype != np.float64 or o.ndim == 0:
-            return _walk(o.tolist(), holes)
-        table, texts = _punch(o, json.dumps)
-        holes += texts
-        return table
-    return _str(o)
+        for k, v in o.items():
+            _str(k)
+            _walk(v)
+    elif type(o) in (list, tuple):
+        for x in o:
+            _walk(x)
+    elif type(o) is np.ndarray:
+        if not (o.dtype == np.float64 and o.ndim and np.isfinite(o).all()):
+            raise TypeError("not written by orjson as by json")
+    elif isinstance(o, float):
+        if not math.isfinite(o):
+            raise TypeError("not written by orjson as by json")
+    elif o is not None and type(o) not in (bool, int):
+        _str(o)
 
 
 def dumps(doc):
     """Exactly ``json.dumps(doc, indent=2)``, with each ndarray written as
     its ``tolist()``, for an acyclic document."""
-    holes = []
-    try:
-        text = orjson.dumps(_walk(doc, holes), option=orjson.OPT_INDENT_2
-                            | orjson.OPT_SERIALIZE_NUMPY).decode()
-    except TypeError:
-        return json.dumps(doc, indent=2, default=lambda o: o.tolist()
-                          if isinstance(o, np.ndarray)
-                          else json.JSONEncoder().default(o))
-    return _fill(text, holes)
+    lib = integrators._flow_kernel()
+    if lib is not None:
+        try:
+            _walk(doc)
+            # orjson hands a strided array to default
+            return _respelled(lib, orjson.dumps(
+                doc, default=np.ascontiguousarray,
+                option=orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY))
+        except TypeError:
+            pass
+    return json.dumps(doc, indent=2, default=lambda o: o.tolist()
+                      if isinstance(o, np.ndarray)
+                      else json.JSONEncoder().default(o))

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -5,8 +6,10 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -110,9 +113,41 @@ def test_orbit_record_schema(lyapunov_orbits):
     assert len(rec["samples"][0]) == 5       # t,u,v,a,b
 
 
+# the writers' two routes: the compiled kernel's respell, where the document
+# or table is plain, and the stdlib writers, with no kernel
+WRITER_ROUTES = (contextlib.nullcontext,
+                 lambda: mock.patch.object(integrators, "_flow_kernel",
+                                           lambda: None))
+
+
+class CountingKernel:
+    """The compiled kernel, counting its respell calls."""
+
+    def __init__(self, lib):
+        self.lib, self.respells = lib, 0
+
+    def respell(self, *args):
+        self.respells += 1
+        return self.lib.respell(*args)
+
+    def __getattr__(self, name):
+        return getattr(self.lib, name)
+
+
+@pytest.fixture
+def kernel(monkeypatch):
+    """The writers' kernel, counting its respell calls."""
+    lib = integrators._flow_kernel()
+    if lib is None:
+        pytest.skip("no C compiler builds _flow.c")
+    counting = CountingKernel(lib)
+    monkeypatch.setattr(integrators, "_flow_kernel", lambda: counting)
+    return counting
+
+
 # neighbours of the points where orjson's or repr's notation changes; the
-# floats that serialize writes as holes lie in bands that start or end at
-# 1e-9, 1e-4 and 1e16
+# floats that respell rewrites lie in bands that start or end at 1e-9, 1e-4
+# and 1e16
 REDO_EDGES = [float(y) for x in (1e-10, 1e-9, 1e-5, 1e-4, 1e16)
               for y in (np.nextafter(x, 0.0), x, np.nextafter(x, np.inf))]
 # every float json spells specially or that sits at a repr edge
@@ -129,7 +164,7 @@ float_arrays = (st.lists(floats, max_size=6) | float_tables).map(
     lambda x: np.array(x, dtype=float)).flatmap(
     lambda a: st.sampled_from([a, a[::-1]]))
 # strs and lists that orjson would not write as json does, or that put a
-# None beside a NaN hole
+# None beside a NaN
 ROUTES = ["null", "a null b", "\n" + "ull", "\x7f", [None, float("nan")],
           [float("nan"), None, 1.0], [[1.0, None], [float("nan"), 2.0]]]
 leaves = (st.none() | st.booleans() | st.integers() | floats | st.text()
@@ -156,7 +191,10 @@ def tolist(o):
 @settings(max_examples=150, deadline=None, database=None)
 @given(documents)
 def test_dumps_equals_json_indent_2(doc):
-    assert serialize.dumps(doc) == json.dumps(doc, indent=2, default=tolist)
+    for route in WRITER_ROUTES:
+        with route():
+            assert serialize.dumps(doc) == json.dumps(doc, indent=2,
+                                                      default=tolist)
 
 
 @pytest.mark.parametrize("leaf", ROUTES, ids=ascii)
@@ -164,9 +202,11 @@ def test_dumps_takes_every_route(leaf):
     docs = [leaf, [1.5e-7, leaf], {"x": np.array([1e16, np.nan]), "k": leaf}]
     if isinstance(leaf, str):
         docs.append({leaf: 1.5e-7, "x": np.array([1e-5, None])})
-    for doc in docs:
-        assert serialize.dumps(doc) == json.dumps(doc, indent=2,
-                                                  default=tolist)
+    for route in WRITER_ROUTES:
+        for doc in docs:
+            with route():
+                assert serialize.dumps(doc) == json.dumps(doc, indent=2,
+                                                          default=tolist)
 
 
 @pytest.mark.parametrize("n", [1023, 1024, 1025, 2600])
@@ -177,7 +217,10 @@ def test_dumps_long_float_tables(n):
     table[n // 2, 0] = -np.inf
     doc = {"rows": table.tolist(), "flat": table[:, 2].tolist(),
            "array": table, "column": table[:, 2]}
-    assert serialize.dumps(doc) == json.dumps(doc, indent=2, default=tolist)
+    for route in WRITER_ROUTES:
+        with route():
+            assert serialize.dumps(doc) == json.dumps(doc, indent=2,
+                                                      default=tolist)
 
 
 @pytest.mark.parametrize("doc", [
@@ -212,23 +255,64 @@ def test_write_rows_equals_csv_writer(n):
                 2.2250738585072014e-308, *REDO_EDGES]
     rows.flat[rng.integers(0, rows.size, len(specials))] = specials
     header = tuple("c%d" % j for j in range(m))
-    assert serialize._csv_table(header, rows) == csv_oracle(header, rows)
+    for route in WRITER_ROUTES:
+        with route():
+            assert serialize._csv_table(header, rows) == csv_oracle(header,
+                                                                    rows)
 
 
-def assert_writers_equal_repr(values, width):
+def assert_writers_equal_repr(values, width, routes=WRITER_ROUTES):
     # dumps against json of the same floats as a list, and _csv_table against
-    # csv.writer of their reprs
+    # csv.writer of their reprs, on each route
     rows = np.reshape(values, (-1, width))
-    assert serialize.dumps({"flat": values, "rows": rows}) == json.dumps(
-        {"flat": values.tolist(), "rows": rows.tolist()}, indent=2)
     header = tuple("c%d" % j for j in range(width))
-    assert serialize._csv_table(header, rows) == csv_oracle(header, rows)
+    json_text = json.dumps({"flat": values.tolist(), "rows": rows.tolist()},
+                           indent=2)
+    csv_text = csv_oracle(header, rows)
+    for route in routes:
+        with route():
+            assert serialize.dumps({"flat": values, "rows": rows}) == json_text
+            assert serialize._csv_table(header, rows) == csv_text
 
 
 def test_writers_equal_repr_on_random_bit_patterns():
     rng = np.random.default_rng(19)
     values = rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
     assert_writers_equal_repr(values, 4)
+
+
+def test_writers_respell_random_finite_bit_patterns(kernel):
+    # the pattern above holds nan and inf, which send both writers to the
+    # stdlib; its finite floats take the compiled route
+    rng = np.random.default_rng(19)
+    values = rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
+    values = values[np.isfinite(values)]
+    assert_writers_equal_repr(values[:len(values) // 4 * 4], 4,
+                              routes=[contextlib.nullcontext])
+    assert kernel.respells == 2
+
+
+@pytest.mark.parametrize("x", [1e-7, -1e-7, 1e16, -1.5e300])
+def test_writers_respell_worst_case_growth(x, kernel):
+    # each float gains a byte: the most that respell's output outgrows
+    # orjson's text, n + n / 4 + 8 bytes for n of it
+    assert_writers_equal_repr(np.full(5000 * 3, x), 3,
+                              routes=[contextlib.nullcontext])
+    assert kernel.respells == 2
+    text = b",".join([orjson.dumps(x)] * 5000)
+    bound = len(text) + len(text) // 4 + 8
+    out = np.full(bound + 64, 255, np.uint8)
+    m = kernel.lib.respell(text, len(text), out, 0)
+    assert bytes(out[:m]) == ",".join([repr(x)] * 5000).encode()
+    assert m <= bound and (out[m:] == 255).all()
+
+
+def test_writers_keep_number_like_text_in_strs(kernel):
+    s = "1e-7 0.00001 \"q\" \\ [1],[2] e5"
+    doc = {s: [0.00001234, -0.00001, 1e16], "k": s, "q": '"1e-7" \\',
+           "rows": np.array([[0.00001234, -0.00001, 1e16]])}
+    assert serialize.dumps(doc) == json.dumps(doc, indent=2, default=tolist)
+    assert kernel.respells == 1
 
 
 def test_writers_respell_every_band():
@@ -246,7 +330,9 @@ def test_writers_respell_every_band():
     for lo, hi in ((1e-9, 1e-5), (1e-5, 1e-4), (1e16, np.inf)):
         assert np.count_nonzero((mag >= lo) & (mag < hi)) >= 2 * 17
     assert_writers_equal_repr(np.array(values), 1)
-    assert serialize.dumps(values) == json.dumps(values, indent=2)
+    for route in WRITER_ROUTES:
+        with route():
+            assert serialize.dumps(values) == json.dumps(values, indent=2)
 
 
 def test_diagram_csv():
@@ -334,6 +420,19 @@ def test_cli_json_output_is_canonical(argv, capsys):
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
     assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
+
+@pytest.mark.parametrize("argv", [
+    INTEGRATE_JSON + ["0.3"], INTEGRATE_JSON[:-3] + ["--t-final", "0.3"],
+    ["ground-state", "--epsilon", "0.025"],
+    ["lyapunov", "--amplitudes", "1e-2"],
+], ids=" ".join)
+def test_cli_records_take_the_compiled_route(argv, kernel, capsys):
+    # each is plain, a ground state's strided samples included: one orjson
+    # call and one respell
+    code, _, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert kernel.respells == 1
 
 
 def test_cli_ground_state_record_matches_recomputed_record(capsys):
