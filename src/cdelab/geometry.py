@@ -29,13 +29,6 @@ CLIFFORD_GENERATORS = np.array([
 SCHEMA = "cde-lab/1"
 
 
-@dataclass(frozen=True)
-class Spinor2:
-    """A C^2 spinor attached to a base point of R^3."""
-    components: np.ndarray
-    base_point: np.ndarray = None
-
-
 @dataclass
 class RadialProfile:
     """Singular-solution data on one chart.
@@ -43,14 +36,12 @@ class RadialProfile:
     ``grid`` is t on the cylinder, r > 0 on the euclidean chart (the puncture
     r = 0 is excluded), or the polar angle on the sphere.  On the cylinder
     chart the (f1, f2) slots carry the spinor components (a, b).
-    ``lam`` optionally records a scaling parameter.
     """
     chart: str
     grid: np.ndarray
     u: np.ndarray
     f1: np.ndarray
     f2: np.ndarray
-    lam: float = None
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.grid)):
@@ -66,14 +57,9 @@ def clifford_mult(x, phi):
     """Clifford action x . phi of a 3-vector on a C^2 spinor.
 
     Satisfies x.(x.phi) = -|x|^2 phi and <phi, x.phi> purely imaginary.
-    Accepts a plain length-2 complex array or a :class:`Spinor2` and returns
-    the same kind.
     """
     x = np.asarray(x, dtype=float)
     mat = np.einsum('i,ijk->jk', x, CLIFFORD_GENERATORS)
-    if isinstance(phi, Spinor2):
-        return Spinor2(components=mat @ phi.components,
-                       base_point=phi.base_point)
     return mat @ np.asarray(phi, dtype=complex)
 
 
@@ -83,8 +69,7 @@ def ground_state_closed_form(lam, x, phi0):
         U(x)   = (2 lam / (lam^2 + |x|^2))^(1/2)
         Psi(x) = (2 lam / (lam^2 + |x|^2))^(3/2) (1 - x) . phi0
 
-    with the singular point translated to the origin and |phi0| = 1.  The
-    spinor is returned as a :class:`Spinor2` anchored at x.
+    with the singular point translated to the origin and |phi0| = 1.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
@@ -92,7 +77,7 @@ def ground_state_closed_form(lam, x, phi0):
     phi0 = np.asarray(phi0, dtype=complex)
     w = 2.0 * lam / (lam ** 2 + np.dot(x, x))
     psi = w ** 1.5 * (phi0 - clifford_mult(x, phi0))
-    return float(np.sqrt(w)), Spinor2(components=psi, base_point=x.copy())
+    return float(np.sqrt(w)), psi
 
 
 def closed_form_radial_pair(lam, r):
@@ -112,7 +97,7 @@ def closed_form_profile(lam, r_grid):
     w = 2.0 * lam / (lam ** 2 + r * r)
     f1, f2 = closed_form_radial_pair(lam, r)
     return RadialProfile(chart="euclidean", grid=r, u=np.sqrt(w),
-                         f1=f1, f2=f2, lam=float(lam))
+                         f1=f1, f2=f2)
 
 
 # ----------------------------------------------------------------------
@@ -134,7 +119,7 @@ def cylinder_to_euclidean(profile):
                          f"{t.max():.3g}], where r = e^(-t) or 1/r overflows")
     return RadialProfile(chart="euclidean", grid=r,
                          u=np.sqrt(et) * profile.u, f1=-profile.f1 * et,
-                         f2=profile.f2 * et, lam=profile.lam)
+                         f2=profile.f2 * et)
 
 
 def euclidean_to_cylinder(profile):
@@ -147,8 +132,7 @@ def euclidean_to_cylinder(profile):
     t, r = t[order], profile.grid[order]
     u_e, f1, f2 = profile.u[order], profile.f1[order], profile.f2[order]
     return RadialProfile(chart="cylinder", grid=t,
-                         u=np.sqrt(r) * u_e, f1=-r * f1, f2=r * f2,
-                         lam=profile.lam)
+                         u=np.sqrt(r) * u_e, f1=-r * f1, f2=r * f2)
 
 
 def euclidean_to_sphere(profile):
@@ -167,8 +151,7 @@ def euclidean_to_sphere(profile):
     sphere = RadialProfile(chart="sphere", grid=theta,
                            u=profile.u / np.sqrt(omega),
                            f1=profile.f1 / omega,
-                           f2=profile.f2 / omega,
-                           lam=profile.lam)
+                           f2=profile.f2 / omega)
     convention = {
         "schema": SCHEMA,
         "projection": "inverse stereographic, singular set = both poles",
@@ -196,8 +179,10 @@ def coupling_constant_fit(profile):
 
     The radial Laplacian is discretized with second-order central differences
     on the log-radius grid (which must be uniform); interior nodes only.
-    Quantifies the coupling normalization of a euclidean profile: the
-    transported derived homoclinic fits kappa = 1.
+    Each row is weighted by r^(5/2), which turns it into the cylinder
+    equation of the profile (u ~ r^(-1/2), Lap u ~ r^(-5/2)), so no span of
+    radii dominates the fit.  Quantifies the coupling normalization of a
+    euclidean profile: the transported derived homoclinic fits kappa = 1.
     """
     if profile.chart != "euclidean":
         raise ValueError("coupling fit requires a euclidean profile")
@@ -219,8 +204,9 @@ def coupling_constant_fit(profile):
     u_tt = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h ** 2
     u_t = (u[2:] - u[:-2]) / (2.0 * h)
     lap = np.exp(-2.0 * t[1:-1]) * (u_tt + u_t)
-    lhs = -lap
-    rhs = s[1:-1] * u[1:-1]
+    weight = profile.grid[1:-1] ** 2.5
+    lhs = -weight * lap
+    rhs = weight * s[1:-1] * u[1:-1]
     denom = float(np.dot(rhs, rhs))
     if denom == 0.0:
         raise DegenerateProfile("coupling term vanishes on interior nodes")

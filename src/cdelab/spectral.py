@@ -126,7 +126,8 @@ class SpectrumA:
     and b at the same entry, ``cross`` exchanges them and also Re and Im of
     the same mode; both fix the entries of u.  The weights ``linear_w`` give
     the residual's linear part, ``inverse_w`` its exact inverse (the Newton
-    preconditioner) and ``eps_w`` its derivative in eps.  The reflection
+    preconditioner) and ``eps_w`` its derivative in eps; on the spinor rows,
+    ``gather(x, linear_w)`` is the operator A_eps itself.  The reflection
     R(u, v, a, b) = (u, -v, b, a) is ``sign * x[swap]``, sign = +1 on c_0
     and Re c_k, -1 on Im c_k.  Raises ValueError unless 0 < eps < inf and
     K >= 1.
@@ -176,10 +177,6 @@ class SpectrumA:
     def eigvec_minus(self):      # (M, 2) complex
         top = self.eigvec_plus[:, 0]
         return np.stack([top, np.full_like(top, -1.0 / np.sqrt(2.0))], axis=1)
-
-    def eigenvalue_table(self):
-        """Rows (k, omega, +lam, -lam) for every retained mode."""
-        return np.stack([self.k, self.omega, self.lam, -self.lam], axis=1)
 
     def gather(self, x, weights):
         s, c = weights
@@ -265,22 +262,6 @@ def project(z_ab, sp):
     p, m = split_spinor(z_ab, sp)
     zero = np.zeros_like(p)
     return merge_spinor(p, zero, sp), merge_spinor(zero, m, sp)
-
-
-def apply_A(z_plus, z_minus, sp):
-    """Diagonal action of the operator: +lam on plus, -lam on minus coords."""
-    _check_modes(z_plus.shape[0], sp)
-    _check_modes(z_minus.shape[0], sp)
-    return sp.lam * z_plus, -sp.lam * z_minus
-
-
-def apply_A_ab(z_ab, sp):
-    """Same operator in the (a, b) representation: per-mode Hermitian matrix."""
-    _check_modes(z_ab.shape[0], sp)
-    out = np.empty_like(z_ab)
-    out[:, 0] = (1.0 - 1j * sp.omega) * z_ab[:, 1]
-    out[:, 1] = (1.0 + 1j * sp.omega) * z_ab[:, 0]
-    return out
 
 
 def _check_modes(M, sp):
@@ -781,51 +762,43 @@ def _newton(field, tol, max_iters, pin=None):
             SolverReport(merits=merits, jvps=jvps_per_solve))
 
 
-#: :func:`nehari_scale`'s Newton: bound on the relative identity defects,
-#: iteration cap
+#: :func:`nehari_scale`: bound on the relative identity defects, and cap on
+#: the evaluations of the hybrid method (20-41 measured; see its tests)
 NEHARI_TOL = 1e-11
-NEHARI_MAX_ITERS = 40
+NEHARI_MAX_ITERS = 100
 
 
 def nehari_scale(u_hat, z_plus, sp):
     """Scalings (t, s) putting (t*u, s*z_plus + g(t*u, s*z_plus)) on the
-    constraint set; 2D Newton with finite-difference Jacobian, until both
-    identity defects are at most NEHARI_TOL relative to |coupling| (floored
-    as in :meth:`NehariResiduals.relative`), however small the field."""
-    def point(t, s):
-        uh = t * u_hat
-        ph = s * z_plus
+    constraint set, and that field.  scipy's hybrid method (MINPACK's hybrd,
+    to rounding) finds the root of both identity defects relative to
+    |coupling|, floored as in :meth:`NehariResiduals.relative`, from (1, 1),
+    which is returned as it is when it meets the bound.  Raises
+    NonConvergence unless the defects are at most NEHARI_TOL, however small
+    the field, with t, s > 0."""
+    # imported here, so that importing spectral loads no scipy
+    from scipy.optimize import root
+
+    def point(ts):
+        uh, ph = ts[0] * u_hat, ts[1] * z_plus
         f = field_from_coeffs(sp, uh, ph, reduce_g(uh, ph, sp))
         eb = energy(f)
-        scale = max(abs(eb.coupling), 1e-300)
-        return np.array([eb.scalar_quadratic - eb.coupling,
-                         eb.spinor_quadratic - eb.coupling]) / scale, f
+        defect = np.array([eb.scalar_quadratic - eb.coupling,
+                           eb.spinor_quadratic - eb.coupling])
+        return defect / max(abs(eb.coupling), 1e-300), f
 
     ts = np.array([1.0, 1.0])
-    res, f = point(*ts)
-    for _ in range(NEHARI_MAX_ITERS):
-        if np.max(np.abs(res)) <= NEHARI_TOL:
-            return ts[0], ts[1], f
-        jac = np.empty((2, 2))
-        for j in range(2):
-            d = np.zeros(2)
-            d[j] = 1e-6 * max(ts[j], 1e-3)
-            rp, _ = point(*(ts + d))
-            jac[:, j] = (rp - res) / d[j]
-        try:
-            dts = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError:
-            break
-        lam = 1.0
-        while np.any(ts + lam * dts <= 0):
-            lam *= 0.5
-            if lam < 1e-8:
-                break
-        ts = ts + lam * dts
-        res, f = point(*ts)
-    if np.max(np.abs(res)) <= NEHARI_TOL * 100:
-        return ts[0], ts[1], f
-    raise NonConvergence("Nehari scaling Newton did not converge")
+    res, f = point(ts)
+    if np.max(np.abs(res)) > NEHARI_TOL:
+        ts = root(lambda ts: point(ts)[0], ts, method="hybr",
+                  options={"xtol": 0.0, "maxfev": NEHARI_MAX_ITERS}).x
+        res, f = point(ts)
+    defect = float(np.max(np.abs(res)))
+    if not (defect <= NEHARI_TOL and np.all(ts > 0)):
+        raise NonConvergence(f"Nehari scaling stopped at relative defect "
+                             f"{defect:.3e} (bound {NEHARI_TOL:g}) with "
+                             f"(t, s) = ({ts[0]:.17g}, {ts[1]:.17g})")
+    return ts[0], ts[1], f
 
 
 def _periodized_homoclinic(eps, K):

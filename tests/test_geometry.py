@@ -62,18 +62,7 @@ def test_closed_form_at_origin():
     phi0 = np.array([1.0, 0.0])
     U, Psi = geometry.ground_state_closed_form(1.0, np.zeros(3), phi0)
     assert abs(U - np.sqrt(2.0)) <= 1e-15
-    assert abs(np.linalg.norm(Psi.components) - 2.0 * np.sqrt(2.0)) <= 1e-14
-    assert np.array_equal(Psi.base_point, np.zeros(3))
-
-
-def test_clifford_preserves_spinor_container():
-    phi = geometry.Spinor2(components=np.array([1.0, 1j]),
-                           base_point=np.array([0.0, 0.0, 1.0]))
-    out = geometry.clifford_mult(phi.base_point, phi)
-    assert isinstance(out, geometry.Spinor2)
-    np.testing.assert_allclose(
-        out.components,
-        geometry.clifford_mult(phi.base_point, phi.components))
+    assert abs(np.linalg.norm(Psi) - 2.0 * np.sqrt(2.0)) <= 1e-14
 
 
 def test_closed_form_spinor_magnitude():
@@ -85,7 +74,7 @@ def test_closed_form_spinor_magnitude():
         _, Psi = geometry.ground_state_closed_form(lam, x, phi0)
         w = 2.0 * lam / (lam ** 2 + np.dot(x, x))
         expect = w ** 3 * (1.0 + np.dot(x, x))
-        assert abs(np.linalg.norm(Psi.components) ** 2 - expect) <= 1e-12 * expect
+        assert abs(np.linalg.norm(Psi) ** 2 - expect) <= 1e-12 * expect
 
 
 def test_closed_form_scalar_decay():
@@ -102,8 +91,8 @@ def test_closed_form_radial_pair_matches_clifford():
     _, Psi = geometry.ground_state_closed_form(lam, x, phi0)
     f1, f2 = geometry.closed_form_radial_pair(lam, r)
     recon = f1 * phi0 + (f2 / r) * geometry.clifford_mult(x, phi0)
-    np.testing.assert_allclose(Psi.components, recon, atol=1e-14)
-    assert abs(np.vdot(Psi.components, Psi.components).real
+    np.testing.assert_allclose(Psi, recon, atol=1e-14)
+    assert abs(np.vdot(Psi, Psi).real
                - (f1 ** 2 + f2 ** 2)) <= 1e-12
 
 
@@ -169,6 +158,15 @@ def test_coupling_fit_on_transported_homoclinic():
     cyl, t = homoclinic_cylinder_profile()
     euc = geometry.cylinder_to_euclidean(cyl)
     fit = geometry.coupling_constant_fit(euc)
+    assert abs(fit.kappa - 1.0) <= 1e-6
+    assert fit.residual <= 1e-6
+
+
+def test_coupling_fit_is_scale_free():
+    # unweighted rows, the largest r dominated: kappa - 1 = -529.5 and
+    # residual 1.0 here; with the r^(5/2) weights, -1.17e-7 and 1.85e-7
+    cyl, t = homoclinic_cylinder_profile(tmax=20.0, n=40001)
+    fit = geometry.coupling_constant_fit(geometry.cylinder_to_euclidean(cyl))
     assert abs(fit.kappa - 1.0) <= 1e-6
     assert fit.residual <= 1e-6
 

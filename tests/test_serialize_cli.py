@@ -681,6 +681,22 @@ def test_cli_verify_operator_a_prints_python_floats(capsys):
             in out.splitlines(keepends=True))
 
 
+def test_verify_operator_a_checks_the_solver_operator(monkeypatch):
+    # the omega part of the packed linear part, which Newton and the energy
+    # run, off by a relative 1e-6
+    build = spectral.build_spectrum
+
+    def skewed(eps, K):
+        sp = build(eps, K)
+        sp.linear_w = (sp.linear_w[0], (1.0 + 1e-6) * sp.linear_w[1])
+        return sp
+
+    monkeypatch.setattr(spectral, "build_spectrum", skewed)
+    failed = [name for name, passed, _ in verify.run_suite("operator-a")
+              if not passed]
+    assert failed == ["A^2 = -z'' + z in coefficients"]
+
+
 @pytest.mark.parametrize("suite", sorted(verify.SUITES))
 def test_cli_verify_fails_every_suite_at_a_tiny_tol(suite, capsys):
     code, out, _ = run_cli(["verify", suite, "--tol", "1e-300"], capsys)

@@ -35,6 +35,13 @@ def constant_field(eps, K, state=dynamics.P0):
     return spectral.PeriodicField(spectral.build_spectrum(eps, K), x.ravel())
 
 
+def apply_A(f):
+    """The packed linear part at f, the operator the solver runs: A_eps on
+    the spinor, so the spinor views of the result are those of A_eps z."""
+    return spectral.PeriodicField(f.spectrum,
+                                  f.spectrum.gather(f.x, f.spectrum.linear_w))
+
+
 def perturbed(f, h, delta):
     """f + delta h, one field of f's spectrum."""
     return spectral.PeriodicField(f.spectrum, f.x + delta * h.x)
@@ -163,9 +170,6 @@ def test_eigenvalue_formula_exact():
     defect = np.abs(sp.lam ** 2 - (1.0 + sp.omega ** 2)) / (1.0 + sp.omega ** 2)
     assert defect.max() <= 4 * np.finfo(float).eps
     assert np.min(sp.lam) == 1.0               # trivial kernel
-    # eigenvalue table carries the +/- pairs
-    table = sp.eigenvalue_table()
-    assert np.all(table[:, 2] > 0) and np.all(table[:, 3] < 0)
 
 
 def test_eigenvectors_orthonormal():
@@ -182,42 +186,47 @@ def test_apply_A_constant_modes():
     zero, one = np.zeros(2 * K + 1, complex), np.zeros(2 * K + 1, complex)
     one[K] = 1.0
     f = spectral.field_from_coeffs(sp, zero, one, zero)   # (1,1)/sqrt(2)
-    ap, am = spectral.apply_A(f.z_plus, f.z_minus, f.spectrum)
-    np.testing.assert_array_equal(ap, f.z_plus)     # eigenvalue +1
-    np.testing.assert_array_equal(am, f.z_minus)
+    af = apply_A(f)
+    np.testing.assert_array_equal(af.z_plus, f.z_plus)     # eigenvalue +1
+    np.testing.assert_array_equal(af.z_minus, f.z_minus)
     f = spectral.field_from_coeffs(sp, zero, zero, one)   # (1,-1)/sqrt(2)
-    ap, am = spectral.apply_A(f.z_plus, f.z_minus, f.spectrum)
-    np.testing.assert_array_equal(am, -f.z_minus)   # eigenvalue -1
+    np.testing.assert_array_equal(apply_A(f).z_minus, -f.z_minus)   # -1
 
 
 def test_apply_A_two_path_oracle():
-    # eigenbasis action vs the real-space formula (-eps b' + b, eps a' + a)
+    # the packed operator vs the real-space formula (-eps b' + b, eps a' + a)
     eps, K = 0.17, 24
     f = random_field(eps, K, seed=21)
-    sp = f.spectrum
     z_ab = f.z_ab_coeffs()
-    via_modes = spectral.merge_spinor(*spectral.apply_A(f.z_plus, f.z_minus, sp), sp)
     d = spectral.derivative_coeffs(z_ab)
     real_space = np.empty_like(z_ab)
     real_space[:, 0] = -eps * d[:, 1] + z_ab[:, 1]
     real_space[:, 1] = eps * d[:, 0] + z_ab[:, 0]
-    assert np.max(np.abs(via_modes - real_space)) <= 1e-12
+    assert np.max(np.abs(apply_A(f).z_ab_coeffs() - real_space)) <= 1e-12
+
+
+def test_packed_A_is_diagonal_in_the_eigenbasis():
+    # +lam on the plus coordinates, -lam on the minus ones (measured 6e-17)
+    f = random_field(0.13, 20, seed=23)
+    lam = f.spectrum.lam
+    af = apply_A(f)
+    assert np.max(np.abs(af.z_plus - lam * f.z_plus)) <= 1e-14
+    assert np.max(np.abs(af.z_minus + lam * f.z_minus)) <= 1e-14
 
 
 def test_A_squared_is_second_order_operator():
     eps, K = 0.1, 16
     f = random_field(eps, K, seed=22)
     sp = f.spectrum
-    z_ab = f.z_ab_coeffs()
-    twice = spectral.apply_A_ab(spectral.apply_A_ab(z_ab, sp), sp)
-    target = (1.0 + sp.omega ** 2)[:, None] * z_ab
+    twice = apply_A(apply_A(f)).z_ab_coeffs()
+    target = (1.0 + sp.omega ** 2)[:, None] * f.z_ab_coeffs()
     assert np.max(np.abs(twice - target)) <= 1e-12
 
 
 def test_truncation_mismatch():
     sp = spectral.build_spectrum(1.0 / 5.0, 4)
     with pytest.raises(TruncationMismatch):
-        spectral.apply_A(np.zeros(7, complex), np.zeros(7, complex), sp)
+        spectral.split_spinor(np.zeros((7, 2), complex), sp)
 
 
 # ----------------------------------------------------------------------
@@ -426,11 +435,12 @@ def test_nehari_equilibrium_pair():
 
 @pytest.mark.parametrize("eps", [0.2, 0.1])
 def test_nehari_scale_lands_on_the_constraint(eps, ground_states):
-    # from the cutoff pair: relative r1, r2 measured <= 3.8e-12, r3 <= 2.7e-14
+    # from the cutoff pair: relative r1, r2 measured <= 2.6e-16, r3 <= 2.7e-14
     f = spectral.cutoff_test_pair(eps)
-    _, _, scaled = spectral.nehari_scale(f.u_coeffs, f.z_plus, f.spectrum)
+    t, s, scaled = spectral.nehari_scale(f.u_coeffs, f.z_plus, f.spectrum)
     r1, r2, r3 = spectral.nehari_residuals(scaled).relative()
     assert r1 <= 1e-10 and r2 <= 1e-10 and r3 <= 1e-12
+    assert max(r1, r2) <= spectral.NEHARI_TOL and t > 0 and s > 0
     # a ground state is already on it
     g = ground_states[eps].field
     t, s, _ = spectral.nehari_scale(g.u_coeffs, g.z_plus, g.spectrum)
@@ -447,7 +457,17 @@ def test_nehari_scale_rescales_a_shrunken_ground_state(c, ground_states):
     # measured: |c t - 1|, |c s - 1| <= 1.1e-12, field within 3.3e-13
     assert abs(c * t - 1.0) <= 1e-11 and abs(c * s - 1.0) <= 1e-11
     assert np.max(np.abs(scaled.x - g.x)) <= 1e-12
-    assert spectral.nehari_residuals(scaled).max_relative() <= 1e-10
+    r1, r2, r3 = spectral.nehari_residuals(scaled).relative()
+    assert max(r1, r2, r3) <= 1e-10
+    assert max(r1, r2) <= spectral.NEHARI_TOL and t > 0 and s > 0
+
+
+def test_nehari_scale_raises_nonconvergence_at_the_evaluation_cap(
+        monkeypatch):
+    f = spectral.cutoff_test_pair(0.2)
+    monkeypatch.setattr(spectral, "NEHARI_MAX_ITERS", 2)
+    with pytest.raises(NonConvergence, match=r"relative defect \S+ \(bound"):
+        spectral.nehari_scale(f.u_coeffs, f.z_plus, f.spectrum)
 
 
 def test_bump_endpoint_values():
