@@ -6,7 +6,9 @@ failure, 2 on invalid input.
 """
 
 import argparse
+import ctypes
 import functools
+import os
 import sys
 
 import numpy as np
@@ -273,7 +275,26 @@ COMMANDS = {
 }
 
 
+@functools.cache
+def _keep_freed_buffers():
+    """On glibc, let the process keep freed buffers of up to 32 MiB.  glibc
+    otherwise unmaps or trims a record's megabyte buffers (orjson's text,
+    respell's, the str) after each record and faults them in again for the
+    next, about 600 page faults a trajectory.  Setting either threshold alone
+    switches off glibc's adaptive mmap threshold, so both are set.  Only
+    ``main`` calls this, never an import: a library must not change its
+    host's allocator."""
+    try:
+        if os.confstr("CS_GNU_LIBC_VERSION"):
+            mallopt = ctypes.CDLL(None).mallopt
+            mallopt(-3, 32 << 20)           # M_MMAP_THRESHOLD
+            mallopt(-1, 64 << 20)           # M_TRIM_THRESHOLD
+    except (AttributeError, ValueError, OSError):   # not glibc
+        pass
+
+
 def main(argv=None):
+    _keep_freed_buffers()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

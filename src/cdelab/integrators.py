@@ -194,20 +194,20 @@ _FLOW_CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 @functools.cache
 def _flow_kernel():
     """The compiled loops and ``respell`` of ``_flow.c``, or None where they
-    cannot be built or loaded.  The library is cached in ``__pycache__``
-    under a hash of its source, compiler command and interpreter tag; the
-    first call builds it when absent, through a temporary file renamed into
-    place."""
+    cannot be built or loaded (logged at INFO on the ``cdelab`` logger, with
+    the compiler's stderr).  The library is cached in ``__pycache__`` under a
+    hash of its source, compiler command and interpreter tag; the first call
+    builds it when absent, through a temporary file renamed into place."""
     # imported here, so that importing cdelab builds and loads nothing
     import shlex
     import subprocess
 
     cc = sysconfig.get_config_var("CC")
-    if not cc:
-        return None
     source = Path(__file__).with_name("_flow.c")
-    cmd = [*shlex.split(cc), *_FLOW_CFLAGS]
     try:
+        if not cc:
+            raise OSError("sysconfig names no C compiler")
+        cmd = [*shlex.split(cc), *_FLOW_CFLAGS]
         # the 64-bit hash that keys hash-based .pyc files: hashlib's SHA-256
         # would load OpenSSL, about 3.5 MiB of resident memory
         key = importlib.util.source_hash(b"\0".join(
@@ -226,7 +226,12 @@ def _flow_kernel():
                 if os.path.exists(tmp):
                     os.unlink(tmp)
         lib = ctypes.CDLL(str(lib_path))
-    except (OSError, subprocess.SubprocessError):
+    except (OSError, subprocess.SubprocessError) as exc:
+        import logging
+        stderr = (getattr(exc, "stderr", None) or b"").decode(errors="replace")
+        logging.getLogger("cdelab").info(
+            "_flow.c was not built or loaded, so integrate and the writers "
+            "run in Python: %s%s", exc, stderr and "\n" + stderr)
         return None
     states = np.ctypeslib.ndpointer(np.float64, ndim=2,
                                     flags=("C_CONTIGUOUS", "WRITEABLE"))

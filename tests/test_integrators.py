@@ -1,3 +1,4 @@
+import logging
 import os
 import shlex
 import shutil
@@ -451,12 +452,30 @@ def test_kernel_builds_and_loads_where_a_compiler_exists(tmp_path,
     assert list((tmp_path / "__pycache__").iterdir()) == built
 
 
-def test_failed_build_falls_back_and_leaves_no_file(tmp_path, monkeypatch):
+def test_failed_build_falls_back_and_leaves_no_file(tmp_path, monkeypatch,
+                                                    caplog):
     (tmp_path / "_flow.c").write_text("not C\n")
     monkeypatch.setattr(integrators, "__file__",
                         str(tmp_path / "integrators.py"))
+    caplog.set_level(logging.INFO, logger="cdelab")
     assert integrators._flow_kernel.__wrapped__() is None
     assert not any((tmp_path / "__pycache__").glob("*"))
+    if _c_compiler() is not None:       # the compiler's own message
+        [record] = caplog.records
+        assert "not C" in record.getMessage()
+
+
+def test_failed_build_is_logged_once_at_info(monkeypatch, caplog):
+    # a compiler that fails silently: None, one record, and no file left
+    cache = Path(integrators.__file__).with_name("__pycache__")
+    files = set(cache.glob("_flow.*"))
+    monkeypatch.setattr(sysconfig, "get_config_var", lambda name: "false")
+    caplog.set_level(logging.INFO, logger="cdelab")
+    assert integrators._flow_kernel.__wrapped__() is None
+    [record] = caplog.records
+    assert (record.name, record.levelno) == ("cdelab", logging.INFO)
+    assert "run in Python" in record.getMessage()
+    assert set(cache.glob("_flow.*")) == files
 
 
 def test_import_builds_and_loads_nothing():

@@ -315,6 +315,26 @@ def test_writers_keep_number_like_text_in_strs(kernel):
     assert kernel.respells == 1
 
 
+@pytest.mark.parametrize("shape, header, text", [
+    ((0, 6), tuple("tuvabH"), "t,u,v,a,b,H\n"), ((3, 0), ("a",), "a\n\n\n\n")])
+def test_csv_table_without_rows_or_columns(shape, header, text):
+    for route in WRITER_ROUTES:
+        with route():
+            assert serialize._csv_table(header, np.zeros(shape)) == text
+    assert csv_oracle(header, np.zeros(shape)) == text
+
+
+@pytest.mark.parametrize("doc", [
+    1e-05, 1.5e-07, 1.234e-05,          # edits at the text's first, last byte
+    ["s.00001 e5 \" \\", 1.5e-07, 1.234e-05, 1e16],     # a number per band
+], ids=repr)
+def test_writers_respell_at_the_ends_and_after_a_str(doc, kernel):
+    for route in WRITER_ROUTES:
+        with route():
+            assert serialize.dumps(doc) == json.dumps(doc, indent=2)
+    assert kernel.respells == 1
+
+
 def test_writers_respell_every_band():
     # orjson's notation differs from repr's for 1e-9 <= |x| < 1e-5, for
     # 1e-5 <= |x| < 1e-4 and for |x| >= 1e16: draw m * 10^k in [10^e, 10^(e+1))
@@ -702,6 +722,49 @@ def test_cli_verify_fails_every_suite_at_a_tiny_tol(suite, capsys):
     code, out, _ = run_cli(["verify", suite, "--tol", "1e-300"], capsys)
     assert code == 1
     assert "[FAIL]" in out
+
+
+def test_cli_verify_transforms_reads_tol_for_kappa(capsys):
+    code, out, _ = run_cli(["verify", "transforms", "--tol", "1e-300"], capsys)
+    assert code == 1
+    assert "[FAIL] transported homoclinic fits kappa = 1 (" in out
+
+
+def glibc():
+    try:
+        return os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+@pytest.mark.skipif(not glibc(), reason="mallopt is glibc's")
+def test_only_the_cli_keeps_freed_record_buffers():
+    # minor page faults of one trajectory_to_csv: importing cdelab leaves the
+    # allocator as it is; once cli.main has run and the heap has grown for
+    # one record, a record writes with almost none
+    if integrators._flow_kernel() is None:
+        pytest.skip("no C compiler builds _flow.c")
+    code = """if 1:
+        import contextlib, io, resource
+        from cdelab import cli, homoclinic, integrators, serialize
+        s0 = homoclinic.derived_profile()(-2.0)
+        tr = integrators.integrate(s0, 7.5, integrators.StepperConfig())
+        def faults():
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            serialize.trajectory_to_csv(tr)
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        imported = [faults() for _ in range(3)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(["equilibria"])
+        print([imported, [faults() for _ in range(2)]])
+    """
+    src = str(Path(cli.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    imported, after_cli = json.loads(run.stdout)
+    assert imported[2] >= 100, run.stdout
+    assert after_cli[1] < 10, run.stdout
 
 
 @pytest.mark.parametrize("argv", [
