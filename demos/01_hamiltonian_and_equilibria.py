@@ -30,9 +30,9 @@ def main():
     rhs = -dynamics.time_reversal_swap(dynamics.vector_field(s))
     print(f"  max defect over a random state: {np.max(np.abs(lhs - rhs)):.2e}")
 
-    print("\ncomplex spinor view psi+- = a +- ib")
-    pair = dynamics.spinor_from_state(dynamics.P_PLUS)
-    print(f"  psi+ = {pair.psi_plus:.6f}, psi- = {pair.psi_minus:.6f}")
+    print("\ncomplex spinor view psi = a + ib")
+    psi = dynamics.spinor_from_state(dynamics.P_PLUS)
+    print(f"  psi = {psi:.6f}, conj(psi) = {psi.conjugate():.6f}")
 
 
 if __name__ == "__main__":

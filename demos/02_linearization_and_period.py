@@ -31,7 +31,7 @@ def main():
 
     print("\nspectrum symmetry under lambda -> -lambda holds at every "
           "equilibrium; the saddle at the origin has rates +/-1/2, +/-1.")
-    origin = np.linalg.eigvals(linear.jacobian_at(dynamics.P0, "original"))
+    origin = np.linalg.eigvals(linear.jacobian_at(dynamics.P0))
     print("origin eigenvalues:", np.sort_complex(origin))
 
 

@@ -16,8 +16,6 @@ with canonical pairs (u, v) and (a, b).
 import numpy as np
 from dataclasses import dataclass
 
-from .errors import NonConjugatePair
-
 SQRT2 = np.sqrt(2.0)
 
 #: saddle equilibrium at the origin
@@ -54,46 +52,19 @@ def to_rotated(s):
     """Rotate (a, b) into the diagonalizing variables (abar, bbar).
 
     abar = (a+b)/sqrt(2), bbar = (a-b)/sqrt(2).  The rotation is a symmetric
-    orthogonal involution, so :func:`from_rotated` applies the same formula.
+    orthogonal involution, its own inverse :data:`from_rotated`.  The rotated
+    chart's vector field is to_rotated(vector_field(from_rotated(r))), as the
+    rotation is linear, and its energy is hamiltonian(from_rotated(r)).
     """
     u, v, a, b = np.asarray(s, dtype=float)
     return np.stack([u, v, (a + b) / SQRT2, (a - b) / SQRT2])
 
 
-def from_rotated(r):
-    """Inverse of :func:`to_rotated` (the same involution)."""
-    return to_rotated(r)
-
-
-def rotated_vector_field(r):
-    """Right-hand side of the system in the rotated chart."""
-    u, v, ab, bb = np.asarray(r, dtype=float)
-    return np.stack([
-        v,
-        (0.25 - (ab * ab + bb * bb)) * u,
-        -(1.0 + u * u) * bb,
-        (u * u - 1.0) * ab,
-    ])
-
-
-def hamiltonian_rotated(r):
-    """Energy in the rotated chart; equals hamiltonian(from_rotated(r))."""
-    u, v, ab, bb = np.asarray(r, dtype=float)
-    return (0.5 * v * v
-            + 0.5 * (u * u - 1.0) * (ab * ab + bb * bb - 0.25)
-            + 0.5 * (2.0 * bb * bb - 0.25))
-
+from_rotated = to_rotated
 
 #: the center equilibrium P+ in the rotated chart, (1, 0, 1/2, 0); exactly
 #: representable, so it is written out rather than produced by the rotation
 P_PLUS_ROTATED = np.array([1.0, 0.0, 0.5, 0.0])
-
-
-@dataclass(frozen=True)
-class SpinorPair:
-    """Complex view psi_plus = a + i b, psi_minus = a - i b of a state."""
-    psi_plus: complex
-    psi_minus: complex
 
 
 @dataclass(frozen=True)
@@ -123,19 +94,11 @@ def equilibria():
 
 
 def spinor_from_state(s):
-    """Complex spinor view of the (a, b) components."""
+    """Complex spinor view psi = a + i b of the (a, b) components."""
     _, _, a, b = np.asarray(s, dtype=float)
-    return SpinorPair(psi_plus=complex(a, b), psi_minus=complex(a, -b))
+    return complex(a, b)
 
 
-def state_from_spinor(u, v, pair):
-    """Rebuild a state from (u, v) and a conjugate spinor pair.
-
-    Raises NonConjugatePair when conj(psi_plus) differs from psi_minus by
-    more than 1e-12 relative to the pair magnitude.
-    """
-    scale = max(1.0, abs(pair.psi_plus))
-    if abs(np.conj(pair.psi_plus) - pair.psi_minus) > 1e-12 * scale:
-        raise NonConjugatePair(
-            "conj(psi_plus) != psi_minus beyond tolerance 1e-12")
-    return np.array([u, v, pair.psi_plus.real, pair.psi_plus.imag])
+def state_from_spinor(u, v, psi):
+    """Rebuild a state from (u, v) and the spinor psi = a + i b."""
+    return np.array([u, v, psi.real, psi.imag])

@@ -17,10 +17,6 @@ class EmptyTrajectory(CdelabError):
     """An operation required a nonempty trajectory."""
 
 
-class NonConjugatePair(CdelabError):
-    """Spinor pair (psi_plus, psi_minus) is not related by complex conjugation."""
-
-
 class TruncationMismatch(CdelabError):
     """Field and operator data live on different truncations."""
 

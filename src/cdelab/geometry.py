@@ -80,24 +80,17 @@ def ground_state_closed_form(lam, x, phi0):
     return float(np.sqrt(w)), psi
 
 
-def closed_form_radial_pair(lam, r):
-    """Radial components (f1, f2) of the closed-form spinor.
+def closed_form_profile(lam, r_grid):
+    """The closed-form pair sampled as a euclidean RadialProfile.
 
     Writing Psi = f1(r) gamma0 + (f2(r)/r) x . gamma0 gives
     f1 = w^(3/2) and f2 = -r w^(3/2) with w = 2 lam / (lam^2 + r^2).
     """
-    r = np.asarray(r, dtype=float)
-    w = 2.0 * lam / (lam ** 2 + r * r)
-    return w ** 1.5, -r * w ** 1.5
-
-
-def closed_form_profile(lam, r_grid):
-    """The closed-form pair sampled as a euclidean RadialProfile."""
     r = np.asarray(r_grid, dtype=float)
     w = 2.0 * lam / (lam ** 2 + r * r)
-    f1, f2 = closed_form_radial_pair(lam, r)
+    f1 = w ** 1.5
     return RadialProfile(chart="euclidean", grid=r, u=np.sqrt(w),
-                         f1=f1, f2=f2)
+                         f1=f1, f2=-r * f1)
 
 
 # ----------------------------------------------------------------------

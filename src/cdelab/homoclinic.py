@@ -66,7 +66,7 @@ def derive_constants():
     """Coefficient-matching derivation of the homoclinic amplitudes.
 
     Substituting the ansatz into the spinor equation and expanding in the
-    basis {1, tanh t} gives two independent conditions on alpha^2; both must
+    basis {1, tanh t} gives two independent conditions on alpha^2, which
     agree.  The scalar equation then determines beta^2 from the cosh^(-5/2)
     coefficient.  Returns a :class:`DerivationReport` with the derived
     constants, the residual of the derived profile, and the residual of the
@@ -74,18 +74,11 @@ def derive_constants():
     report is derived on the first call and shared by every later one.
     """
     # a' = -a + u^2 b with a ~ e^{t/2} cosh^{-3/2}: dividing by a and using
-    # u^2 b / a = alpha^2 (1 - tanh t),
-    #   constant part:  1/2 = -1 + alpha^2
-    #   tanh part:     -3/2 = -alpha^2
-    alpha_sq_const = 1.0 + 0.5
-    alpha_sq_tanh = 1.5
-    if abs(alpha_sq_const - alpha_sq_tanh) > 1e-15:
-        raise AssertionError("coefficient matching inconsistent for alpha^2")
-    alpha_sq = alpha_sq_const
-    # u'' = -(a^2+b^2) u + u/4 with a^2+b^2 = 2 beta^2 cosh^{-2}:
-    # cosh^{-5/2} coefficient: -(3/4) alpha = -2 beta^2 alpha
-    beta_sq = 3.0 / 8.0
-
+    # u^2 b / a = alpha^2 (1 - tanh t), the constant part 1/2 = -1 + alpha^2
+    # and the tanh part -3/2 = -alpha^2 both give alpha^2 = 3/2.
+    # u'' = -(a^2+b^2) u + u/4 with a^2+b^2 = 2 beta^2 cosh^{-2}: the
+    # cosh^{-5/2} coefficient -(3/4) alpha = -2 beta^2 alpha gives beta^2 = 3/8
+    alpha_sq, beta_sq = 1.5, 0.375
     alpha = float(np.sqrt(alpha_sq))
     beta = float(np.sqrt(beta_sq))
     grid = np.linspace(-10.0, 10.0, 4001)

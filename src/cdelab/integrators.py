@@ -14,6 +14,7 @@ call or ``serialize`` write, into ``__pycache__``; where no C compiler can
 build it, ``integrate`` runs the Python loops.
 """
 
+import contextlib
 import ctypes
 import functools
 import importlib.util
@@ -195,9 +196,10 @@ _FLOW_CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 def _flow_kernel():
     """The compiled loops and ``respell`` of ``_flow.c``, or None where they
     cannot be built or loaded (logged at INFO on the ``cdelab`` logger, with
-    the compiler's stderr).  The library is cached in ``__pycache__`` under a
-    hash of its source, compiler command and interpreter tag; the first call
-    builds it when absent, through a temporary file renamed into place."""
+    the compiler's stderr).  The library is cached in ``__pycache__`` under
+    the interpreter tag and a hash of its source, compiler command and tag;
+    the first call builds it when absent, through a temporary file renamed
+    into place, and then removes this interpreter's superseded builds."""
     # imported here, so that importing cdelab builds and loads nothing
     import shlex
     import subprocess
@@ -207,16 +209,18 @@ def _flow_kernel():
     try:
         if not cc:
             raise OSError("sysconfig names no C compiler")
+        # shlex raises ValueError on a CC that it cannot split
         cmd = [*shlex.split(cc), *_FLOW_CFLAGS]
+        tag = sys.implementation.cache_tag
         # the 64-bit hash that keys hash-based .pyc files: hashlib's SHA-256
         # would load OpenSSL, about 3.5 MiB of resident memory
         key = importlib.util.source_hash(b"\0".join(
-            [source.read_bytes(), *map(str.encode, cmd),
-             sys.implementation.cache_tag.encode()]))
-        lib_path = source.parent / "__pycache__" / f"_flow.{key.hex()}.so"
+            [source.read_bytes(), *map(str.encode, cmd), tag.encode()]))
+        cache = source.parent / "__pycache__"
+        lib_path = cache / f"_flow.{tag}.{key.hex()}.so"
         if not lib_path.exists():
-            lib_path.parent.mkdir(exist_ok=True)
-            fd, tmp = tempfile.mkstemp(".so", "_flow.", lib_path.parent)
+            cache.mkdir(exist_ok=True)
+            fd, tmp = tempfile.mkstemp(".so", "_flow.", cache)
             os.close(fd)
             try:
                 subprocess.run([*cmd, "-o", tmp, str(source)], check=True,
@@ -225,8 +229,12 @@ def _flow_kernel():
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
+            for old in cache.glob(f"_flow.{tag}.*.so"):
+                if old != lib_path:
+                    with contextlib.suppress(OSError):
+                        old.unlink()
         lib = ctypes.CDLL(str(lib_path))
-    except (OSError, subprocess.SubprocessError) as exc:
+    except (OSError, ValueError, subprocess.SubprocessError) as exc:
         import logging
         stderr = (getattr(exc, "stderr", None) or b"").decode(errors="replace")
         logging.getLogger("cdelab").info(

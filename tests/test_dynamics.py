@@ -1,8 +1,6 @@
 import numpy as np
-import pytest
 
 from cdelab import dynamics
-from cdelab.errors import NonConjugatePair
 
 from conftest import random_states
 
@@ -50,34 +48,6 @@ def test_rotation_pinned_and_roundtrip():
                                rtol=0, atol=1e-15)
 
 
-def test_rotated_vector_field_pinned_values():
-    assert np.allclose(dynamics.rotated_vector_field(np.array([1.0, 0, 0.5, 0])),
-                       np.zeros(4), atol=1e-16)
-    np.testing.assert_allclose(
-        dynamics.rotated_vector_field(np.array([1.0, 0.0, 0.0, 0.5])),
-        [0.0, 0.0, -1.0, 0.0], rtol=0, atol=1e-16)
-
-
-def test_rotation_conjugates_the_vector_fields():
-    # the rotation is linear, so it is its own differential
-    s = random_states(100, seed=3)
-    lhs = dynamics.to_rotated(dynamics.vector_field(s))
-    # the (u, v) slots of to_rotated are untouched, so this is the pushforward
-    lhs[0], lhs[1] = dynamics.vector_field(s)[0], dynamics.vector_field(s)[1]
-    rhs = dynamics.rotated_vector_field(dynamics.to_rotated(s))
-    assert np.max(np.abs(lhs - rhs)) <= 1e-13
-
-
-def test_rotated_hamiltonian_matches():
-    r = np.array([1.0, 0.0, 0.5, 0.0])
-    assert dynamics.hamiltonian_rotated(r) == -0.125
-    assert dynamics.hamiltonian_rotated(np.zeros(4)) == 0.0
-    rr = random_states(100, seed=4)
-    np.testing.assert_allclose(dynamics.hamiltonian_rotated(rr),
-                               dynamics.hamiltonian(dynamics.from_rotated(rr)),
-                               rtol=0, atol=1e-14)
-
-
 def test_time_reversal_swap():
     assert np.array_equal(dynamics.time_reversal_swap(dynamics.P_PLUS),
                           dynamics.P_PLUS)
@@ -92,23 +62,14 @@ def test_time_reversal_swap():
 
 
 def test_spinor_view():
-    p = dynamics.spinor_from_state(np.array([0.0, 0.0, 1.0, 0.0]))
-    assert p.psi_plus == 1.0 and p.psi_minus == 1.0
-    p = dynamics.spinor_from_state(np.array([0.0, 0.0, 0.0, 1.0]))
-    assert p.psi_plus == 1j and p.psi_minus == -1j
+    assert dynamics.spinor_from_state(np.array([0.0, 0.0, 1.0, 0.0])) == 1.0
+    assert dynamics.spinor_from_state(np.array([0.0, 0.0, 0.0, 1.0])) == 1j
     s = random_states(100, seed=6)
     for col in s.T:
-        pair = dynamics.spinor_from_state(col)
-        lhs = abs(pair.psi_plus) ** 2 + abs(pair.psi_minus) ** 2
-        assert abs(lhs - 2.0 * (col[2] ** 2 + col[3] ** 2)) <= 1e-14
-        back = dynamics.state_from_spinor(col[0], col[1], pair)
+        psi = dynamics.spinor_from_state(col)
+        assert psi == complex(col[2], col[3])
+        back = dynamics.state_from_spinor(col[0], col[1], psi)
         np.testing.assert_array_equal(back, col)
-
-
-def test_state_from_spinor_rejects_nonconjugate():
-    with pytest.raises(NonConjugatePair):
-        dynamics.state_from_spinor(0.0, 0.0,
-                                   dynamics.SpinorPair(1.0 + 1j, 1.0 + 1j))
 
 
 def test_equilibrium_catalog():

@@ -89,7 +89,8 @@ def test_closed_form_radial_pair_matches_clifford():
     x = np.array([0.0, 0.0, r])
     phi0 = np.array([1.0, 0.0])
     _, Psi = geometry.ground_state_closed_form(lam, x, phi0)
-    f1, f2 = geometry.closed_form_radial_pair(lam, r)
+    profile = geometry.closed_form_profile(lam, [r])
+    f1, f2 = profile.f1[0], profile.f2[0]
     recon = f1 * phi0 + (f2 / r) * geometry.clifford_mult(x, phi0)
     np.testing.assert_allclose(Psi, recon, atol=1e-14)
     assert abs(np.vdot(Psi, Psi).real

@@ -478,6 +478,36 @@ def test_failed_build_is_logged_once_at_info(monkeypatch, caplog):
     assert set(cache.glob("_flow.*")) == files
 
 
+def test_unsplittable_compiler_command_falls_back(monkeypatch, caplog):
+    # shlex cannot split an unbalanced quote: None and one record, not a raise
+    monkeypatch.setattr(sysconfig, "get_config_var",
+                        lambda name: 'cc -DX="')
+    caplog.set_level(logging.INFO, logger="cdelab")
+    assert integrators._flow_kernel.__wrapped__() is None
+    [record] = caplog.records
+    assert (record.name, record.levelno) == ("cdelab", logging.INFO)
+    assert "No closing quotation" in record.getMessage()
+
+
+def test_rebuild_removes_the_superseded_library(tmp_path, monkeypatch):
+    if _c_compiler() is None:
+        pytest.skip("no C compiler")
+    source = Path(integrators.__file__).with_name("_flow.c")
+    (tmp_path / "_flow.c").write_bytes(source.read_bytes())
+    monkeypatch.setattr(integrators, "__file__",
+                        str(tmp_path / "integrators.py"))
+    cache = tmp_path / "__pycache__"
+    # another interpreter's build is not this one's to remove
+    cache.mkdir()
+    other = cache / "_flow.other-99.0123456789abcdef.so"
+    other.write_bytes(b"")
+    first = Path(integrators._flow_kernel.__wrapped__()._name)
+    (tmp_path / "_flow.c").write_bytes(source.read_bytes() + b"\n")
+    second = Path(integrators._flow_kernel.__wrapped__()._name)
+    assert second != first
+    assert sorted(cache.iterdir()) == sorted([other, second])
+
+
 def test_import_builds_and_loads_nothing():
     code = ("import cdelab.cli, cdelab.integrators as i; "
             "print(i._flow_kernel.cache_info().currsize)")

@@ -17,10 +17,8 @@ PACKAGE = ROOT / "src" / "cdelab"
 
 #: names kept for what PAPER.md describes, with the phrase it uses
 PAPER_NAMED = {
-    "dynamics.rotated_vector_field": "the rotated chart",
-    "dynamics.hamiltonian_rotated": "the rotated chart",
-    "dynamics.spinor_from_state": "complex spinor views",
-    "dynamics.state_from_spinor": "complex spinor views",
+    "dynamics.spinor_from_state": "complex spinor view",
+    "dynamics.state_from_spinor": "complex spinor view",
     "geometry.ground_state_closed_form": "closed-form decaying pair",
     "spectral.cutoff_test_pair": "cutoff test pair",
     "spectral.bump": "bump-localized cutoff",
