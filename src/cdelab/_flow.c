@@ -1,4 +1,4 @@
-/* The fused stepping loops of cdelab.integrators and the respelling pass of
+/* The fused stepping loops of cdelab.integrators and the float printer of
  * cdelab.serialize, compiled.
  *
  * flow_rk4 and flow_midpoint do the same double operations, in the same
@@ -124,111 +124,132 @@ int64_t flow_midpoint(double *s, int64_t n, double dt, double newton_tol,
     return 0;
 }
 
-/* respell rewrites orjson's text of a document, in[0..n), into json's, writes
- * it to out and returns its length.  orjson's printer writes repr's shortest
- * round-trip digits, but spells three bands otherwise:
- *
- *   1e-9 <= |x| < 1e-5   1.5e-6      for repr's 1.5e-06
- *   1e-5 <= |x| < 1e-4   0.0000123   for repr's 1.23e-05
- *   |x| >= 1e16          1e16        for repr's 1e+16
- *
- * and nan and inf as null, which the caller keeps out.  String literals are
- * copied unchanged, escapes included.  With csv set, in is a table
- * [[a,b],[c,d]] and out its lines a,b\nc,d\n.  respell jumps from one
- * possible edit to the next: it keeps the next 'e', the next ".0000" and the
- * next quote (in csv the next ']'), finds each again only once it is passed
- * (a string skipped passes those inside it), and copies the unchanged bytes
- * between two edits in one memcpy.  out holds n + n / 4 + 8 bytes: only the
- * first and third bands grow, by one byte, and in 1e-7, or 1e16, that is one
- * byte in five.
- */
-#define COPY_TO(j) (memcpy(out + m, in + done, (j) - done), \
-                    m += (j) - done, done = (j))
-#define DIGIT(c) ('0' <= (c) && (c) <= '9')
 
-/* the first c in in[from..n), or n */
-static int64_t next_byte(const char *in, int64_t from, int64_t n, int c)
+/* write_floats writes the text of a float64 table a, n rows of m values
+ * (m < 0: a 1-D array of n values), to out and returns its length.  Each
+ * float is repr's spelling of its shortest round-trip digits, found as the
+ * JDK's DoubleToDecimal does (R. Giulietti, "The Schubfach way to render
+ * doubles", 2020) less Java's two-digit minimum; g holds the pairs (g1, g0)
+ * of 10^-k, k = -324 .. 292, from integrators._flow_kernel.  With depth < 0
+ * the rows are CSV lines a,b,c\n, with nan and inf; else the text is
+ * json.dumps(a.tolist(), indent=2) as a value at that depth, with NaN and
+ * Infinity.  A float takes at most 24 bytes, so with v values in r rows
+ * (r = 0 for a 1-D array) no byte past CSV's 25 v + r, or json's
+ * v (2 depth + 30) + r (4 depth + 9) + 2 depth + 3, is written. */
+#define C_MIN (1ULL << 52)
+typedef unsigned __int128 u128;
+
+static const char DIGITS2[] =
+    "00010203040506070809101112131415161718192021222324"
+    "25262728293031323334353637383940414243444546474849"
+    "50515253545556575859606162636465666768697071727374"
+    "75767778798081828384858687888990919293949596979899";
+
+/* (g[0] 2^63 + g[1]) cp / 2^127, rounded to odd */
+static uint64_t rop(const uint64_t *g, uint64_t cp)
 {
-    const char *p = memchr(in + from, c, n - from);
-    return p ? p - in : n;
+    u128 y = (u128)g[0] * cp;
+    uint64_t z = ((uint64_t)y >> 1) + (uint64_t)(((u128)g[1] * cp) >> 64);
+    return ((uint64_t)(y >> 64) + (z >> 63)) | ((z << 1) != 0);
 }
 
-typedef char bytes16 __attribute__((vector_size(16)));   /* GNU C */
-
-/* the first ".0000" in in[from..n), or n.  It tests 16 positions at a time
- * in vector registers, about 0.13 ns a byte; glibc 2.36's memmem took about
- * 0.6 ns a byte (x86-64), as long as a byte loop */
-static int64_t next_zeros(const char *in, int64_t from, int64_t n)
+/* the shortest f, with *e, such that f 10^e rounds to c 2^q, c > 0; the
+ * products give floor(q log10 2), floor(log10(3/4 2^q)), floor(-k log2 10) */
+static uint64_t to_decimal(int q, uint64_t c, const uint64_t *g, int *e)
 {
-    int64_t i = from;
-    for (; i + 20 <= n; i += 16) {
-        bytes16 c0, c1, c2, c3, c4;
-        uint64_t any[2];
-        memcpy(&c0, in + i, 16), memcpy(&c1, in + i + 1, 16);
-        memcpy(&c2, in + i + 2, 16), memcpy(&c3, in + i + 3, 16);
-        memcpy(&c4, in + i + 4, 16);
-        bytes16 hit = (c0 == '.') & (c1 == '0') & (c2 == '0') & (c3 == '0')
-                      & (c4 == '0');
-        memcpy(any, &hit, 16);
-        if (any[0] | any[1])
-            break;
-    }
-    for (; i + 5 <= n; i++)
-        if (memcmp(in + i, ".0000", 5) == 0)
-            return i;
-    return n;
+    uint64_t odd = c & 1, cb = c << 2, cbl = cb - 2;
+    int k = (int)((q * 661971961083LL) >> 41);
+    if (c == C_MIN && q > -1074)        /* the lower neighbour is closer */
+        cbl = cb - 1, k = (int)((q * 661971961083LL - 274743187321LL) >> 41);
+    int h = q + (int)((-k * 913124641741LL) >> 38) + 2;
+    g += 2 * (k + 324), *e = k;
+    uint64_t vb = rop(g, cb << h), vbl = rop(g, cbl << h) + odd,
+             vbr = rop(g, (cb + 2) << h) - odd;
+    uint64_t s = vb >> 2, sp10 = s / 10 * 10, tp10 = sp10 + 10, t = s + 1;
+    if ((vbl <= sp10 << 2) != (tp10 << 2 <= vbr))   /* one digit fewer */
+        return vbl <= sp10 << 2 ? sp10 : tp10;
+    if ((vbl <= s << 2) != (t << 2 <= vbr))
+        return vbl <= s << 2 ? s : t;
+    return vb < (s + t) << 1 || (vb == (s + t) << 1 && !(s & 1)) ? s : t;
 }
 
-int64_t respell(const char *in, int64_t n, char *out, int32_t csv)
+/* x's text at p, as repr spells it (json when set, for nan and inf);
+ * writes at most 24 bytes and returns the text's end */
+static char *put(char *p, double x, int json, const uint64_t *g)
 {
-    /* in[done..i) is to copy, and csv skips the leading [[; e, z and s are
-     * the next 'e', ".0000" and stop byte at or after i, or n */
-    int64_t m = 0, done = csv ? 2 : 0, i = done, e = -1, z = -1, s = -1;
-    int stop = csv ? ']' : '"';
-    for (;;) {
-        if (e < i)
-            e = next_byte(in, i, n, 'e');
-        if (z < i)
-            z = next_zeros(in, i, n);
-        if (s < i)
-            s = next_byte(in, i, n, stop);
-        i = e < z ? e : z;
-        i = s < i ? s : i;
-        if (i == n)
-            break;
-        if (i == s && !csv) {                   /* a string */
-            for (i++; i < n && in[i] != '"'; i++)
-                i += in[i] == '\\';
-            i++;
-        } else if (i == s) {                    /* a row's end is a line's */
-            COPY_TO(i);
-            out[m++] = '\n';
-            if (in[i + 1] != ',')               /* the table's closing ] */
-                return m;
-            done = i += 3;                      /* ],[ */
-        } else if (i == e) {
-            if (i + 1 < n && DIGIT(in[i + 1])) {        /* e16 -> e+16 */
-                COPY_TO(i + 1);
-                out[m++] = '+';
-            } else if (i + 2 < n && in[i + 1] == '-'    /* e-7 -> e-07 */
-                       && (i + 3 == n || !DIGIT(in[i + 3]))) {
-                COPY_TO(i + 2);
-                out[m++] = '0';
-            }
-            i++;
-        } else if (i >= 1 && in[i - 1] == '0' && n - i > 5  /* 0.0000123 */
-                   && DIGIT(in[i + 5]) && (i == 1 || !DIGIT(in[i - 2]))) {
-            COPY_TO(i - 1);                     /* -> 1.23e-05 */
-            out[m++] = in[i + 5];
-            for (i += 6, done = i; i < n && DIGIT(in[i]); i++)
-                ;
-            if (i > done)
-                out[m++] = '.';
-            COPY_TO(i);
-            memcpy(out + m, "e-05", 4), m += 4;
-        } else
-            i++;
+    uint64_t bits, c, f;
+    memcpy(&bits, &x, 8);
+    int n = (int)(bits >> 63), e = 0, bq = (int)(bits >> 52) & 0x7ff, i, j;
+    char s[48], z[80];                  /* the text, and f's digits */
+    c = bits & (C_MIN - 1), s[0] = '-';
+    if (bq == 0x7ff || (bq == 0 && c == 0)) {   /* nan, inf and zero */
+        const char *t = !bq ? "0.0" : c ? json ? "NaN" : "nan"
+                                        : json ? "Infinity" : "inf";
+        n = bq && c ? 0 : n, *p = '-';
+        return p + n + strlen(strcpy(p + n, t));
     }
-    COPY_TO(n);
-    return m;
+    int q = bq ? bq - 1075 : -1074;     /* x = c 2^q */
+    c |= bq ? C_MIN : 0;
+    f = -53 < q && q < 0 && !(c << (64 + q)) ? c >> -q  /* an integer */
+                                              : to_decimal(q, c, g, &e);
+    /* f's 17 digits in z[24..41), amid zeros; its own in z[i..j) */
+    uint32_t hi = (uint32_t)(f / 100000000), lo = (uint32_t)(f % 100000000);
+    memset(z, '0', sizeof z);
+    for (i = 0; i < 8; i += 2, hi /= 100, lo /= 100) {
+        memcpy(z + 31 - i, DIGITS2 + hi % 100 * 2, 2);
+        memcpy(z + 39 - i, DIGITS2 + lo % 100 * 2, 2);
+    }
+    for (z[24] = (char)('0' + hi), i = 24; z[i] == '0'; i++)
+        ;
+    for (j = 41; z[j - 1] == '0'; j--)
+        ;
+    int decpt = 41 - i + e, x10 = decpt > 0 ? decpt - 1 : 1 - decpt;
+    if (-4 < decpt && decpt <= 16) {    /* 0.000ddd, dd.ddd and ddd00.0 */
+        int ilen = decpt > 1 ? decpt : 1, flen = j - i - decpt;
+        memcpy(s + n, z + i + decpt - ilen, 16);
+        s[n += ilen] = '.';
+        memcpy(s + n + 1, z + i + decpt, 24);
+        n += 1 + (flen > 1 ? flen : 1);
+    } else {                            /* d.ddde-XX */
+        s[n] = z[i], s[n + 1] = '.';
+        memcpy(s + n + 2, z + i + 1, 16);
+        n += j - i > 1 ? j - i + 1 : 1;
+        s[n++] = 'e', s[n++] = decpt > 0 ? '+' : '-';
+        if (x10 >= 100)
+            s[n++] = (char)('0' + x10 / 100);
+        memcpy(s + n, DIGITS2 + x10 % 100 * 2, 2), n += 2;
+    }
+    return (char *)memcpy(p, s, 24) + n;
+}
+
+/* json's list at depth of a[0..n), or with m >= 0 of n rows of m values */
+static char *json_list(char *p, const double *a, int64_t n, int64_t m,
+                       int depth, const uint64_t *g)
+{
+    if (n == 0)
+        return memcpy(p, "[]", 2), p + 2;
+    *p++ = '[';
+    for (int64_t i = 0; i < n; i++) {
+        *p = '\n';
+        p = (char *)memset(p + 1, ' ', 2 * depth + 2) + 2 * depth + 2;
+        p = m < 0 ? put(p, a[i], 1, g)
+                  : json_list(p, a + i * m, m, -1, depth + 1, g);
+        *p++ = ',';
+    }
+    p[-1] = '\n';
+    p = (char *)memset(p, ' ', 2 * depth) + 2 * depth;
+    *p = ']';
+    return p + 1;
+}
+
+int64_t write_floats(const double *a, int64_t n, int64_t m, int32_t depth,
+                     const uint64_t *g, char *out)
+{
+    char *p = out;
+    if (depth >= 0)
+        return json_list(out, a, n, m, depth, g) - out;
+    for (int64_t i = 0; i < n; i++, p -= m > 0, *p++ = '\n')
+        for (int64_t j = 0; j < m; j++, *p++ = ',')
+            p = put(p, *a++, 0, g);
+    return p - out;
 }

@@ -278,9 +278,9 @@ COMMANDS = {
 @functools.cache
 def _keep_freed_buffers():
     """On glibc, let the process keep freed buffers of up to 32 MiB.  glibc
-    otherwise unmaps or trims a record's megabyte buffers (orjson's text,
-    respell's, the str) after each record and faults them in again for the
-    next, about 600 page faults a trajectory.  Setting either threshold alone
+    otherwise unmaps or trims a record's megabyte buffers (the printed text
+    and its str) after each record and faults them in again for the next,
+    about 460 page faults a trajectory.  Setting either threshold alone
     switches off glibc's adaptive mmap threshold, so both are set.  Only
     ``main`` calls this, never an import: a library must not change its
     host's allocator."""

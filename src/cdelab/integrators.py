@@ -194,9 +194,10 @@ _FLOW_CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 @functools.cache
 def _flow_kernel():
-    """The compiled loops and ``respell`` of ``_flow.c``, or None where they
-    cannot be built or loaded (logged at INFO on the ``cdelab`` logger, with
-    the compiler's stderr).  The library is cached in ``__pycache__`` under
+    """The compiled loops and ``write_floats`` of ``_flow.c``, with the
+    printer's table as ``pow10_table``, or None where they cannot be built or
+    loaded (logged at INFO on the ``cdelab`` logger, with the compiler's
+    stderr).  The library is cached in ``__pycache__`` under
     the interpreter tag and a hash of its source, compiler command and tag;
     the first call builds it when absent, through a temporary file renamed
     into place, and then removes this interpreter's superseded builds."""
@@ -249,12 +250,22 @@ def _flow_kernel():
     lib.flow_midpoint.argtypes = [
         states, ctypes.c_int64, ctypes.c_double, ctypes.c_double,
         ctypes.c_int64, ctypes.c_double, cause, ctypes.POINTER(ctypes.c_double)]
-    lib.respell.argtypes = [
-        ctypes.c_char_p, ctypes.c_int64,
-        np.ctypeslib.ndpointer(np.uint8, flags=("C_CONTIGUOUS", "WRITEABLE")),
-        ctypes.c_int32]
+    lib.write_floats.argtypes = [
+        np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS"),
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_int32,
+        np.ctypeslib.ndpointer(np.uint64),
+        np.ctypeslib.ndpointer(np.uint8, flags=("C_CONTIGUOUS", "WRITEABLE"))]
     lib.flow_rk4.restype = lib.flow_midpoint.restype = ctypes.c_int64
-    lib.respell.restype = ctypes.c_int64
+    lib.write_floats.restype = ctypes.c_int64
+    # write_floats' table: g = floor(10^-k 2^(125 - r)) + 1, r = floor(-k
+    # log2 10), in (2^125, 2^126], as its top and bottom 63 bits
+    g = []
+    for k in range(-324, 293):
+        e = 125 - ((-k * 913124641741) >> 38)
+        x = (10 ** max(-k, 0) << max(e, 0)) // (10 ** max(k, 0)
+                                                 << max(-e, 0)) + 1
+        g += [x >> 63, x & (2**63 - 1)]
+    lib.pow10_table = np.array(g, np.uint64)
     return lib
 
 

@@ -5,22 +5,17 @@ and fixed column order, with the bytes ``csv.writer`` writes when each float
 is its ``float.__repr__``.  ``dumps(doc)`` returns exactly
 ``json.dumps(doc, indent=2)``, with each ndarray written as its ``tolist()``.
 
-A writer takes one of two routes.  A plain table or document (every float
-finite, every str ASCII without DEL, every key a str, every int within 64
-bits, every ndarray float64) is printed by one orjson call, and
-``respell`` in ``_flow.c`` rewrites that text in one pass into repr's
-spelling of each float (its header names the three bands where orjson's
-differs).  Every other table or document, and every one where ``_flow.c``
-cannot be built, is written by ``csv.writer`` or by ``json.dumps`` itself.
+Every 1-D or 2-D float64 array, a CSV table's rows or an array in a
+document, is printed by ``write_floats`` in ``_flow.c``, which spells each
+float as repr does; ``json.dumps`` writes the rest of each document.  Where
+``_flow.c`` cannot be built, ``csv.writer`` and ``json.dumps`` write it all.
 """
 
 import csv
 import io
 import json
-import math
 
 import numpy as np
-import orjson
 
 from . import integrators, spectral
 from .geometry import RadialProfile, SCHEMA
@@ -37,15 +32,30 @@ PROFILE_COLUMNS = {
 MIN_RECORD_SAMPLES = 400
 
 
-def _respelled(lib, text, head=""):
-    """orjson's text of a plain document as json's; with head, an ASCII CSV
-    header line, orjson's text of a table as head and csv.writer's lines."""
-    k, n = len(head), len(text)
-    out = np.empty(k + n + n // 4 + 8, np.uint8)
-    out[:k] = np.frombuffer(head.encode(), np.uint8)
-    m = k + lib.respell(text, n, out[k:], bool(head))
-    del text                            # freed before the str is made
-    return str(memoryview(out)[:m], "ascii")
+def _text_bound(a, depth):
+    """The most bytes that write_floats writes for a (_flow.c's header)."""
+    rows = len(a) if a.ndim == 2 else 0
+    if depth < 0:
+        return 25 * a.size + rows
+    return a.size * (2 * depth + 30) + rows * (4 * depth + 9) + 2 * depth + 3
+
+
+def _joined(lib, pieces, arrays, depths):
+    """pieces[0], the text of arrays[0] at depths[0], pieces[1], and so on,
+    as one str: each array a C-contiguous 1-D or 2-D float64 one, and each
+    piece ASCII."""
+    out = np.empty(sum(map(len, pieces))
+                   + sum(map(_text_bound, arrays, depths)), np.uint8)
+    end = 0
+    for i, piece in enumerate(pieces):
+        out[end:end + len(piece)] = np.frombuffer(piece.encode(), np.uint8)
+        end += len(piece)
+        if i < len(arrays):
+            a = arrays[i]
+            n, m = a.shape if a.ndim == 2 else (len(a), -1)
+            end += lib.write_floats(a, n, m, depths[i], lib.pow10_table,
+                                    out[end:])
+    return str(memoryview(out)[:end], "ascii")
 
 
 def _csv_table(header, rows):
@@ -53,12 +63,10 @@ def _csv_table(header, rows):
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
-    head = out.getvalue()
     rows = np.ascontiguousarray(rows, dtype=float)
     lib = integrators._flow_kernel()
-    if lib is not None and np.isfinite(rows).all():
-        return _respelled(lib, orjson.dumps(
-            rows, option=orjson.OPT_SERIALIZE_NUMPY), head)
+    if lib is not None:
+        return _joined(lib, [out.getvalue()], [rows], [-1])
     writer.writerows(rows.tolist())         # csv writes a float as its repr
     return out.getvalue()
 
@@ -163,46 +171,33 @@ def diagram_to_csv(diagram):
     return out.getvalue()
 
 
-def _str(s):
-    """Raises TypeError unless s is a str that orjson writes as json does."""
-    if type(s) is not str or not s.isascii() or "\x7f" in s:
-        raise TypeError("not written by orjson as by json")
-
-
-def _walk(o):
-    """Raises TypeError unless o is a plain document, one that orjson writes
-    as json does once respelled.  orjson itself raises at an int beyond 64
-    bits."""
-    if type(o) is dict:
-        for k, v in o.items():
-            _str(k)
-            _walk(v)
-    elif type(o) in (list, tuple):
-        for x in o:
-            _walk(x)
-    elif type(o) is np.ndarray:
-        if not (o.dtype == np.float64 and o.ndim and np.isfinite(o).all()):
-            raise TypeError("not written by orjson as by json")
-    elif isinstance(o, float):
-        if not math.isfinite(o):
-            raise TypeError("not written by orjson as by json")
-    elif o is not None and type(o) not in (bool, int):
-        _str(o)
+#: the str that stands for a float64 array in json's text of a document
+_ARRAY = "cdelab float64 array"
 
 
 def dumps(doc):
     """Exactly ``json.dumps(doc, indent=2)``, with each ndarray written as
-    its ``tolist()``, for an acyclic document."""
+    its ``tolist()``."""
     lib = integrators._flow_kernel()
-    if lib is not None:
-        try:
-            _walk(doc)
-            # orjson hands a strided array to default
-            return _respelled(lib, orjson.dumps(
-                doc, default=np.ascontiguousarray,
-                option=orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY))
-        except TypeError:
-            pass
-    return json.dumps(doc, indent=2, default=lambda o: o.tolist()
-                      if isinstance(o, np.ndarray)
-                      else json.JSONEncoder().default(o))
+    arrays = []
+
+    def default(o):
+        if not isinstance(o, np.ndarray):
+            return json.JSONEncoder().default(o)
+        if (lib is None or type(o) is not np.ndarray
+                or o.dtype != np.float64 or o.ndim not in (1, 2)):
+            return o.tolist()
+        arrays.append(np.ascontiguousarray(o))
+        return _ARRAY
+
+    text = json.dumps(doc, indent=2, default=default)
+    pieces = text.split(json.dumps(_ARRAY))
+    if len(pieces) != len(arrays) + 1:      # a str of doc is _ARRAY
+        lib = None
+        return json.dumps(doc, indent=2, default=default)
+    if not arrays:
+        return text
+    # an array's depth is its line's indentation over 2
+    depths = [(len(line) - len(line.lstrip(" "))) // 2
+              for line in (p[p.rfind("\n") + 1:] for p in pieces[:-1])]
+    return _joined(lib, pieces, arrays, depths)

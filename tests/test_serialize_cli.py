@@ -9,7 +9,6 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
-import orjson
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -113,22 +112,22 @@ def test_orbit_record_schema(lyapunov_orbits):
     assert len(rec["samples"][0]) == 5       # t,u,v,a,b
 
 
-# the writers' two routes: the compiled kernel's respell, where the document
-# or table is plain, and the stdlib writers, with no kernel
+# the writers' two routes: the compiled kernel's write_floats for each
+# float64 array, and the stdlib writers, with no kernel
 WRITER_ROUTES = (contextlib.nullcontext,
                  lambda: mock.patch.object(integrators, "_flow_kernel",
                                            lambda: None))
 
 
 class CountingKernel:
-    """The compiled kernel, counting its respell calls."""
+    """The compiled kernel, counting its write_floats calls."""
 
     def __init__(self, lib):
-        self.lib, self.respells = lib, 0
+        self.lib, self.calls = lib, 0
 
-    def respell(self, *args):
-        self.respells += 1
-        return self.lib.respell(*args)
+    def write_floats(self, *args):
+        self.calls += 1
+        return self.lib.write_floats(*args)
 
     def __getattr__(self, name):
         return getattr(self.lib, name)
@@ -136,7 +135,7 @@ class CountingKernel:
 
 @pytest.fixture
 def kernel(monkeypatch):
-    """The writers' kernel, counting its respell calls."""
+    """The writers' kernel, counting its write_floats calls."""
     lib = integrators._flow_kernel()
     if lib is None:
         pytest.skip("no C compiler builds _flow.c")
@@ -145,9 +144,8 @@ def kernel(monkeypatch):
     return counting
 
 
-# neighbours of the points where orjson's or repr's notation changes; the
-# floats that respell rewrites lie in bands that start or end at 1e-9, 1e-4
-# and 1e16
+# neighbours of the points where repr's notation changes (1e-4, 1e16) and
+# where orjson's did (1e-9, 1e-5)
 REDO_EDGES = [float(y) for x in (1e-10, 1e-9, 1e-5, 1e-4, 1e16)
               for y in (np.nextafter(x, 0.0), x, np.nextafter(x, np.inf))]
 # every float json spells specially or that sits at a repr edge
@@ -163,16 +161,17 @@ float_tables = st.integers(1, 4).flatmap(lambda m: st.lists(
 float_arrays = (st.lists(floats, max_size=6) | float_tables).map(
     lambda x: np.array(x, dtype=float)).flatmap(
     lambda a: st.sampled_from([a, a[::-1]]))
-# strs and lists that orjson would not write as json does, or that put a
-# None beside a NaN
+# strs that json escapes or that look like its text, lists that put a None
+# beside a NaN, and the str that stands for an array in dumps' json text
 ROUTES = ["null", "a null b", "\n" + "ull", "\x7f", [None, float("nan")],
-          [float("nan"), None, 1.0], [[1.0, None], [float("nan"), 2.0]]]
+          [float("nan"), None, 1.0], [[1.0, None], [float("nan"), 2.0]],
+          serialize._ARRAY]
 leaves = (st.none() | st.booleans() | st.integers() | floats | st.text()
           | st.sampled_from(["", "caf\u00e9", "tab\t\"q\"\\", "\U0001f600"])
           | st.lists(floats, max_size=6) | float_tables | float_arrays
           | st.sampled_from(ROUTES))
 keys = (st.text() | st.integers() | floats | st.booleans() | st.none()
-        | st.sampled_from(["null", "\n" + "ull", "\x7f"]))
+        | st.sampled_from(["null", "\n" + "ull", "\x7f", serialize._ARRAY]))
 documents = st.recursive(
     leaves,
     lambda children: (st.lists(children, max_size=4)
@@ -275,36 +274,83 @@ def assert_writers_equal_repr(values, width, routes=WRITER_ROUTES):
             assert serialize._csv_table(header, rows) == csv_text
 
 
-def test_writers_equal_repr_on_random_bit_patterns():
+def test_writers_equal_repr_on_random_bit_patterns(kernel):
+    # nan and inf included: the compiled route prints the whole table, in one
+    # call for the CSV and one per array for the document
     rng = np.random.default_rng(19)
     values = rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
+    assert not np.isfinite(values).all()
     assert_writers_equal_repr(values, 4)
+    assert kernel.calls == 3
 
 
-def test_writers_respell_random_finite_bit_patterns(kernel):
-    # the pattern above holds nan and inf, which send both writers to the
-    # stdlib; its finite floats take the compiled route
-    rng = np.random.default_rng(19)
-    values = rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
-    values = values[np.isfinite(values)]
-    assert_writers_equal_repr(values[:len(values) // 4 * 4], 4,
-                              routes=[contextlib.nullcontext])
-    assert kernel.respells == 2
+def powers_of_two():
+    x = 2.0 ** np.arange(-1074, 1024)
+    return np.concatenate([np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)])
 
 
-@pytest.mark.parametrize("x", [1e-7, -1e-7, 1e16, -1.5e300])
-def test_writers_respell_worst_case_growth(x, kernel):
-    # each float gains a byte: the most that respell's output outgrows
-    # orjson's text, n + n / 4 + 8 bytes for n of it
-    assert_writers_equal_repr(np.full(5000 * 3, x), 3,
-                              routes=[contextlib.nullcontext])
-    assert kernel.respells == 2
-    text = b",".join([orjson.dumps(x)] * 5000)
-    bound = len(text) + len(text) // 4 + 8
-    out = np.full(bound + 64, 255, np.uint8)
-    m = kernel.lib.respell(text, len(text), out, 0)
-    assert bytes(out[:m]) == ",".join([repr(x)] * 5000).encode()
-    assert m <= bound and (out[m:] == 255).all()
+# the floats where Schubfach's digits, or their spelling, could part from
+# repr's: every subnormal with t < 2^16 (Java's two-digit rule parts from
+# the shortest digits there), every power of two with its neighbours (the
+# irregular spacing below each), repr's switches of notation, integers with
+# trailing zeros (the exact-integer path) and the ends of the range
+PARTING_FLOATS = {
+    "subnormals": np.arange(2**16, dtype=np.uint64).view(np.float64),
+    "powers of two": powers_of_two(),
+    "notation": np.array([
+        y for x in (1e-4, 1e16, 9999999999999998.0, 1e15, 2.0**53,
+                    2.0**53 + 2, 123456789012345680.0)
+        for y in (np.nextafter(x, 0.0), x, np.nextafter(x, np.inf))]),
+    "integers": np.array([float(i * 10**j) for i in range(1, 100)
+                          for j in range(16)]),
+    "ends": np.array([5e-324, np.finfo(float).max]),
+}
+
+
+@pytest.mark.parametrize("name", PARTING_FLOATS)
+def test_writers_equal_repr_where_schubfach_can_part(name, kernel):
+    values = PARTING_FLOATS[name]
+    assert_writers_equal_repr(np.concatenate([values, -values]), 2)
+    assert kernel.calls == 3
+
+
+def text_bound(a, depth):
+    # _flow.c's header: 24 bytes a float, with v values in r rows
+    v, r = a.size, len(a) if a.ndim == 2 else 0
+    if depth < 0:
+        return 25 * v + r
+    return v * (2 * depth + 30) + r * (4 * depth + 9) + 2 * depth + 3
+
+
+@pytest.mark.parametrize("x", [-2.2250738585072014e-308,
+                               -1.7976931348623157e+308, -np.inf])
+def test_write_floats_never_writes_past_its_bound(x, kernel):
+    # the longest spellings, as CSV and as json at depth 3: the text is the
+    # stdlib's, and every byte past the documented bound is intact
+    lines = [",".join([repr(x)] * 3)] * 500
+    cases = [(np.full((500, 3), x), -1, "\n".join(lines) + "\n")]
+    for a in (np.full((500, 3), x), np.full(700, x), np.full((2, 0), x)):
+        text = json.dumps(a.tolist(), indent=2)
+        cases.append((a, 3, text.replace("\n", "\n" + " " * 6)))
+    for a, depth, text in cases:
+        bound = text_bound(a, depth)
+        out = np.full(bound + 64, 255, np.uint8)
+        n, m = a.shape if a.ndim == 2 else (len(a), -1)
+        end = kernel.lib.write_floats(a, n, m, depth, kernel.pow10_table, out)
+        assert bytes(out[:end]).decode() == text
+        assert end <= bound and (out[bound:] == 255).all()
+        assert text_bound(a, depth) == serialize._text_bound(a, depth)
+
+
+def test_dumps_a_str_that_is_the_array_marker(kernel):
+    # such a str sends the document to json.dumps with tolist
+    mark = serialize._ARRAY
+    docs = [{mark: np.ones(2), "k": mark, "x": np.eye(2)},
+            [np.zeros(3), mark], {mark: 1.5, "a": np.array([1e-7])}]
+    for doc in docs:
+        assert serialize.dumps(doc) == json.dumps(doc, indent=2,
+                                                  default=tolist)
+    assert kernel.calls == 0
 
 
 def test_writers_keep_number_like_text_in_strs(kernel):
@@ -312,7 +358,7 @@ def test_writers_keep_number_like_text_in_strs(kernel):
     doc = {s: [0.00001234, -0.00001, 1e16], "k": s, "q": '"1e-7" \\',
            "rows": np.array([[0.00001234, -0.00001, 1e16]])}
     assert serialize.dumps(doc) == json.dumps(doc, indent=2, default=tolist)
-    assert kernel.respells == 1
+    assert kernel.calls == 1
 
 
 @pytest.mark.parametrize("shape, header, text", [
@@ -325,18 +371,23 @@ def test_csv_table_without_rows_or_columns(shape, header, text):
 
 
 @pytest.mark.parametrize("doc", [
-    1e-05, 1.5e-07, 1.234e-05,          # edits at the text's first, last byte
+    1e-05, 1.5e-07, 1.234e-05,          # a float at the text's first, last byte
     ["s.00001 e5 \" \\", 1.5e-07, 1.234e-05, 1e16],     # a number per band
 ], ids=repr)
-def test_writers_respell_at_the_ends_and_after_a_str(doc, kernel):
-    for route in WRITER_ROUTES:
-        with route():
-            assert serialize.dumps(doc) == json.dumps(doc, indent=2)
-    assert kernel.respells == 1
+def test_writers_at_the_ends_and_after_a_str(doc, kernel):
+    # the document, then with its floats as one array
+    as_array = (np.array([doc]) if isinstance(doc, float)
+                else [doc[0], np.array(doc[1:])])
+    for d in (doc, as_array):
+        for route in WRITER_ROUTES:
+            with route():
+                assert serialize.dumps(d) == json.dumps(d, indent=2,
+                                                        default=tolist)
+    assert kernel.calls == 1
 
 
-def test_writers_respell_every_band():
-    # orjson's notation differs from repr's for 1e-9 <= |x| < 1e-5, for
+def test_writers_equal_repr_in_every_band():
+    # orjson's notation differed from repr's for 1e-9 <= |x| < 1e-5, for
     # 1e-5 <= |x| < 1e-4 and for |x| >= 1e16: draw m * 10^k in [10^e, 10^(e+1))
     # with m of 1 to 17 digits, of both signs, in each band
     rng = np.random.default_rng(21)
@@ -402,6 +453,21 @@ def test_a_ground_state_solve_loads_no_scipy():
         assert (run.stdout, run.stderr) == ("0 []\n", ""), argv
 
 
+def test_cli_records_load_no_orjson():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import contextlib, io, sys\n"
+            "from cdelab import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [cli.main(['integrate', '--state', '1,0,0.3,0.35',\n"
+            "                       '--t-final', '0.1', '--format', 'json']),\n"
+            "             cli.main(['ground-state', '--epsilon', '0.2'])]\n"
+            "print(codes, 'orjson' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert (run.stdout, run.stderr) == ("[0, 0] False\n", "")
+
+
 def test_cli_main_repeated_calls_match_fresh_parsers(capsys):
     argvs = [["equilibria"], ["homoclinic"], ["equilibria", "--format", "csv"],
              ["integrate", "--state", "1,0,0.3,0.35", "--t-final", "0.05",
@@ -442,17 +508,32 @@ def test_cli_json_output_is_canonical(argv, capsys):
     assert json.dumps(json.loads(out), indent=2) + "\n" == out
 
 
+def float_arrays(doc):
+    """The number of 1-D and 2-D float64 ndarrays in a document."""
+    if isinstance(doc, dict):
+        return sum(map(float_arrays, doc.values()))
+    if isinstance(doc, (list, tuple)):
+        return sum(map(float_arrays, doc))
+    return int(type(doc) is np.ndarray and doc.dtype == np.float64
+               and doc.ndim in (1, 2))
+
+
 @pytest.mark.parametrize("argv", [
     INTEGRATE_JSON + ["0.3"], INTEGRATE_JSON[:-3] + ["--t-final", "0.3"],
     ["ground-state", "--epsilon", "0.025"],
     ["lyapunov", "--amplitudes", "1e-2"],
 ], ids=" ".join)
-def test_cli_records_take_the_compiled_route(argv, kernel, capsys):
-    # each is plain, a ground state's strided samples included: one orjson
-    # call and one respell
+def test_cli_records_take_the_compiled_route(argv, kernel, monkeypatch,
+                                             capsys):
+    # each float64 array of a record, a ground state's strided samples
+    # included, takes write_floats once; a CSV table takes it once
+    counts, dumps = [], serialize.dumps
+    monkeypatch.setattr(serialize, "dumps",
+                        lambda doc: counts.append(float_arrays(doc))
+                        or dumps(doc))
     code, _, _ = run_cli(argv, capsys)
     assert code == 0
-    assert kernel.respells == 1
+    assert kernel.calls == (sum(counts) if counts else 1)
 
 
 def test_cli_ground_state_record_matches_recomputed_record(capsys):
@@ -498,8 +579,8 @@ def test_cli_integrate_csv(capsys):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_cli_integrate_homoclinic_tail_text(fmt, capsys):
-    # on the homoclinic's tail a stays in 1e-5 <= |a| < 1e-4, where orjson
-    # writes 0.0000123 for repr's 1.23e-05
+    # on the homoclinic's tail a stays in 1e-5 <= |a| < 1e-4, where repr
+    # writes 1.23e-05 and fixed notation would write 0.0000123
     state = [float(x) for x in homoclinic.derived_profile()(-6.0)]
     code, out, _ = run_cli(["integrate", "--state", ",".join(map(repr, state)),
                             "--t-final", "0.5", "--format", fmt], capsys)
