@@ -284,6 +284,16 @@ def test_writers_equal_repr_on_random_bit_patterns(kernel):
     assert kernel.calls == 3
 
 
+def test_writers_respell_random_finite_bit_patterns(kernel):
+    # the finite floats of the pattern above, on the compiled route alone
+    rng = np.random.default_rng(19)
+    values = rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
+    values = values[np.isfinite(values)]
+    assert_writers_equal_repr(values[:len(values) // 4 * 4], 4,
+                              routes=[contextlib.nullcontext])
+    assert kernel.calls == 3
+
+
 def powers_of_two():
     x = 2.0 ** np.arange(-1074, 1024)
     return np.concatenate([np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)])
