@@ -16,7 +16,7 @@ def main():
         print(f"  H{tuple(np.round(s, 6))} = {dynamics.hamiltonian(s)!r}")
 
     print("\nequilibrium catalog (vector field norm, energy)")
-    for name, point, energy in dynamics.equilibria().items():
+    for name, point, energy in dynamics.equilibria():
         fnorm = np.linalg.norm(dynamics.vector_field(point))
         print(f"  {name}: |f| = {fnorm:.2e},  H = {energy!r}")
 

@@ -119,10 +119,10 @@ def build_parser():
 # subcommand bodies
 
 def cmd_equilibria(args):
-    cat = dynamics.equilibria()
+    eq = dynamics.equilibria()
     if args.format == "csv":
         lines = ["name,u,v,a,b,H"]
-        for name, point, energy in cat.items():
+        for name, point, energy in eq:
             lines.append(",".join([name] + [repr(float(x)) for x in point]
                                   + [repr(float(energy))]))
         _emit("\n".join(lines), args.out)
@@ -131,7 +131,7 @@ def cmd_equilibria(args):
                "equilibria": [{"name": name,
                                "state": [float(x) for x in point],
                                "H": float(energy)}
-                              for name, point, energy in cat.items()]}
+                              for name, point, energy in eq]}
         _emit(serialize.dumps(doc), args.out)
     return 0
 

@@ -14,7 +14,6 @@ with canonical pairs (u, v) and (a, b).
 """
 
 import numpy as np
-from dataclasses import dataclass
 
 SQRT2 = np.sqrt(2.0)
 
@@ -67,30 +66,10 @@ from_rotated = to_rotated
 P_PLUS_ROTATED = np.array([1.0, 0.0, 0.5, 0.0])
 
 
-@dataclass(frozen=True)
-class EquilibriumCatalog:
-    """The three equilibria with u >= 0 and their energies."""
-    p0: np.ndarray
-    p_plus: np.ndarray
-    p_minus: np.ndarray
-    energies: tuple
-
-    def items(self):
-        return (("P0", self.p0, self.energies[0]),
-                ("P+", self.p_plus, self.energies[1]),
-                ("P-", self.p_minus, self.energies[2]))
-
-
 def equilibria():
-    """Catalog of equilibrium points; energies are H evaluated exactly."""
-    return EquilibriumCatalog(
-        p0=P0.copy(),
-        p_plus=P_PLUS.copy(),
-        p_minus=P_MINUS.copy(),
-        energies=(float(hamiltonian(P0)),
-                  float(hamiltonian(P_PLUS)),
-                  float(hamiltonian(P_MINUS))),
-    )
+    """(name, state, H) of P0, P+ and P-, each state a copy and H exact."""
+    return tuple((name, p.copy(), float(hamiltonian(p)))
+                 for name, p in (("P0", P0), ("P+", P_PLUS), ("P-", P_MINUS)))
 
 
 def spinor_from_state(s):

@@ -164,7 +164,6 @@ def euclidean_to_sphere(profile):
 class CouplingFit:
     kappa: float
     residual: float          # relative L2 misfit over interior nodes
-    nodes: int
 
 
 def coupling_constant_fit(profile):
@@ -206,7 +205,7 @@ def coupling_constant_fit(profile):
     kappa = float(np.dot(lhs, rhs)) / denom
     misfit = lhs - kappa * rhs
     residual = float(np.linalg.norm(misfit) / max(np.linalg.norm(lhs), 1e-300))
-    return CouplingFit(kappa=kappa, residual=residual, nodes=len(lhs))
+    return CouplingFit(kappa=kappa, residual=residual)
 
 
 def best_fit_scale(profile):

@@ -27,6 +27,9 @@ NEWTON_TOL = 1e-12
 STOP_TOL = 1e-14
 #: period 2 pi/omega of the linear flow at P+, the family's limit period
 T0 = 2.0 * np.pi / linear.OMEGA
+#: smallest amplitude accepted: the orbit's largest term off k = 0 is 0.8185 h,
+#: which is_constant's 1e-8 takes for a constant below h = 1.2217e-8
+MIN_AMPLITUDE = 1.23e-8
 
 
 def _eigenmode_start(h):
@@ -56,20 +59,24 @@ def lyapunov_family(amplitudes, tol=NEWTON_TOL):
     first start, down to merit min(tol, STOP_TOL).  Each orbit is the
     :class:`spectral.Solution` that spectral._accept takes at ``tol``, its
     merit Newton's last.  Periods approach 2*pi/2^(1/4) = 2^(3/4)*pi as the
-    amplitude shrinks.  Raises ValueError unless every h is positive and
-    finite (h = 0 is the equilibrium itself).
-    """
+    amplitude shrinks; an overflowing solve, at h of order 1e100, fails on
+    the residual.  Raises ValueError unless every h is finite and at least
+    MIN_AMPLITUDE = 1.23e-8 (h = 0 is the equilibrium itself)."""
     if not all(0.0 < h < np.inf for h in amplitudes):
         raise ValueError(f"each amplitude h must be > 0 and finite, "
                          f"got {list(amplitudes)}")
+    if min(amplitudes, default=np.inf) < MIN_AMPLITUDE:
+        raise ValueError(f"amplitude h = {min(amplitudes)!r} is below "
+                         f"MIN_AMPLITUDE = {MIN_AMPLITUDE:g}")
     field = None
     family = []
-    for h in amplitudes:
-        if field is None:
-            field = _eigenmode_start(h)
-        field, report = spectral._newton(field, min(tol, STOP_TOL), 30,
-                                         pin=1.0 + h)
-        family.append(spectral._accept(field, report, tol, "family orbit"))
+    with np.errstate(over="ignore", invalid="ignore"):   # fails on the merit
+        for h in amplitudes:
+            if field is None:
+                field = _eigenmode_start(h)
+            field, report = spectral._newton(field, min(tol, STOP_TOL), 30,
+                                             pin=1.0 + h)
+            family.append(spectral._accept(field, report, tol, "family orbit"))
     return family
 
 

@@ -164,10 +164,6 @@ class SpectrumA:
         self.eps_w = (np.concatenate([2.0 * omega * kpi, zero, zero]),
                       (spinor * kpi).ravel())
 
-    @property
-    def half_period(self):
-        return 1.0 / self.epsilon
-
     @cached_property
     def eigvec_plus(self):       # (M, 2) complex
         top = (1.0 - 1j * self.omega) / (np.sqrt(2.0) * self.lam)
@@ -532,22 +528,23 @@ def cutoff_test_pair(eps, K=None):
 
 #: GMRES in the Newton polish: floor of each solve's forcing (its bound on
 #: the preconditioned residual relative to the preconditioned right-hand
-#: side), basis size, cap on restart cycles.  A lower floor converges too (no
-#: translation null mode on the time-reversal-even fields) but costs more
-#: where it binds, at merits above 1e-5: at eps = 0.1, 0.2, 0.3 and 0.37,
-#: 173 JVPs in 16 ms, and 204 in 19 ms at 1e-12 (process time, 2-vCPU VM)
+#: side).  A lower floor converges too (no translation null mode on the
+#: time-reversal-even fields) but costs more where it binds, at merits above
+#: 1e-5: at eps = 0.1, 0.2, 0.3 and 0.37, 173 JVPs in 16 ms, and 204 in 19 ms
+#: at 1e-12 (process time, 2-vCPU VM)
 KRYLOV_FORCING = 1e-8
 #: each Newton step's forcing is max(KRYLOV_FORCING, min(0.1, KRYLOV_GAMMA *
 #: tol / merit)) (Eisenstat & Walker 1996).  12 ground states at eps in
 #: [0.025, 0.06] take 7 steps and 63 JVPs in 16 ms (14, 89 and 22 ms at a
 #: fixed forcing 1e-8); gamma = 1e-2 takes 56 JVPs
 KRYLOV_GAMMA = 1e-3
-KRYLOV_RESTART = 50
-KRYLOV_MAX_RESTARTS = 20
+#: cap on the steps of a GMRES solve, which never restarts; the solves
+#: measured took at most 15 (see test_gmres_steps_stay_under_the_cap)
+KRYLOV_MAX_ITERS = 50
 #: Newton steps :func:`ground_state` takes at most
 MAX_NEWTON_ITERS = 40
 #: largest K :func:`ground_state` accepts: the Krylov basis alone holds
-#: (KRYLOV_RESTART + 1) * 3(2K+1) floats, about 2.4 kB per mode (245 MB here)
+#: (KRYLOV_MAX_ITERS + 1) * 3(2K+1) floats, 2.4 kB per mode (245 MB here)
 MAX_MODES = 100_000
 
 #: bound on a solution's :func:`coefficient_tail`.  At the default K it is
@@ -613,7 +610,7 @@ class Solution:
 
     @property
     def half_period(self):
-        return self.field.spectrum.half_period
+        return 1.0 / self.field.epsilon
 
     @property
     def period(self):
@@ -643,15 +640,11 @@ def _newton_step(r, jvp, ops, border=None, forcing=KRYLOV_FORCING):
     deps); p . dx] = -[S M S r; e] is solved for the step (dx, deps).
     M maps even fields to even fields exactly, so S M S = M S.  ``ops`` is
     the :class:`SpectrumA` of the point; GMRES runs to the given forcing.
-    Returns the step and the number of Jacobian-vector products."""
-    jvps = 0
-
+    Returns the step and its Jacobian-vector products, one per GMRES step."""
     def precondition(y):
         return ops.gather(ops.symmetric(y), ops.inverse_w)
 
     def operator(v):
-        nonlocal jvps
-        jvps += 1
         if border is None:
             return precondition(jvp(v))
         dr, p, _ = border
@@ -660,57 +653,50 @@ def _newton_step(r, jvp, ops, border=None, forcing=KRYLOV_FORCING):
     c = precondition(-r)
     if border is not None:
         c = np.append(c, -border[2])
-    return _gmres(operator, c, forcing), jvps
+    return _gmres(operator, c, forcing)
 
 
 def _gmres(operator, c, forcing=KRYLOV_FORCING):
-    """Restarted GMRES (Saad & Schultz 1986) for operator(x) = c: Arnoldi
-    with modified Gram-Schmidt and Givens rotations.  A cycle stops when the
-    Arnoldi estimate of the residual reaches ``forcing`` times |c|, or on
-    a happy breakdown; a cycle of KRYLOV_RESTART steps that stops short
-    restarts from the true residual.  Returns the iterate, also when the
-    last of KRYLOV_MAX_RESTARTS cycles stops short."""
-    tol = forcing * np.linalg.norm(c)
-    m = KRYLOV_RESTART
+    """GMRES (Saad & Schultz 1986) for operator(x) = c from x = 0, as one
+    Arnoldi cycle with modified Gram-Schmidt and Givens rotations that stops
+    once its estimate of the residual reaches ``forcing`` times |c|, on a
+    happy breakdown, or after KRYLOV_MAX_ITERS steps, where it stops short.
+    Returns the iterate and the steps taken, one operator call each."""
     x = np.zeros(c.size)
-    for cycle in range(KRYLOV_MAX_RESTARTS):
-        res = c - operator(x) if cycle else c
-        beta = np.linalg.norm(res)
-        if beta <= tol:
+    beta = np.linalg.norm(c)
+    tol = forcing * beta
+    if beta <= tol:
+        return x, 0
+    m = KRYLOV_MAX_ITERS
+    V = np.empty((m + 1, c.size))
+    H = np.zeros((m, m))
+    rot, g = [], [float(beta)]
+    V[0] = c / beta
+    for j in range(m):
+        w = operator(V[j])
+        w_norm = np.linalg.norm(w)
+        col = []
+        for i in range(j + 1):
+            col.append(float(V[i] @ w))
+            w -= col[i] * V[i]
+        h = float(np.linalg.norm(w))
+        breakdown = h <= np.finfo(float).eps * w_norm
+        if breakdown:
+            h = 0.0
+        else:
+            V[j + 1] = w / h
+        for i, (cs, sn) in enumerate(rot):
+            col[i], col[i + 1] = (cs * col[i] + sn * col[i + 1],
+                                  cs * col[i + 1] - sn * col[i])
+        rho = np.hypot(col[j], h)
+        cs, sn = float(col[j] / rho), float(h / rho)
+        rot.append((cs, sn))
+        H[:j + 1, j] = col[:j] + [rho]
+        g[j:] = cs * g[j], -sn * g[j]
+        if breakdown or abs(g[j + 1]) <= tol:
             break
-        V = np.empty((m + 1, c.size))
-        H = np.zeros((m, m))
-        rot, g = [], [float(beta)]
-        V[0] = res / beta
-        for j in range(m):
-            w = operator(V[j])
-            w_norm = np.linalg.norm(w)
-            col = []
-            for i in range(j + 1):
-                col.append(float(V[i] @ w))
-                w -= col[i] * V[i]
-            h = float(np.linalg.norm(w))
-            done = h <= np.finfo(float).eps * w_norm     # happy breakdown
-            if done:
-                h = 0.0
-            else:
-                V[j + 1] = w / h
-            for i, (cs, sn) in enumerate(rot):
-                col[i], col[i + 1] = (cs * col[i] + sn * col[i + 1],
-                                      cs * col[i + 1] - sn * col[i])
-            rho = np.hypot(col[j], h)
-            cs, sn = float(col[j] / rho), float(h / rho)
-            rot.append((cs, sn))
-            H[:j + 1, j] = col[:j] + [rho]
-            g[j:] = cs * g[j], -sn * g[j]
-            done = done or abs(g[j + 1]) <= tol
-            if done:
-                break
-        y = np.linalg.solve(H[:j + 1, :j + 1], g[:j + 1])
-        x = x + y @ V[:j + 1]
-        if done:
-            break
-    return x
+    y = np.linalg.solve(H[:j + 1, :j + 1], g[:j + 1])
+    return x + y @ V[:j + 1], j + 1
 
 
 def _newton(field, tol, max_iters, pin=None):

@@ -16,18 +16,16 @@ def _check(name, passed, detail=""):
 
 
 def suite_equilibria(seed=0, tol=1e-15):
-    cat = dynamics.equilibria()
+    eq = dynamics.equilibria()
     out = []
-    for name, point, energy in cat.items():
+    for name, point, _ in eq:
         fnorm = float(np.linalg.norm(dynamics.vector_field(point)))
         out.append(_check(f"vector field vanishes at {name}", fnorm <= tol,
                           f"|f| = {fnorm:.3e}"))
-    out.append(_check("H(P0) = 0", cat.energies[0] == 0.0,
-                      f"H = {cat.energies[0]!r}"))
-    out.append(_check("H(P+) = -1/8", cat.energies[1] == -0.125,
-                      f"H = {cat.energies[1]!r}"))
-    out.append(_check("H(P-) = -1/8", cat.energies[2] == -0.125,
-                      f"H = {cat.energies[2]!r}"))
+    for (name, _, energy), (text, exact) in zip(
+            eq, [("0", 0.0), ("-1/8", -0.125), ("-1/8", -0.125)]):
+        out.append(_check(f"H({name}) = {text}", energy == exact,
+                          f"H = {energy!r}"))
     return out
 
 

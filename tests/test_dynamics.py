@@ -73,7 +73,11 @@ def test_spinor_view():
 
 
 def test_equilibrium_catalog():
-    cat = dynamics.equilibria()
-    for _, point, energy in cat.items():
+    eq = dynamics.equilibria()
+    assert [name for name, _, _ in eq] == ["P0", "P+", "P-"]
+    for _, point, _ in eq:
         assert np.linalg.norm(dynamics.vector_field(point)) <= 1e-15
-    assert cat.energies == (0.0, -0.125, -0.125)
+    assert tuple(energy for _, _, energy in eq) == (0.0, -0.125, -0.125)
+    # each state is a copy: writing to it leaves the module's points alone
+    eq[1][1][0] = 2.0
+    assert dynamics.P_PLUS[0] == 1.0

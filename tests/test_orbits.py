@@ -183,6 +183,16 @@ def test_lyapunov_amplitude_zero_rejected():
         orbits.lyapunov_family([0.0])
 
 
+def test_lyapunov_family_floor_is_the_smallest_resolved_amplitude():
+    # at MIN_AMPLITUDE the largest coefficient off k = 0 clears is_constant's
+    # bound 1e-8 by under 1%, so the floor is tight; below it the family
+    # raises (test_cli_lyapunov_rejects_amplitudes_below_the_floor)
+    orb, = orbits.lyapunov_family([orbits.MIN_AMPLITUDE])
+    f = orb.field
+    coeffs = np.stack([f.u_coeffs, f.z_plus, f.z_minus])
+    assert 1e-8 < np.abs(coeffs[:, f.spectrum.k != 0]).max() <= 1.01e-8
+
+
 def test_lyapunov_family_solutions_carry_their_report(lyapunov_orbits):
     for orb in lyapunov_orbits.values():
         assert isinstance(orb, spectral.Solution)

@@ -884,6 +884,23 @@ def test_cli_lyapunov_off_the_branch_names_the_spectral_residual(amplitude,
     assert float(err.split()[-1]) > orbits.NEWTON_TOL
 
 
+def test_cli_lyapunov_huge_amplitude_fails_in_one_line(capsys):
+    # the solve overflows at h = 1e300: its nan merit fails the acceptance
+    # on the residual, with no numpy RuntimeWarning written before it
+    code, out, err = run_cli(["lyapunov", "--amplitudes", "1e300"], capsys)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("solver failure: ")
+    assert err.endswith("spectral residual nan\n")
+
+
+@pytest.mark.parametrize("amplitudes", ["1e-8", "3e-9", "1e-2,1.2e-8"])
+def test_cli_lyapunov_rejects_amplitudes_below_the_floor(amplitudes, capsys):
+    # such an orbit is not constant, but the acceptance rule takes it for one
+    code, out, err = run_cli(["lyapunov", "--amplitudes", amplitudes], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid input: ") and "MIN_AMPLITUDE" in err
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_cli_lyapunov_samples_each_orbit_once(monkeypatch, fmt, capsys):
     # one trajectory gives both the record's samples and distance_to_center

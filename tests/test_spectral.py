@@ -611,12 +611,9 @@ def test_newton_step_applies_every_jvp_inside_the_krylov_solve():
     assert np.linalg.norm(defect) <= 1e-13 * np.linalg.norm(even_r)
 
 
-@pytest.mark.parametrize("restart", [spectral.KRYLOV_RESTART, 3])
-def test_newton_step_matches_a_dense_solve_on_the_even_fields(monkeypatch,
-                                                               restart):
-    # restart = 3 cycles through the restart branch; the dense reference
-    # solves Q^T J Q y = -Q^T r, Q an orthonormal basis of the even fields
-    monkeypatch.setattr(spectral, "KRYLOV_RESTART", restart)
+def test_newton_step_matches_a_dense_solve_on_the_even_fields():
+    # the dense reference solves Q^T J Q y = -Q^T r, Q an orthonormal basis
+    # of the even fields
     f = spectral.cutoff_test_pair(0.1, K=16)
     ops = f.spectrum
     r, _, vals = ops.residual(f.x)
@@ -635,8 +632,6 @@ def test_newton_step_matches_a_dense_solve_on_the_even_fields(monkeypatch,
     dx, jvps = spectral._newton_step(r, jvp, ops)
     assert jvps == calls[0]
     assert np.linalg.norm(dx - dense) <= 1e-6 * np.linalg.norm(dense)
-    if restart == 3:
-        assert jvps > 3      # more than one cycle ran
 
 
 def test_gmres_matches_a_dense_solve():
@@ -646,7 +641,7 @@ def test_gmres_matches_a_dense_solve():
     n = 40
     A = np.eye(n) + 0.5 * rng.standard_normal((n, n)) / np.sqrt(n)
     c = rng.standard_normal(n)
-    x = spectral._gmres(lambda v: A @ v, c)
+    x, _ = spectral._gmres(lambda v: A @ v, c)
     exact = np.linalg.solve(A, c)
     bound = np.linalg.cond(A) * spectral.KRYLOV_FORCING
     assert np.linalg.norm(x - exact) <= bound * np.linalg.norm(exact)
@@ -664,20 +659,20 @@ def test_gmres_stops_on_a_happy_breakdown():
     c = np.zeros(30)
     c[0] = 2.0
     with np.errstate(all="raise"):
-        x = spectral._gmres(identity, c)
-    assert calls[0] == 1
+        x, steps = spectral._gmres(identity, c)
+    assert calls[0] == steps == 1
     np.testing.assert_array_equal(x, c)
     c = np.random.default_rng(51).standard_normal(30)
-    x = spectral._gmres(identity, c)
-    assert calls[0] == 2
+    x, steps = spectral._gmres(identity, c)
+    assert calls[0] == 2 and steps == 1
     np.testing.assert_allclose(x, c, rtol=1e-14, atol=0.0)
 
 
-def test_gmres_restarts_past_krylov_restart():
-    # eigenvalues spread over [1, 1e3]: one cycle of KRYLOV_RESTART steps
-    # stops short of the forcing, so at least one restart runs
+def test_gmres_stops_at_krylov_max_iters():
+    # eigenvalues spread over [1, 1e3]: KRYLOV_MAX_ITERS steps stop short of
+    # the forcing, and the iterate comes back with the step count
     rng = np.random.default_rng(52)
-    n = 4 * spectral.KRYLOV_RESTART
+    n = 4 * spectral.KRYLOV_MAX_ITERS
     d = rng.permutation(np.geomspace(1.0, 1e3, n))
     c = rng.standard_normal(n)
     calls = [0]
@@ -686,13 +681,24 @@ def test_gmres_restarts_past_krylov_restart():
         calls[0] += 1
         return d * v
 
-    x = spectral._gmres(operator, c)
-    assert calls[0] > spectral.KRYLOV_RESTART + 1
-    forcing = spectral.KRYLOV_FORCING
-    assert np.linalg.norm(d * x - c) <= 1.01 * forcing * np.linalg.norm(c)
-    exact = c / d
-    assert (np.linalg.norm(x - exact)
-            <= 1e3 * forcing * np.linalg.norm(exact))
+    x, steps = spectral._gmres(operator, c)
+    assert calls[0] == steps == spectral.KRYLOV_MAX_ITERS
+    residual = np.linalg.norm(d * x - c)
+    assert (spectral.KRYLOV_FORCING * np.linalg.norm(c) < residual
+            < np.linalg.norm(c))
+
+
+def test_gmres_steps_stay_under_the_cap(ground_states, lyapunov_orbits):
+    # GMRES never restarts, so a solve that reached KRYLOV_MAX_ITERS would
+    # cut its Newton step short with no sign; the exact inverse of the
+    # linear part keeps every solve measured at 15 steps or fewer, at
+    # K = 1024 too
+    solutions = [*ground_states.values(), *lyapunov_orbits.values(),
+                 spectral.ground_state(0.3785),
+                 spectral.ground_state(0.1, K=1024)]
+    for sol in solutions:
+        assert sol.report.jvps and max(sol.report.jvps) <= 20, sol.report
+    assert 20 < spectral.KRYLOV_MAX_ITERS
 
 
 def test_ground_state_with_too_few_modes_raises_naming_the_truncation(
