@@ -3,8 +3,8 @@ field in original time, and convergence diagnostics against the homoclinic
 profile.
 
 A 2T-periodic orbit is a zero of the spectral Euler-Lagrange residual at
-eps = 1/T on the fields even under R(u, v, a, b) = (u, -v, b, a), found by
-the ground-state Newton core and accepted by the same rule, so it is a
+eps = 1/T on the fields even under R(u, v, a, b) = (u, -v, b, a), found and
+accepted by the ground states' solve, spectral._solve, so it is a
 spectral.Solution as a ground state is.  The family starts
 from the linear flow of the elliptic mode at P+, in closed form on the
 collocation grid, so no time integration makes or checks an orbit: an RK4
@@ -57,7 +57,7 @@ def lyapunov_family(amplitudes, tol=NEWTON_TOL):
     later one starts from the previous solution.  The spectral Newton solve
     pins u(0) = 1 + h and finds the field and eps = 1/T, with the K of the
     first start, down to merit min(tol, STOP_TOL).  Each orbit is the
-    :class:`spectral.Solution` that spectral._accept takes at ``tol``, its
+    :class:`spectral.Solution` that spectral._solve accepts at ``tol``, its
     merit Newton's last.  Periods approach 2*pi/2^(1/4) = 2^(3/4)*pi as the
     amplitude shrinks; an overflowing solve, at h of order 1e100, fails on
     the residual.  Raises ValueError unless every h is finite and at least
@@ -68,15 +68,12 @@ def lyapunov_family(amplitudes, tol=NEWTON_TOL):
     if min(amplitudes, default=np.inf) < MIN_AMPLITUDE:
         raise ValueError(f"amplitude h = {min(amplitudes)!r} is below "
                          f"MIN_AMPLITUDE = {MIN_AMPLITUDE:g}")
-    field = None
     family = []
     with np.errstate(over="ignore", invalid="ignore"):   # fails on the merit
         for h in amplitudes:
-            if field is None:
-                field = _eigenmode_start(h)
-            field, report = spectral._newton(field, min(tol, STOP_TOL), 30,
-                                             pin=1.0 + h)
-            family.append(spectral._accept(field, report, tol, "family orbit"))
+            start = family[-1].field if family else _eigenmode_start(h)
+            family.append(spectral._solve(start, tol, STOP_TOL, "family orbit",
+                                          pin=1.0 + h))
     return family
 
 

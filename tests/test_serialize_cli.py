@@ -893,6 +893,17 @@ def test_cli_lyapunov_huge_amplitude_fails_in_one_line(capsys):
     assert err.endswith("spectral residual nan\n")
 
 
+@pytest.mark.parametrize("epsilon", ["1e100", "1e308"])
+def test_cli_ground_state_huge_epsilon_fails_in_one_line(epsilon, capsys):
+    # the residual norm overflows to inf at 1e100, and at 1e308 the
+    # spectrum's weights already overflow, to a nan merit: either fails the
+    # acceptance on the residual, with no numpy RuntimeWarning written first
+    code, out, err = run_cli(["ground-state", "--epsilon", epsilon], capsys)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("solver failure: ")
+    assert err.split()[-1] in ("inf", "nan")
+
+
 @pytest.mark.parametrize("amplitudes", ["1e-8", "3e-9", "1e-2,1.2e-8"])
 def test_cli_lyapunov_rejects_amplitudes_below_the_floor(amplitudes, capsys):
     # such an orbit is not constant, but the acceptance rule takes it for one

@@ -421,16 +421,14 @@ def test_reduce_g_raises_nonconvergence_when_cg_stops_short(monkeypatch):
 # ----------------------------------------------------------------------
 # Nehari residuals / cutoff pair
 
-def test_nehari_zero_field_flagged():
+def test_nehari_zero_field_residuals_vanish():
     res = spectral.nehari_residuals(constant_field(0.1, 8))
     assert res.r1 == res.r2 == res.r3 == 0.0
-    assert res.excluded_trivial
 
 
 def test_nehari_equilibrium_pair():
     res = spectral.nehari_residuals(constant_field(0.1, 16, dynamics.P_PLUS))
     assert res.r1 <= 1e-12 and res.r2 <= 1e-12 and res.r3 <= 1e-12
-    assert not res.excluded_trivial
 
 
 @pytest.mark.parametrize("eps", [0.2, 0.1])
@@ -848,12 +846,23 @@ def test_ground_state_energy_pinned(eps, delta):
 
 
 @pytest.mark.parametrize("eps", [0.025, 0.0345])
-def test_ground_state_starts_on_the_periodized_homoclinic(eps):
+def test_ground_state_starts_on_the_periodized_homoclinic(monkeypatch, eps):
     # the homoclinic plus its period translates solves the problem up to
-    # O(e^(-1/eps)): start merits measured 1.3e-13 and 2.8e-12
+    # O(e^(-1/eps)): start merits measured 1.3e-13 and 2.8e-12.  With no
+    # step, the start's residual is Newton's only evaluation and also the
+    # certificate's
+    calls = [0]
+    original = spectral.SpectrumA.residual
+
+    def counted(self, x):
+        calls[0] += 1
+        return original(self, x)
+
+    monkeypatch.setattr(spectral.SpectrumA, "residual", counted)
     res = spectral.ground_state(eps)
     assert res.report.steps == 0
     assert res.merit <= 1e-10
+    assert calls[0] == 1
 
 
 def test_ground_state_newton_work_over_the_benchmark_range():
@@ -881,13 +890,19 @@ def test_ground_state_above_the_branch_end_is_the_constant_solution():
     assert abs(best.delta_eps - 1.0 / (4.0 * 0.39)) <= 1e-10
 
 
-def test_ground_state_certificate_matches_fresh_residuals(ground_states):
-    res = ground_states[0.1]
-    assert res.nehari == spectral.nehari_residuals(res.field)
-    assert res.energy == spectral.energy(res.field)
-    assert res.delta_eps == res.energy.total
-    g = spectral.gradient(res.field)
-    assert res.merit == res.field.spectrum.norm(g.x)
+def test_ground_state_certificate_matches_fresh_residuals(ground_states,
+                                                          lyapunov_orbits):
+    # the certificate is Newton's last evaluation, at the returned field's
+    # point and on its spectrum, so fresh evaluations give the same bits;
+    # at fixed eps the merit is the gradient norm too
+    fixed_eps = [*ground_states.values(), spectral.ground_state(0.025)]
+    for res in fixed_eps + list(lyapunov_orbits.values()):
+        assert res.nehari == spectral.nehari_residuals(res.field)
+        assert res.energy == spectral.energy(res.field)
+        assert res.delta_eps == res.energy.total
+    for res in fixed_eps:
+        g = spectral.gradient(res.field)
+        assert res.merit == res.field.spectrum.norm(g.x)
 
 
 def test_ground_state_phase_centered(ground_states):
