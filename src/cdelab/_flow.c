@@ -4,9 +4,11 @@
  * flow_rk4 and flow_midpoint do the same double operations, in the same
  * order, as integrators._rk4 and integrators._midpoint, so built without
  * floating-point contraction (-ffp-contract=off: no fused multiply-add)
- * they give the same bits.  Each runs n steps from s[0..3] and writes state
- * k to s[4k..4k+3]; s holds 4 (n + 1) doubles.  Each returns 0, or the
- * 1-based step that failed, with its cause in *cause:
+ * they give the same bits.  Each runs n steps from the state s[1..4] and
+ * writes the table of the run: row k, s[6k..6k+5], is t = dt k (numpy's
+ * dt * arange), state k and its H in dynamics.hamiltonian's operation
+ * order, so the same bits as numpy's; s holds 6 (n + 1) doubles.  Each
+ * returns 0, or the 1-based step that failed, with its cause in *cause:
  *
  *   1  a component of the new state is NaN or beyond limit (the state
  *      is written)
@@ -21,16 +23,21 @@
 
 enum { OVERFLOW = 1, STALL = 2, SINGULAR = 3 };
 
-static int in_range(const double *x, double lo, double hi)
+/* row k of the table at r; returns whether the state is in [-limit, limit] */
+static int put_row(double *r, int64_t k, double dt, double u, double v,
+                   double a, double b, double limit)
 {
-    return lo <= x[0] && x[0] <= hi && lo <= x[1] && x[1] <= hi
-        && lo <= x[2] && x[2] <= hi && lo <= x[3] && x[3] <= hi;
+    r[0] = dt * (double)k, r[1] = u, r[2] = v, r[3] = a, r[4] = b;
+    r[5] = 0.5 * v * v + 0.5 * u * u * (a * a + b * b - 0.25) - a * b;
+    return -limit <= u && u <= limit && -limit <= v && v <= limit
+        && -limit <= a && a <= limit && -limit <= b && b <= limit;
 }
 
 int64_t flow_rk4(double *s, int64_t n, double dt, double limit, int32_t *cause)
 {
-    double h = 0.5 * dt, c = dt / 6.0, lo = -limit;
-    double u = s[0], v = s[1], a = s[2], b = s[3];
+    double h = 0.5 * dt, c = dt / 6.0;
+    double u = s[1], v = s[2], a = s[3], b = s[4];
+    put_row(s, 0, dt, u, v, a, b, limit);
     for (int64_t i = 0; i < n; i++) {
         double w = u * u;
         double k1u = v, k1v = -(a * a + b * b - 0.25) * u;
@@ -51,9 +58,7 @@ int64_t flow_rk4(double *s, int64_t n, double dt, double limit, int32_t *cause)
         double na = a + c * (k1a + 2.0 * k2a + 2.0 * k3a + (-p + w * q));
         double nb = b + c * (k1b + 2.0 * k2b + 2.0 * k3b + (q - w * p));
         u = nu, v = nv, a = na, b = nb;
-        double *out = s + 4 * (i + 1);
-        out[0] = u, out[1] = v, out[2] = a, out[3] = b;
-        if (!in_range(out, lo, limit)) {
+        if (!put_row(s + 6 * (i + 1), i + 1, dt, u, v, a, b, limit)) {
             *cause = OVERFLOW;
             return i + 1;
         }
@@ -65,8 +70,9 @@ int64_t flow_midpoint(double *s, int64_t n, double dt, double newton_tol,
                       int64_t max_iters, double limit, int32_t *cause,
                       double *rr_out)
 {
-    double h = 0.5 * dt, tol2 = newton_tol * newton_tol, lo = -limit;
-    double u = s[0], v = s[1], a = s[2], b = s[3];
+    double h = 0.5 * dt, tol2 = newton_tol * newton_tol;
+    double u = s[1], v = s[2], a = s[3], b = s[4];
+    put_row(s, 0, dt, u, v, a, b, limit);
     for (int64_t i = 0; i < n; i++) {
         double w = u * u;
         double xu = u + dt * v, xv = v + dt * (-(a * a + b * b - 0.25) * u);
@@ -114,9 +120,7 @@ int64_t flow_midpoint(double *s, int64_t n, double dt, double newton_tol,
             xa = xa - (e2 - g2 * d1) / det_ab, xb = xb - (e3 - g3 * d1) / det_ab;
         }
         u = xu, v = xv, a = xa, b = xb;
-        double *out = s + 4 * (i + 1);
-        out[0] = u, out[1] = v, out[2] = a, out[3] = b;
-        if (!in_range(out, lo, limit)) {
+        if (!put_row(s + 6 * (i + 1), i + 1, dt, u, v, a, b, limit)) {
             *cause = OVERFLOW;
             return i + 1;
         }
@@ -129,15 +133,21 @@ int64_t flow_midpoint(double *s, int64_t n, double dt, double newton_tol,
  * (m < 0: a 1-D array of n values), to out and returns its length.  Each
  * float is repr's spelling of its shortest round-trip digits, found as the
  * JDK's DoubleToDecimal does (R. Giulietti, "The Schubfach way to render
- * doubles", 2020) less Java's two-digit minimum; g holds the pairs (g1, g0)
- * of 10^-k, k = -324 .. 292, from integrators._flow_kernel.  With depth < 0
- * the rows are CSV lines a,b,c\n, with nan and inf; else the text is
- * json.dumps(a.tolist(), indent=2) as a value at that depth, with NaN and
- * Infinity.  A float takes at most 24 bytes, so with v values in r rows
- * (r = 0 for a 1-D array) no byte past CSV's 25 v + r, or json's
- * v (2 depth + 30) + r (4 depth + 9) + 2 depth + 3, is written. */
+ * doubles", 2020) less Java's two-digit minimum, and with no branch on 16
+ * or 17 digits; g holds the pairs (g1, g0) of 10^-k, k = -324 .. 292, from
+ * integrators._flow_kernel.  With depth < 0 the rows are CSV lines a,b,c\n,
+ * with nan and inf; else the text is json.dumps(a.tolist(), indent=2) as a
+ * value at that depth, with NaN and Infinity.  A float takes at most 24
+ * bytes, so with v values in r rows (r = 0 for a 1-D array) no byte past
+ * CSV's 25 v + r, or json's v (2 depth + 30) + r (4 depth + 9) + 2 depth
+ * + 3, is written. */
 #define C_MIN (1ULL << 52)
 typedef unsigned __int128 u128;
+
+static const uint64_t POW10[] = {
+    1, 10, 100, 1000, 10000, 100000, 1000000, 10000000, 100000000,
+    1000000000, 10000000000, 100000000000, 1000000000000, 10000000000000,
+    100000000000000, 1000000000000000, 10000000000000000, 100000000000000000};
 
 static const char DIGITS2[] =
     "00010203040506070809101112131415161718192021222324"
@@ -154,7 +164,12 @@ static uint64_t rop(const uint64_t *g, uint64_t cp)
 }
 
 /* the shortest f, with *e, such that f 10^e rounds to c 2^q, c > 0; the
- * products give floor(q log10 2), floor(log10(3/4 2^q)), floor(-k log2 10) */
+ * products give floor(q log10 2), floor(log10(3/4 2^q)), floor(-k log2 10).
+ * Of s = floor(c 2^q 10^-k) and t = s + 1, it is s's or t's multiple of ten
+ * over ten, with *e = k + 1, where just one lies in the rounding interval;
+ * else s or t where just one does; else the nearer, the even one on a tie.
+ * Masks, not branches, choose: the arm varies at random from float to
+ * float, and its mispredicted branches cost more than all the tests. */
 static uint64_t to_decimal(int q, uint64_t c, const uint64_t *g, int *e)
 {
     uint64_t odd = c & 1, cb = c << 2, cbl = cb - 2;
@@ -162,15 +177,17 @@ static uint64_t to_decimal(int q, uint64_t c, const uint64_t *g, int *e)
     if (c == C_MIN && q > -1074)        /* the lower neighbour is closer */
         cbl = cb - 1, k = (int)((q * 661971961083LL - 274743187321LL) >> 41);
     int h = q + (int)((-k * 913124641741LL) >> 38) + 2;
-    g += 2 * (k + 324), *e = k;
+    g += 2 * (k + 324);
     uint64_t vb = rop(g, cb << h), vbl = rop(g, cbl << h) + odd,
              vbr = rop(g, (cb + 2) << h) - odd;
-    uint64_t s = vb >> 2, sp10 = s / 10 * 10, tp10 = sp10 + 10, t = s + 1;
-    if ((vbl <= sp10 << 2) != (tp10 << 2 <= vbr))   /* one digit fewer */
-        return vbl <= sp10 << 2 ? sp10 : tp10;
-    if ((vbl <= s << 2) != (t << 2 <= vbr))
-        return vbl <= s << 2 ? s : t;
-    return vb < (s + t) << 1 || (vb == (s + t) << 1 && !(s & 1)) ? s : t;
+    uint64_t s = vb >> 2, s10 = s / 10, mid = (2 * s + 1) << 1;
+    int upin = vbl <= s10 * 40, wpin = (s10 + 1) * 40 <= vbr;
+    int uin = vbl <= s << 2, win = (s + 1) << 2 <= vbr;
+    int up = (win & !uin) | ((uin == win) & ((vb > mid) | ((vb == mid)
+                                                           & (int)(s & 1))));
+    uint64_t fewer = -(uint64_t)(upin ^ wpin);
+    *e = k + (upin ^ wpin);
+    return (fewer & (s10 + (uint64_t)wpin)) | (~fewer & (s + (uint64_t)up));
 }
 
 /* x's text at p, as repr spells it (json when set, for nan and inf);
@@ -192,15 +209,16 @@ static char *put(char *p, double x, int json, const uint64_t *g)
     c |= bq ? C_MIN : 0;
     f = -53 < q && q < 0 && !(c << (64 + q)) ? c >> -q  /* an integer */
                                               : to_decimal(q, c, g, &e);
-    /* f's 17 digits in z[24..41), amid zeros; its own in z[i..j) */
+    /* f's 17 digits in z[24..41), amid zeros; its own in z[i..j), its
+     * digit count j or j + 1 from j = floor(log10 2^bits), bits = f's */
     uint32_t hi = (uint32_t)(f / 100000000), lo = (uint32_t)(f % 100000000);
     memset(z, '0', sizeof z);
     for (i = 0; i < 8; i += 2, hi /= 100, lo /= 100) {
         memcpy(z + 31 - i, DIGITS2 + hi % 100 * 2, 2);
         memcpy(z + 39 - i, DIGITS2 + lo % 100 * 2, 2);
     }
-    for (z[24] = (char)('0' + hi), i = 24; z[i] == '0'; i++)
-        ;
+    z[24] = (char)('0' + hi), j = (64 - __builtin_clzll(f)) * 1233 >> 12;
+    i = 41 - j - (f >= POW10[j]);
     for (j = 41; z[j - 1] == '0'; j--)
         ;
     int decpt = 41 - i + e, x10 = decpt > 0 ? decpt - 1 : 1 - decpt;
@@ -231,7 +249,11 @@ static char *json_list(char *p, const double *a, int64_t n, int64_t m,
     *p++ = '[';
     for (int64_t i = 0; i < n; i++) {
         *p = '\n';
-        p = (char *)memset(p + 1, ' ', 2 * depth + 2) + 2 * depth + 2;
+        if (m < 0 && depth < 8)     /* the float's 24 bytes overwrite */
+            memcpy(p + 1, "                ", 16);     /* the excess */
+        else
+            memset(p + 1, ' ', 2 * depth + 2);
+        p += 2 * depth + 3;
         p = m < 0 ? put(p, a[i], 1, g)
                   : json_list(p, a + i * m, m, -1, depth + 1, g);
         *p++ = ',';

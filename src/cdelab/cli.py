@@ -145,9 +145,7 @@ def cmd_integrate(args):
     tr = integrators.integrate(np.array(state), args.t_final, cfg)
     if args.format == "json":
         doc = {"schema": geometry.SCHEMA,
-               "drift": integrators.energy_drift(tr),
-               "samples": np.column_stack(
-                   [tr.times, tr.states, tr.energy_series])}
+               "drift": integrators.energy_drift(tr), "samples": tr.rows}
         _emit(serialize.dumps(doc), args.out)
     else:
         _emit(serialize.trajectory_to_csv(tr), args.out)

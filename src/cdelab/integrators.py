@@ -65,9 +65,15 @@ class Trajectory:
     states: np.ndarray          # shape (n, 4)
 
     @functools.cached_property
+    def rows(self):
+        """The table t, u, v, a, b, H: the flow kernel's from integrate."""
+        return np.c_[self.times, self.states,
+                     dynamics.hamiltonian(self.states.T)]
+
+    @property
     def energy_series(self):
-        """H at each state, computed on first read."""
-        return dynamics.hamiltonian(self.states.T)
+        """H at each state."""
+        return self.rows[:, 5]
 
     def __len__(self):
         return len(self.times)
@@ -242,13 +248,13 @@ def _flow_kernel():
             "_flow.c was not built or loaded, so integrate and the writers "
             "run in Python: %s%s", exc, stderr and "\n" + stderr)
         return None
-    states = np.ctypeslib.ndpointer(np.float64, ndim=2,
-                                    flags=("C_CONTIGUOUS", "WRITEABLE"))
+    rows = np.ctypeslib.ndpointer(np.float64, ndim=2,
+                                  flags=("C_CONTIGUOUS", "WRITEABLE"))
     cause = ctypes.POINTER(ctypes.c_int32)
-    lib.flow_rk4.argtypes = [states, ctypes.c_int64, ctypes.c_double,
+    lib.flow_rk4.argtypes = [rows, ctypes.c_int64, ctypes.c_double,
                              ctypes.c_double, cause]
     lib.flow_midpoint.argtypes = [
-        states, ctypes.c_int64, ctypes.c_double, ctypes.c_double,
+        rows, ctypes.c_int64, ctypes.c_double, ctypes.c_double,
         ctypes.c_int64, ctypes.c_double, cause, ctypes.POINTER(ctypes.c_double)]
     lib.write_floats.argtypes = [
         np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS"),
@@ -276,7 +282,7 @@ def _in_step(exc, dt, k, state):
 
 
 def _python_flow(s0, dt, n, method):
-    """States s_0..s_n of n steps of the Python loops."""
+    """The rows t, u, v, a, b, H of n steps of the Python loops."""
     kernel, extra = ((_rk4, ()) if method == "rk4" else
                      (_midpoint, (NEWTON_TOL, MAX_NEWTON_ITERS)))
     out = s0.tolist()                   # flat: 4 floats per state
@@ -284,23 +290,24 @@ def _python_flow(s0, dt, n, method):
         kernel(*out, dt, *extra, n=n, out=out)
     except NewtonDivergence as exc:
         raise _in_step(exc, dt, len(out) // 4, out[-4:]) from exc
-    return np.fromiter(out, float, len(out)).reshape(n + 1, 4)
+    s = np.fromiter(out, float, len(out)).reshape(n + 1, 4)
+    return np.c_[dt * np.arange(n + 1), s, dynamics.hamiltonian(s.T)]
 
 
 def _compiled_flow(lib, s0, dt, n, method):
-    """States s_0..s_n of n steps of the compiled loops, which raise what
-    the Python loops raise, with the same text."""
-    states = np.empty((n + 1, 4))
-    states[0] = s0
+    """The rows t, u, v, a, b, H of n steps of the compiled loops, which
+    raise what the Python loops raise, with the same text."""
+    rows = np.empty((n + 1, 6))
+    rows[0, 1:5] = s0
     cause, rr = ctypes.c_int32(0), ctypes.c_double(0.0)
     if method == "rk4":
-        k = lib.flow_rk4(states, n, dt, OVERFLOW_LIMIT, ctypes.byref(cause))
+        k = lib.flow_rk4(rows, n, dt, OVERFLOW_LIMIT, ctypes.byref(cause))
     else:
-        k = lib.flow_midpoint(states, n, dt, NEWTON_TOL, MAX_NEWTON_ITERS,
+        k = lib.flow_midpoint(rows, n, dt, NEWTON_TOL, MAX_NEWTON_ITERS,
                               OVERFLOW_LIMIT, ctypes.byref(cause),
                               ctypes.byref(rr))
     if k == 0:
-        return states
+        return rows
     # the failing step's cause, numbered as in _flow.c
     if cause.value == 1:
         raise NonFiniteState(f"state overflow after step {k}")
@@ -308,7 +315,7 @@ def _compiled_flow(lib, s0, dt, n, method):
         "implicit midpoint Newton stalled at residual "
         f"{rr.value ** 0.5:.3e}" if cause.value == 2 else
         "singular implicit midpoint Newton matrix")
-    raise _in_step(exc, dt, k, states[k - 1].tolist()) from exc
+    raise _in_step(exc, dt, k, rows[k - 1, 1:5].tolist()) from exc
 
 
 def integrate(s0, t_final, cfg):
@@ -335,13 +342,13 @@ def integrate(s0, t_final, cfg):
     n_steps = max(1, int(round(n_steps)))
     dt = t_final / n_steps              # signed
     lib = _flow_kernel()
-    states = (_python_flow(s0, dt, n_steps, cfg.method) if lib is None else
-              _compiled_flow(lib, s0, dt, n_steps, cfg.method))
-    times = dt * np.arange(n_steps + 1)
+    rows = (_python_flow(s0, dt, n_steps, cfg.method) if lib is None else
+            _compiled_flow(lib, s0, dt, n_steps, cfg.method))
     if dt < 0:
-        times = times[::-1].copy()
-        states = states[::-1].copy()
-    return Trajectory(times=times, states=states)
+        rows = rows[::-1].copy()
+    tr = Trajectory(times=rows[:, 0], states=rows[:, 1:5])
+    tr.rows = rows
+    return tr
 
 
 def energy_drift(tr):

@@ -73,8 +73,7 @@ def _csv_table(header, rows):
 
 def trajectory_to_csv(tr):
     """Columns t,u,v,a,b,H."""
-    rows = np.column_stack([tr.times, tr.states, tr.energy_series])
-    return _csv_table(("t", "u", "v", "a", "b", "H"), rows)
+    return _csv_table(("t", "u", "v", "a", "b", "H"), tr.rows)
 
 
 def field_grid_to_csv(field):

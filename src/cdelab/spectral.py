@@ -840,10 +840,10 @@ def ground_state(eps, K=None, grad_tol=1e-8):
     forcing follows the merit (see :func:`_solve`).
 
     Returns the :class:`Solution`, whose merit is its gradient norm, when
-    :func:`_solve` accepts it at tolerance ``grad_tol``; a constant result
-    lies past eps*.  An eps so large that the solve overflows fails on the
-    merit.  Raises ValueError unless 0 < eps < inf and both K and the
-    default K at eps are at most MAX_MODES.
+    :func:`_solve` accepts it at tolerance ``grad_tol``.  Past eps* every
+    failure says so, a constant result or, at an eps so large that the solve
+    overflows, the merit.  Raises ValueError unless 0 < eps < inf and both K
+    and the default K at eps are at most MAX_MODES.
     """
     if not 0.0 < eps < np.inf:
         raise ValueError(f"epsilon must be positive and finite, got {eps!r}")
@@ -853,9 +853,11 @@ def ground_state(eps, K=None, grad_tol=1e-8):
         raise ValueError(f"{K:.4g} modes exceed MAX_MODES = {MAX_MODES}")
     # Newton stops at 1e-10, not at the family's 1e-14: that took 3.28 ms a
     # solve, not 2.15 (+53%), over 48 ground states at eps in [0.025, 0.06]
+    label = "ground state" if eps <= 2.0 ** 0.25 / np.pi else (
+        "ground state (past the branch's end at eps* = 2^(1/4)/pi = 0.3785)")
     with np.errstate(over="ignore", invalid="ignore"):   # fails on the merit
-        return _solve(_periodized_homoclinic(eps, K), grad_tol, 1e-10,
-                      "ground state", hint=f" (default K is {K_default})")
+        return _solve(_periodized_homoclinic(eps, K), grad_tol, 1e-10, label,
+                      hint=f" (default K is {K_default})")
 
 
 # ----------------------------------------------------------------------

@@ -371,15 +371,15 @@ def flow_kernel():
 
 
 def _outcome(s0, t_final, method, dt):
-    """integrate's times and states as bytes, or the type and text of what
-    it raised and of that exception's cause."""
+    """integrate's rows t, u, v, a, b, H as bytes, or the type and text of
+    what it raised and of that exception's cause."""
     cfg = integrators.StepperConfig(method=method, dt=dt)
     try:
         tr = integrators.integrate(s0, t_final, cfg)
     except (NonFiniteState, NewtonDivergence) as exc:
         cause = exc.__cause__
         return type(exc), str(exc), type(cause), str(cause)
-    return tr.times.tobytes(), tr.states.tobytes()
+    return (tr.rows.tobytes(),)
 
 
 def _parity_runs():
@@ -408,7 +408,7 @@ def test_compiled_kernel_matches_the_python_loops(flow_kernel, monkeypatch):
     assert [_outcome(*run) for run in runs] == compiled
     ends = {o[0] for o in compiled if len(o) == 4}
     assert ends == {NonFiniteState, NewtonDivergence}
-    assert sum(len(o) == 2 for o in compiled) >= 200
+    assert sum(len(o) == 1 for o in compiled) >= 200
 
 
 def test_compiled_kernel_stall_text(flow_kernel, strict_newton):
@@ -431,6 +431,31 @@ def test_python_loops_give_the_same_bytes(method, monkeypatch):
     loops = integrators.integrate(s0, 7.5, cfg)
     for name in ("times", "states", "energy_series"):
         assert getattr(loops, name).tobytes() == getattr(default, name).tobytes()
+
+
+@pytest.mark.parametrize("t_final", [7.5, -7.5])
+@pytest.mark.parametrize("method", ["rk4", "implicit_midpoint"])
+def test_flow_kernel_writes_the_grid_and_the_energy(method, t_final,
+                                                    flow_kernel):
+    # the rows' t is numpy's dt * arange and their H dynamics.hamiltonian's,
+    # bit for bit, on both routes; backwards the grid still increases, from
+    # t_final to -0.0
+    s0 = homoclinic.derived_profile()(-2.0)
+    cfg = integrators.StepperConfig(method=method, dt=1e-3)
+    t = (t_final / 7500) * np.arange(7501)
+    t = t[::-1] if t_final < 0 else t
+    tables = []
+    for kernel in (flow_kernel, None):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(integrators, "_flow_kernel", lambda: kernel)
+            tr = integrators.integrate(s0, t_final, cfg)
+        assert tr.rows.shape == (7501, 6) and tr.rows.flags.c_contiguous
+        assert tr.times.tobytes() == t.tobytes()
+        assert (tr.energy_series.tobytes()
+                == dynamics.hamiltonian(tr.states.T).tobytes())
+        assert tr.rows[:, 1:5].tobytes() == tr.states.tobytes()
+        tables.append(tr.rows.tobytes())
+    assert tables[0] == tables[1]
 
 
 def test_kernel_builds_and_loads_where_a_compiler_exists(tmp_path,

@@ -257,6 +257,7 @@ def test_field_to_orbit_invariants(ground_states):
     assert np.max(np.abs(states[t0_node] - orb.initial_state)) <= 1e-14
     assert orb.initial_state[1] == 0.0                # R-even: v(0) = 0
     assert orb.hamiltonian == dynamics.hamiltonian(states[0])   # t = -T
+    assert "rows" not in vars(tr)           # H waits for its first read
     drift = np.max(np.abs(tr.energy_series - tr.energy_series[0]))
     assert drift <= 1e-8                              # H constant on the orbit
     dmin = min(np.linalg.norm(orb.initial_state - p)

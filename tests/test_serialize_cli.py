@@ -2,9 +2,11 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -321,6 +323,58 @@ PARTING_FLOATS = {
 def test_writers_equal_repr_where_schubfach_can_part(name, kernel):
     values = PARTING_FLOATS[name]
     assert_writers_equal_repr(np.concatenate([values, -values]), 2)
+    assert kernel.calls == 3
+
+
+def digit_choice(x):
+    """Which of to_decimal's candidates in _flow.c spells a normal double x,
+    from x's exact rounding interval: with s = floor(x / 10^k) and t = s + 1,
+    "sp10" or "tp10" (s's and t's multiples of ten, one digit fewer) alone in
+    it, else "s or t alone", else both, "nearer" or an exact "tie"."""
+    m, e = math.frexp(abs(x))
+    c, q = int(m * 2**53), e - 53               # x = c 2^q
+    closer = c == 2**52 and q > -1074
+    v, half = Fraction(c) * Fraction(2) ** q, Fraction(2) ** (q - 1)
+    lo, hi = v - (half / 2 if closer else half), v + half
+    # 10^k <= 2^q, or 3/4 2^q where the lower neighbour is closer
+    g = Fraction(2) ** q * (Fraction(3, 4) if closer else 1)
+    k = math.floor(math.log10(float(g)))
+    k -= Fraction(10) ** k > g
+    k += Fraction(10) ** (k + 1) <= g
+    ten_k = Fraction(10) ** k
+
+    def inside(d):                              # closed for an even c
+        return lo <= d * ten_k <= hi if c % 2 == 0 else lo < d * ten_k < hi
+
+    s = math.floor(v / ten_k)
+    upin, wpin = inside(s // 10 * 10), inside(s // 10 * 10 + 10)
+    if upin != wpin:
+        return "sp10" if upin else "tp10"
+    if inside(s) != inside(s + 1):
+        return "s or t alone"
+    return "tie" if v / ten_k - s == Fraction(1, 2) else "nearer"
+
+
+def test_writers_equal_repr_on_each_digit_choice(kernel):
+    # to_decimal picks its candidate with masks, so each outcome is drawn
+    # here by name: random normal bit patterns, and doubles in [2^40, 2^52),
+    # where x / 10^k has a small power of two below it and ties are common;
+    # 123456789012345.625 and .875 are ties, spelled ...345.62 and ...345.88
+    rng = np.random.default_rng(47)
+    pool = [123456789012345.625, 123456789012345.875]
+    pool += rng.integers(2**52, 0x7ff << 52, 400, np.uint64).view(float).tolist()
+    pool += [math.ldexp(float(c), int(q)) for q, c in
+             zip(rng.integers(-12, 0, 1000), rng.integers(2**52, 2**53, 1000))]
+    arms = {}
+    for x in pool:
+        if not (x.is_integer() and x < 2**53):  # not the exact-integer path
+            arms.setdefault(digit_choice(x), []).append(x)
+    assert digit_choice(pool[0]) == digit_choice(pool[1]) == "tie"
+    assert sorted(arms) == ["nearer", "s or t alone", "sp10", "tie", "tp10"]
+    assert min(map(len, arms.values())) >= 20, {a: len(v) for a, v in
+                                                 arms.items()}
+    values = np.array([x for xs in arms.values() for x in xs])
+    assert_writers_equal_repr(np.concatenate([values, -values]), 1)
     assert kernel.calls == 3
 
 
@@ -830,32 +884,35 @@ def glibc():
 
 @pytest.mark.skipif(not glibc(), reason="mallopt is glibc's")
 def test_only_the_cli_keeps_freed_record_buffers():
-    # minor page faults of one trajectory_to_csv: importing cdelab leaves the
-    # allocator as it is; once cli.main has run and the heap has grown for
-    # one record, a record writes with almost none
+    # minor page faults of two integrate tasks, each one integrate and its
+    # trajectory_to_csv, in a fresh process: imported alone, cdelab leaves
+    # the allocator as it is, and the second task faults its buffers in
+    # again; after cli.main it runs with almost none.  Each side has its own
+    # process, since glibc's adaptive mmap threshold can settle after a few
+    # tasks, and a task after that faults little whatever cli.main did
     if integrators._flow_kernel() is None:
         pytest.skip("no C compiler builds _flow.c")
     code = """if 1:
-        import contextlib, io, resource
+        import contextlib, io, resource, sys
         from cdelab import cli, homoclinic, integrators, serialize
+        if sys.argv[1] == "cli":
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.main(["equilibria"])
         s0 = homoclinic.derived_profile()(-2.0)
-        tr = integrators.integrate(s0, 7.5, integrators.StepperConfig())
         def faults():
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            tr = integrators.integrate(s0, 7.5, integrators.StepperConfig())
             serialize.trajectory_to_csv(tr)
             return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-        imported = [faults() for _ in range(3)]
-        with contextlib.redirect_stdout(io.StringIO()):
-            cli.main(["equilibria"])
-        print([imported, [faults() for _ in range(2)]])
+        print([faults() for _ in range(2)])
     """
     src = str(Path(cli.__file__).resolve().parents[1])
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env=dict(os.environ, PYTHONPATH=src))
-    imported, after_cli = json.loads(run.stdout)
-    assert imported[2] >= 100, run.stdout
-    assert after_cli[1] < 10, run.stdout
+    imported, after_cli = (json.loads(subprocess.run(
+        [sys.executable, "-c", code, first], capture_output=True, text=True,
+        check=True, env=dict(os.environ, PYTHONPATH=src)).stdout)
+        for first in ("import", "cli"))
+    assert imported[1] >= 100, imported
+    assert after_cli[1] < 10, after_cli
 
 
 @pytest.mark.parametrize("argv", [
@@ -902,6 +959,17 @@ def test_cli_ground_state_huge_epsilon_fails_in_one_line(epsilon, capsys):
     assert (code, out) == (1, "")
     assert err.count("\n") == 1 and err.startswith("solver failure: ")
     assert err.split()[-1] in ("inf", "nan")
+
+
+@pytest.mark.parametrize("epsilon", ["1e20", "1e50"])
+def test_cli_ground_state_past_the_branch_names_its_end(epsilon, capsys):
+    # past eps* the solve stops short of the constant here, on its residual,
+    # and the one line still says that eps lies past the branch's end
+    code, out, err = run_cli(["ground-state", "--epsilon", epsilon], capsys)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("solver failure: ")
+    assert "did not reach tolerance" in err
+    assert "past the branch's end at eps* = 2^(1/4)/pi = 0.3785" in err
 
 
 @pytest.mark.parametrize("amplitudes", ["1e-8", "3e-9", "1e-2,1.2e-8"])
