@@ -30,15 +30,16 @@ def _log_cosh(t):
     return t + np.log1p(np.exp(-2.0 * t)) - np.log(2.0)
 
 
-def _ansatz_states(t, alpha, beta, orientation):
-    """States of the cosh/exponential ansatz; orientation +1 puts e^{+t/2} on a."""
+def _ansatz_states(t, alpha, beta, orientation, slope=True):
+    """States (u, v, a, b) of the cosh/exponential ansatz, or (u, a, b)
+    without ``slope``; orientation +1 puts e^{+t/2} on a."""
     t = np.asarray(t, dtype=float)
     lc = _log_cosh(t)
     u = alpha * np.exp(-0.5 * lc)
-    v = -0.5 * alpha * np.tanh(t) * np.exp(-0.5 * lc)
+    v = [-0.5 * alpha * np.tanh(t) * np.exp(-0.5 * lc)] if slope else []
     a = beta * np.exp(orientation * 0.5 * t - 1.5 * lc)
     b = beta * np.exp(-orientation * 0.5 * t - 1.5 * lc)
-    return np.stack([u, v, a, b])
+    return np.stack([u, *v, a, b])
 
 
 def _ansatz_residual(t, alpha, beta, orientation):
@@ -48,7 +49,7 @@ def _ansatz_residual(t, alpha, beta, orientation):
     returned rows are the v', a', b' defects.
     """
     t = np.asarray(t, dtype=float)
-    u, _, a, b = _ansatz_states(t, alpha, beta, orientation)
+    u, a, b = _ansatz_states(t, alpha, beta, orientation, slope=False)
     th = np.tanh(t)
     lc = _log_cosh(t)
     upp = alpha * (0.25 * np.exp(-0.5 * lc) - 0.75 * np.exp(-2.5 * lc))
@@ -107,7 +108,8 @@ class DerivationReport:
 
 @dataclass(frozen=True)
 class HomoclinicProfile:
-    """Closed-form homoclinic orbit; callable as profile(t) -> states.
+    """Closed-form homoclinic orbit; callable as profile(t) -> states, or
+    profile(t, slope=False) -> the states (u, a, b) alone.
 
     ``orientation=+1`` is the convention a ~ e^{+t/2}, b ~ e^{-t/2}; the
     time-reversal/swap symmetry maps t -> -t onto the same profile.
@@ -116,8 +118,9 @@ class HomoclinicProfile:
     beta: float
     orientation: float = 1.0
 
-    def __call__(self, t):
-        return _ansatz_states(t, self.alpha, self.beta, self.orientation)
+    def __call__(self, t, slope=True):
+        return _ansatz_states(t, self.alpha, self.beta, self.orientation,
+                              slope)
 
     def ode_residual(self, t):
         """Max-norm residual of the cylinder system at times t."""

@@ -200,13 +200,14 @@ _FLOW_CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 @functools.cache
 def _flow_kernel():
-    """The compiled loops and ``write_floats`` of ``_flow.c``, with the
-    printer's table as ``pow10_table``, or None where they cannot be built or
-    loaded (logged at INFO on the ``cdelab`` logger, with the compiler's
-    stderr).  The library is cached in ``__pycache__`` under
-    the interpreter tag and a hash of its source, compiler command and tag;
-    the first call builds it when absent, through a temporary file renamed
-    into place, and then removes this interpreter's superseded builds."""
+    """The compiled loops and ``write_floats`` of ``_flow.c``, which take each
+    array as its address, with the printer's table as ``pow10_table`` and its
+    address as ``pow10``, or None where they cannot be built or loaded (logged
+    at INFO on the ``cdelab`` logger, with the compiler's stderr).  The
+    library is cached in ``__pycache__`` under the interpreter tag and a hash
+    of its source, compiler command and tag; the first call builds it when
+    absent, through a temporary file renamed into place, and then removes this
+    interpreter's superseded builds."""
     # imported here, so that importing cdelab builds and loads nothing
     import shlex
     import subprocess
@@ -248,19 +249,16 @@ def _flow_kernel():
             "_flow.c was not built or loaded, so integrate and the writers "
             "run in Python: %s%s", exc, stderr and "\n" + stderr)
         return None
-    rows = np.ctypeslib.ndpointer(np.float64, ndim=2,
-                                  flags=("C_CONTIGUOUS", "WRITEABLE"))
-    cause = ctypes.POINTER(ctypes.c_int32)
-    lib.flow_rk4.argtypes = [rows, ctypes.c_int64, ctypes.c_double,
+    # arrays pass as their addresses, which skips ndpointer's checks (about
+    # 2 us an array): the callers pass C-contiguous arrays of the C types
+    address, cause = ctypes.c_void_p, ctypes.POINTER(ctypes.c_int32)
+    lib.flow_rk4.argtypes = [address, ctypes.c_int64, ctypes.c_double,
                              ctypes.c_double, cause]
     lib.flow_midpoint.argtypes = [
-        rows, ctypes.c_int64, ctypes.c_double, ctypes.c_double,
+        address, ctypes.c_int64, ctypes.c_double, ctypes.c_double,
         ctypes.c_int64, ctypes.c_double, cause, ctypes.POINTER(ctypes.c_double)]
-    lib.write_floats.argtypes = [
-        np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS"),
-        ctypes.c_int64, ctypes.c_int64, ctypes.c_int32,
-        np.ctypeslib.ndpointer(np.uint64),
-        np.ctypeslib.ndpointer(np.uint8, flags=("C_CONTIGUOUS", "WRITEABLE"))]
+    lib.write_floats.argtypes = [address, ctypes.c_int64, ctypes.c_int64,
+                                 ctypes.c_int32, address, address]
     lib.flow_rk4.restype = lib.flow_midpoint.restype = ctypes.c_int64
     lib.write_floats.restype = ctypes.c_int64
     # write_floats' table: g = floor(10^-k 2^(125 - r)) + 1, r = floor(-k
@@ -272,6 +270,7 @@ def _flow_kernel():
                                                  << max(-e, 0)) + 1
         g += [x >> 63, x & (2**63 - 1)]
     lib.pow10_table = np.array(g, np.uint64)
+    lib.pow10 = lib.pow10_table.ctypes.data
     return lib
 
 
@@ -301,11 +300,12 @@ def _compiled_flow(lib, s0, dt, n, method):
     rows[0, 1:5] = s0
     cause, rr = ctypes.c_int32(0), ctypes.c_double(0.0)
     if method == "rk4":
-        k = lib.flow_rk4(rows, n, dt, OVERFLOW_LIMIT, ctypes.byref(cause))
+        k = lib.flow_rk4(rows.ctypes.data, n, dt, OVERFLOW_LIMIT,
+                         ctypes.byref(cause))
     else:
-        k = lib.flow_midpoint(rows, n, dt, NEWTON_TOL, MAX_NEWTON_ITERS,
-                              OVERFLOW_LIMIT, ctypes.byref(cause),
-                              ctypes.byref(rr))
+        k = lib.flow_midpoint(rows.ctypes.data, n, dt, NEWTON_TOL,
+                              MAX_NEWTON_ITERS, OVERFLOW_LIMIT,
+                              ctypes.byref(cause), ctypes.byref(rr))
     if k == 0:
         return rows
     # the failing step's cause, numbered as in _flow.c

@@ -46,15 +46,15 @@ def _joined(lib, pieces, arrays, depths):
     piece ASCII."""
     out = np.empty(sum(map(len, pieces))
                    + sum(map(_text_bound, arrays, depths)), np.uint8)
-    end = 0
+    end, start = 0, out.ctypes.data
     for i, piece in enumerate(pieces):
         out[end:end + len(piece)] = np.frombuffer(piece.encode(), np.uint8)
         end += len(piece)
         if i < len(arrays):
             a = arrays[i]
             n, m = a.shape if a.ndim == 2 else (len(a), -1)
-            end += lib.write_floats(a, n, m, depths[i], lib.pow10_table,
-                                    out[end:])
+            end += lib.write_floats(a.ctypes.data, n, m, depths[i], lib.pow10,
+                                    start + end)
     return str(memoryview(out)[:end], "ascii")
 
 
@@ -97,7 +97,7 @@ def field_to_json(field, energy=None, residuals=None):
     for key, c in (("u_coeffs", field.u_coeffs),
                    ("z_plus_coeffs", field.z_plus),
                    ("z_minus_coeffs", field.z_minus)):
-        doc[key] = np.column_stack([c.real, c.imag])
+        doc[key] = c.view(np.float64).reshape(-1, 2)
     eb = energy if energy is not None else spectral.energy(field)
     doc["energy"] = {
         "scalar_quadratic": eb.scalar_quadratic,
@@ -199,4 +199,8 @@ def dumps(doc):
     # an array's depth is its line's indentation over 2
     depths = [(len(line) - len(line.lstrip(" "))) // 2
               for line in (p[p.rfind("\n") + 1:] for p in pieces[:-1])]
-    return _joined(lib, pieces, arrays, depths)
+    text = _joined(lib, pieces, arrays, depths)
+    # json's indent encoder leaves default in a reference cycle: empty the
+    # list, so that its arrays go now and not at the next collection
+    arrays.clear()
+    return text

@@ -114,7 +114,8 @@ class SpectrumA:
     """The discretization at eps with K modes: the spinor operator on modes
     |k| <= K, and the Euler-Lagrange residual and its parts on the packed
     unknowns of a real field (see :class:`PeriodicField`), with grid values
-    on N = grid_size(K) nodes.  Make one with :func:`build_spectrum`.
+    on N = grid_size(K) nodes.  Make one with :func:`build_spectrum`, and
+    one at another eps, sharing the arrays of K alone, with ``at(eps)``.
 
     Per mode the operator's eigenvalues are +/- lam_k with lam_k = sqrt(1 +
     omega_k^2) exactly, omega_k = k*pi/T = eps*k*pi (centered arrays ``k``,
@@ -126,20 +127,18 @@ class SpectrumA:
     and b at the same entry, ``cross`` exchanges them and also Re and Im of
     the same mode; both fix the entries of u.  The weights ``linear_w`` give
     the residual's linear part, ``inverse_w`` its exact inverse (the Newton
-    preconditioner) and ``eps_w`` its derivative in eps; on the spinor rows,
-    ``gather(x, linear_w)`` is the operator A_eps itself.  The reflection
-    R(u, v, a, b) = (u, -v, b, a) is ``sign * x[swap]``, sign = +1 on c_0
-    and Re c_k, -1 on Im c_k.  Raises ValueError unless 0 < eps < inf and
-    K >= 1.
+    preconditioner) and ``eps_w`` (built on first use) its derivative in eps;
+    on the spinor rows, ``gather(x, linear_w)`` is the operator A_eps itself.
+    The reflection R(u, v, a, b) = (u, -v, b, a) is ``sign * x[swap]``, sign
+    = +1 on c_0 and Re c_k, -1 on Im c_k.  Raises ValueError unless 0 < eps
+    < inf and K >= 1.
     """
 
     def __init__(self, eps, K):
         if not 0.0 < eps < np.inf:
             raise ValueError(f"epsilon must be in (0, inf), got {eps!r}")
-        self.epsilon, self.num_modes, self.N = eps, K, grid_size(K)
+        self.num_modes, self.N = K, grid_size(K)
         self.k = np.arange(-K, K + 1)
-        self.omega = self.k * np.pi / (1.0 / eps)
-        self.lam = np.sqrt(1.0 + self.omega * self.omega)
         M = 2 * K + 1
         j = np.arange(M)
         k = np.where(j > K, j - K, j)                 # the mode of each entry
@@ -150,19 +149,38 @@ class SpectrumA:
         sign = np.where(j > K, -1.0, 1.0)
         self.sign = np.tile(sign, 3)
         self.parseval = np.tile(np.where(j > 0, 2.0, 1.0), 3)   # sum over +-k
-        omega, kpi = self.omega[K + k], np.pi * k
+        self._kpi = np.pi * k
+        self._spinor = np.array([[0.0], [1.0], [-1.0]]) * sign  # c's sign
+        self._weigh(eps)
+
+    def _weigh(self, eps):
+        """Set eps and the arrays that depend on it."""
+        self.epsilon = eps
+        self.omega = self.k * np.pi / (1.0 / eps)
+        self.lam = np.sqrt(1.0 + self.omega * self.omega)
+        omega, one = self._kpi / (1.0 / eps), np.ones(len(self.k))
         u_mult, z_mult = omega ** 2 + 0.25, 1.0 + omega ** 2
-        spinor = np.array([[0.0], [1.0], [-1.0]]) * sign   # c's sign per entry
-        one, zero = np.ones(M), np.zeros(M)
         # (omega^2 + 1/4) u, and A_k (a, b) = ((1 - i omega) b, (1 + i omega) a)
         self.linear_w = (np.concatenate([u_mult, one, one]),
-                         (spinor * omega).ravel())
+                         (self._spinor * omega).ravel())
         # u / (omega^2 + 1/4), and A_k^{-1} = A_k / (1 + omega^2)
         self.inverse_w = (1.0 / np.concatenate([u_mult, z_mult, z_mult]),
-                          (spinor * (omega / z_mult)).ravel())
-        # only omega_k = eps k pi depends on eps
-        self.eps_w = (np.concatenate([2.0 * omega * kpi, zero, zero]),
-                      (spinor * kpi).ravel())
+                          (self._spinor * (omega / z_mult)).ravel())
+
+    def at(self, eps):
+        """This spectrum at eps in (0, inf), sharing the arrays of K alone."""
+        sp = object.__new__(SpectrumA)
+        sp.__dict__.update((name, vars(self)[name]) for name in (
+            "num_modes", "N", "k", "swap", "cross", "alternate", "sign",
+            "parseval", "_kpi", "_spinor"))
+        sp._weigh(eps)
+        return sp
+
+    @cached_property
+    def eps_w(self):        # only omega_k = eps k pi depends on eps
+        kpi, zero = self._kpi, np.zeros(2 * len(self.k))
+        return (np.concatenate([2.0 * (kpi / (1.0 / self.epsilon)) * kpi,
+                                zero]), (self._spinor * kpi).ravel())
 
     @cached_property
     def eigvec_plus(self):       # (M, 2) complex
@@ -220,13 +238,14 @@ class SpectrumA:
         values ``vals``: packed direction -> packed derivative."""
         u, a, b = vals
         z2, u2, ua, ub = a * a + b * b, u * u, 2.0 * u * a, 2.0 * u * b
+        prod = np.empty_like(vals)
 
         def jvp(h):
             hu, ha, hb = self.to_grid(h)
-            return self.gather(h, self.linear_w) - self.to_packed(np.stack([
-                hu * z2 + ua * ha + ub * hb,
-                u2 * ha + ua * hu,
-                u2 * hb + ub * hu]))
+            prod[0] = hu * z2 + ua * ha + ub * hb
+            prod[1] = u2 * ha + ua * hu
+            prod[2] = u2 * hb + ub * hu
+            return self.gather(h, self.linear_w) - self.to_packed(prod)
         return jvp
 
 
@@ -281,7 +300,8 @@ class PeriodicField:
     ``z_plus``/``z_minus`` the spinor's coordinates against the positive/
     negative eigenvectors of the operator spectrum (:func:`split_spinor`),
     and ``grid_values`` the (4, N) values of the states (u, v, a, b) on the
-    grid, v = eps du/ds the slope in original time.
+    grid, v = eps du/ds the slope in original time (a solve's field takes u,
+    a and b from its last residual evaluation and transforms v alone).
     """
     spectrum: SpectrumA
     x: np.ndarray
@@ -291,17 +311,19 @@ class PeriodicField:
 
     epsilon = property(lambda self: self.spectrum.epsilon)
     num_modes = property(lambda self: self.spectrum.num_modes)
+    _uab = None     # grid values (3, N) of (u, a, b) at x, from a solve
 
     @cached_property
     def _views(self):
         """u_coeffs, (a, b) coefficients (2K+1, 2), z_plus, z_minus."""
-        K = self.num_modes
-        seg = self.x.reshape(3, 2 * K + 1)
-        pos = seg[:, 1:K + 1] + 1j * seg[:, K + 1:]
-        c = _readonly(np.concatenate([np.conj(pos[:, ::-1]), seg[:, :1], pos],
-                                     axis=1))
+        c = _readonly(_centered(self.x.reshape(3, -1)))
         p, m = map(_readonly, split_spinor(c[1:].T, self.spectrum))
         return c[0], c[1:].T, p, m
+
+    @cached_property
+    def _moduli(self):
+        """|u_coeffs|, |z_plus| and |z_minus| as the rows of one table."""
+        return np.abs(np.stack([self.u_coeffs, self.z_plus, self.z_minus]))
 
     u_coeffs = property(lambda self: self._views[0])
     z_plus = property(lambda self: self._views[2])
@@ -316,7 +338,10 @@ class PeriodicField:
         kpi = np.pi * self.epsilon * np.arange(1, K + 1)
         # (Re, Im) of i pi k c_k are (-pi k Im c_k, pi k Re c_k)
         du = np.concatenate([[0.0], -kpi * x[K + 1:M], kpi * x[1:K + 1]])
-        u, a, b, v = self.spectrum.to_grid(np.concatenate([x, du]))
+        if self._uab is None:
+            u, a, b, v = self.spectrum.to_grid(np.concatenate([x, du]))
+        else:
+            (u, a, b), (v,) = self._uab, self.spectrum.to_grid(du)
         return _readonly(np.stack([u, v, a, b]))
 
     def shifted(self, tau):
@@ -335,6 +360,13 @@ class PeriodicField:
 def _readonly(a):
     a.flags.writeable = False
     return a
+
+
+def _centered(seg):
+    """Centered coefficients (n, 2K+1) of n packed rows (n, 2K+1)."""
+    K = seg.shape[1] // 2
+    pos = seg[:, 1:K + 1] + 1j * seg[:, K + 1:]
+    return np.concatenate([np.conj(pos[:, ::-1]), seg[:, :1], pos], axis=1)
 
 
 def field_from_coeffs(sp, u_coeffs, z_plus, z_minus):
@@ -483,7 +515,9 @@ def nehari_residuals(field):
 
 def _nehari(field, eb, g):
     """The residuals of ``field``, its :func:`energy` eb and gradient g."""
-    r3 = float(np.sqrt((2.0 / field.epsilon) * np.sum(np.abs(g.z_minus) ** 2)))
+    z_ab = _centered(g.x.reshape(3, -1)[1:]).T
+    m = np.einsum('ki,ki->k', np.conj(field.spectrum.eigvec_minus), z_ab)
+    r3 = float(np.sqrt((2.0 / field.epsilon) * np.sum(np.abs(m) ** 2)))
     return NehariResiduals(r1=abs(eb.scalar_quadratic - eb.coupling),
                            r2=abs(eb.spinor_quadratic - eb.coupling),
                            r3=r3, coupling=eb.coupling)
@@ -519,9 +553,8 @@ def cutoff_test_pair(eps, K=None):
     K = default_modes(eps) if K is None else K
     N = grid_size(K)
     t = grid(N)
-    prof = homoclinic.derived_profile()
-    states = prof(t / eps)
-    return field_from_values(eps, K, bump(t) * states[[0, 2, 3]])
+    uab = homoclinic.derived_profile()(t / eps, slope=False)
+    return field_from_values(eps, K, bump(t) * uab)
 
 
 # ----------------------------------------------------------------------
@@ -559,7 +592,7 @@ TAIL_TOL = 1e-8
 def coefficient_tail(field):
     """The largest |coefficient| of u, z_plus and z_minus over |k| > 0.9 K,
     relative to the largest overall (0.0 for the zero field)."""
-    coeffs = np.abs(np.stack([field.u_coeffs, field.z_plus, field.z_minus]))
+    coeffs = field._moduli
     peak = coeffs.max()
     tail = coeffs[:, np.abs(field.spectrum.k) > 0.9 * field.num_modes].max()
     return float(tail / peak) if peak else 0.0
@@ -568,8 +601,7 @@ def coefficient_tail(field):
 def is_constant(field):
     """Whether every coefficient with k != 0 is at most 1e-8 in modulus: a
     constant field solves the problem only at P0 or P+-."""
-    coeffs = np.stack([field.u_coeffs, field.z_plus, field.z_minus])
-    return bool(np.abs(coeffs[:, field.spectrum.k != 0]).max() <= 1e-8)
+    return bool(field._moduli[:, field.spectrum.k != 0].max() <= 1e-8)
 
 
 @dataclass(frozen=True)
@@ -666,23 +698,23 @@ def _gmres(operator, c, forcing=KRYLOV_FORCING):
     happy breakdown, or after KRYLOV_MAX_ITERS steps, where it stops short.
     Returns the iterate and the steps taken, one operator call each."""
     x = np.zeros(c.size)
-    beta = np.linalg.norm(c)
+    beta = np.sqrt(c @ c)             # np.linalg.norm's formula
     tol = forcing * beta
     if beta <= tol:
         return x, 0
     m = KRYLOV_MAX_ITERS
     V = np.empty((m + 1, c.size))
     H = np.zeros((m, m))
-    rot, g = [], [float(beta)]
+    rot, g, scratch = [], [float(beta)], np.empty(c.size)
     V[0] = c / beta
     for j in range(m):
         w = operator(V[j])
-        w_norm = np.linalg.norm(w)
+        w_norm = np.sqrt(w @ w)
         col = []
         for i in range(j + 1):
             col.append(float(V[i] @ w))
-            w -= col[i] * V[i]
-        h = float(np.linalg.norm(w))
+            w -= np.multiply(col[i], V[i], out=scratch)
+        h = float(np.sqrt(w @ w))
         breakdown = h <= np.finfo(float).eps * w_norm
         if breakdown:
             h = 0.0
@@ -729,7 +761,7 @@ def _solve(field, tol, floor, label, pin=None, hint=""):
     def evaluate(x, eps):
         if not 0.0 < eps < np.inf:      # a rejected trial, not bad input
             return None, None, np.inf, None
-        o = ops if pin is None else build_spectrum(eps, K)
+        o = ops if pin is None else ops.at(eps)
         r, gn, vals = o.residual(x)
         return o, r, (gn if pin is None else np.hypot(gn, p @ x - pin)), vals
 
@@ -755,6 +787,7 @@ def _solve(field, tol, floor, label, pin=None, hint=""):
         ops, r, merit, vals = trial
         merits.append(merit)
     field = PeriodicField(ops, x)
+    object.__setattr__(field, "_uab", vals)     # for its grid_values
     eb, g = _energy_and_gradient(field, r, vals)
     nehari = _nehari(field, eb, g)
     tail = coefficient_tail(field)
@@ -823,8 +856,8 @@ def _periodized_homoclinic(eps, K):
     """Newton's start at eps with K modes: U(t/w) + U((t -+ 2)/w), U the
     derived homoclinic and w = min(eps, 1/4), sampled on the grid."""
     t = grid(grid_size(K)) + np.array([[-2.0], [0.0], [2.0]])
-    u, _, a, b = homoclinic.derived_profile()(t / min(eps, 0.25)).sum(axis=1)
-    return field_from_values(eps, K, np.stack([u, a, b]))
+    uab = homoclinic.derived_profile()(t / min(eps, 0.25), slope=False)
+    return field_from_values(eps, K, uab.sum(axis=1))
 
 
 def ground_state(eps, K=None, grad_tol=1e-8):

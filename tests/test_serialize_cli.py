@@ -1,11 +1,14 @@
 import contextlib
 import csv
+import gc
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
+import weakref
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -63,12 +66,16 @@ def test_field_json_rejects_a_bad_epsilon(eps):
 
 
 def test_field_to_json_writes_float64_tables():
+    # each table views the field's complex coefficients as [re, im] rows:
+    # the bytes of their column stack
     f = spectral.cutoff_test_pair(0.2, K=16)
     doc = serialize.field_to_json(f)
-    for key in ("u_coeffs", "z_plus_coeffs", "z_minus_coeffs"):
+    for key, c in (("u_coeffs", f.u_coeffs), ("z_plus_coeffs", f.z_plus),
+                   ("z_minus_coeffs", f.z_minus)):
         table = doc[key]
         assert type(table) is np.ndarray and table.dtype == np.float64
         assert table.shape == (33, 2) and table.flags.c_contiguous
+        assert table.tobytes() == np.column_stack([c.real, c.imag]).tobytes()
     assert serialize.dumps(doc) == json.dumps(doc, indent=2, default=tolist)
 
 
@@ -400,10 +407,26 @@ def test_write_floats_never_writes_past_its_bound(x, kernel):
         bound = text_bound(a, depth)
         out = np.full(bound + 64, 255, np.uint8)
         n, m = a.shape if a.ndim == 2 else (len(a), -1)
-        end = kernel.lib.write_floats(a, n, m, depth, kernel.pow10_table, out)
+        end = kernel.lib.write_floats(a.ctypes.data, n, m, depth,
+                                      kernel.pow10, out.ctypes.data)
         assert bytes(out[:end]).decode() == text
         assert end <= bound and (out[bound:] == 255).all()
         assert text_bound(a, depth) == serialize._text_bound(a, depth)
+
+
+def test_dumps_lets_go_of_the_arrays_it_prints(kernel):
+    # json's indent encoder leaves default in a reference cycle, which held
+    # every array of the document until the next collection
+    a = np.ones((3, 2))
+    ref = weakref.ref(a)
+    gc.disable()
+    try:
+        assert serialize.dumps({"a": a}) == json.dumps({"a": a.tolist()},
+                                                       indent=2)
+        del a
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_dumps_a_str_that_is_the_array_marker(kernel):
@@ -959,6 +982,50 @@ def test_cli_ground_state_huge_epsilon_fails_in_one_line(epsilon, capsys):
     assert (code, out) == (1, "")
     assert err.count("\n") == 1 and err.startswith("solver failure: ")
     assert err.split()[-1] in ("inf", "nan")
+
+
+#: ground-state's --epsilon edges: signed zeros, subnormals, magnitudes up
+#: to the largest float, the non-finite values, negatives, and eps* =
+#: 2^(1/4)/pi one ulp either side; each is either refused before any solve
+#: or at least 0.02, so no draw with the default K solves with K above 320
+EDGE_EPSILONS = (0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308,
+                 1e-300, 1e-100, 1e100, 1e308, math.inf, -math.inf, math.nan,
+                 -5e-324, -1e-300, -0.05, -1e308,
+                 math.nextafter(2.0 ** 0.25 / math.pi, 0.0),
+                 math.nextafter(2.0 ** 0.25 / math.pi, 1.0))
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from(EDGE_EPSILONS) | st.floats(0.02, 0.4),
+       st.sampled_from([None, 1, 3, 8, 32, 200, 0, -1, -200]),
+       st.sampled_from([None, 1e-3, 1e-13, 0.0, -1.0, math.nan]))
+def test_cli_ground_state_contract_under_generated_input(eps, modes, tol):
+    # exit 0 writes one parsable record and nothing on stderr; a cdelab
+    # failure writes exactly one stderr line (argparse's usage errors are
+    # its own); no warning is raised; no solve runs with K above 320
+    argv = ["ground-state", f"--epsilon={eps!r}"]
+    argv += [] if modes is None else [f"--modes={modes}"]
+    argv += [] if tol is None else [f"--tol={tol!r}"]
+    solve = spectral._solve
+
+    def bounded(field, *args, **kwargs):
+        assert field.num_modes <= 320
+        return solve(field, *args, **kwargs)
+
+    out, err = io.StringIO(), io.StringIO()
+    with (warnings.catch_warnings(record=True) as caught,
+          mock.patch.object(spectral, "_solve", bounded),
+          contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert caught == []
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err == "" and json.loads(out)["schema"] == "cde-lab/1"
+    elif not err.startswith("usage: "):
+        assert out == "" and err.count("\n") == 1 and err.endswith("\n")
+        assert err.startswith(("solver failure: ", "invalid input: "))
 
 
 @pytest.mark.parametrize("epsilon", ["1e20", "1e50"])

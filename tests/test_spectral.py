@@ -1,10 +1,11 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdelab import dynamics, homoclinic, spectral
+from cdelab import dynamics, homoclinic, orbits, spectral
 from cdelab.errors import NonConvergence, TruncationMismatch
 
 SQ2 = np.sqrt(2.0)
@@ -498,6 +499,15 @@ def test_default_mode_table():
     assert spectral.default_modes(0.05) == 128
 
 
+def test_default_modes_stops_at_max_modes():
+    # the least eps it takes needs exactly MAX_MODES; the float below it,
+    # 6.4e-5 itself, needs one mode more
+    eps = math.nextafter(6.4e-5, 1.0)
+    assert spectral.default_modes(eps) == spectral.MAX_MODES
+    with pytest.raises(ValueError, match="MAX_MODES"):
+        spectral.default_modes(math.nextafter(eps, 0.0))
+
+
 # ----------------------------------------------------------------------
 # ground state
 
@@ -563,6 +573,36 @@ def test_linearization_matches_finite_differences():
     h = 1e-5
     fd = (ops.residual(x + h * v)[0] - ops.residual(x - h * v)[0]) / (2.0 * h)
     assert np.linalg.norm(jvp(v) - fd) <= 1e-6 * np.linalg.norm(fd)
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.2, 0.37])
+def test_spectrum_at_another_eps_is_a_fresh_build(eps):
+    # the same bits in every array, the K-only ones shared
+    K = 17
+    fresh, base = (spectral.build_spectrum(eps, K),
+                   spectral.build_spectrum(0.1, K))
+    moved = base.at(eps)
+    for name in ("epsilon", "num_modes", "N", "k", "omega", "lam", "swap",
+                 "cross", "alternate", "sign", "parseval", "linear_w",
+                 "inverse_w", "eps_w", "eigvec_plus", "eigvec_minus"):
+        assert (np.asarray(getattr(moved, name)).tobytes()
+                == np.asarray(getattr(fresh, name)).tobytes()), name
+    assert moved.swap is base.swap and moved.parseval is base.parseval
+
+
+def test_family_solve_builds_one_spectrum(monkeypatch):
+    # its start's: every trial eps takes new weights on the K-only arrays
+    builds = [0]
+    original = spectral.SpectrumA.__init__
+
+    def counted(self, *args):
+        builds[0] += 1
+        original(self, *args)
+
+    monkeypatch.setattr(spectral.SpectrumA, "__init__", counted)
+    family = orbits.lyapunov_family([0.01, 0.05, 0.1, 0.15, 0.2, 0.205])
+    assert sum(res.report.steps for res in family) >= 20
+    assert builds[0] == 1
 
 
 def test_eps_derivative_matches_finite_differences():
@@ -802,6 +842,35 @@ def test_ground_state_builds_one_spectrum_per_epsilon(monkeypatch, eps,
     assert calls[0] == builds
 
 
+@pytest.mark.parametrize("eps", [0.025, 0.045, 0.06, 0.2, None])
+def test_solution_grid_values_match_a_fresh_fields(eps, lyapunov_orbits):
+    # u, a and b come from Newton's last residual, v from one transform;
+    # eps None takes a family orbit
+    res = lyapunov_orbits[1e-3] if eps is None else spectral.ground_state(eps)
+    fresh = spectral.PeriodicField(res.field.spectrum, res.field.x)
+    assert res.field.grid_values.tobytes() == fresh.grid_values.tobytes()
+
+
+def test_solution_grid_values_transform_v_alone(monkeypatch):
+    # the accepted field's grid values take one transformed row, v's, where
+    # a fresh field's take four
+    rows = [0]
+    original = spectral.SpectrumA.to_grid
+
+    def counted(self, x):
+        out = original(self, x)
+        rows[0] += len(out)
+        return out
+
+    sol = spectral.ground_state(0.045)
+    monkeypatch.setattr(spectral.SpectrumA, "to_grid", counted)
+    orbits.field_to_orbit(sol.field)
+    assert rows[0] == 1
+    orbits.field_to_orbit(spectral.PeriodicField(sol.field.spectrum,
+                                                 sol.field.x))
+    assert rows[0] == 5
+
+
 @pytest.mark.parametrize("eps, K", [(0.05, spectral.MAX_MODES + 1),
                                     (0.05, 10 ** 8), (1e-300, None),
                                     (1e-320, None)])
@@ -897,9 +966,15 @@ def test_ground_state_certificate_matches_fresh_residuals(ground_states,
     # at fixed eps the merit is the gradient norm too
     fixed_eps = [*ground_states.values(), spectral.ground_state(0.025)]
     for res in fixed_eps + list(lyapunov_orbits.values()):
+        fresh = spectral.PeriodicField(res.field.spectrum, res.field.x)
         assert res.nehari == spectral.nehari_residuals(res.field)
         assert res.energy == spectral.energy(res.field)
         assert res.delta_eps == res.energy.total
+        assert res.report.tail == spectral.coefficient_tail(fresh)
+        # r3 projects the gradient's spinor alone, to the bits of its view
+        z_minus = spectral.gradient(fresh).z_minus
+        assert res.nehari.r3 == float(np.sqrt(
+            (2.0 / fresh.epsilon) * np.sum(np.abs(z_minus) ** 2)))
     for res in fixed_eps:
         g = spectral.gradient(res.field)
         assert res.merit == res.field.spectrum.norm(g.x)

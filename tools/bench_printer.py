@@ -36,7 +36,8 @@ def ns_per_float(lib, a, depth):
     for _ in range(REPEATS):
         start = time.perf_counter()
         for _ in range(CALLS):
-            lib.write_floats(a, n, m, depth, lib.pow10_table, out)
+            lib.write_floats(a.ctypes.data, n, m, depth, lib.pow10,
+                             out.ctypes.data)
         best = min(best, (time.perf_counter() - start) / CALLS)
     return best / a.size * 1e9
 
