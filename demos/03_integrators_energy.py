@@ -20,15 +20,14 @@ def main():
 
     print("\nimplicit midpoint drift over t in [0, 15]:")
     for dt in (4e-3, 2e-3, 1e-3):
-        cfg = integrators.StepperConfig(method="implicit_midpoint", dt=dt)
-        tr = integrators.integrate(orb.initial_state, 15.0, cfg)
+        tr = integrators.integrate(orb.initial_state, 15.0, dt,
+                                   "implicit_midpoint")
         print(f"  dt = {dt}: max |H - H0| = {integrators.energy_drift(tr):.3e}")
     print("  (each halving divides the drift by ~4: second order)")
 
     print("\nrk4 drift over t in [0, 4]:")
     for dt in (2e-2, 1e-2):
-        cfg = integrators.StepperConfig(method="rk4", dt=dt)
-        tr = integrators.integrate(orb.initial_state, 4.0, cfg)
+        tr = integrators.integrate(orb.initial_state, 4.0, dt, "rk4")
         print(f"  dt = {dt}: max |H - H0| = {integrators.energy_drift(tr):.3e}")
     print("  (halving divides the drift by ~16: fourth order)")
 

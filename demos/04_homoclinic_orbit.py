@@ -28,8 +28,7 @@ def main():
     print(f"state norm at t = +-20: {np.linalg.norm(prof(20.0)):.2e}")
 
     print("\nindependent check: rk4 tracks the closed form from t = 0 to 10")
-    cfg = integrators.StepperConfig(method="rk4", dt=1e-3)
-    tr = integrators.integrate(prof(0.0), 10.0, cfg)
+    tr = integrators.integrate(prof(0.0), 10.0, 1e-3, "rk4")
     err = np.max(np.abs(tr.states - prof(tr.times).T))
     print(f"  sup tracking error: {err:.2e}")
 

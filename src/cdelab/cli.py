@@ -141,8 +141,8 @@ def cmd_integrate(args):
     if len(state) != 4 or not np.isfinite(state).all():
         raise ValueError("--state needs exactly four finite numbers u,v,a,b, "
                          f"got {args.state!r}")
-    cfg = integrators.StepperConfig(method=args.method, dt=args.dt)
-    tr = integrators.integrate(np.array(state), args.t_final, cfg)
+    tr = integrators.integrate(np.array(state), args.t_final, args.dt,
+                               args.method)
     if args.format == "json":
         doc = {"schema": geometry.SCHEMA,
                "drift": integrators.energy_drift(tr), "samples": tr.rows}
@@ -183,15 +183,8 @@ def cmd_ground_state(args):
     if args.format == "csv":
         _emit(serialize.field_grid_to_csv(sol.field), args.out)
         return 0
-    rec = serialize.orbit_record(
-        sol, orbits.field_to_orbit(sol.field),
-        provenance={"kind": "ground_state", "epsilon": args.epsilon,
-                    "modes": sol.field.num_modes, "gradient_norm": sol.merit},
-        epsilon=args.epsilon)
-    rec["delta_eps"] = sol.delta_eps
-    rec["field"] = serialize.field_to_json(sol.field, energy=sol.energy,
-                                           residuals=sol.nehari)
-    _emit(serialize.dumps(rec), args.out)
+    _emit(serialize.dumps(serialize.ground_state_record(sol, args.epsilon)),
+          args.out)
     return 0
 
 

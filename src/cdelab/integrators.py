@@ -46,37 +46,17 @@ MAX_NEWTON_ITERS = 25
 
 
 @dataclass(frozen=True)
-class StepperConfig:
-    """Fixed-step integrator settings."""
-    method: str = "implicit_midpoint"   # or "rk4"
-    dt: float = 1e-3
-
-    def __post_init__(self):
-        if not 0.0 < self.dt < np.inf:
-            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
-        if self.method not in ("implicit_midpoint", "rk4"):
-            raise ValueError(f"unknown method {self.method!r}")
-
-
-@dataclass
 class Trajectory:
-    """Dense solution samples on a uniform, strictly increasing time grid."""
-    times: np.ndarray
-    states: np.ndarray          # shape (n, 4)
+    """Dense solution samples on a uniform, strictly increasing time grid:
+    the (n, 6) table ``rows`` of t, u, v, a, b, H."""
+    rows: np.ndarray
 
-    @functools.cached_property
-    def rows(self):
-        """The table t, u, v, a, b, H: the flow kernel's from integrate."""
-        return np.c_[self.times, self.states,
-                     dynamics.hamiltonian(self.states.T)]
-
-    @property
-    def energy_series(self):
-        """H at each state."""
-        return self.rows[:, 5]
+    times = property(lambda self: self.rows[:, 0])
+    states = property(lambda self: self.rows[:, 1:5])          # (n, 4)
+    energy_series = property(lambda self: self.rows[:, 5])
 
     def __len__(self):
-        return len(self.times)
+        return len(self.rows)
 
 
 def _rk4(u, v, a, b, dt, n=1, out=None):
@@ -318,20 +298,26 @@ def _compiled_flow(lib, s0, dt, n, method):
     raise _in_step(exc, dt, k, rows[k - 1, 1:5].tolist()) from exc
 
 
-def integrate(s0, t_final, cfg):
-    """Integrate from t=0 to t=t_final on a uniform grid.
+def integrate(s0, t_final, dt=1e-3, method="implicit_midpoint"):
+    """Integrate from t=0 to t=t_final on a uniform grid with steps of about
+    dt, by ``method``: "implicit_midpoint" or "rk4".
 
     Negative t_final integrates backwards; the returned trajectory is then
     reported on the increasing grid [t_final, 0].  The step count is
     round(|t_final| / dt), so dt is adjusted slightly when it does not divide
     t_final evenly.  Raises NonFiniteState when a component is NaN or exceeds
     1e12, and re-raises an implicit-midpoint NewtonDivergence naming the step,
-    its start time and ‖s‖∞.  Raises ValueError unless s0 has shape (4,),
-    t_final is finite and nonzero and |t_final| / dt is at most MAX_STEPS.
+    its start time and ‖s‖∞.  Raises ValueError unless, in this order, dt is
+    positive and finite, the method is known, t_final is finite and nonzero,
+    |t_final| / dt is at most MAX_STEPS and s0 has shape (4,).
     """
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    if method not in ("implicit_midpoint", "rk4"):
+        raise ValueError(f"unknown method {method!r}")
     if not 0.0 < abs(t_final) < np.inf:
         raise ValueError(f"t_final must be finite and nonzero, got {t_final!r}")
-    n_steps = abs(t_final) / cfg.dt
+    n_steps = abs(t_final) / dt
     if not n_steps <= MAX_STEPS:
         raise ValueError(f"|t_final| / dt = {n_steps:.3g} steps exceeds "
                          f"MAX_STEPS = {MAX_STEPS}")
@@ -342,13 +328,9 @@ def integrate(s0, t_final, cfg):
     n_steps = max(1, int(round(n_steps)))
     dt = t_final / n_steps              # signed
     lib = _flow_kernel()
-    rows = (_python_flow(s0, dt, n_steps, cfg.method) if lib is None else
-            _compiled_flow(lib, s0, dt, n_steps, cfg.method))
-    if dt < 0:
-        rows = rows[::-1].copy()
-    tr = Trajectory(times=rows[:, 0], states=rows[:, 1:5])
-    tr.rows = rows
-    return tr
+    rows = (_python_flow(s0, dt, n_steps, method) if lib is None else
+            _compiled_flow(lib, s0, dt, n_steps, method))
+    return Trajectory(rows[::-1].copy() if dt < 0 else rows)
 
 
 def energy_drift(tr):

@@ -80,13 +80,15 @@ def lyapunov_family(amplitudes, tol=NEWTON_TOL):
 def field_to_orbit(field):
     """The field sampled in original time on [-T, T], T = 1/epsilon, as a
     trajectory: the collocation nodes of [-1, 1] plus the periodic wrap,
-    the states the field's ``grid_values``.
+    the states the field's ``grid_values``, and H along them.
     """
-    T = 1.0 / field.epsilon
-    s = spectral.grid(spectral.grid_size(field.num_modes))
-    states = field.grid_values.T
-    return integrators.Trajectory(times=np.concatenate([s, [1.0]]) * T,
-                                  states=np.vstack([states, states[0]]))
+    T, vals = 1.0 / field.epsilon, field.grid_values
+    N = vals.shape[1]
+    rows = np.empty((N + 1, 6))
+    rows[:N, 0], rows[N, 0] = spectral.grid(N) * T, T
+    rows[:N, 1:5], rows[N, 1:5] = vals.T, vals[:, 0]
+    rows[:, 5] = dynamics.hamiltonian(rows[:, 1:5].T)
+    return integrators.Trajectory(rows)
 
 
 def distance_to_homoclinic(tr):
@@ -127,16 +129,15 @@ def distance_to_homoclinic(tr):
 def period_energy_diagram(eps_grid):
     """Ground-state energy versus period table.
 
-    Runs the spectral ground-state solve at each epsilon in (0, eps*) and
+    Runs the spectral ground-state solve at each epsilon in (0, eps*] and
     reports delta_eps together with its gap to the limit energy
-    homoclinic.DELTA0 = 9 pi/32.  eps* = 2/T0 = 2^(1/4)/pi, T0 the linear
-    period at the center, ends the branch.  Non-convergent entries are
-    recorded with converged=False and the diagram is still emitted.
+    homoclinic.DELTA0 = 9 pi/32.  eps* = spectral.EPS_STAR = 2^(1/4)/pi
+    ends the branch.  Non-convergent entries are recorded with
+    converged=False and the diagram is still emitted.
     """
-    eps_star = 2.0 / T0
-    if not all(0.0 < eps < eps_star for eps in eps_grid):
-        raise ValueError(
-            f"each epsilon must lie in (0, eps*), eps* = {eps_star:.6f}")
+    if not all(0.0 < eps <= spectral.EPS_STAR for eps in eps_grid):
+        raise ValueError(f"each epsilon must lie in (0, eps*], eps* = "
+                         f"{spectral.EPS_STAR:.6f}")
     delta0 = homoclinic.DELTA0
     rows = []
     for eps in eps_grid:

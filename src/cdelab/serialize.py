@@ -17,7 +17,7 @@ import json
 
 import numpy as np
 
-from . import integrators, spectral
+from . import integrators, orbits, spectral
 from .geometry import RadialProfile, SCHEMA
 
 PROFILE_COLUMNS = {
@@ -124,7 +124,6 @@ def orbit_record(orbit, tr, provenance, epsilon=None):
     """JSON document for a spectral.Solution, a ground state or an orbit,
     with tr its field sampled on [-T, T] by orbits.field_to_orbit."""
     stride = max(1, len(tr) // MIN_RECORD_SAMPLES)
-    samples = np.column_stack([tr.times, tr.states])[::stride]
     return {
         "schema": SCHEMA,
         "T": orbit.half_period,
@@ -132,9 +131,23 @@ def orbit_record(orbit, tr, provenance, epsilon=None):
         "H": orbit.hamiltonian,
         "residual": orbit.merit,
         "initial_state": orbit.initial_state,
-        "samples": samples,
+        "samples": tr.rows[::stride, :5],
         "provenance": provenance,
     }
+
+
+def ground_state_record(sol, epsilon):
+    """The ``ground-state`` command's JSON document of the ground state
+    ``sol`` solved at ``epsilon``: its orbit record, delta_eps and field."""
+    rec = orbit_record(
+        sol, orbits.field_to_orbit(sol.field),
+        provenance={"kind": "ground_state", "epsilon": epsilon,
+                    "modes": sol.field.num_modes, "gradient_norm": sol.merit},
+        epsilon=epsilon)
+    rec["delta_eps"] = sol.delta_eps
+    rec["field"] = field_to_json(sol.field, energy=sol.energy,
+                                 residuals=sol.nehari)
+    return rec
 
 
 def profile_to_csv(profile):

@@ -137,20 +137,20 @@ class SpectrumA:
     def __init__(self, eps, K):
         if not 0.0 < eps < np.inf:
             raise ValueError(f"epsilon must be in (0, inf), got {eps!r}")
-        self.num_modes, self.N = K, grid_size(K)
-        self.k = np.arange(-K, K + 1)
         M = 2 * K + 1
-        j = np.arange(M)
-        k = np.where(j > K, j - K, j)                 # the mode of each entry
-        comp = np.array([[0], [2], [1]]) * M          # u fixed, a <-> b
+        self.num_modes, self.N, self.k = K, grid_size(K), np.arange(-K, K + 1)
+        j = np.arange(M)            # entries c_0, Re c_1..c_K, Im c_1..c_K
+        comp = np.array([[0], [2 * M], [M]])          # u fixed, a <-> b
         self.swap = (comp + j).ravel()
-        self.cross = (comp + np.where(j > K, k, k + K * (k > 0))).ravel()
-        self.alternate = 1.0 - 2.0 * (j[:K + 1] % 2)     # e^{-i pi k}, k >= 0
-        sign = np.where(j > K, -1.0, 1.0)
-        self.sign = np.tile(sign, 3)
-        self.parseval = np.tile(np.where(j > 0, 2.0, 1.0), 3)   # sum over +-k
-        self._kpi = np.pi * k
-        self._spinor = np.array([[0.0], [1.0], [-1.0]]) * sign  # c's sign
+        flip = np.concatenate([j[:1], j[K + 1:], j[1:K + 1]])   # Re <-> Im
+        self.cross = (comp + flip).ravel()
+        self.alternate = 1.0 - 2.0 * (j[:K + 1] & 1)     # e^{-i pi k}, k >= 0
+        sign = np.ones((3, M))
+        sign[:, K + 1:] = -1.0
+        self.sign, self.parseval = sign.ravel(), np.full(3 * M, 2.0)
+        self.parseval[::M] = 1.0                      # sum over +-k
+        self._kpi = np.pi * np.concatenate([j[:K + 1], j[1:K + 1]])
+        self._spinor = sign * np.array([[0.0], [1.0], [-1.0]])  # c's sign
         self._weigh(eps)
 
     def _weigh(self, eps):
@@ -300,8 +300,8 @@ class PeriodicField:
     ``z_plus``/``z_minus`` the spinor's coordinates against the positive/
     negative eigenvectors of the operator spectrum (:func:`split_spinor`),
     and ``grid_values`` the (4, N) values of the states (u, v, a, b) on the
-    grid, v = eps du/ds the slope in original time (a solve's field takes u,
-    a and b from its last residual evaluation and transforms v alone).
+    grid, v = eps du/ds the slope in original time (u, a and b from a solve's
+    last residual evaluation, or else transformed; v's row transformed alone).
     """
     spectrum: SpectrumA
     x: np.ndarray
@@ -338,11 +338,8 @@ class PeriodicField:
         kpi = np.pi * self.epsilon * np.arange(1, K + 1)
         # (Re, Im) of i pi k c_k are (-pi k Im c_k, pi k Re c_k)
         du = np.concatenate([[0.0], -kpi * x[K + 1:M], kpi * x[1:K + 1]])
-        if self._uab is None:
-            u, a, b, v = self.spectrum.to_grid(np.concatenate([x, du]))
-        else:
-            (u, a, b), (v,) = self._uab, self.spectrum.to_grid(du)
-        return _readonly(np.stack([u, v, a, b]))
+        u, a, b = self.spectrum.to_grid(x) if self._uab is None else self._uab
+        return _readonly(np.stack([u, *self.spectrum.to_grid(du), a, b]))
 
     def shifted(self, tau):
         """Translate the field by tau in s: f(s) -> f(s + tau), each mode's
@@ -582,6 +579,9 @@ MAX_NEWTON_ITERS = 30
 #: largest K :func:`ground_state` accepts: the Krylov basis alone holds
 #: (KRYLOV_MAX_ITERS + 1) * 3(2K+1) floats, 2.4 kB per mode (245 MB here)
 MAX_MODES = 100_000
+#: end of the ground-state branch, eps* = 2/T0 = 2^(1/4)/pi with T0 the
+#: linear period at the center: the branch is eps <= EPS_STAR, in floats
+EPS_STAR = 2.0 ** 0.25 / np.pi
 
 #: bound on a solution's :func:`coefficient_tail`.  At the default K it is
 #: at most 1.7e-12 for eps in [0.025, 0.37]; at eps = 0.05 with K = 3, 8, 32
@@ -886,7 +886,7 @@ def ground_state(eps, K=None, grad_tol=1e-8):
         raise ValueError(f"{K:.4g} modes exceed MAX_MODES = {MAX_MODES}")
     # Newton stops at 1e-10, not at the family's 1e-14: that took 3.28 ms a
     # solve, not 2.15 (+53%), over 48 ground states at eps in [0.025, 0.06]
-    label = "ground state" if eps <= 2.0 ** 0.25 / np.pi else (
+    label = "ground state" if eps <= EPS_STAR else (
         "ground state (past the branch's end at eps* = 2^(1/4)/pi = 0.3785)")
     with np.errstate(over="ignore", invalid="ignore"):   # fails on the merit
         return _solve(_periodized_homoclinic(eps, K), grad_tol, 1e-10, label,

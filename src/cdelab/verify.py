@@ -52,8 +52,8 @@ def suite_integrator(seed=0, tol=1e-8):
     # a converged periodic orbit; generic perturbations of the saddle-center
     # escape, and even this orbit can only be shadowed to t ~ 20
     orb = orbits.lyapunov_family([1e-2])[0]
-    cfg = integrators.StepperConfig(method="implicit_midpoint", dt=1e-3)
-    tr = integrators.integrate(orb.initial_state, 15.0, cfg)
+    tr = integrators.integrate(orb.initial_state, 15.0, 1e-3,
+                               "implicit_midpoint")
     drift = integrators.energy_drift(tr)
     out = [_check("implicit midpoint drift <= 1e-8 over t in [0,15]",
                   drift <= tol, f"drift = {drift:.3e}")]

@@ -50,8 +50,7 @@ def test_criterion_03_homoclinic():
     prof = homoclinic.derived_profile()
     ode_res = float(np.max(prof.ode_residual(t)))
     h_max = float(np.max(np.abs(prof.energy(t))))
-    cfg = integrators.StepperConfig(method="rk4", dt=1e-3)
-    tr = integrators.integrate(prof(0.0), 10.0, cfg)
+    tr = integrators.integrate(prof(0.0), 10.0, 1e-3, "rk4")
     track = float(np.max(np.abs(tr.states - prof(tr.times).T)))
     ok = (rep.alpha_sq == 1.5 and rep.beta_sq == 0.375
           and ode_res <= 1e-10 and h_max <= 1e-12 and track <= 1e-6)
@@ -204,9 +203,8 @@ def _chunked_run(s0, dt):
     Returns (times, states).
     """
     times, states = [0.0], [np.asarray(s0, dtype=float)]
-    cfg = integrators.StepperConfig(method="implicit_midpoint", dt=dt)
     for k in range(100):
-        tr = integrators.integrate(states[-1], 0.5, cfg)
+        tr = integrators.integrate(states[-1], 0.5, dt)
         times.extend(0.5 * k + tr.times[1:])
         states.extend(tr.states[1:])
         if np.linalg.norm(states[-1] - dynamics.P_PLUS) > 1.0:

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import os
 import shlex
@@ -52,8 +53,7 @@ def test_rk4_step_bitwise_equals_array_reference(dt):
     for j in range(batch.shape[1]):
         ref = _rk4_array_reference(batch[:, j], dt)
         assert np.array_equal(integrators.rk4_step(batch[:, j], dt), ref)
-    cfg = integrators.StepperConfig(method="rk4", dt=abs(dt))
-    tr = integrators.integrate(batch[:, 0], 20 * dt, cfg)
+    tr = integrators.integrate(batch[:, 0], 20 * dt, abs(dt), "rk4")
     states = tr.states if dt > 0 else tr.states[::-1]
     for prev, nxt in zip(states[:-1], states[1:]):
         assert np.array_equal(nxt, _rk4_array_reference(prev, dt))
@@ -72,8 +72,7 @@ def test_integrate_bitwise_equals_iterated_steps(s0, step_spec, method):
     size, sign, n = step_spec
     t_final = sign * size * n
     dt = t_final / n                    # the step integrate takes
-    cfg = integrators.StepperConfig(method=method, dt=size)
-    tr = integrators.integrate(s0, t_final, cfg)
+    tr = integrators.integrate(s0, t_final, size, method)
     states = tr.states if dt > 0 else tr.states[::-1]
     assert states.shape == (n + 1, 4)
     assert np.array_equal(states[0], s0)
@@ -117,8 +116,7 @@ def test_newton_correction_matches_dense_solve(dt):
 
 
 def test_integrate_constant_from_equilibrium():
-    cfg = integrators.StepperConfig(method="implicit_midpoint", dt=1e-2)
-    tr = integrators.integrate(dynamics.P_PLUS, 10.0, cfg)
+    tr = integrators.integrate(dynamics.P_PLUS, 10.0, 1e-2)
     assert np.max(np.abs(tr.states - dynamics.P_PLUS)) <= 1e-11
     assert integrators.energy_drift(tr) <= 1e-14
 
@@ -126,8 +124,7 @@ def test_integrate_constant_from_equilibrium():
 def test_rk4_tracks_homoclinic_profile():
     # closed-form orbit as an exact-solution oracle
     prof = homoclinic.derived_profile()
-    cfg = integrators.StepperConfig(method="rk4", dt=1e-3)
-    tr = integrators.integrate(prof(0.0), 10.0, cfg)
+    tr = integrators.integrate(prof(0.0), 10.0, 1e-3, "rk4")
     reference = prof(tr.times).T
     assert np.max(np.abs(tr.states - reference)) <= 1e-6
 
@@ -136,9 +133,9 @@ def test_time_reversal_of_the_flow():
     # integrating forward then swapping equals integrating the swapped state
     # backward
     s0 = np.array([1.1, 0.05, 0.3, 0.35])
-    cfg = integrators.StepperConfig(method="rk4", dt=1e-3)
-    fwd = integrators.integrate(s0, 5.0, cfg)
-    back = integrators.integrate(dynamics.time_reversal_swap(s0), -5.0, cfg)
+    cfg = dict(dt=1e-3, method="rk4")
+    fwd = integrators.integrate(s0, 5.0, **cfg)
+    back = integrators.integrate(dynamics.time_reversal_swap(s0), -5.0, **cfg)
     # back.times runs [-5, 0]; back.states[-1] is the initial state
     swapped = dynamics.time_reversal_swap(fwd.states.T).T
     np.testing.assert_allclose(back.states[::-1], swapped, rtol=0, atol=1e-8)
@@ -152,9 +149,9 @@ def test_midpoint_is_time_symmetric():
 
 
 def test_energy_drift_zero_on_constant():
-    times = np.linspace(0.0, 1.0, 11)
-    states = np.tile(dynamics.P_PLUS, (11, 1))
-    assert integrators.energy_drift(integrators.Trajectory(times, states)) == 0.0
+    rows = np.c_[np.linspace(0.0, 1.0, 11), np.tile(dynamics.P_PLUS, (11, 1)),
+                 np.full(11, dynamics.hamiltonian(dynamics.P_PLUS))]
+    assert integrators.energy_drift(integrators.Trajectory(rows)) == 0.0
 
 
 def test_midpoint_drift_small_and_second_order(lyapunov_orbits):
@@ -165,8 +162,7 @@ def test_midpoint_drift_small_and_second_order(lyapunov_orbits):
     orb = lyapunov_orbits[1e-2]
     drifts = {}
     for dt in (2e-3, 1e-3):
-        cfg = integrators.StepperConfig(method="implicit_midpoint", dt=dt)
-        tr = integrators.integrate(orb.initial_state, 15.0, cfg)
+        tr = integrators.integrate(orb.initial_state, 15.0, dt)
         drifts[dt] = integrators.energy_drift(tr)
     assert drifts[1e-3] <= 1e-8
     ratio = drifts[2e-3] / drifts[1e-3]
@@ -179,8 +175,8 @@ def test_rk4_order_four_by_step_halving(lyapunov_orbits):
     orb = lyapunov_orbits[1e-2]
 
     def end_state(dt):
-        cfg = integrators.StepperConfig(method="rk4", dt=dt)
-        return integrators.integrate(orb.initial_state, 4.0, cfg).states[-1]
+        tr = integrators.integrate(orb.initial_state, 4.0, dt, "rk4")
+        return tr.states[-1]
 
     ref = end_state(2.5e-3)
     errors = {dt: np.max(np.abs(end_state(dt) - ref)) for dt in (4e-2, 2e-2)}
@@ -189,9 +185,8 @@ def test_rk4_order_four_by_step_halving(lyapunov_orbits):
 
 
 def test_nonfinite_state_detected():
-    cfg = integrators.StepperConfig(method="rk4", dt=0.1)
     with pytest.raises(NonFiniteState):
-        integrators.integrate(np.array([1e9, 1e9, 0.0, 1e3]), 60.0, cfg)
+        integrators.integrate([1e9, 1e9, 0.0, 1e3], 60.0, 0.1, "rk4")
 
 
 @pytest.mark.parametrize("k", range(4))
@@ -199,10 +194,9 @@ def test_nan_in_any_component_detected(k):
     s0 = np.array([1.0, 0.5, 0.3, 0.2])
     s0[k] = np.nan
     with pytest.raises(NonFiniteState):
-        integrators.integrate(s0, 0.5, integrators.StepperConfig(method="rk4",
-                                                                 dt=0.1))
+        integrators.integrate(s0, 0.5, 0.1, "rk4")
     with pytest.raises(NewtonDivergence):
-        integrators.integrate(s0, 0.5, integrators.StepperConfig(dt=0.1))
+        integrators.integrate(s0, 0.5, 0.1)
 
 
 def test_singular_newton_matrix_raises_newton_divergence():
@@ -224,17 +218,15 @@ def test_newton_divergence_raised(strict_newton):
 
 
 def test_newton_divergence_names_step_time_and_size(strict_newton):
-    cfg = integrators.StepperConfig(method="implicit_midpoint", dt=1.0)
     with pytest.raises(NewtonDivergence,
                        match=r"in step 1 from t = 0, \|s\|_inf = 1\.000e\+00"):
-        integrators.integrate(np.array([1.0, 0.5, 0.3, 0.2]), 3.0, cfg)
+        integrators.integrate(np.array([1.0, 0.5, 0.3, 0.2]), 3.0, 1.0)
 
 
 def test_singular_newton_matrix_names_step_in_integrate():
     with pytest.raises(NewtonDivergence,
                        match=r"singular .* in step 1 from t = 0"):
-        integrators.integrate([0.0, 0.0, 0.3, 0.2], 4.0,
-                              integrators.StepperConfig(dt=2.0))
+        integrators.integrate([0.0, 0.0, 0.3, 0.2], 4.0, 2.0)
 
 
 def test_integrate_rejects_more_than_max_steps():
@@ -246,16 +238,14 @@ def test_integrate_rejects_more_than_max_steps():
                                (1e300, 1e-300, "inf"),
                                ((integrators.MAX_STEPS + 1) * 0.5, 0.5,
                                 r"1e\+07")]:
-        cfg = integrators.StepperConfig(method="rk4", dt=dt)
         with pytest.raises(ValueError, match=f"= {steps} steps exceeds "
                                              "MAX_STEPS = 10000000"):
-            integrators.integrate(s0, t_final, cfg)
+            integrators.integrate(s0, t_final, dt, "rk4")
 
 
 def test_nan_start_overflows_after_first_step():
-    cfg = integrators.StepperConfig(method="rk4", dt=0.1)
     with pytest.raises(NonFiniteState, match="after step 1$"):
-        integrators.integrate([np.nan, 0.5, 0.3, 0.2], 0.5, cfg)
+        integrators.integrate([np.nan, 0.5, 0.3, 0.2], 0.5, 0.1, "rk4")
 
 
 def test_newton_converges_at_large_state():
@@ -320,34 +310,48 @@ def test_integrate_midpoint_acceptance_is_the_documented_rule(monkeypatch):
     # one step of integrate, which reads NEWTON_TOL when called
     def midpoint(s, dt, tol):
         monkeypatch.setattr(integrators, "NEWTON_TOL", tol)
-        cfg = integrators.StepperConfig(dt=dt)
-        return integrators.integrate(s, dt, cfg).states[1].tolist()
+        return integrators.integrate(s, dt, dt).states[1].tolist()
 
     _check_the_documented_rule(midpoint)
 
 
+def test_trajectory_is_one_table():
+    # one field, the (n, 6) rows t, u, v, a, b, H; the rest are its columns
+    assert [f.name for f in dataclasses.fields(integrators.Trajectory)] == [
+        "rows"]
+    tr = integrators.integrate([1.0, 0.0, 0.3, 0.35], -0.5, 0.1, "rk4")
+    assert len(tr) == 6 and tr.rows.shape == (6, 6)
+    for view, cols in ((tr.times, 0), (tr.states, slice(1, 5)),
+                       (tr.energy_series, 5)):
+        assert view.base is tr.rows and np.array_equal(view, tr.rows[:, cols])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tr.rows = tr.rows.copy()
+
+
 def test_empty_trajectory_guard():
-    tr = integrators.Trajectory(times=np.empty(0), states=np.empty((0, 4)))
+    tr = integrators.Trajectory(np.empty((0, 6)))
     with pytest.raises(EmptyTrajectory):
         integrators.energy_drift(tr)
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        integrators.StepperConfig(dt=-1.0)
-    with pytest.raises(ValueError):
-        integrators.StepperConfig(method="euler")
-    with pytest.raises(ValueError):
-        integrators.integrate(dynamics.P0, 0.0,
-                              integrators.StepperConfig(dt=1e-2))
+    # integrate checks dt, then the method, then t_final
+    with pytest.raises(ValueError, match=r"dt must be .*, got -1\.0$"):
+        integrators.integrate(dynamics.P0, 1.0, -1.0)
+    with pytest.raises(ValueError, match="^unknown method 'euler'$"):
+        integrators.integrate(dynamics.P0, 1.0, 1e-2, "euler")
+    with pytest.raises(ValueError, match="t_final must be .*, got 0.0$"):
+        integrators.integrate(dynamics.P0, 0.0, 1e-2)
     for bad in (0.0, np.inf, np.nan):
-        with pytest.raises(ValueError, match=f"dt must be .*, got {bad!r}"):
-            integrators.StepperConfig(dt=bad)
+        with pytest.raises(ValueError, match=f"dt must be .*, got {bad!r}$"):
+            integrators.integrate(dynamics.P0, np.nan, bad, "euler")
+    with pytest.raises(ValueError, match="^unknown method 'euler'$"):
+        integrators.integrate(dynamics.P0, np.nan, 1e-2, "euler")
     # a scalar would broadcast into the first state
     for s0, shape in [(1.0, r"\(\)"), ([1.0, 0.0, 0.3], r"\(3,\)"),
                       (np.ones((4, 1)), r"\(4, 1\)")]:
         with pytest.raises(ValueError, match=f"got shape {shape}"):
-            integrators.integrate(s0, 1.0, integrators.StepperConfig(dt=0.1))
+            integrators.integrate(s0, 1.0, 0.1)
 
 
 # ----------------------------------------------------------------------
@@ -373,9 +377,8 @@ def flow_kernel():
 def _outcome(s0, t_final, method, dt):
     """integrate's rows t, u, v, a, b, H as bytes, or the type and text of
     what it raised and of that exception's cause."""
-    cfg = integrators.StepperConfig(method=method, dt=dt)
     try:
-        tr = integrators.integrate(s0, t_final, cfg)
+        tr = integrators.integrate(s0, t_final, dt, method)
     except (NonFiniteState, NewtonDivergence) as exc:
         cause = exc.__cause__
         return type(exc), str(exc), type(cause), str(cause)
@@ -425,10 +428,10 @@ def test_compiled_kernel_stall_text(flow_kernel, strict_newton):
 @pytest.mark.parametrize("method", ["rk4", "implicit_midpoint"])
 def test_python_loops_give_the_same_bytes(method, monkeypatch):
     s0 = homoclinic.derived_profile()(-2.0)
-    cfg = integrators.StepperConfig(method=method, dt=1e-3)
-    default = integrators.integrate(s0, 7.5, cfg)
+    cfg = dict(dt=1e-3, method=method)
+    default = integrators.integrate(s0, 7.5, **cfg)
     monkeypatch.setattr(integrators, "_flow_kernel", lambda: None)
-    loops = integrators.integrate(s0, 7.5, cfg)
+    loops = integrators.integrate(s0, 7.5, **cfg)
     for name in ("times", "states", "energy_series"):
         assert getattr(loops, name).tobytes() == getattr(default, name).tobytes()
 
@@ -441,14 +444,13 @@ def test_flow_kernel_writes_the_grid_and_the_energy(method, t_final,
     # bit for bit, on both routes; backwards the grid still increases, from
     # t_final to -0.0
     s0 = homoclinic.derived_profile()(-2.0)
-    cfg = integrators.StepperConfig(method=method, dt=1e-3)
     t = (t_final / 7500) * np.arange(7501)
     t = t[::-1] if t_final < 0 else t
     tables = []
     for kernel in (flow_kernel, None):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(integrators, "_flow_kernel", lambda: kernel)
-            tr = integrators.integrate(s0, t_final, cfg)
+            tr = integrators.integrate(s0, t_final, 1e-3, method)
         assert tr.rows.shape == (7501, 6) and tr.rows.flags.c_contiguous
         assert tr.times.tobytes() == t.tobytes()
         assert (tr.energy_series.tobytes()

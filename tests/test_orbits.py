@@ -127,9 +127,8 @@ def test_lyapunov_family_pins_the_section_and_closes(lyapunov_orbits):
         assert np.array_equal(states[-1], states[0])
         assert orb.merit <= 1e-12
         # the ODE's own flow closes too: RK4 over one period
-        tr = integrators.integrate(orb.initial_state, orb.period,
-                                   integrators.StepperConfig(
-                                       method="rk4", dt=T0 / 4000))
+        tr = integrators.integrate(orb.initial_state, orb.period, T0 / 4000,
+                                   "rk4")
         assert np.linalg.norm(tr.states[-1] - orb.initial_state) <= 1e-11
 
 
@@ -224,7 +223,9 @@ def test_lyapunov_family_off_the_branch_stops_on_the_residual():
 def profile_orbit(shift=0.0, half_window=15.0):
     prof = homoclinic.derived_profile()
     times = np.linspace(-half_window, half_window, 3001)
-    return integrators.Trajectory(times=times, states=prof(times - shift).T)
+    states = prof(times - shift)
+    return integrators.Trajectory(
+        np.c_[times, states.T, dynamics.hamiltonian(states)])
 
 
 def test_distance_zero_on_profile_samples():
@@ -257,12 +258,33 @@ def test_field_to_orbit_invariants(ground_states):
     assert np.max(np.abs(states[t0_node] - orb.initial_state)) <= 1e-14
     assert orb.initial_state[1] == 0.0                # R-even: v(0) = 0
     assert orb.hamiltonian == dynamics.hamiltonian(states[0])   # t = -T
-    assert "rows" not in vars(tr)           # H waits for its first read
+    assert tr.rows.shape == (len(states), 6) and tr.rows.flags.c_contiguous
+    assert tr.rows[0, 5] == orb.hamiltonian             # H is in the table
     drift = np.max(np.abs(tr.energy_series - tr.energy_series[0]))
     assert drift <= 1e-8                              # H constant on the orbit
     dmin = min(np.linalg.norm(orb.initial_state - p)
                for p in (dynamics.P0, dynamics.P_PLUS, dynamics.P_MINUS))
     assert dmin >= 1e-6                               # nonconstant
+
+
+@pytest.mark.parametrize("eps", [0.03, 0.05, 0.1, 0.2, 0.3, 0.37])
+def test_energy_is_constant_along_a_ground_state_table(eps):
+    # H from the table's own state columns; measured 4.8e-14 at eps = 0.03
+    # up to 1.5e-12 at 0.3
+    sol = spectral.ground_state(eps)
+    tr = orbits.field_to_orbit(sol.field)
+    assert tr.rows[0, 5] == sol.hamiltonian
+    assert integrators.energy_drift(tr) <= 3e-12
+
+
+def test_energy_is_constant_along_family_tables():
+    # measured 2.8e-17 and 4.2e-17; at h = 0.2 the drift reads 5.6e-11,
+    # where the family's fixed truncation K = 17 binds, so it is not
+    # asserted there
+    for orb in orbits.lyapunov_family([1e-2, 0.1]):
+        tr = orbits.field_to_orbit(orb.field)
+        assert tr.rows[0, 5] == orb.hamiltonian
+        assert integrators.energy_drift(tr) <= 1e-15
 
 
 def test_field_to_orbit_samples_the_field(ground_states):
@@ -293,8 +315,26 @@ def test_period_energy_diagram(ground_states):
         assert row["T"] == 1.0 / row["epsilon"]
 
 
+def test_eps_star_is_one_constant_for_both_branch_checks():
+    # 2^(1/4)/pi and 2/T0 round to neighbouring floats; both checks read
+    # spectral.EPS_STAR, the first
+    below, above = 0.3785363814254702, 0.37853638142547025
+    assert spectral.EPS_STAR == below == 2.0 ** 0.25 / np.pi
+    assert np.nextafter(below, 1.0) == above == 2.0 / orbits.T0
+    row, = orbits.period_energy_diagram([below])["rows"]
+    assert row["epsilon"] == below and not row["converged"]
+    with pytest.raises(ValueError, match=r"\(0, eps\*\], eps\* = 0\.378536"):
+        orbits.period_energy_diagram([above])
+    # both solves fail at merit 5.078e-07; only the second is past the end
+    for eps, past in ((below, False), (above, True)):
+        with pytest.raises(NonConvergence, match="5.078e-07") as info:
+            spectral.ground_state(eps)
+        assert ("past the branch's end at eps* = 2^(1/4)/pi = 0.3785"
+                in str(info.value)) is past
+
+
 def test_period_energy_diagram_validates_eps():
-    # the branch is (0, eps*), eps* = 2/t0 = 2^(1/4)/pi, where the small
+    # the branch is (0, eps*], eps* = 2/t0 = 2^(1/4)/pi, where the small
     # orbits around the center end
     omega = np.max(np.abs(np.linalg.eigvals(linear.matrix_c()).imag))
     eps_star = 2.0 / (2.0 * np.pi / omega)

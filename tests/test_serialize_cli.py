@@ -25,8 +25,7 @@ from cdelab import (cli, dynamics, geometry, homoclinic, integrators, orbits,
 # serialization
 
 def test_trajectory_csv_roundtrip_columns():
-    cfg = integrators.StepperConfig(method="rk4", dt=1e-2)
-    tr = integrators.integrate(np.array([1.0, 0.0, 0.3, 0.35]), 0.5, cfg)
+    tr = integrators.integrate([1.0, 0.0, 0.3, 0.35], 0.5, 1e-2, "rk4")
     text = serialize.trajectory_to_csv(tr)
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == ["t", "u", "v", "a", "b", "H"]
@@ -672,8 +671,7 @@ def test_cli_integrate_homoclinic_tail_text(fmt, capsys):
     code, out, _ = run_cli(["integrate", "--state", ",".join(map(repr, state)),
                             "--t-final", "0.5", "--format", fmt], capsys)
     assert code == 0
-    tr = integrators.integrate(np.array(state), 0.5,
-                               integrators.StepperConfig())
+    tr = integrators.integrate(np.array(state), 0.5)
     rows = np.column_stack([tr.times, tr.states, tr.energy_series])
     if fmt == "csv":
         assert out == csv_oracle(("t", "u", "v", "a", "b", "H"), rows)
@@ -827,16 +825,15 @@ def test_cli_ground_state_with_too_few_modes_is_a_solver_failure(capsys):
     ids=["nan", "inf", "-inf", "--dt inf", "--dt nan",
          "--state nan,0,0.3,0.35", "--state 1,0,inf,0.35"])
 def test_cli_integrate_rejects_a_nonfinite_t_final(flag, value, name, capsys):
-    # and a non-finite --dt or --state; integrate and StepperConfig reject
-    # t_final and dt themselves, the CLI checks --state
+    # and a non-finite --dt or --state; integrate rejects t_final and dt
+    # itself, the CLI checks --state
     args = {"--state": "1,0,0.3,0.35", "--t-final": "1", "--dt": "1e-3"}
     args[flag] = value
     if flag != "--state":
         with pytest.raises(ValueError, match=name):
             integrators.integrate(np.array([1.0, 0.0, 0.3, 0.35]),
                                   float(args["--t-final"]),
-                                  integrators.StepperConfig(
-                                      dt=float(args["--dt"])))
+                                  float(args["--dt"]))
     argv = ["integrate", *(f"{k}={v}" for k, v in args.items())]
     code, out, err = run_cli(argv, capsys)
     assert code == 2
@@ -924,7 +921,7 @@ def test_only_the_cli_keeps_freed_record_buffers():
         s0 = homoclinic.derived_profile()(-2.0)
         def faults():
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            tr = integrators.integrate(s0, 7.5, integrators.StepperConfig())
+            tr = integrators.integrate(s0, 7.5)
             serialize.trajectory_to_csv(tr)
             return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         print([faults() for _ in range(2)])

@@ -6,9 +6,8 @@ eps = 0.05 (K = 128, one step), it times:
 - the whole ``cli.main`` call, its JSON record written to a str;
 - Newton's start, ``spectral._periodized_homoclinic``;
 - the solve, ``spectral.ground_state``;
-- the record's build as ``cli.cmd_ground_state`` does it:
-  ``orbits.field_to_orbit``, ``serialize.orbit_record`` and
-  ``serialize.field_to_json``, each call on a fresh solution, whose
+- the record's build, ``serialize.ground_state_record`` as
+  ``cli.cmd_ground_state`` calls it, each call on a fresh solution, whose
   cached views are not yet filled;
 - ``serialize.dumps`` of that record.
 
@@ -23,23 +22,10 @@ import contextlib
 import io
 import time
 
-from cdelab import cli, orbits, serialize, spectral
+from cdelab import cli, serialize, spectral
 
 REPEATS, CALLS = 7, 20
 EPSILONS = (0.03, 0.05)
-
-
-def record(sol, eps):
-    """The task's record of the solution, as cmd_ground_state builds it."""
-    rec = serialize.orbit_record(
-        sol, orbits.field_to_orbit(sol.field),
-        provenance={"kind": "ground_state", "epsilon": eps,
-                    "modes": sol.field.num_modes, "gradient_norm": sol.merit},
-        epsilon=eps)
-    rec["delta_eps"] = sol.delta_eps
-    rec["field"] = serialize.field_to_json(sol.field, energy=sol.energy,
-                                           residuals=sol.nehari)
-    return rec
 
 
 def least_us(call, args=None):
@@ -66,14 +52,14 @@ def main():
             with contextlib.redirect_stdout(io.StringIO()):
                 cli.main(argv)
 
-        rec = record(sol, eps)
+        rec = serialize.ground_state_record(sol, eps)
         figures = {
             "cli.main": least_us(task),
             "start": least_us(
                 lambda _: spectral._periodized_homoclinic(eps, K)),
             "ground_state": least_us(lambda _: spectral.ground_state(eps)),
             "record": least_us(
-                lambda s: record(s, eps),
+                lambda s: serialize.ground_state_record(s, eps),
                 lambda: [spectral.ground_state(eps) for _ in range(CALLS)]),
             "dumps": least_us(lambda _: serialize.dumps(rec)),
         }
