@@ -2,13 +2,13 @@
  * cdelab.serialize, compiled.
  *
  * flow_rk4 and flow_midpoint do the same double operations, in the same
- * order, as integrators._rk4 and integrators._midpoint, so built without
- * floating-point contraction (-ffp-contract=off: no fused multiply-add)
- * they give the same bits.  Each runs n steps from the state s[1..4] and
- * writes the table of the run: row k, s[6k..6k+5], is t = dt k (numpy's
- * dt * arange), state k and its H in dynamics.hamiltonian's operation
- * order, so the same bits as numpy's; s holds 6 (n + 1) doubles.  Each
- * returns 0, or the 1-based step that failed, with its cause in *cause:
+ * order, as the Python loops rk4 and midpoint of tests/flow_reference.py,
+ * so built without floating-point contraction (-ffp-contract=off: no fused
+ * multiply-add) they give the same bits.  Each runs n steps from the state
+ * s[1..4] and writes the table of the run: row k, s[6k..6k+5], is t = dt k
+ * (numpy's dt * arange), state k and its H in dynamics.hamiltonian's
+ * operation order, so the same bits as numpy's; s holds 6 (n + 1) doubles.
+ * Each returns 0, or the 1-based step that failed, with its cause in *cause:
  *
  *   1  a component of the new state is NaN or beyond limit (the state
  *      is written)
@@ -87,7 +87,7 @@ int64_t flow_midpoint(double *s, int64_t n, double dt, double newton_tol,
             double r2 = xa - a - dt * (-ma + w * mb);
             double r3 = xb - b - dt * (mb - w * ma);
             double rr = r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3;
-            /* the pre-test, then the exact rule, as in _midpoint */
+            /* the pre-test, then the exact rule, as in the Python midpoint */
             if (rr <= tol2)
                 break;
             if (rr <= 2.0 * tol2 * (1.0 + xu * xu + xv * xv + xa * xa

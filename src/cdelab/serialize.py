@@ -7,8 +7,9 @@ is its ``float.__repr__``.  ``dumps(doc)`` returns exactly
 
 Every 1-D or 2-D float64 array, a CSV table's rows or an array in a
 document, is printed by ``write_floats`` in ``_flow.c``, which spells each
-float as repr does; ``json.dumps`` writes the rest of each document.  Where
-``_flow.c`` cannot be built, ``csv.writer`` and ``json.dumps`` write it all.
+float as repr does; ``json.dumps`` writes the rest of each document.  The
+first such write builds ``_flow.c`` (see :mod:`cdelab.integrators`), and a
+failed build raises a RuntimeError naming the compiler's stderr.
 """
 
 import csv
@@ -63,12 +64,8 @@ def _csv_table(header, rows):
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
-    rows = np.ascontiguousarray(rows, dtype=float)
-    lib = integrators._flow_kernel()
-    if lib is not None:
-        return _joined(lib, [out.getvalue()], [rows], [-1])
-    writer.writerows(rows.tolist())         # csv writes a float as its repr
-    return out.getvalue()
+    return _joined(integrators._flow_kernel(), [out.getvalue()],
+                   [np.ascontiguousarray(rows, dtype=float)], [-1])
 
 
 def trajectory_to_csv(tr):
@@ -187,32 +184,34 @@ def diagram_to_csv(diagram):
 _ARRAY = "cdelab float64 array"
 
 
+def _tolist(o):
+    """json's ``default`` for :func:`dumps`: an ndarray as its tolist()."""
+    if isinstance(o, np.ndarray):
+        return o.tolist()
+    return json.JSONEncoder().default(o)
+
+
 def dumps(doc):
     """Exactly ``json.dumps(doc, indent=2)``, with each ndarray written as
     its ``tolist()``."""
-    lib = integrators._flow_kernel()
     arrays = []
 
     def default(o):
-        if not isinstance(o, np.ndarray):
-            return json.JSONEncoder().default(o)
-        if (lib is None or type(o) is not np.ndarray
-                or o.dtype != np.float64 or o.ndim not in (1, 2)):
-            return o.tolist()
+        if (type(o) is not np.ndarray or o.dtype != np.float64
+                or o.ndim not in (1, 2)):
+            return _tolist(o)
         arrays.append(np.ascontiguousarray(o))
         return _ARRAY
 
     text = json.dumps(doc, indent=2, default=default)
     pieces = text.split(json.dumps(_ARRAY))
     if len(pieces) != len(arrays) + 1:      # a str of doc is _ARRAY
-        lib = None
-        return json.dumps(doc, indent=2, default=default)
-    if not arrays:
-        return text
-    # an array's depth is its line's indentation over 2
-    depths = [(len(line) - len(line.lstrip(" "))) // 2
-              for line in (p[p.rfind("\n") + 1:] for p in pieces[:-1])]
-    text = _joined(lib, pieces, arrays, depths)
+        text = json.dumps(doc, indent=2, default=_tolist)
+    elif arrays:
+        # an array's depth is its line's indentation over 2
+        depths = [(len(line) - len(line.lstrip(" "))) // 2
+                  for line in (p[p.rfind("\n") + 1:] for p in pieces[:-1])]
+        text = _joined(integrators._flow_kernel(), pieces, arrays, depths)
     # json's indent encoder leaves default in a reference cycle: empty the
     # list, so that its arrays go now and not at the next collection
     arrays.clear()

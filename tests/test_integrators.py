@@ -1,8 +1,5 @@
 import dataclasses
-import logging
 import os
-import shlex
-import shutil
 import subprocess
 import sys
 import sysconfig
@@ -12,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import flow_reference
 from cdelab import dynamics, homoclinic, integrators, linear
 from cdelab.errors import NewtonDivergence, NonFiniteState, EmptyTrajectory
 
@@ -76,10 +74,17 @@ def test_integrate_bitwise_equals_iterated_steps(s0, step_spec, method):
     states = tr.states if dt > 0 else tr.states[::-1]
     assert states.shape == (n + 1, 4)
     assert np.array_equal(states[0], s0)
+    # each state is one step of the compiled loops, and of the Python ones
     for prev, nxt in zip(states[:-1], states[1:]):
-        ref = (integrators.rk4_step(prev, dt) if method == "rk4" else
-               integrators.implicit_midpoint_step(prev, dt))
-        assert np.array_equal(nxt, ref)
+        if method == "rk4":
+            ref = integrators.rk4_step(prev, dt)
+            loop = flow_reference.rk4(*prev.tolist(), dt)
+        else:
+            ref = integrators.implicit_midpoint_step(prev, dt)
+            loop = flow_reference.midpoint(*prev.tolist(), dt,
+                                           integrators.NEWTON_TOL,
+                                           integrators.MAX_NEWTON_ITERS)
+        assert np.array_equal(nxt, ref) and ref.tolist() == list(loop)
 
 
 def newton_correction_reference(u, a, b, r0, r1, r2, r3, h):
@@ -213,8 +218,18 @@ def strict_newton(monkeypatch):
 
 
 def test_newton_divergence_raised(strict_newton):
-    with pytest.raises(NewtonDivergence):
+    # a step is integrate's first, and its failure is named so
+    with pytest.raises(NewtonDivergence, match=r"^implicit midpoint Newton "
+                       r"stalled at residual .* in step 1 from t = 0, "
+                       r"\|s\|_inf = 1\.000e\+00$"):
         integrators.implicit_midpoint_step(np.array([1.0, 0.5, 0.3, 0.2]), 1.0)
+
+
+@pytest.mark.parametrize("s", [[np.nan, 0.5, 0.3, 0.2], [1.0, 2e12, 0.0, 0.0]],
+                         ids=["nan", "overflow"])
+def test_rk4_step_raises_on_a_nonfinite_or_overflowing_state(s):
+    with pytest.raises(NonFiniteState, match="^state overflow after step 1$"):
+        integrators.rk4_step(s, 0.1)
 
 
 def test_newton_divergence_names_step_time_and_size(strict_newton):
@@ -300,8 +315,8 @@ def _check_the_documented_rule(midpoint):
 
 def test_midpoint_acceptance_is_the_documented_rule():
     def midpoint(s, dt, tol):
-        return list(integrators._midpoint(*s.tolist(), dt, tol,
-                                          integrators.MAX_NEWTON_ITERS))
+        return list(flow_reference.midpoint(*s.tolist(), dt, tol,
+                                            integrators.MAX_NEWTON_ITERS))
 
     _check_the_documented_rule(midpoint)
 
@@ -357,23 +372,6 @@ def test_config_validation():
 # ----------------------------------------------------------------------
 # the compiled flow kernel against the Python loops
 
-def _c_compiler():
-    """The configured C compiler's path, or None where it is not installed."""
-    cc = sysconfig.get_config_var("CC")
-    return shutil.which(shlex.split(cc)[0]) if cc else None
-
-
-@pytest.fixture
-def flow_kernel():
-    """The compiled kernel; the test is skipped only where no C compiler
-    exists, so a broken build cannot hide behind the Python loops."""
-    if _c_compiler() is None:
-        pytest.skip("no C compiler")
-    lib = integrators._flow_kernel()
-    assert lib is not None
-    return lib
-
-
 def _outcome(s0, t_final, method, dt):
     """integrate's rows t, u, v, a, b, H as bytes, or the type and text of
     what it raised and of that exception's cause."""
@@ -383,6 +381,18 @@ def _outcome(s0, t_final, method, dt):
         cause = exc.__cause__
         return type(exc), str(exc), type(cause), str(cause)
     return (tr.rows.tobytes(),)
+
+
+def _loop_outcome(s0, t_final, method, dt):
+    """_outcome of the Python loops, on integrate's grid."""
+    n = max(1, int(round(abs(t_final) / dt)))
+    dt = t_final / n
+    try:
+        rows = flow_reference.flow_rows(s0, dt, n, method)
+    except (NonFiniteState, NewtonDivergence) as exc:
+        cause = exc.__cause__
+        return type(exc), str(exc), type(cause), str(cause)
+    return ((rows[::-1] if dt < 0 else rows).tobytes(),)
 
 
 def _parity_runs():
@@ -404,121 +414,88 @@ def _parity_runs():
     yield [-3.223729286484272e90, 1.0, 0.0, 1.0], -3.8, "implicit_midpoint", 1.9
 
 
-def test_compiled_kernel_matches_the_python_loops(flow_kernel, monkeypatch):
+def test_compiled_kernel_matches_the_python_loops():
     runs = list(_parity_runs())
     compiled = [_outcome(*run) for run in runs]
-    monkeypatch.setattr(integrators, "_flow_kernel", lambda: None)
-    assert [_outcome(*run) for run in runs] == compiled
+    assert [_loop_outcome(*run) for run in runs] == compiled
     ends = {o[0] for o in compiled if len(o) == 4}
     assert ends == {NonFiniteState, NewtonDivergence}
     assert sum(len(o) == 1 for o in compiled) >= 200
 
 
-def test_compiled_kernel_stall_text(flow_kernel, strict_newton):
+def test_compiled_kernel_stall_text(strict_newton):
     # rr ** 0.5 is taken in Python, from the residual the kernel returns
     runs = [([1.0, 0.5, 0.3, 0.2], 3.0, "implicit_midpoint", 1.0),
             ([0.3, -0.2, 2.0, 1.5], -0.5, "implicit_midpoint", 0.1)]
     compiled = [_outcome(*run) for run in runs]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(integrators, "_flow_kernel", lambda: None)
-        assert [_outcome(*run) for run in runs] == compiled
+    assert [_loop_outcome(*run) for run in runs] == compiled
     assert all("stalled at residual" in o[1] for o in compiled)
-
-
-@pytest.mark.parametrize("method", ["rk4", "implicit_midpoint"])
-def test_python_loops_give_the_same_bytes(method, monkeypatch):
-    s0 = homoclinic.derived_profile()(-2.0)
-    cfg = dict(dt=1e-3, method=method)
-    default = integrators.integrate(s0, 7.5, **cfg)
-    monkeypatch.setattr(integrators, "_flow_kernel", lambda: None)
-    loops = integrators.integrate(s0, 7.5, **cfg)
-    for name in ("times", "states", "energy_series"):
-        assert getattr(loops, name).tobytes() == getattr(default, name).tobytes()
 
 
 @pytest.mark.parametrize("t_final", [7.5, -7.5])
 @pytest.mark.parametrize("method", ["rk4", "implicit_midpoint"])
-def test_flow_kernel_writes_the_grid_and_the_energy(method, t_final,
-                                                    flow_kernel):
+def test_flow_kernel_writes_the_grid_and_the_energy(method, t_final):
     # the rows' t is numpy's dt * arange and their H dynamics.hamiltonian's,
-    # bit for bit, on both routes; backwards the grid still increases, from
-    # t_final to -0.0
+    # bit for bit, as the Python loops' rows; backwards the grid still
+    # increases, from t_final to -0.0
     s0 = homoclinic.derived_profile()(-2.0)
     t = (t_final / 7500) * np.arange(7501)
     t = t[::-1] if t_final < 0 else t
-    tables = []
-    for kernel in (flow_kernel, None):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(integrators, "_flow_kernel", lambda: kernel)
-            tr = integrators.integrate(s0, t_final, 1e-3, method)
-        assert tr.rows.shape == (7501, 6) and tr.rows.flags.c_contiguous
-        assert tr.times.tobytes() == t.tobytes()
-        assert (tr.energy_series.tobytes()
-                == dynamics.hamiltonian(tr.states.T).tobytes())
-        assert tr.rows[:, 1:5].tobytes() == tr.states.tobytes()
-        tables.append(tr.rows.tobytes())
-    assert tables[0] == tables[1]
+    tr = integrators.integrate(s0, t_final, 1e-3, method)
+    assert tr.rows.shape == (7501, 6) and tr.rows.flags.c_contiguous
+    assert tr.times.tobytes() == t.tobytes()
+    assert (tr.energy_series.tobytes()
+            == dynamics.hamiltonian(tr.states.T).tobytes())
+    assert tr.rows[:, 1:5].tobytes() == tr.states.tobytes()
+    loops = flow_reference.flow_rows(s0, t_final / 7500, 7500, method)
+    assert tr.rows.tobytes() == (loops[::-1] if t_final < 0 else
+                                 loops).tobytes()
 
 
 def test_kernel_builds_and_loads_where_a_compiler_exists(tmp_path,
                                                          monkeypatch):
     # a cold build in an empty directory, not the cached library
-    if _c_compiler() is None:
-        pytest.skip("no C compiler")
     source = Path(integrators.__file__).with_name("_flow.c")
     (tmp_path / "_flow.c").write_bytes(source.read_bytes())
     monkeypatch.setattr(integrators, "__file__",
                         str(tmp_path / "integrators.py"))
     lib = integrators._flow_kernel.__wrapped__()
-    assert lib is not None
     built = list((tmp_path / "__pycache__").iterdir())
     assert [p.name for p in built] == [Path(lib._name).name]
     assert built[0].name.startswith("_flow.") and built[0].suffix == ".so"
     # a second call loads the cached library and builds nothing
-    assert integrators._flow_kernel.__wrapped__() is not None
+    integrators._flow_kernel.__wrapped__()
     assert list((tmp_path / "__pycache__").iterdir()) == built
 
 
-def test_failed_build_falls_back_and_leaves_no_file(tmp_path, monkeypatch,
-                                                    caplog):
-    (tmp_path / "_flow.c").write_text("not C\n")
-    monkeypatch.setattr(integrators, "__file__",
-                        str(tmp_path / "integrators.py"))
-    caplog.set_level(logging.INFO, logger="cdelab")
-    assert integrators._flow_kernel.__wrapped__() is None
-    assert not any((tmp_path / "__pycache__").glob("*"))
-    if _c_compiler() is not None:       # the compiler's own message
-        [record] = caplog.records
-        assert "not C" in record.getMessage()
-
-
-def test_failed_build_is_logged_once_at_info(monkeypatch, caplog):
-    # a compiler that fails silently: None, one record, and no file left
+@pytest.mark.parametrize("source, cc, text", [
+    ("not C\n", None, "not C"),                  # the compiler's stderr
+    (None, "false", "Command '['false', "),      # the failed command
+    (None, 'cc -DX="', "No closing quotation"),  # a CC shlex cannot split
+], ids=["source", "compiler", "command"])
+def test_failed_build_raises_and_leaves_no_file(source, cc, text, tmp_path,
+                                                monkeypatch, caplog):
+    # a RuntimeError, which the CLI does not report as bad input, naming its
+    # cause; nothing logged, and no file left in __pycache__
+    if source is not None:
+        (tmp_path / "_flow.c").write_text(source)
+        monkeypatch.setattr(integrators, "__file__",
+                            str(tmp_path / "integrators.py"))
+    if cc is not None:
+        monkeypatch.setattr(sysconfig, "get_config_var", lambda name: cc)
     cache = Path(integrators.__file__).with_name("__pycache__")
-    files = set(cache.glob("_flow.*"))
-    monkeypatch.setattr(sysconfig, "get_config_var", lambda name: "false")
-    caplog.set_level(logging.INFO, logger="cdelab")
-    assert integrators._flow_kernel.__wrapped__() is None
-    [record] = caplog.records
-    assert (record.name, record.levelno) == ("cdelab", logging.INFO)
-    assert "run in Python" in record.getMessage()
-    assert set(cache.glob("_flow.*")) == files
-
-
-def test_unsplittable_compiler_command_falls_back(monkeypatch, caplog):
-    # shlex cannot split an unbalanced quote: None and one record, not a raise
-    monkeypatch.setattr(sysconfig, "get_config_var",
-                        lambda name: 'cc -DX="')
-    caplog.set_level(logging.INFO, logger="cdelab")
-    assert integrators._flow_kernel.__wrapped__() is None
-    [record] = caplog.records
-    assert (record.name, record.levelno) == ("cdelab", logging.INFO)
-    assert "No closing quotation" in record.getMessage()
+    files = set(cache.glob("*"))
+    caplog.set_level("DEBUG")
+    with pytest.raises(RuntimeError, match="^_flow.c was not built or "
+                                           "loaded: ") as raised:
+        integrators._flow_kernel.__wrapped__()
+    assert text in str(raised.value)
+    assert type(raised.value) is RuntimeError and raised.value.__cause__
+    assert not caplog.records
+    assert set(cache.glob("*")) == files
 
 
 def test_rebuild_removes_the_superseded_library(tmp_path, monkeypatch):
-    if _c_compiler() is None:
-        pytest.skip("no C compiler")
     source = Path(integrators.__file__).with_name("_flow.c")
     (tmp_path / "_flow.c").write_bytes(source.read_bytes())
     monkeypatch.setattr(integrators, "__file__",

@@ -120,13 +120,6 @@ def test_orbit_record_schema(lyapunov_orbits):
     assert len(rec["samples"][0]) == 5       # t,u,v,a,b
 
 
-# the writers' two routes: the compiled kernel's write_floats for each
-# float64 array, and the stdlib writers, with no kernel
-WRITER_ROUTES = (contextlib.nullcontext,
-                 lambda: mock.patch.object(integrators, "_flow_kernel",
-                                           lambda: None))
-
-
 class CountingKernel:
     """The compiled kernel, counting its write_floats calls."""
 
@@ -144,10 +137,7 @@ class CountingKernel:
 @pytest.fixture
 def kernel(monkeypatch):
     """The writers' kernel, counting its write_floats calls."""
-    lib = integrators._flow_kernel()
-    if lib is None:
-        pytest.skip("no C compiler builds _flow.c")
-    counting = CountingKernel(lib)
+    counting = CountingKernel(integrators._flow_kernel())
     monkeypatch.setattr(integrators, "_flow_kernel", lambda: counting)
     return counting
 
@@ -198,10 +188,7 @@ def tolist(o):
 @settings(max_examples=150, deadline=None, database=None)
 @given(documents)
 def test_dumps_equals_json_indent_2(doc):
-    for route in WRITER_ROUTES:
-        with route():
-            assert serialize.dumps(doc) == json.dumps(doc, indent=2,
-                                                      default=tolist)
+    assert serialize.dumps(doc) == json.dumps(doc, indent=2, default=tolist)
 
 
 @pytest.mark.parametrize("leaf", ROUTES, ids=ascii)
@@ -209,11 +196,9 @@ def test_dumps_takes_every_route(leaf):
     docs = [leaf, [1.5e-7, leaf], {"x": np.array([1e16, np.nan]), "k": leaf}]
     if isinstance(leaf, str):
         docs.append({leaf: 1.5e-7, "x": np.array([1e-5, None])})
-    for route in WRITER_ROUTES:
-        for doc in docs:
-            with route():
-                assert serialize.dumps(doc) == json.dumps(doc, indent=2,
-                                                          default=tolist)
+    for doc in docs:
+        assert serialize.dumps(doc) == json.dumps(doc, indent=2,
+                                                  default=tolist)
 
 
 @pytest.mark.parametrize("n", [1023, 1024, 1025, 2600])
@@ -224,10 +209,7 @@ def test_dumps_long_float_tables(n):
     table[n // 2, 0] = -np.inf
     doc = {"rows": table.tolist(), "flat": table[:, 2].tolist(),
            "array": table, "column": table[:, 2]}
-    for route in WRITER_ROUTES:
-        with route():
-            assert serialize.dumps(doc) == json.dumps(doc, indent=2,
-                                                      default=tolist)
+    assert serialize.dumps(doc) == json.dumps(doc, indent=2, default=tolist)
 
 
 @pytest.mark.parametrize("doc", [
@@ -262,29 +244,23 @@ def test_write_rows_equals_csv_writer(n):
                 2.2250738585072014e-308, *REDO_EDGES]
     rows.flat[rng.integers(0, rows.size, len(specials))] = specials
     header = tuple("c%d" % j for j in range(m))
-    for route in WRITER_ROUTES:
-        with route():
-            assert serialize._csv_table(header, rows) == csv_oracle(header,
-                                                                    rows)
+    assert serialize._csv_table(header, rows) == csv_oracle(header, rows)
 
 
-def assert_writers_equal_repr(values, width, routes=WRITER_ROUTES):
+def assert_writers_equal_repr(values, width):
     # dumps against json of the same floats as a list, and _csv_table against
-    # csv.writer of their reprs, on each route
+    # csv.writer of their reprs
     rows = np.reshape(values, (-1, width))
     header = tuple("c%d" % j for j in range(width))
     json_text = json.dumps({"flat": values.tolist(), "rows": rows.tolist()},
                            indent=2)
-    csv_text = csv_oracle(header, rows)
-    for route in routes:
-        with route():
-            assert serialize.dumps({"flat": values, "rows": rows}) == json_text
-            assert serialize._csv_table(header, rows) == csv_text
+    assert serialize.dumps({"flat": values, "rows": rows}) == json_text
+    assert serialize._csv_table(header, rows) == csv_oracle(header, rows)
 
 
 def test_writers_equal_repr_on_random_bit_patterns(kernel):
-    # nan and inf included: the compiled route prints the whole table, in one
-    # call for the CSV and one per array for the document
+    # nan and inf included: write_floats prints the whole table, in one call
+    # for the CSV and one per array for the document
     rng = np.random.default_rng(19)
     values = rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
     assert not np.isfinite(values).all()
@@ -293,12 +269,11 @@ def test_writers_equal_repr_on_random_bit_patterns(kernel):
 
 
 def test_writers_respell_random_finite_bit_patterns(kernel):
-    # the finite floats of the pattern above, on the compiled route alone
+    # the finite floats of the pattern above
     rng = np.random.default_rng(19)
     values = rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
     values = values[np.isfinite(values)]
-    assert_writers_equal_repr(values[:len(values) // 4 * 4], 4,
-                              routes=[contextlib.nullcontext])
+    assert_writers_equal_repr(values[:len(values) // 4 * 4], 4)
     assert kernel.calls == 3
 
 
@@ -450,9 +425,7 @@ def test_writers_keep_number_like_text_in_strs(kernel):
 @pytest.mark.parametrize("shape, header, text", [
     ((0, 6), tuple("tuvabH"), "t,u,v,a,b,H\n"), ((3, 0), ("a",), "a\n\n\n\n")])
 def test_csv_table_without_rows_or_columns(shape, header, text):
-    for route in WRITER_ROUTES:
-        with route():
-            assert serialize._csv_table(header, np.zeros(shape)) == text
+    assert serialize._csv_table(header, np.zeros(shape)) == text
     assert csv_oracle(header, np.zeros(shape)) == text
 
 
@@ -465,10 +438,7 @@ def test_writers_at_the_ends_and_after_a_str(doc, kernel):
     as_array = (np.array([doc]) if isinstance(doc, float)
                 else [doc[0], np.array(doc[1:])])
     for d in (doc, as_array):
-        for route in WRITER_ROUTES:
-            with route():
-                assert serialize.dumps(d) == json.dumps(d, indent=2,
-                                                        default=tolist)
+        assert serialize.dumps(d) == json.dumps(d, indent=2, default=tolist)
     assert kernel.calls == 1
 
 
@@ -487,9 +457,7 @@ def test_writers_equal_repr_in_every_band():
     for lo, hi in ((1e-9, 1e-5), (1e-5, 1e-4), (1e16, np.inf)):
         assert np.count_nonzero((mag >= lo) & (mag < hi)) >= 2 * 17
     assert_writers_equal_repr(np.array(values), 1)
-    for route in WRITER_ROUTES:
-        with route():
-            assert serialize.dumps(values) == json.dumps(values, indent=2)
+    assert serialize.dumps(values) == json.dumps(values, indent=2)
 
 
 def test_diagram_csv():
@@ -910,8 +878,6 @@ def test_only_the_cli_keeps_freed_record_buffers():
     # again; after cli.main it runs with almost none.  Each side has its own
     # process, since glibc's adaptive mmap threshold can settle after a few
     # tasks, and a task after that faults little whatever cli.main did
-    if integrators._flow_kernel() is None:
-        pytest.skip("no C compiler builds _flow.c")
     code = """if 1:
         import contextlib, io, resource, sys
         from cdelab import cli, homoclinic, integrators, serialize

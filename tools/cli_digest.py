@@ -6,24 +6,33 @@ of (exit code, stdout, stderr), the exit code and the argv.  The list is
 the warm-up and first two rounds of both benchmark workloads at seed 1 (from
 ``perfbench/workloads.py``), then the ``lyapunov``, ``continuation``,
 ``ground-state``, ``verify``, ``equilibria`` and ``homoclinic`` calls below,
-failures included.  The same pass runs again with the compiled kernel
-switched off (``integrators._flow_kernel`` returning None, the Python loops
-and stdlib writers), and the last line is one digest of both passes.
+failures included.  The last line is one digest of all the calls.
 
 Two trees print the same lines exactly when every call gives the same
 bytes.  Run it with the package to check importable, from the repository
-root, e.g. ``PYTHONPATH=src python tools/cli_digest.py``.
+root, e.g. ``PYTHONPATH=src python tools/cli_digest.py``.  Its header
+names the versions that the bytes rest on.  Tier-1 checks the CLI against
+the listing kept in ``tests/reference/cli_digest.txt``, which
+``PYTHONPATH=src python tools/cli_digest.py > tests/reference/cli_digest.txt``
+rewrites.
 """
 
 import contextlib
 import hashlib
 import io
+import os
+import platform
+import shlex
+import subprocess
 import sys
+import sysconfig
 import warnings
 from pathlib import Path
-from unittest import mock
 
-from cdelab import cli, integrators
+import numpy
+import scipy
+
+from cdelab import cli
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
@@ -70,21 +79,38 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def digest(argv):
+    """The 64 hex digits of one call's (exit code, stdout, stderr), and its
+    exit code."""
+    code, out, err = run(argv)
+    return hashlib.sha256(f"{code}\0{out}\0{err}".encode()).hexdigest(), code
+
+
+def versions():
+    """The header lines naming what the output bytes rest on: pocketfft and
+    LAPACK through numpy and scipy, libm, json's layout, and the compiler
+    that builds _flow.c."""
+    cc = shlex.split(sysconfig.get_config_var("CC"))[0]
+    compiler = subprocess.run([cc, "--version"], capture_output=True,
+                              text=True).stdout.partition("\n")[0]
+    name = "CS_GNU_LIBC_VERSION"
+    libc = (os.confstr(name) if name in os.confstr_names else None) or "?"
+    return [f"# python {platform.python_version()}",
+            f"# numpy {numpy.__version__}", f"# scipy {scipy.__version__}",
+            f"# libc {libc}", f"# cc {compiler}"]
+
+
 def main():
     total = hashlib.sha256()
     argvs = calls()
-    for route, patch in (("compiled kernel", contextlib.nullcontext()),
-                         ("no kernel", mock.patch.object(
-                             integrators, "_flow_kernel", lambda: None))):
-        print(f"# {route}")
-        with patch:
-            for argv in argvs:
-                code, out, err = run(argv)
-                digest = hashlib.sha256(
-                    f"{code}\0{out}\0{err}".encode()).hexdigest()
-                total.update(digest.encode())
-                print(digest[:12], code, " ".join(argv))
-    print(f"all {total.hexdigest()[:12]} ({2 * len(argvs)} calls)")
+    print("# PYTHONPATH=src python tools/cli_digest.py"
+          " > tests/reference/cli_digest.txt")
+    print(*versions(), sep="\n")
+    for argv in argvs:
+        hexdigest, code = digest(argv)
+        total.update(hexdigest.encode())
+        print(hexdigest[:12], code, " ".join(argv))
+    print(f"all {total.hexdigest()[:12]} ({len(argvs)} calls)")
 
 
 if __name__ == "__main__":
