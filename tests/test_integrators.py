@@ -432,6 +432,16 @@ def test_compiled_kernel_stall_text(strict_newton):
     assert all("stalled at residual" in o[1] for o in compiled)
 
 
+@pytest.mark.parametrize("method", ["rk4", "implicit_midpoint"])
+def test_python_loops_give_the_same_bytes(method):
+    s0 = homoclinic.derived_profile()(-2.0)
+    tr = integrators.integrate(s0, 7.5, dt=1e-3, method=method)
+    loops = flow_reference.flow_rows(s0, 7.5 / 7500, 7500, method)
+    assert tr.times.tobytes() == loops[:, 0].tobytes()
+    assert tr.states.tobytes() == loops[:, 1:5].tobytes()
+    assert tr.energy_series.tobytes() == loops[:, 5].tobytes()
+
+
 @pytest.mark.parametrize("t_final", [7.5, -7.5])
 @pytest.mark.parametrize("method", ["rk4", "implicit_midpoint"])
 def test_flow_kernel_writes_the_grid_and_the_energy(method, t_final):
